@@ -43,6 +43,7 @@ from .operator_algebra import (
     commutator,
     compose,
     extra_identity_checks,
+    generator_table,
     identity_suite,
     monomial_action,
     replace_K,

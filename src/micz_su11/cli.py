@@ -118,6 +118,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"--tol must be positive and finite, got {tol}")
+
+
 def _sector_config(args) -> dict:
     return {
         "s": str(args.s),
@@ -253,6 +258,8 @@ def cmd_verify_states(args) -> int:
     sector = make_sector(params, args.m, args.j)
     if args.nmax < 1:
         raise InvalidLevel(f"--nmax must be at least 1, got {args.nmax}")
+    if args.tol is not None:
+        _check_tol(args.tol)
     grid = None
     if args.rmax is not None or args.npoints is not None:
         rmax = args.rmax if args.rmax is not None else 10.0 + 4.0 * (sector.bigJ + args.nmax)
@@ -284,6 +291,7 @@ def cmd_verify_states(args) -> int:
 def cmd_oracle(args) -> int:
     if args.nmax < 1:
         raise InvalidLevel(f"--nmax must be at least 1, got {args.nmax}")
+    _check_tol(args.tol)
     if args.bigJ is not None:
         if args.bigJ < 0:
             raise InvalidQuantumNumbers(f"--bigJ must be non-negative, got {args.bigJ}")

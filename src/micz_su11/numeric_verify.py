@@ -5,6 +5,20 @@ discretizes -chi''/2 - chi/r + J(J+1)/(2r^2) chi = E chi on a uniform
 Dirichlet grid and extracts eigenvalues of the symmetric tridiagonal matrix
 by Sturm-sequence bisection, so agreement with the algebraic spectrum is a
 genuine cross-check and not a tautology.
+
+The grid checks reuse work in two process-wide caches:
+
+- the su(1,1) generators and their products come from
+  `operator_algebra.generator_table()`, composed once per process; each
+  check only `substitute`s (J, K) into them;
+- `_state_and_samples(sector, n, grid)` is an LRU cache keyed on the frozen
+  (SectorLabels, HalfInt, RadialGrid) triple.  An entry holds the state, chi
+  on the grid nodes and a derivative callback that memoizes each order it is
+  asked for on those nodes (orders 1-4 are used).  The LRU keeps
+  SAMPLE_CACHE_LEVELS = 4 levels, enough for the n-1, n, n+1 window that
+  `verify_states_suite` walks, so it holds at most 4 levels x 5 arrays x
+  npoints x 8 B (640 KB at the default 4000 points).  The cached arrays are
+  read-only.
 """
 
 from __future__ import annotations
@@ -12,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,17 +38,11 @@ from .analytic_states import (
     default_angular_mesh,
     radial_state,
 )
-from .operator_algebra import (
-    NumericOperator,
-    build_Ln,
-    build_T3,
-    build_Tpm,
-    compose,
-    substitute,
-)
+from .operator_algebra import NumericOperator, generator_table, substitute
 from .quantum_numbers import HalfInt, MonopoleParams, SectorLabels, energy, make_sector
 
 MIN_NODES_PER_WAVELENGTH = 8
+SAMPLE_CACHE_LEVELS = 4
 
 DEFAULT_TOLERANCES = {
     "angular_residual": 1e-9,
@@ -69,8 +77,8 @@ class RadialGrid:
     npoints: int
 
     def __post_init__(self):
-        if self.rmax <= 0.0:
-            raise ValueError(f"rmax must be positive, got {self.rmax}")
+        if not math.isfinite(self.rmax) or self.rmax <= 0.0:
+            raise ValueError(f"rmax must be positive and finite, got {self.rmax}")
         if self.npoints < 16:
             raise ValueError(f"need at least 16 grid points, got {self.npoints}")
 
@@ -80,7 +88,9 @@ class RadialGrid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        return self.h * np.arange(1, self.npoints + 1, dtype=float)
+        nodes = self.h * np.arange(1, self.npoints + 1, dtype=float)
+        nodes.flags.writeable = False
+        return nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +111,6 @@ class GridFunction:
 
     def norm(self) -> float:
         return math.sqrt(self.inner(self))
-
-
-def sample(grid: RadialGrid, fn) -> GridFunction:
-    return GridFunction(grid, fn(grid.nodes))
 
 
 @dataclass
@@ -299,12 +305,24 @@ def _as_halfint(n) -> HalfInt:
     return n if isinstance(n, HalfInt) else HalfInt.from_int(n)
 
 
+@lru_cache(maxsize=SAMPLE_CACHE_LEVELS)
 def _state_and_samples(sector: SectorLabels, n: HalfInt, grid: RadialGrid):
+    """State, read-only chi samples and a derivative callback memoized on grid.nodes."""
     state = radial_state(sector, n)
-    f = GridFunction(grid, chi(state, grid.nodes))
+    nodes = grid.nodes
+    values = chi(state, nodes)
+    values.flags.writeable = False
+    f = GridFunction(grid, values)
+    memo = {0: f.values}
 
     def derivs(xs, order):
-        return chi_dn(state, xs, order)
+        if xs is not nodes:
+            return chi_dn(state, xs, order)
+        out = memo.get(order)
+        if out is None:
+            out = memo[order] = chi_dn(state, xs, order)
+            out.flags.writeable = False
+        return out
 
     return state, f, derivs
 
@@ -320,7 +338,7 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
     t0 = time.perf_counter()
     n = _as_halfint(n)
     state, f, derivs = _state_and_samples(sector, n, grid)
-    numop = substitute(build_Tpm(sign), sector.bigJ, state.level.K)
+    numop = substitute(generator_table()["T+" if sign == 1 else "T-"], sector.bigJ, state.level.K)
     y = apply_operator(numop, f, derivatives=derivs)
     bottom = n - sector.j == 1
     inputs = _sector_inputs(sector, grid, n)
@@ -346,18 +364,17 @@ def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None 
     K = state.level.K
     J = sector.bigJ
     fnorm = f.norm()
-    y = apply_operator(substitute(build_T3(), J, K), f, derivatives=derivs)
+    gen = generator_table()
+    y = apply_operator(substitute(gen["T3"], J, K), f, derivatives=derivs)
     r_main = GridFunction(grid, y.values - K * f.values).norm() / fnorm
     details = {"measured_eigenvalue": y.inner(f) / f.inner(f)}
     residual = r_main
     bottom = n - sector.j == 1
-    for sign, tag in ((1, "raised"), (-1, "lowered")):
+    for sign, tag, tpm in ((1, "raised", "T+"), (-1, "lowered", "T-")):
         if sign == -1 and bottom:
             continue
-        z = apply_operator(substitute(build_Tpm(sign), J, K), f, derivatives=derivs)
-        w = apply_operator(
-            substitute(compose(build_T3(), build_Tpm(sign)), J, K), f, derivatives=derivs
-        )
+        z = apply_operator(substitute(gen[tpm], J, K), f, derivatives=derivs)
+        w = apply_operator(substitute(gen["T3 " + tpm], J, K), f, derivatives=derivs)
         znorm = z.norm()
         r_shift = GridFunction(grid, w.values - (K + sign) * z.values).norm() / znorm
         details[f"{tag}_eigenvalue"] = w.inner(z) / z.inner(z)
@@ -371,10 +388,11 @@ def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | Non
     t0 = time.perf_counter()
     n = _as_halfint(n)
     J = sector.bigJ
+    t3 = generator_table()["T3"]
     measured = []
     for level_n in (n, n + 1):
         state, f, derivs = _state_and_samples(sector, level_n, grid)
-        y = apply_operator(substitute(build_T3(), J, state.level.K), f, derivatives=derivs)
+        y = apply_operator(substitute(t3, J, state.level.K), f, derivatives=derivs)
         measured.append(y.inner(f) / f.inner(f))
     spacing = measured[1] - measured[0]
     tolerance = DEFAULT_TOLERANCES["t3_spacing"] if tol is None else tol
@@ -402,13 +420,11 @@ def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None =
     K = state.level.K
     fnorm = f.norm()
     target = sector.sep_const * f.values
-    t3 = build_T3()
-    tp = build_Tpm(+1)
-    tm = build_Tpm(-1)
-    t3f = apply_operator(substitute(t3, J, K), f, derivatives=derivs).values
-    t3sq = apply_operator(substitute(compose(t3, t3), J, K), f, derivatives=derivs).values
-    pm = apply_operator(substitute(compose(tp, tm), J, K), f, derivatives=derivs).values
-    mp = apply_operator(substitute(compose(tm, tp), J, K), f, derivatives=derivs).values
+    gen = generator_table()
+    t3f = apply_operator(substitute(gen["T3"], J, K), f, derivatives=derivs).values
+    t3sq = apply_operator(substitute(gen["T3 T3"], J, K), f, derivatives=derivs).values
+    pm = apply_operator(substitute(gen["T+ T-"], J, K), f, derivatives=derivs).values
+    mp = apply_operator(substitute(gen["T- T+"], J, K), f, derivatives=derivs).values
     res_direct = GridFunction(grid, -pm + t3sq - t3f - target).norm() / fnorm
     res_mirror = GridFunction(grid, -mp + t3sq + t3f - target).norm() / fnorm
     details = {"direct": float(res_direct), "mirror": float(res_mirror)}
@@ -434,7 +450,7 @@ def radial_equation_check(
     t0 = time.perf_counter()
     n = _as_halfint(n)
     state, f, derivs = _state_and_samples(sector, n, grid)
-    numop = substitute(build_Ln(), sector.bigJ, state.level.K)
+    numop = substitute(generator_table()["Ln"], sector.bigJ, state.level.K)
     y = apply_operator(numop, f, derivatives=derivs)
     resid = y.values + sector.sep_const * f.values
     x = grid.nodes

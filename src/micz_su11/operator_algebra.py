@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
 from typing import Mapping
 
 Scalar = int | Fraction
@@ -372,17 +374,41 @@ def build_Tpm(sign: int) -> NormalOrderedOperator:
     return linear - build_T3()
 
 
+@cache
+def generator_table() -> Mapping[str, NormalOrderedOperator]:
+    """The level-independent generators and products, composed once per process.
+
+    Read-only mapping with keys "T3", "T+", "T-", "Ln" and the normal-ordered
+    products "T3 T+", "T3 T-", "T3 T3", "T+ T-", "T- T+".  Built on first
+    call, so importing the module composes nothing.
+    """
+    t3 = build_T3()
+    tp = build_Tpm(+1)
+    tm = build_Tpm(-1)
+    return MappingProxyType(
+        {
+            "T3": t3,
+            "T+": tp,
+            "T-": tm,
+            "Ln": build_Ln(),
+            "T3 T+": compose(t3, tp),
+            "T3 T-": compose(t3, tm),
+            "T3 T3": compose(t3, t3),
+            "T+ T-": compose(tp, tm),
+            "T- T+": compose(tm, tp),
+        }
+    )
+
+
 def casimir(mirror: bool = False) -> NormalOrderedOperator:
     """Quadratic Casimir -T+T- + T3^2 - T3 (or the mirror -T-T+ + T3^2 + T3).
 
     Both canonicalize to the constant J(J+1) times the identity.
     """
-    t3 = build_T3()
-    tp = build_Tpm(+1)
-    tm = build_Tpm(-1)
+    gen = generator_table()
     if mirror:
-        return -compose(tm, tp) + compose(t3, t3) + t3
-    return -compose(tp, tm) + compose(t3, t3) - t3
+        return -gen["T- T+"] + gen["T3 T3"] + gen["T3"]
+    return -gen["T+ T-"] + gen["T3 T3"] - gen["T3"]
 
 
 def replace_K(op: NormalOrderedOperator, replacement: NormalOrderedOperator) -> NormalOrderedOperator:

@@ -126,6 +126,10 @@ class MonopoleParams:
     c2: float
 
     def __post_init__(self):
+        for name in ("c1", "c2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidQuantumNumbers(f"coupling {name} must be finite, got {value}")
         if self.c1 < 0 or self.c2 < 0:
             raise InvalidQuantumNumbers(
                 f"couplings must be non-negative, got c1={self.c1}, c2={self.c2}"

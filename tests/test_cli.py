@@ -183,6 +183,25 @@ class TestVerifyStates:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("flag, field", [("--tol", "--tol"), ("--rmax", "rmax"),
+                                             ("--c1", "c1"), ("--c2", "c2")])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exit_2(self, capsys, flag, field, bad):
+        code, out, err = run(capsys, ["verify-states", "--s", "0", "--m", "0", "--j", "0",
+                                      "--nmax", "2", "--npoints", "800", f"{flag}={bad}"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize("bad", ["0", "-1e-8"])
+    def test_non_positive_tol_exit_2(self, capsys, bad):
+        code, out, err = run(capsys, ["verify-states", "--s", "0", "--m", "0", "--j", "0",
+                                      "--nmax", "2", "--npoints", "800", f"--tol={bad}"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--tol" in err
+
 
 class TestOracle:
     def test_sector_table(self, capsys, tmp_path):
@@ -213,6 +232,14 @@ class TestOracle:
         assert code == 1
         _, rows = parse_csv(out)
         assert rows[0][5] == "false"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1e-4"])
+    def test_bad_tol_exit_2(self, capsys, bad):
+        code, out, err = run(capsys, ["oracle", "--bigJ", "0", "--nmax", "1", "--rmax", "60",
+                                      "--npoints", "120", f"--tol={bad}"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--tol" in err
 
     def test_requires_sector_or_bigJ(self, capsys):
         code, _, err = run(capsys, ["oracle", "--nmax", "1"])

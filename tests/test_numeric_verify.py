@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from micz_su11 import numeric_verify, operator_algebra
 from micz_su11.analytic_states import chi, chi_dn, radial_state
 from micz_su11.numeric_verify import (
     ConvergenceFailure,
@@ -11,6 +13,7 @@ from micz_su11.numeric_verify import (
     RadialGrid,
     StencilUnsupported,
     _fd_weights,
+    _state_and_samples,
     apply_operator,
     casimir_check,
     eig_oracle,
@@ -70,6 +73,11 @@ class TestGridTypes:
             RadialGrid(-1.0, 100)
         with pytest.raises(ValueError):
             RadialGrid(10.0, 8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rmax_rejected(self, bad):
+        with pytest.raises(ValueError, match="rmax must be positive and finite"):
+            RadialGrid(bad, 100)
 
     def test_grid_function_validation(self):
         g = RadialGrid(10.0, 20)
@@ -332,3 +340,68 @@ class TestReports:
         assert {"angular_residual", "radial_equation", "t3_eigen", "casimir_action",
                 "ladder_raise", "ladder_annihilation", "ladder_lower", "t3_spacing"} <= names
         assert all(r.passed for r in reports)
+
+
+class TestSampleCache:
+    """The suite samples each level once and composes no generator product per call."""
+
+    @staticmethod
+    def _suite(hydrogen):
+        return verify_states_suite(hydrogen.params, hydrogen.m, hydrogen.j, nlevels=10)
+
+    @staticmethod
+    def _fields(reports):
+        out = []
+        for r in reports:
+            d = r.to_dict()
+            del d["runtime_ms"]
+            out.append(d)
+        return out
+
+    def test_cached_reports_equal_uncached(self, hydrogen, monkeypatch):
+        cached = self._fields(self._suite(hydrogen))
+        monkeypatch.setattr(numeric_verify, "_state_and_samples", sampled)
+        assert cached == self._fields(self._suite(hydrogen))
+
+    def test_each_level_and_order_sampled_once(self, hydrogen, monkeypatch):
+        calls = Counter()
+
+        def counting(state, x, order):
+            calls[state.level.n, order] += 1
+            return chi_dn(state, x, order)
+
+        _state_and_samples.cache_clear()
+        monkeypatch.setattr(numeric_verify, "chi_dn", counting)
+        self._suite(hydrogen)
+        assert calls
+        assert max(calls.values()) == 1
+        assert {order for _, order in calls} == {1, 2, 3, 4}
+
+    def test_second_suite_composes_nothing(self, hydrogen, monkeypatch):
+        self._suite(hydrogen)
+        compose = operator_algebra.compose
+        calls = []
+
+        def counting(lhs, rhs):
+            calls.append((lhs, rhs))
+            return compose(lhs, rhs)
+
+        monkeypatch.setattr(operator_algebra, "compose", counting)
+        monkeypatch.setattr(numeric_verify, "compose", counting, raising=False)
+        self._suite(hydrogen)
+        assert calls == []
+
+    def test_cached_arrays_are_read_only(self, hydrogen, xgrid):
+        _, f, derivs = _state_and_samples(hydrogen, H("2"), xgrid)
+        d2 = derivs(xgrid.nodes, 2)
+        assert derivs(xgrid.nodes, 2) is d2
+        for arr in (f.values, d2, xgrid.nodes):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_derivatives_off_the_nodes_are_not_memoized(self, hydrogen, xgrid):
+        state, _, derivs = _state_and_samples(hydrogen, H("3"), xgrid)
+        xs = np.linspace(0.5, 9.0, 7)
+        out = derivs(xs, 2)
+        assert np.array_equal(out, chi_dn(state, xs, 2))
+        assert derivs(xs, 2) is not out

@@ -17,6 +17,7 @@ from micz_su11.operator_algebra import (
     commutator,
     compose,
     extra_identity_checks,
+    generator_table,
     identity_suite,
     monomial_action,
     replace_K,
@@ -129,6 +130,24 @@ class TestBuilders:
         assert tp == NormalOrderedOperator({(1, 1): -1, (1, 0): 1, (0, 0): -K})
         tm = build_Tpm_n(-1)
         assert tm.coeff(1, 1) == 1
+
+    def test_generator_table_matches_fresh_builds(self):
+        gen = generator_table()
+        assert generator_table() is gen
+        t3, tp, tm = build_T3(), build_Tpm(+1), build_Tpm(-1)
+        assert dict(gen) == {
+            "T3": t3,
+            "T+": tp,
+            "T-": tm,
+            "Ln": build_Ln(),
+            "T3 T+": compose(t3, tp),
+            "T3 T-": compose(t3, tm),
+            "T3 T3": compose(t3, t3),
+            "T+ T-": compose(tp, tm),
+            "T- T+": compose(tm, tp),
+        }
+        with pytest.raises(TypeError):
+            gen["T3"] = ONE
 
     def test_sign_validation(self):
         with pytest.raises(ValueError):

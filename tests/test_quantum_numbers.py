@@ -93,6 +93,13 @@ class TestMakeSector:
         with pytest.raises(InvalidQuantumNumbers):
             MonopoleParams(H("0"), -0.5, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["c1", "c2"])
+    def test_non_finite_coupling_rejected(self, field, bad):
+        couplings = {"c1": 0.0, "c2": 0.0, field: bad}
+        with pytest.raises(InvalidQuantumNumbers, match=f"coupling {field} must be finite"):
+            MonopoleParams(H("0"), **couplings)
+
 
 class TestEnergy:
     def test_hydrogen_ground_state(self):
