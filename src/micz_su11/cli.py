@@ -172,6 +172,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_eigenfunction(args) -> int:
+    if args.npoints < 1:
+        raise ValueError(f"--npoints must be positive, got {args.npoints}")
     sector = make_sector(MonopoleParams(args.s, args.c1, args.c2), args.m, args.j)
     if args.kind == "radial":
         if args.n is None:
@@ -293,8 +295,8 @@ def cmd_oracle(args) -> int:
         raise InvalidLevel(f"--nmax must be at least 1, got {args.nmax}")
     _check_tol(args.tol)
     if args.bigJ is not None:
-        if args.bigJ < 0:
-            raise InvalidQuantumNumbers(f"--bigJ must be non-negative, got {args.bigJ}")
+        if not (math.isfinite(args.bigJ) and args.bigJ >= 0):
+            raise InvalidQuantumNumbers(f"--bigJ must be non-negative and finite, got {args.bigJ}")
         J = args.bigJ
         ks = [J + 1.0 + i for i in range(args.nmax)]
         labels = [""] * args.nmax
@@ -310,7 +312,13 @@ def cmd_oracle(args) -> int:
         labels = [str(lv.n) for lv in lvls]
         inputs_base = _sector_config(args)
         config = {"command": "oracle", **_sector_config(args)}
-    rmax = args.rmax if args.rmax is not None else 12.0 * ks[-1] ** 2
+    if args.rmax is not None:
+        rmax = args.rmax
+    else:
+        try:
+            rmax = 12.0 * ks[-1] ** 2
+        except OverflowError:
+            rmax = math.inf  # RadialGrid rejects it with a one-line diagnostic
     npoints = args.npoints if args.npoints is not None else 6000
     grid = RadialGrid(rmax=rmax, npoints=npoints)
     config.update({"nmax": args.nmax, "rmax": rmax, "npoints": npoints, "tol": args.tol})
@@ -323,6 +331,8 @@ def cmd_oracle(args) -> int:
     all_ok = True
     for label, K, ev in zip(labels, ks, oracle_vals):
         exact = -1.0 / (2.0 * K * K)
+        if exact == 0.0:
+            raise ValueError(f"the analytic energy at K={K} underflows to zero")
         rel = abs(ev - exact) / abs(exact)
         ok = rel <= args.tol
         all_ok = all_ok and ok

@@ -6,6 +6,15 @@ Dirichlet grid and extracts eigenvalues of the symmetric tridiagonal matrix
 by Sturm-sequence bisection, so agreement with the algebraic spectrum is a
 genuine cross-check and not a tautology.
 
+Each Sturm count stops early, and exactly: for lam < 0 every node past the
+classical turning point V(r) = lam has d_i - lam >= 2|off|, and once a pivot
+there reaches |off| no later pivot can turn negative, so the sweep ends
+without visiting the forbidden tail (see `_sturm_count`).  Counts are
+memoized per `eig_oracle` call, because the bisections for different
+eigenvalues share their first midpoints.  Brackets, midpoints and the
+stopping rule are those of the plain full sweep, so the eigenvalues are
+bit-for-bit the same.
+
 The grid checks reuse work in two process-wide caches:
 
 - the su(1,1) generators and their products come from
@@ -23,7 +32,10 @@ The grid checks reuse work in two process-wide caches:
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -42,6 +54,9 @@ from .operator_algebra import NumericOperator, generator_table, substitute
 from .quantum_numbers import HalfInt, MonopoleParams, SectorLabels, energy, make_sector
 
 MIN_NODES_PER_WAVELENGTH = 8
+# relative margin of the early-stop bound in `_sturm_count`; any value far
+# above machine epsilon keeps the stop exact
+STURM_TAIL_MARGIN = 1e-12
 SAMPLE_CACHE_LEVELS = 4
 
 DEFAULT_TOLERANCES = {
@@ -162,13 +177,54 @@ def _sector_inputs(sector: SectorLabels, grid: RadialGrid | None = None, n: Half
 # Independent eigensolver oracle
 # ---------------------------------------------------------------------------
 
-def _sturm_count(diag: list[float], e2: float, lam: float) -> int:
-    """Number of eigenvalues strictly below lam (LDL^T pivot signs)."""
+def _suffix_min(diag: list[float]) -> list[float]:
+    """suffix_min[i] = min(diag[i:]); nondecreasing in i."""
+    out = list(itertools.accumulate(reversed(diag), min))
+    out.reverse()
+    return out
+
+
+def _sturm_count(diag: list[float], suffix_min: list[float], off: float, lam: float) -> int:
+    """Number of eigenvalues strictly below lam (LDL^T pivot signs).
+
+    The matrix has diagonal `diag` and constant off-diagonal `off`; the
+    pivots are q_0 = d_0 - lam, q_i = d_i - lam - off^2 / q_{i-1}.  The
+    count equals that of the full sweep over every node, but the sweep stops
+    once no later pivot can turn negative.  With b = |off|:
+
+    - if d_j - lam >= 2b for every j >= i and some q_{i-1} >= b, then
+      q_i >= 2b - b^2/b = b, and by induction every later pivot is >= b > 0;
+    - in floating point the tail must satisfy fl(d_j - lam) >= 2b(1 + eta)
+      with eta = STURM_TAIL_MARGIN = 1e-12.  The rounding of off^2, of
+      off^2/q and of the subtraction costs a few ulps (about 7e-16
+      relative), far below eta, so fl(q_i) >= b still holds.  This needs
+      off^2 to be a normal float; otherwise the early stop is off.
+
+    Since fl(d - lam) is monotone in d, the tail where the bound holds for
+    every later node starts at the first i with fl(suffix_min[i] - lam) >=
+    2b(1 + eta), found by binary search.  For lam < 0 that is just past the
+    outer turning point V(r) = lam.  The recurrence runs unchanged up to
+    that node; past it, the sweep breaks at the first pivot >= b.
+    """
+    e2 = off * off
+    b = abs(off)
+    if e2 >= sys.float_info.min:
+        tail = bisect.bisect_left(suffix_min, 2.0 * b * (1.0 + STURM_TAIL_MARGIN), key=lambda d: d - lam)
+    else:
+        tail = len(diag)
     count = 0
     q = diag[0] - lam
     if q < 0.0:
         count += 1
-    for d in diag[1:]:
+    for d in itertools.islice(diag, 1, tail):
+        if q == 0.0:
+            q = 1e-300
+        q = d - lam - e2 / q
+        if q < 0.0:
+            count += 1
+    for d in itertools.islice(diag, max(tail, 1), None):
+        if q >= b:
+            break
         if q == 0.0:
             q = 1e-300
         q = d - lam - e2 / q
@@ -177,12 +233,13 @@ def _sturm_count(diag: list[float], e2: float, lam: float) -> int:
     return count
 
 
-def _bisect_eigenvalue(diag: list[float], e2: float, k: int, lo: float, hi: float) -> float:
+def _bisect_eigenvalue(count_below, k: int, lo: float, hi: float) -> float:
+    """Eigenvalue k (from 0) by bisection of [lo, hi] on `count_below(lam)`."""
     for _ in range(256):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        if _sturm_count(diag, e2, mid) > k:
+        if count_below(mid) > k:
             hi = mid
         else:
             lo = mid
@@ -196,10 +253,17 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
 
     Discretization: diagonal 1/h^2 + V(r_i) with V = -1/r + J(J+1)/(2 r^2),
     off-diagonal -1/(2 h^2); eigenvalues by Sturm-sequence bisection between
-    Gershgorin bounds, sorted ascending.
+    Gershgorin bounds, sorted ascending.  Each Sturm count stops past the
+    classical turning point, where no later pivot can turn negative (see
+    `_sturm_count`), and counts are shared between the eigenvalues through
+    a per-call memo keyed on the exact float lam; both leave every
+    eigenvalue bit-for-bit equal to the full-sweep bisection.
+
+    J must be finite and non-negative, and the diagonal must not overflow
+    (J(J+1) overflows above J of about 1.3e154); otherwise ValueError.
     """
-    if J < 0.0:
-        raise ValueError(f"J must be non-negative, got {J}")
+    if not (math.isfinite(J) and J >= 0.0):
+        raise ValueError(f"J must be non-negative and finite, got {J}")
     if count < 0 or count > grid.npoints:
         raise ValueError(f"count must lie in [0, {grid.npoints}], got {count}")
     if count == 0:
@@ -215,12 +279,23 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
     r = grid.nodes
     h = grid.h
     off = -1.0 / (2.0 * h * h)
-    diag_arr = 1.0 / (h * h) - 1.0 / r + J * (J + 1.0) / (2.0 * r * r)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        diag_arr = 1.0 / (h * h) - 1.0 / r + J * (J + 1.0) / (2.0 * r * r)
     diag = diag_arr.tolist()
-    e2 = off * off
     lo = min(diag) - 2.0 * abs(off)
     hi = max(diag) + 2.0 * abs(off)
-    return [_bisect_eigenvalue(diag, e2, k, lo, hi) for k in range(count)]
+    if not (np.all(np.isfinite(diag_arr)) and math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"J={J} on a grid with h={h:.4g} overflows the finite-difference matrix")
+    suffix_min = _suffix_min(diag)
+    counts: dict[float, int] = {}
+
+    def count_below(lam: float) -> int:
+        c = counts.get(lam)
+        if c is None:
+            c = counts[lam] = _sturm_count(diag, suffix_min, off, lam)
+        return c
+
+    return [_bisect_eigenvalue(count_below, k, lo, hi) for k in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -42,3 +42,57 @@ def kummer_rational(k: int, b: Fraction, z: Fraction) -> Fraction:
         total += term
         term = term * (i - k) * z / ((b + i) * (i + 1))
     return total
+
+
+# ---------------------------------------------------------------------------
+# Full-sweep Sturm bisection: the FD eigenvalue oracle without the early stop
+# or the count memo, kept as the bit-for-bit reference for `eig_oracle`.
+# ---------------------------------------------------------------------------
+
+def fd_matrix(J: float, grid) -> tuple[list[float], float]:
+    """Diagonal and constant off-diagonal of the FD radial Hamiltonian."""
+    r = grid.nodes
+    h = grid.h
+    off = -1.0 / (2.0 * h * h)
+    diag_arr = 1.0 / (h * h) - 1.0 / r + J * (J + 1.0) / (2.0 * r * r)
+    return diag_arr.tolist(), off
+
+
+def gershgorin(diag: list[float], off: float) -> tuple[float, float]:
+    return min(diag) - 2.0 * abs(off), max(diag) + 2.0 * abs(off)
+
+
+def sturm_count_full(diag: list[float], e2: float, lam: float) -> int:
+    """Number of eigenvalues strictly below lam (LDL^T pivot signs)."""
+    count = 0
+    q = diag[0] - lam
+    if q < 0.0:
+        count += 1
+    for d in diag[1:]:
+        if q == 0.0:
+            q = 1e-300
+        q = d - lam - e2 / q
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def bisect_eigenvalue_full(diag: list[float], e2: float, k: int, lo: float, hi: float) -> float:
+    for _ in range(256):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if sturm_count_full(diag, e2, mid) > k:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
+            return 0.5 * (lo + hi)
+    raise RuntimeError(f"bisection stalled for eigenvalue {k} in [{lo}, {hi}]")
+
+
+def eig_oracle_full_sweep(J: float, grid, count: int) -> list[float]:
+    """Lowest `count` FD eigenvalues, every Sturm count a full sweep."""
+    diag, off = fd_matrix(J, grid)
+    lo, hi = gershgorin(diag, off)
+    return [bisect_eigenvalue_full(diag, off * off, k, lo, hi) for k in range(count)]

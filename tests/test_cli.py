@@ -5,7 +5,9 @@ import math
 import re
 
 import pytest
+from oracles import eig_oracle_full_sweep
 
+import micz_su11.cli as cli
 from micz_su11.cli import main
 
 # every documented README invocation is executed here (paths adapted per test)
@@ -101,6 +103,14 @@ class TestEigenfunction:
         assert header == ["theta", "re_z", "im_z"]
         assert len(rows) == 64
         assert all(float(r[2]) == 0.0 for r in rows)  # m = s: no azimuthal phase
+
+    @pytest.mark.parametrize("npoints", ["0", "-3"])
+    def test_non_positive_npoints_exit_2(self, capsys, npoints):
+        code, out, err = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "1",
+                                      "--npoints", npoints])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--npoints" in err
 
     def test_radial_requires_n(self, capsys):
         code, _, err = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0"])
@@ -241,13 +251,51 @@ class TestOracle:
         assert out == ""
         assert err.count("\n") == 1 and "--tol" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--bigJ", "nan", "--nmax", "2", "--rmax", "100"],
+            ["--bigJ", "inf", "--nmax", "2"],
+            ["--bigJ", "1e300", "--nmax", "2"],
+            ["--bigJ", "1e200", "--nmax", "2", "--rmax", "100"],
+            ["--bigJ", "1e154", "--nmax", "2", "--rmax", "10000", "--npoints", "100"],
+        ],
+        ids=["nan", "inf", "overflowing-default-rmax", "overflowing-diagonal", "underflowing-energy"],
+    )
+    def test_bad_bigJ_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, ["oracle", *argv])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, fmt",
+        [
+            (["--s", "0", "--m", "0", "--j", "0", "--nmax", "3", "--rmax", "60", "--npoints", "6000",
+              "--format", "json"], "json"),
+            (["--s", "0", "--m", "0", "--j", "0", "--nmax", "6"], "csv"),
+        ],
+        ids=["readme-json", "default-grid-csv"],
+    )
+    def test_documents_match_full_sweep_reference(self, capsys, tmp_path, monkeypatch, argv, fmt):
+        def document(name):
+            path = tmp_path / name
+            code, _, _ = run(capsys, ["oracle", *argv, "--out", str(path)])
+            text = path.read_text(encoding="utf-8")
+            if fmt == "json":
+                text = re.sub(r'"runtime_ms": [^,}]+', '"runtime_ms": null', text)
+            return code, text
+
+        got = document("early_stop")
+        monkeypatch.setattr(cli, "eig_oracle", eig_oracle_full_sweep)
+        assert got == document("full_sweep")
+
     def test_requires_sector_or_bigJ(self, capsys):
         code, _, err = run(capsys, ["oracle", "--nmax", "1"])
         assert code == 2
         assert "--bigJ" in err
 
     def test_convergence_failure_exit_1(self, capsys, monkeypatch):
-        import micz_su11.cli as cli
         from micz_su11.numeric_verify import ConvergenceFailure
 
         def boom(*args, **kwargs):

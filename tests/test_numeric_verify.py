@@ -1,8 +1,12 @@
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import eig_oracle_full_sweep, fd_matrix, gershgorin, sturm_count_full
 
 from micz_su11 import numeric_verify, operator_algebra
 from micz_su11.analytic_states import chi, chi_dn, radial_state
@@ -12,8 +16,11 @@ from micz_su11.numeric_verify import (
     GridTooCoarse,
     RadialGrid,
     StencilUnsupported,
+    _bisect_eigenvalue,
     _fd_weights,
     _state_and_samples,
+    _sturm_count,
+    _suffix_min,
     apply_operator,
     casimir_check,
     eig_oracle,
@@ -202,6 +209,81 @@ class TestEigOracle:
         assert errors[0] > errors[1] > errors[2]
         assert errors[0] / errors[1] > 2.0
         assert errors[1] / errors[2] > 2.0
+
+
+class TestSturmEarlyStop:
+    """The early-stopping Sturm count against the full sweep it replaces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        J=st.sampled_from([0.0, 1.5, 7.3]),
+        npoints=st.integers(16, 6000),
+        rmax=st.floats(5.0, 2000.0),
+        data=st.data(),
+    )
+    def test_count_equals_full_sweep(self, J, npoints, rmax, data):
+        diag, off = fd_matrix(J, RadialGrid(rmax, npoints))
+        suffix_min = _suffix_min(diag)
+        lo, hi = gershgorin(diag, off)
+
+        def count(lam):
+            return _sturm_count(diag, suffix_min, off, lam)
+
+        k = data.draw(st.integers(0, min(9, npoints - 2)), label="k")
+        ev_k = _bisect_eigenvalue(count, k, lo, hi)
+        ev_next = _bisect_eigenvalue(count, k + 1, lo, hi)
+        ev_0 = _bisect_eigenvalue(count, 0, lo, hi)
+        lams = [lo, hi, lo - 1.0, 0.0, -0.0, 0.5 * (ev_k + ev_next)]
+        for ev in (ev_k, ev_next):
+            lam = ev
+            for _ in range(4):
+                lam = math.nextafter(lam, -math.inf)
+            for _ in range(9):
+                lams.append(lam)
+                lam = math.nextafter(lam, math.inf)
+        lams.append(data.draw(st.floats(lo, ev_0), label="below_spectrum"))
+        lams.append(data.draw(st.floats(ev_k, ev_next), label="gap"))
+        lams.append(data.draw(st.floats(5e-324, abs(hi) + 1.0), label="positive"))
+        for lam in lams:
+            assert count(lam) == sturm_count_full(diag, off * off, lam), lam
+
+    @pytest.mark.parametrize(
+        "params, m, j",
+        [
+            (MonopoleParams(H("0"), 0.0, 0.0), H("0"), H("0")),
+            (MonopoleParams(H("1/2"), 1.0, 0.0), H("1/2"), H("1/2")),
+        ],
+        ids=["hydrogen", "shifted"],
+    )
+    def test_eig_oracle_bit_identical_at_nmax_10(self, params, m, j):
+        bigJ = make_sector(params, m, j).bigJ
+        grid = RadialGrid(12.0 * (bigJ + 10.0) ** 2, 6000)
+        assert eig_oracle(bigJ, grid, 10) == eig_oracle_full_sweep(bigJ, grid, 10)
+
+    def test_sweep_skips_the_forbidden_tail(self):
+        # a negative diagonal entry deep in the tail adds a negative pivot to
+        # the full sweep; the early stop never reaches it
+        diag, off = fd_matrix(0.0, RadialGrid(1200.0, 6000))
+        suffix_min = _suffix_min(diag)
+        lam = -0.5 / 9.0 - 1e-3  # between levels 2 and 3, turning point near r = 17.7
+        diag[3000] = -1e6
+        assert sturm_count_full(diag, off * off, lam) == 3
+        assert _sturm_count(diag, suffix_min, off, lam) == 2
+
+    def test_subnormal_off_diagonal_keeps_the_full_sweep(self):
+        # h = 6e78 makes off^2 subnormal; the early-stop bound needs it normal
+        diag, off = fd_matrix(1e150, RadialGrid(1e80, 16))
+        assert 0.0 < off * off < sys.float_info.min
+        suffix_min = _suffix_min(diag)
+        lo, hi = gershgorin(diag, off)
+        lams = [lo + (hi - lo) * i / 64.0 for i in range(65)] + [-1e-158, 0.0, 1e-158]
+        for lam in lams:
+            assert _sturm_count(diag, suffix_min, off, lam) == sturm_count_full(diag, off * off, lam)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_non_finite_or_overflowing_J_rejected(self, bad):
+        with pytest.raises(ValueError):
+            eig_oracle(bad, RadialGrid(100.0, 6000), 2)
 
 
 class TestLadder:
