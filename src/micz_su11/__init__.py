@@ -78,6 +78,7 @@ from .numeric_verify import (
     casimir_check,
     radial_equation_check,
     angular_residual_check,
+    oracle_reports,
     spectrum_cross_check,
     t3_eigen_check,
     t3_spacing_check,

@@ -13,13 +13,11 @@ import io
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from .analytic_states import (
-    DomainError,
     angular_Z,
     angular_state,
     chi,
@@ -29,9 +27,9 @@ from .analytic_states import (
 )
 from .numeric_verify import (
     ConvergenceFailure,
-    GridTooCoarse,
     RadialGrid,
-    eig_oracle,
+    oracle_reports,
+    spectrum_cross_check,
     verify_states_suite,
 )
 from .operator_algebra import (
@@ -46,11 +44,9 @@ from .quantum_numbers import (
     InvalidLevel,
     InvalidQuantumNumbers,
     MonopoleParams,
-    energy,
     levels,
     make_sector,
 )
-from .special_functions import DegreeCapExceeded, ParamOutOfRange
 
 SCHEMA = "su11-micz/1"
 EXIT_OK = 0
@@ -61,33 +57,6 @@ EXIT_USAGE = 2
 # ---------------------------------------------------------------------------
 # Deterministic serialization
 # ---------------------------------------------------------------------------
-
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"refusing to serialize non-finite value {x}")
-    return format(x, ".17g")
-
-
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return str(v)
-
-
-def _csv_doc(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
-
-
-def _json_doc(obj) -> str:
-    return _json_render(obj) + "\n"
-
 
 def _json_render(obj) -> str:
     if obj is None:
@@ -103,7 +72,9 @@ def _json_render(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        if not math.isfinite(obj):
+            raise ValueError(f"refusing to serialize non-finite value {obj}")
+        return format(obj, ".17g")
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_render(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -111,16 +82,31 @@ def _json_render(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+def _write_document(args, config: dict, header: list[str], rows: list[list], reports: list | None = None) -> None:
+    """Render one document per `--format` and write it to `--out` or stdout.
+
+    CSV is `rows` under `header`; JSON carries `reports` when given, else
+    one object per row.  Rendering finishes before anything is written.
+    """
+    if args.format == "json":
+        body = {"reports": reports} if reports is not None else {"rows": [dict(zip(header, r)) for r in rows]}
+        text = _json_render({"schema": SCHEMA, "config": config, **body}) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        # CSV cells are JSON scalars, except that strings go unquoted
+        writer.writerows([v if isinstance(v, str) else _json_render(v) for v in row] for row in rows)
+        text = buf.getvalue()
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"--tol must be positive and finite, got {tol}")
+def _check_positive(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{flag} must be positive and finite, got {value}")
 
 
 def _sector_config(args) -> dict:
@@ -142,32 +128,13 @@ def cmd_spectrum(args) -> int:
         raise InvalidLevel(f"--nmax must be at least 1, got {args.nmax}")
     sector = make_sector(MonopoleParams(args.s, args.c1, args.c2), args.m, args.j)
     header = ["s", "m", "j", "n", "delta1", "delta2", "J", "K", "E"]
-    rows = []
-    for level in levels(sector, args.nmax):
-        rows.append(
-            [
-                str(args.s),
-                str(args.m),
-                str(args.j),
-                str(level.n),
-                sector.delta1,
-                sector.delta2,
-                sector.bigJ,
-                level.K,
-                level.energy,
-            ]
-        )
-    if args.format == "json":
-        doc = _json_doc(
-            {
-                "schema": SCHEMA,
-                "config": {"command": "spectrum", **_sector_config(args), "nmax": args.nmax},
-                "rows": [dict(zip(header, row)) for row in rows],
-            }
-        )
-    else:
-        doc = _csv_doc(header, rows)
-    _emit(doc, args.out)
+    rows = [
+        [str(args.s), str(args.m), str(args.j), str(level.n), sector.delta1, sector.delta2, sector.bigJ,
+         level.K, level.energy]
+        for level in levels(sector, args.nmax)
+    ]
+    config = {"command": "spectrum", **_sector_config(args), "nmax": args.nmax}
+    _write_document(args, config, header, rows)
     return EXIT_OK
 
 
@@ -178,6 +145,8 @@ def cmd_eigenfunction(args) -> int:
     if args.kind == "radial":
         if args.n is None:
             raise InvalidLevel("radial eigenfunction requires --n")
+        if args.rmax is not None:
+            _check_positive("--rmax", args.rmax)
         state = radial_state(sector, args.n)
         xmax = args.rmax if args.rmax is not None else 10.0 + 4.0 * state.level.K
         xs = xmax * np.arange(1, args.npoints + 1) / args.npoints
@@ -186,6 +155,8 @@ def cmd_eigenfunction(args) -> int:
         config = {"command": "eigenfunction", "kind": "radial", **_sector_config(args),
                   "n": str(args.n), "rmax": xmax, "npoints": args.npoints}
     else:
+        if not math.isfinite(args.phi):
+            raise ValueError(f"--phi must be finite, got {args.phi}")
         state = angular_state(sector)
         thetas = math.pi * np.arange(1, args.npoints + 1) / (args.npoints + 1.0)
         z = angular_Z(state, thetas, args.phi)
@@ -193,61 +164,45 @@ def cmd_eigenfunction(args) -> int:
         rows = list(zip(thetas, z.real, z.imag))
         config = {"command": "eigenfunction", "kind": "angular", **_sector_config(args),
                   "phi": args.phi, "npoints": args.npoints}
-    rows = [[float(v) for v in row] for row in rows]
-    if args.format == "json":
-        doc = _json_doc({"schema": SCHEMA, "config": config,
-                         "rows": [dict(zip(header, row)) for row in rows]})
-    else:
-        doc = _csv_doc(header, rows)
-    _emit(doc, args.out)
+    _write_document(args, config, header, [[float(v) for v in row] for row in rows])
     return EXIT_OK
 
 
 def cmd_verify_algebra(args) -> int:
+    kmax = args.deg_check_max
+    if kmax < -4:
+        raise ValueError(f"--deg-check-max must be at least -4, got {kmax}")
     t3 = build_T3()
     if args.corrupt_identity:
         # test hook: flips the sign of the x/2 term of T3
         t3 = t3 - NormalOrderedOperator.x_power(1)
-    checks = identity_suite(t3)
+    identities = identity_suite(t3)
     reports = []
     failed = []
-    for name, diff in checks:
-        rendered = diff.render()
-        ok = diff.is_zero
-        print(f"identity {name}: {rendered}  {'PASS' if ok else 'FAIL'}")
-        reports.append({"check_name": f"identity: {name}", "difference": rendered, "passed": ok})
-        if not ok:
-            failed.append((name, rendered))
-    for name, diff in extra_identity_checks(t3):
-        rendered = diff.render()
-        ok = diff.is_zero
-        print(f"supplementary {name}: {rendered}  {'PASS' if ok else 'FAIL'}")
-        reports.append({"check_name": f"supplementary: {name}", "difference": rendered, "passed": ok})
-        if not ok:
-            failed.append((name, rendered))
+    for group, checks in (("identity", identities), ("supplementary", extra_identity_checks(t3))):
+        for name, diff in checks:
+            rendered = diff.render()
+            ok = diff.is_zero
+            print(f"{group} {name}: {rendered}  {'PASS' if ok else 'FAIL'}")
+            reports.append({"check_name": f"{group}: {name}", "difference": rendered, "passed": ok})
+            if not ok:
+                failed.append((name, rendered))
 
-    kmax = args.deg_check_max
     sweep_ok = True
-    for name, diff in checks:
-        for k in range(-4, kmax + 1):
-            if monomial_action(diff, k):
-                sweep_ok = False
-                failed.append((f"{name} acting on x^{k}", diff.render()))
-                break
+    for name, diff in identities:
+        k = next((k for k in range(-4, kmax + 1) if monomial_action(diff, k)), None)
+        if k is not None:
+            sweep_ok = False
+            failed.append((f"{name} acting on x^{k}", diff.render()))
     print(f"oracle sweep k in [-4, {kmax}]: {'PASS' if sweep_ok else 'FAIL'}")
     reports.append({"check_name": "monomial_oracle_sweep", "k_min": -4, "k_max": kmax, "passed": sweep_ok})
 
-    n_ok = sum(1 for _, diff in checks if diff.is_zero)
-    print(f"{n_ok}/{len(checks)} identities PASS")
+    n_ok = sum(1 for _, diff in identities if diff.is_zero)
+    print(f"{n_ok}/{len(identities)} identities PASS")
     if args.out or args.format == "csv":
-        if args.format == "json":
-            doc = _json_doc({"schema": SCHEMA,
-                             "config": {"command": "verify-algebra", "deg_check_max": kmax},
-                             "reports": reports})
-        else:
-            doc = _csv_doc(["check_name", "passed", "difference"],
-                           [[r["check_name"], r["passed"], r.get("difference", "")] for r in reports])
-        _emit(doc, args.out)
+        rows = [[r["check_name"], r["passed"], r.get("difference", "")] for r in reports]
+        _write_document(args, {"command": "verify-algebra", "deg_check_max": kmax},
+                        ["check_name", "passed", "difference"], rows, reports)
     if failed:
         name, rendered = failed[0]
         print(f"FAILED {name}: {rendered}", file=sys.stderr)
@@ -261,7 +216,7 @@ def cmd_verify_states(args) -> int:
     if args.nmax < 1:
         raise InvalidLevel(f"--nmax must be at least 1, got {args.nmax}")
     if args.tol is not None:
-        _check_tol(args.tol)
+        _check_positive("--tol", args.tol)
     grid = None
     if args.rmax is not None or args.npoints is not None:
         rmax = args.rmax if args.rmax is not None else 10.0 + 4.0 * (sector.bigJ + args.nmax)
@@ -277,87 +232,50 @@ def cmd_verify_states(args) -> int:
         config = {"command": "verify-states", **_sector_config(args), "nmax": args.nmax,
                   "rmax": grid.rmax if grid else None, "npoints": grid.npoints if grid else None,
                   "tol": args.tol}
-        if args.format == "json":
-            doc = _json_doc({"schema": SCHEMA, "config": config,
-                             "reports": [r.to_dict() for r in reports]})
-        else:
-            doc = _csv_doc(
-                ["check_name", "n", "residual", "tolerance", "passed", "runtime_ms"],
-                [[r.check_name, r.inputs.get("n", ""), r.residual, r.tolerance, r.passed, r.runtime_ms]
-                 for r in reports],
-            )
-        _emit(doc, args.out)
+        rows = [[r.check_name, r.inputs.get("n", ""), r.residual, r.tolerance, r.passed, r.runtime_ms]
+                for r in reports]
+        _write_document(args, config, ["check_name", "n", "residual", "tolerance", "passed", "runtime_ms"],
+                        rows, [r.to_dict() for r in reports])
     return EXIT_VERIFY_FAIL if n_fail else EXIT_OK
 
 
 def cmd_oracle(args) -> int:
     if args.nmax < 1:
         raise InvalidLevel(f"--nmax must be at least 1, got {args.nmax}")
-    _check_tol(args.tol)
+    _check_positive("--tol", args.tol)
     if args.bigJ is not None:
         if not (math.isfinite(args.bigJ) and args.bigJ >= 0):
             raise InvalidQuantumNumbers(f"--bigJ must be non-negative and finite, got {args.bigJ}")
         J = args.bigJ
         ks = [J + 1.0 + i for i in range(args.nmax)]
-        labels = [""] * args.nmax
-        inputs_base = {"bigJ": J}
+        k_top = ks[-1]
         config = {"command": "oracle", "bigJ": J}
     else:
         if args.s is None or args.m is None or args.j is None:
             raise InvalidQuantumNumbers("oracle needs either --bigJ or the sector flags --s --m --j")
-        sector = make_sector(MonopoleParams(args.s, args.c1, args.c2), args.m, args.j)
-        J = sector.bigJ
-        lvls = levels(sector, args.nmax)
-        ks = [lv.K for lv in lvls]
-        labels = [str(lv.n) for lv in lvls]
-        inputs_base = _sector_config(args)
+        params = MonopoleParams(args.s, args.c1, args.c2)
+        k_top = levels(make_sector(params, args.m, args.j), args.nmax)[-1].K
         config = {"command": "oracle", **_sector_config(args)}
     if args.rmax is not None:
         rmax = args.rmax
     else:
         try:
-            rmax = 12.0 * ks[-1] ** 2
+            rmax = 12.0 * k_top ** 2
         except OverflowError:
             rmax = math.inf  # RadialGrid rejects it with a one-line diagnostic
     npoints = args.npoints if args.npoints is not None else 6000
     grid = RadialGrid(rmax=rmax, npoints=npoints)
     config.update({"nmax": args.nmax, "rmax": rmax, "npoints": npoints, "tol": args.tol})
-    t0 = time.perf_counter()
-    oracle_vals = eig_oracle(J, grid, args.nmax)
-    solve_ms = (time.perf_counter() - t0) * 1000.0
-    header = ["level", "K", "E_oracle", "E_analytic", "rel_error", "passed"]
-    rows = []
-    reports = []
-    all_ok = True
-    for label, K, ev in zip(labels, ks, oracle_vals):
-        exact = -1.0 / (2.0 * K * K)
-        if exact == 0.0:
-            raise ValueError(f"the analytic energy at K={K} underflows to zero")
-        rel = abs(ev - exact) / abs(exact)
-        ok = rel <= args.tol
-        all_ok = all_ok and ok
-        rows.append([label, K, ev, exact, rel, ok])
-        inputs = dict(inputs_base)
-        if label:
-            inputs["n"] = label
-        inputs.update({"rmax": rmax, "npoints": npoints})
-        reports.append(
-            {
-                "check_name": "spectrum_level",
-                "inputs": inputs,
-                "residual": rel,
-                "tolerance": args.tol,
-                "passed": ok,
-                "runtime_ms": solve_ms / args.nmax,
-                "details": {"oracle_energy": ev, "analytic_energy": exact, "K": K},
-            }
-        )
-    if args.format == "json":
-        doc = _json_doc({"schema": SCHEMA, "config": config, "reports": reports})
+    if args.bigJ is not None:
+        pairs = [(K, {"bigJ": J, "rmax": rmax, "npoints": npoints}) for K in ks]
+        reports = oracle_reports(J, pairs, grid, args.tol)
     else:
-        doc = _csv_doc(header, rows)
-    _emit(doc, args.out)
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
+        reports = spectrum_cross_check(params, args.m, args.j, args.nmax, grid, args.tol)
+    rows = [[r.inputs.get("n", ""), r.details["K"], r.details["oracle_energy"], r.details["analytic_energy"],
+             r.residual, r.passed] for r in reports]
+    _write_document(args, config, ["level", "K", "E_oracle", "E_analytic", "rel_error", "passed"],
+                    rows, [r.to_dict() for r in reports])
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +357,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidQuantumNumbers, InvalidLevel, DomainError, ParamOutOfRange,
-            DegreeCapExceeded, GridTooCoarse) as exc:
+    except (ConvergenceFailure, ValueError) as exc:
+        # every validation error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConvergenceFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_VERIFY_FAIL if isinstance(exc, ConvergenceFailure) else EXIT_USAGE
 
 
 def entry() -> None:

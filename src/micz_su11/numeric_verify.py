@@ -37,7 +37,7 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -51,7 +51,7 @@ from .analytic_states import (
     radial_state,
 )
 from .operator_algebra import NumericOperator, generator_table, substitute
-from .quantum_numbers import HalfInt, MonopoleParams, SectorLabels, energy, make_sector
+from .quantum_numbers import HalfInt, MonopoleParams, SectorLabels, make_sector, levels as sector_levels
 
 MIN_NODES_PER_WAVELENGTH = 8
 # relative margin of the early-stop bound in `_sturm_count`; any value far
@@ -139,18 +139,13 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "inputs": self.inputs,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "runtime_ms": self.runtime_ms,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _report(name, inputs, residual, tolerance, t0, details=None) -> VerificationReport:
+    """Report timed from t0; a tolerance of None is the check's default."""
+    if tolerance is None:
+        tolerance = DEFAULT_TOLERANCES[name]
     return VerificationReport(
         check_name=name,
         inputs=inputs,
@@ -419,16 +414,14 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
     inputs = _sector_inputs(sector, grid, n)
     if sign == -1 and bottom:
         residual = y.norm() / f.norm()
-        tolerance = DEFAULT_TOLERANCES["ladder_annihilation"] if tol is None else tol
-        return _report("ladder_annihilation", inputs, residual, tolerance, t0)
+        return _report("ladder_annihilation", inputs, residual, tol, t0)
     tstate, t, _ = _state_and_samples(sector, n + sign, grid)
     overlap = y.inner(t)
     sim = abs(overlap) / (y.norm() * t.norm())
     residual = max(0.0, 1.0 - sim)
     name = "ladder_raise" if sign == 1 else "ladder_lower"
-    tolerance = DEFAULT_TOLERANCES[name] if tol is None else tol
     details = {"proportionality_ratio": overlap / t.inner(t)}
-    return _report(name, inputs, residual, tolerance, t0, details)
+    return _report(name, inputs, residual, tol, t0, details)
 
 
 def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
@@ -454,8 +447,7 @@ def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None 
         r_shift = GridFunction(grid, w.values - (K + sign) * z.values).norm() / znorm
         details[f"{tag}_eigenvalue"] = w.inner(z) / z.inner(z)
         residual = max(residual, r_shift)
-    tolerance = DEFAULT_TOLERANCES["t3_eigen"] if tol is None else tol
-    return _report("t3_eigen", _sector_inputs(sector, grid, n), residual, tolerance, t0, details)
+    return _report("t3_eigen", _sector_inputs(sector, grid, n), residual, tol, t0, details)
 
 
 def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
@@ -470,12 +462,11 @@ def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | Non
         y = apply_operator(substitute(t3, J, state.level.K), f, derivatives=derivs)
         measured.append(y.inner(f) / f.inner(f))
     spacing = measured[1] - measured[0]
-    tolerance = DEFAULT_TOLERANCES["t3_spacing"] if tol is None else tol
     return _report(
         "t3_spacing",
         _sector_inputs(sector, grid, n),
         abs(spacing - 1.0),
-        tolerance,
+        tol,
         t0,
         {"spacing": spacing},
     )
@@ -503,12 +494,11 @@ def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None =
     res_direct = GridFunction(grid, -pm + t3sq - t3f - target).norm() / fnorm
     res_mirror = GridFunction(grid, -mp + t3sq + t3f - target).norm() / fnorm
     details = {"direct": float(res_direct), "mirror": float(res_mirror)}
-    tolerance = DEFAULT_TOLERANCES["casimir_action"] if tol is None else tol
     return _report(
         "casimir_action",
         _sector_inputs(sector, grid, n),
         max(res_direct, res_mirror),
-        tolerance,
+        tol,
         t0,
         details,
     )
@@ -533,8 +523,7 @@ def radial_equation_check(
     if not np.any(mask):
         mask = np.ones_like(x, dtype=bool)
     residual = float(np.max(np.abs(resid[mask])) / np.max(np.abs(f.values[mask])))
-    tolerance = DEFAULT_TOLERANCES["radial_equation"] if tol is None else tol
-    return _report("radial_equation", _sector_inputs(sector, grid, n), residual, tolerance, t0)
+    return _report("radial_equation", _sector_inputs(sector, grid, n), residual, tol, t0)
 
 
 def angular_residual_check(
@@ -549,8 +538,38 @@ def angular_residual_check(
     inputs = _sector_inputs(sector)
     inputs["ntheta"] = ntheta
     inputs["nphi"] = nphi
-    tolerance = DEFAULT_TOLERANCES["angular_residual"] if tol is None else tol
-    return _report("angular_residual", inputs, residual, tolerance, t0)
+    return _report("angular_residual", inputs, residual, tol, t0)
+
+
+def oracle_reports(
+    J: float,
+    levels: list[tuple[float, dict]],
+    grid: RadialGrid,
+    tol: float = DEFAULT_TOLERANCES["spectrum_level"],
+) -> list[VerificationReport]:
+    """Relative error of the FD oracle's lowest eigenvalues against -1/(2K^2).
+
+    `levels` pairs each K, ascending, with the `inputs` of its report.  One
+    `eig_oracle` call solves for every level; the first report's runtime
+    carries that solve.  Raises ValueError when an analytic energy
+    underflows to zero or a relative error is not finite (the grid cannot
+    hold the level).
+    """
+    t0 = time.perf_counter()
+    oracle_vals = eig_oracle(J, grid, len(levels))
+    reports = []
+    for (K, inputs), ev in zip(levels, oracle_vals):
+        exact = -1.0 / (2.0 * K * K)
+        if exact == 0.0:
+            raise ValueError(f"the analytic energy at K={K} underflows to zero")
+        rel = abs(ev - exact) / abs(exact)
+        if not math.isfinite(rel):
+            raise ValueError(f"a grid with rmax={grid.rmax} cannot hold the level at K={K} "
+                             f"(oracle eigenvalue {ev}, analytic energy {exact})")
+        details = {"oracle_energy": ev, "analytic_energy": exact, "K": K}
+        reports.append(_report("spectrum_level", inputs, rel, tol, t0, details))
+        t0 = time.perf_counter()
+    return reports
 
 
 def spectrum_cross_check(
@@ -565,24 +584,8 @@ def spectrum_cross_check(
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     sector = make_sector(params, m, j)
-    t0 = time.perf_counter()
-    oracle_vals = eig_oracle(sector.bigJ, grid, levels)
-    reports = []
-    for i, ev in enumerate(oracle_vals):
-        level = energy(sector, sector.j + (i + 1))
-        rel = abs(ev - level.energy) / abs(level.energy)
-        reports.append(
-            _report(
-                "spectrum_level",
-                _sector_inputs(sector, grid, level.n),
-                rel,
-                tol,
-                t0,
-                {"oracle_energy": ev, "analytic_energy": level.energy},
-            )
-        )
-        t0 = time.perf_counter()
-    return reports
+    pairs = [(lv.K, _sector_inputs(sector, grid, lv.n)) for lv in sector_levels(sector, levels)]
+    return oracle_reports(sector.bigJ, pairs, grid, tol)
 
 
 def verify_states_suite(

@@ -366,12 +366,23 @@ def build_Tpm_n(sign: int) -> NormalOrderedOperator:
     )
 
 
-def build_Tpm(sign: int) -> NormalOrderedOperator:
-    """Second-order su(1,1) ladder generator -+x D + x - T3."""
+def _ladder_from(t3: NormalOrderedOperator, sign: int) -> NormalOrderedOperator:
+    """Second-order su(1,1) ladder generator -+x D + x - t3; sign=+1 raises."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    linear = NormalOrderedOperator({(1, 1): -sign, (1, 0): 1})
-    return linear - build_T3()
+    return NormalOrderedOperator({(1, 1): -sign, (1, 0): 1}) - t3
+
+
+def build_Tpm(sign: int) -> NormalOrderedOperator:
+    """Second-order su(1,1) ladder generator -+x D + x - T3."""
+    return _ladder_from(build_T3(), sign)
+
+
+def _casimir_from(t3, tp, tm, mirror: bool = False) -> NormalOrderedOperator:
+    """-T+T- + T3^2 - T3, or the mirror -T-T+ + T3^2 + T3, from the given generators."""
+    if mirror:
+        return -compose(tm, tp) + compose(t3, t3) + t3
+    return -compose(tp, tm) + compose(t3, t3) - t3
 
 
 @cache
@@ -383,8 +394,7 @@ def generator_table() -> Mapping[str, NormalOrderedOperator]:
     call, so importing the module composes nothing.
     """
     t3 = build_T3()
-    tp = build_Tpm(+1)
-    tm = build_Tpm(-1)
+    tp, tm = _ladder_from(t3, +1), _ladder_from(t3, -1)
     return MappingProxyType(
         {
             "T3": t3,
@@ -406,9 +416,7 @@ def casimir(mirror: bool = False) -> NormalOrderedOperator:
     Both canonicalize to the constant J(J+1) times the identity.
     """
     gen = generator_table()
-    if mirror:
-        return -gen["T- T+"] + gen["T3 T3"] + gen["T3"]
-    return -gen["T+ T-"] + gen["T3 T3"] - gen["T3"]
+    return _casimir_from(gen["T3"], gen["T+"], gen["T-"], mirror)
 
 
 def replace_K(op: NormalOrderedOperator, replacement: NormalOrderedOperator) -> NormalOrderedOperator:
@@ -563,10 +571,7 @@ def identity_suite(t3: NormalOrderedOperator | None = None) -> list[tuple[str, N
     """
     if t3 is None:
         t3 = build_T3()
-    xd = NormalOrderedOperator({(1, 1): 1})
-    x1 = NormalOrderedOperator.x_power(1)
-    tp = -xd + x1 - t3
-    tm = xd + x1 - t3
+    tp, tm = _ladder_from(t3, +1), _ladder_from(t3, -1)
     tpn = build_Tpm_n(+1)
     tmn = build_Tpm_n(-1)
     ln = build_Ln()
@@ -574,14 +579,13 @@ def identity_suite(t3: NormalOrderedOperator | None = None) -> list[tuple[str, N
     K = ParamPoly.K()
     kk1 = K * (K + 1)
     kk1m = K * (K - 1)
-    cas = -compose(tp, tm) + compose(t3, t3) - t3
     return [
         ("[T+,T-] + 2 T3", commutator(tp, tm) + 2 * t3),
         ("[T+,T3] + T+", commutator(tp, t3) + tp),
         ("[T-,T3] - T-", commutator(tm, t3) - tm),
         ("(T-^n - 1) T+^n - Ln - K(K+1)", compose(tmn - one, tpn) - ln - kk1 * one),
         ("(T+^n + 1) T-^n - Ln - K(K-1)", compose(tpn + one, tmn) - ln - kk1m * one),
-        ("T^2 - J(J+1)", cas - _poly_jj1() * one),
+        ("T^2 - J(J+1)", _casimir_from(t3, tp, tm) - _poly_jj1() * one),
     ]
 
 
@@ -589,14 +593,9 @@ def extra_identity_checks(t3: NormalOrderedOperator | None = None) -> list[tuple
     """Supplementary exact zeros: the Casimir mirror and the definitional T_pm."""
     if t3 is None:
         t3 = build_T3()
-    xd = NormalOrderedOperator({(1, 1): 1})
-    x1 = NormalOrderedOperator.x_power(1)
-    tp = -xd + x1 - t3
-    tm = xd + x1 - t3
-    direct = -compose(tp, tm) + compose(t3, t3) - t3
-    mirrored = -compose(tm, tp) + compose(t3, t3) + t3
+    tp, tm = _ladder_from(t3, +1), _ladder_from(t3, -1)
     return [
-        ("casimir mirror - casimir", mirrored - direct),
+        ("casimir mirror - casimir", _casimir_from(t3, tp, tm, mirror=True) - _casimir_from(t3, tp, tm)),
         ("T+ - (T+^n with K -> T3)", tp - replace_K(build_Tpm_n(+1), t3)),
         ("T- - (T-^n with K -> T3)", tm - replace_K(build_Tpm_n(-1), t3)),
     ]

@@ -183,7 +183,8 @@ def make_sector(params: MonopoleParams, m: HalfInt, j: HalfInt) -> SectorLabels:
 
     m1 = sqrt((m-s)^2 + 4 c1), m2 = sqrt((m+s)^2 + 4 c2), delta_i the excess of
     m_i over the unshifted |m -+ s|, J = j + (delta1+delta2)/2 and the angular
-    separation constant J(J+1).
+    separation constant J(J+1).  A coupling so large that m1, m2 or J(J+1)
+    overflows is rejected.
     """
     s = params.s
     if m.parity != s.parity:
@@ -208,9 +209,17 @@ def make_sector(params: MonopoleParams, m: HalfInt, j: HalfInt) -> SectorLabels:
     dp = float(m + s)
     m1 = math.sqrt(dm * dm + 4.0 * params.c1)
     m2 = math.sqrt(dp * dp + 4.0 * params.c2)
+    for name, value, formula in (("c1", m1, "m1 = sqrt((m-s)^2 + 4 c1)"), ("c2", m2, "m2 = sqrt((m+s)^2 + 4 c2)")):
+        if not math.isfinite(value):
+            raise InvalidQuantumNumbers(f"coupling {name}={getattr(params, name)} is too large: {formula} overflows")
     delta1 = m1 - abs(dm)
     delta2 = m2 - abs(dp)
     bigJ = float(j) + 0.5 * (delta1 + delta2)
+    sep_const = bigJ * (bigJ + 1.0)
+    if not math.isfinite(sep_const):
+        raise InvalidQuantumNumbers(
+            f"J(J+1) overflows at J={bigJ:g} (j={float(j):g}, c1={params.c1}, c2={params.c2})"
+        )
     return SectorLabels(
         params=params,
         m=m,
@@ -221,7 +230,7 @@ def make_sector(params: MonopoleParams, m: HalfInt, j: HalfInt) -> SectorLabels:
         delta1=delta1,
         delta2=delta2,
         bigJ=bigJ,
-        sep_const=bigJ * (bigJ + 1.0),
+        sep_const=sep_const,
     )
 
 

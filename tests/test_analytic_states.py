@@ -23,6 +23,11 @@ from micz_su11.special_functions import KummerParams, kummer_terminating
 H = HalfInt.parse
 
 
+def trapezoid(y, x) -> float:
+    """Trapezoid rule written out; np.trapezoid exists only from numpy 2.0."""
+    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
+
+
 @pytest.fixture(scope="module")
 def hydrogen():
     return make_sector(MonopoleParams(H("0"), 0.0, 0.0), H("0"), H("0"))
@@ -150,10 +155,10 @@ class TestRadialR:
         st = radial_state(shifted, H("7/2"))
         K = st.level.K
         r = np.linspace(1e-4, 80.0 * K, 200001)
-        total = np.trapezoid(radial_R(st, r) ** 2 * r * r, r)
+        total = trapezoid(radial_R(st, r) ** 2 * r * r, r)
         assert math.isfinite(total) and total > 0.0
         tail_r = np.linspace(80.0 * K, 160.0 * K, 2001)
-        tail = np.trapezoid(radial_R(st, tail_r) ** 2 * tail_r * tail_r, tail_r)
+        tail = trapezoid(radial_R(st, tail_r) ** 2 * tail_r * tail_r, tail_r)
         assert tail <= 1e-10 * total
 
 

@@ -7,7 +7,7 @@ import re
 import pytest
 from oracles import eig_oracle_full_sweep
 
-import micz_su11.cli as cli
+import micz_su11.numeric_verify as numeric_verify
 from micz_su11.cli import main
 
 # every documented README invocation is executed here (paths adapted per test)
@@ -112,6 +112,22 @@ class TestEigenfunction:
         assert out == ""
         assert err.count("\n") == 1 and "--npoints" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-5", "0"])
+    def test_bad_rmax_exit_2(self, capsys, bad):
+        code, out, err = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "1",
+                                      f"--rmax={bad}"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--rmax must be positive and finite" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_phi_exit_2(self, capsys, bad):
+        code, out, err = run(capsys, ["eigenfunction", "--s", "1/2", "--c1", "1", "--m", "1/2", "--j", "1/2",
+                                      "--kind", "angular", f"--phi={bad}"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--phi must be finite" in err
+
     def test_radial_requires_n(self, capsys):
         code, _, err = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0"])
         assert code == 2
@@ -130,6 +146,18 @@ class TestVerifyAlgebra:
         code, out, _ = run(capsys, README_EXAMPLES[2])
         assert code == 0
         assert "oracle sweep k in [-4, 20]: PASS" in out
+
+    @pytest.mark.parametrize("kmax", ["-5", "-10"])
+    def test_empty_sweep_exit_2(self, capsys, kmax):
+        code, out, err = run(capsys, ["verify-algebra", "--deg-check-max", kmax])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--deg-check-max must be at least -4" in err
+
+    def test_single_power_sweep_passes(self, capsys):
+        code, out, _ = run(capsys, ["verify-algebra", "--deg-check-max", "-4"])
+        assert code == 0
+        assert "oracle sweep k in [-4, -4]: PASS" in out
 
     def test_corrupted_build_fails_with_rendered_remainder(self, capsys):
         code, out, err = run(capsys, ["verify-algebra", "--corrupt-identity"])
@@ -268,6 +296,15 @@ class TestOracle:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_that_cannot_hold_the_level_exit_2(self, capsys, fmt):
+        code, out, err = run(capsys, ["oracle", "--bigJ", "1e150", "--nmax", "2", "--rmax", "100",
+                                      "--npoints", "100", "--format", fmt])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "rmax=100.0 cannot hold the level at K=1e+150" in err
+
     @pytest.mark.parametrize(
         "argv, fmt",
         [
@@ -287,7 +324,7 @@ class TestOracle:
             return code, text
 
         got = document("early_stop")
-        monkeypatch.setattr(cli, "eig_oracle", eig_oracle_full_sweep)
+        monkeypatch.setattr(numeric_verify, "eig_oracle", eig_oracle_full_sweep)
         assert got == document("full_sweep")
 
     def test_requires_sector_or_bigJ(self, capsys):
@@ -301,7 +338,7 @@ class TestOracle:
         def boom(*args, **kwargs):
             raise ConvergenceFailure("bisection stalled")
 
-        monkeypatch.setattr(cli, "eig_oracle", boom)
+        monkeypatch.setattr(numeric_verify, "eig_oracle", boom)
         code, _, err = run(capsys, ["oracle", "--bigJ", "0", "--nmax", "1", "--npoints", "100"])
         assert code == 1
         assert "stalled" in err
@@ -311,6 +348,25 @@ class TestOracle:
                                     "--rmax", "500", "--npoints", "16"])
         assert code == 2
         assert "wavelength" in err
+
+
+SECTOR_COMMANDS = {
+    "spectrum": ["spectrum", "--nmax", "1"],
+    "eigenfunction": ["eigenfunction", "--n", "1"],
+    "verify-states": ["verify-states"],
+    "oracle": ["oracle", "--rmax", "100"],
+}
+
+
+@pytest.mark.parametrize("coupling", ["c1", "c2"])
+@pytest.mark.parametrize("command", sorted(SECTOR_COMMANDS))
+def test_overflowing_coupling_names_the_coupling(capsys, command, coupling):
+    argv = SECTOR_COMMANDS[command] + ["--s", "0", "--m", "0", "--j", "0", f"--{coupling}", "1e308"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: coupling {coupling}=1e+308 is too large")
 
 
 class TestParser:

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -25,6 +26,7 @@ from micz_su11.numeric_verify import (
     casimir_check,
     eig_oracle,
     ladder_check,
+    oracle_reports,
     radial_equation_check,
     spectrum_cross_check,
     t3_eigen_check,
@@ -393,6 +395,49 @@ class TestSpectrumCrossCheck:
         params = MonopoleParams(H("1"), 0.0, 0.0)
         with pytest.raises(InvalidQuantumNumbers):
             spectrum_cross_check(params, H("0"), H("0"), 1, RadialGrid(60.0, 1000))
+
+    def test_details_carry_K_and_analytic_energy(self, shifted):
+        grid = RadialGrid(150.0, 6000)
+        reports = spectrum_cross_check(shifted.params, shifted.m, shifted.j, 2, grid)
+        assert [r.details["K"] for r in reports] == [2.5, 3.5]
+        assert [r.details["analytic_energy"] for r in reports] == [-0.08, -1.0 / 24.5]
+        assert [r.inputs["n"] for r in reports] == ["3/2", "5/2"]
+
+
+class TestOracleReports:
+    def test_one_solve_compared_per_level(self, monkeypatch):
+        calls = []
+
+        def fake_oracle(J, grid, count):
+            calls.append((J, count))
+            return [-0.5, -0.126]
+
+        monkeypatch.setattr(numeric_verify, "eig_oracle", fake_oracle)
+        grid = RadialGrid(60.0, 200)
+        reports = oracle_reports(0.0, [(1.0, {"a": 1}), (2.0, {"a": 2})], grid, tol=1e-3)
+        assert calls == [(0.0, 2)]
+        assert [r.inputs for r in reports] == [{"a": 1}, {"a": 2}]
+        assert [r.residual for r in reports] == [0.0, abs(-0.126 + 0.125) / 0.125]
+        assert [r.passed for r in reports] == [True, False]
+        assert reports[1].details == {"oracle_energy": -0.126, "analytic_energy": -0.125, "K": 2.0}
+
+    def test_first_report_carries_the_solve(self, monkeypatch):
+        def slow_oracle(J, grid, count):
+            time.sleep(0.05)
+            return [-0.5, -0.125]
+
+        monkeypatch.setattr(numeric_verify, "eig_oracle", slow_oracle)
+        reports = oracle_reports(0.0, [(1.0, {}), (2.0, {})], RadialGrid(60.0, 200))
+        assert reports[0].runtime_ms >= 50.0 > reports[1].runtime_ms
+
+    def test_underflowing_energy_rejected(self):
+        with pytest.raises(ValueError, match="underflows to zero"):
+            oracle_reports(1e154, [(1e155, {})], RadialGrid(10000.0, 100))
+
+    def test_grid_that_cannot_hold_the_level_rejected(self):
+        # the FD eigenvalue is about +5e295 against an analytic -5e-301
+        with pytest.raises(ValueError, match=r"rmax=100.0 cannot hold the level at K=1e\+150"):
+            oracle_reports(1e150, [(1e150 + 1.0, {})], RadialGrid(100.0, 100))
 
 
 class TestReports:

@@ -100,6 +100,21 @@ class TestMakeSector:
         with pytest.raises(InvalidQuantumNumbers, match=f"coupling {field} must be finite"):
             MonopoleParams(H("0"), **couplings)
 
+    @pytest.mark.parametrize("field", ["c1", "c2"])
+    def test_coupling_overflowing_m1_m2_rejected(self, field):
+        couplings = {"c1": 0.0, "c2": 0.0, field: 1e308}
+        with pytest.raises(InvalidQuantumNumbers, match=f"coupling {field}=1e\\+308 is too large"):
+            make_sector(MonopoleParams(H("0"), **couplings), H("0"), H("0"))
+
+    def test_overflowing_separation_constant_rejected(self):
+        # m1 and m2 stay finite, but J = j + sqrt(c1) + sqrt(c2) squared does not
+        with pytest.raises(InvalidQuantumNumbers, match=r"J\(J\+1\) overflows .*c1=4e\+307, c2=1.0"):
+            sector("0", 4e307, 1.0, "0", "1" + "0" * 154)
+
+    def test_largest_finite_sector_accepted(self):
+        sec = sector("0", 4e307, 0.0, "0", "0")
+        assert math.isfinite(sec.sep_const) and sec.bigJ == pytest.approx(0.5 * math.sqrt(1.6e308))
+
 
 class TestEnergy:
     def test_hydrogen_ground_state(self):
