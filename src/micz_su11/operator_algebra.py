@@ -5,6 +5,13 @@ coeff(J, K) * x^p * D^q with every D moved to the right through the rewrite
 D x^k = x^k D + k x^(k-1) (valid for any integer k, negative included).
 Coefficients are polynomials in the two indeterminates J and K over exact
 rationals; floats only appear after an explicit `substitute`.
+
+Canonical form, which `==`, `hash` and `is_zero` rely on: a `ParamPoly` maps
+(jpow, kpow) to a nonzero coefficient of type exactly `Fraction`, and a
+`NormalOrderedOperator` maps (xpow, dorder >= 0) to a nonzero `ParamPoly`.
+The public constructors check and convert outside input into that form; the
+arithmetic, `compose` and `monomial_action` build each result in canonical
+form once and hand it to the private `_adopt`, which checks nothing.
 """
 
 from __future__ import annotations
@@ -31,25 +38,51 @@ def _falling(k: int, m: int) -> int:
     return out
 
 
+def _accumulate(acc: dict, items, w: int = 1) -> None:
+    """acc[key] += w c for each (key, c) in items; a sum that cancels stays as a zero entry."""
+    if w != 1:
+        items = [(key, c * w) for key, c in items]
+    for key, c in items:
+        s = acc.get(key)
+        acc[key] = c if s is None else s + c
+
+
+def _product(a: dict, b: dict) -> dict:
+    """Term-by-term product of two (jpow, kpow) -> Fraction dicts, zero entries kept."""
+    terms: dict[tuple[int, int], Fraction] = {}
+    for (ja, ka), ca in a.items():
+        _accumulate(terms, [((ja + jb, ka + kb), ca * cb) for (jb, kb), cb in b.items()])
+    return terms
+
+
+def _canonical(raw: dict) -> dict:
+    """Wrap each accumulated (jpow, kpow) -> Fraction dict once, dropping zeros."""
+    out = {}
+    for key, acc in raw.items():
+        terms = {m: c for m, c in acc.items() if c}
+        if terms:
+            out[key] = ParamPoly._adopt(terms)
+    return out
+
+
 class ParamPoly:
     """Polynomial in J and K with Fraction coefficients, keyed by (jpow, kpow)."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (jp, kp), c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[(jp, kp)] = clean.get((jp, kp), Fraction(0)) + c
-                    if not clean[(jp, kp)]:
-                        del clean[(jp, kp)]
-        self._terms = clean
+        self._terms = {(jp, kp): f for (jp, kp), c in (terms or {}).items() if (f := Fraction(c))}
+
+    @classmethod
+    def _adopt(cls, terms: dict[tuple[int, int], Fraction]) -> "ParamPoly":
+        """Wrap a dict already in canonical form, without copying or checking it."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
 
     @classmethod
     def const(cls, c: Scalar) -> "ParamPoly":
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def zero(cls) -> "ParamPoly":
@@ -88,7 +121,7 @@ class ParamPoly:
         out: dict[int, dict[tuple[int, int], Fraction]] = {}
         for (jp, kp), c in self._terms.items():
             out.setdefault(kp, {})[(jp, 0)] = c
-        return {kp: ParamPoly(t) for kp, t in out.items()}
+        return {kp: ParamPoly._adopt(t) for kp, t in out.items()}
 
     @staticmethod
     def _coerce(other) -> "ParamPoly":
@@ -103,9 +136,8 @@ class ParamPoly:
         if o is NotImplemented:
             return NotImplemented
         terms = dict(self._terms)
-        for key, c in o._terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return ParamPoly(terms)
+        _accumulate(terms, o._terms.items())
+        return ParamPoly._adopt({key: c for key, c in terms.items() if c})
 
     __radd__ = __add__
 
@@ -118,18 +150,16 @@ class ParamPoly:
         return NotImplemented if o is NotImplemented else o + (-self)
 
     def __neg__(self):
-        return ParamPoly({key: -c for key, c in self._terms.items()})
+        return ParamPoly._adopt({key: -c for key, c in self._terms.items()})
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return ParamPoly._adopt({key: c * other for key, c in self._terms.items()} if other else {})
+        if not isinstance(other, ParamPoly):
             return NotImplemented
-        terms: dict[tuple[int, int], Fraction] = {}
-        for (ja, ka), ca in self._terms.items():
-            for (jb, kb), cb in o._terms.items():
-                key = (ja + jb, ka + kb)
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return ParamPoly(terms)
+        # a product of nonzero polynomials is nonzero, but single terms may cancel
+        terms = _product(self._terms, other._terms)
+        return ParamPoly._adopt({key: c for key, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -189,19 +219,20 @@ class NormalOrderedOperator:
 
     def __init__(self, terms: Mapping[tuple[int, int], ParamPoly | Scalar] | None = None):
         clean: dict[tuple[int, int], ParamPoly] = {}
-        if terms:
-            for (xp, dq), c in terms.items():
-                if dq < 0:
-                    raise ValueError("derivative order must be non-negative")
-                poly = c if isinstance(c, ParamPoly) else ParamPoly.const(c)
-                if not poly.is_zero:
-                    acc = clean.get((xp, dq))
-                    poly = poly if acc is None else acc + poly
-                    if poly.is_zero:
-                        clean.pop((xp, dq), None)
-                    else:
-                        clean[(xp, dq)] = poly
+        for (xp, dq), c in (terms or {}).items():
+            if dq < 0:
+                raise ValueError("derivative order must be non-negative")
+            poly = c if isinstance(c, ParamPoly) else ParamPoly.const(c)
+            if not poly.is_zero:
+                clean[(xp, dq)] = poly
         self._terms = clean
+
+    @classmethod
+    def _adopt(cls, terms: dict[tuple[int, int], ParamPoly]) -> "NormalOrderedOperator":
+        """Wrap a dict already in canonical form, without copying or checking it."""
+        op = object.__new__(cls)
+        op._terms = terms
+        return op
 
     @classmethod
     def zero(cls) -> "NormalOrderedOperator":
@@ -241,9 +272,8 @@ class NormalOrderedOperator:
         if not isinstance(other, NormalOrderedOperator):
             return NotImplemented
         terms: dict[tuple[int, int], ParamPoly] = dict(self._terms)
-        for key, c in other._terms.items():
-            terms[key] = terms.get(key, ParamPoly.zero()) + c
-        return NormalOrderedOperator(terms)
+        _accumulate(terms, other._terms.items())
+        return NormalOrderedOperator._adopt({key: c for key, c in terms.items() if not c.is_zero})
 
     def __sub__(self, other):
         if not isinstance(other, NormalOrderedOperator):
@@ -251,11 +281,12 @@ class NormalOrderedOperator:
         return self + (-other)
 
     def __neg__(self):
-        return NormalOrderedOperator({key: -c for key, c in self._terms.items()})
+        return NormalOrderedOperator._adopt({key: -c for key, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ParamPoly)):
-            return NormalOrderedOperator({key: c * other for key, c in self._terms.items()})
+            terms = {key: c * other for key, c in self._terms.items()}
+            return NormalOrderedOperator._adopt({key: c for key, c in terms.items() if not c.is_zero})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -297,23 +328,16 @@ class NormalOrderedOperator:
 
 def compose(lhs: NormalOrderedOperator, rhs: NormalOrderedOperator) -> NormalOrderedOperator:
     """Normal-ordered product: D^q x^r = sum_i C(q,i) r^(i-falling) x^(r-i) D^(q-i)."""
-    terms: dict[tuple[int, int], ParamPoly] = {}
+    raw: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
     for (p, q), cl in lhs.items():
         for (r, s), cr in rhs.items():
-            cc = cl * cr
+            cc = _product(cl._terms, cr._terms).items()
             for i in range(q + 1):
                 w = math.comb(q, i) * _falling(r, i)
-                if w == 0:
-                    continue
-                key = (p + r - i, q - i + s)
-                add = cc * w
-                acc = terms.get(key)
-                acc = add if acc is None else acc + add
-                if acc.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
-    return NormalOrderedOperator(terms)
+                if w == 0:  # r is an integer in [0, i), so every later i vanishes too
+                    break
+                _accumulate(raw.setdefault((p + r - i, q - i + s), {}), cc, w)
+    return NormalOrderedOperator._adopt(_canonical(raw))
 
 
 def commutator(lhs: NormalOrderedOperator, rhs: NormalOrderedOperator) -> NormalOrderedOperator:
@@ -322,20 +346,12 @@ def commutator(lhs: NormalOrderedOperator, rhs: NormalOrderedOperator) -> Normal
 
 def monomial_action(op: NormalOrderedOperator, k: int) -> list[tuple[int, ParamPoly]]:
     """Image of x^k: x^p D^q x^k = k^(q-falling) x^(k+p-q).  The equality oracle."""
-    acc: dict[int, ParamPoly] = {}
+    raw: dict[int, dict[tuple[int, int], Fraction]] = {}
     for (p, q), c in op.items():
         w = _falling(k, q)
-        if w == 0:
-            continue
-        power = k + p - q
-        cur = acc.get(power)
-        add = c * w
-        cur = add if cur is None else cur + add
-        if cur.is_zero:
-            acc.pop(power, None)
-        else:
-            acc[power] = cur
-    return sorted(acc.items())
+        if w != 0:
+            _accumulate(raw.setdefault(k + p - q, {}), c.items(), w)
+    return sorted(_canonical(raw).items())
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ everything built from them) live in floating point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -187,6 +188,9 @@ def make_sector(params: MonopoleParams, m: HalfInt, j: HalfInt) -> SectorLabels:
     overflows is rejected.
     """
     s = params.s
+    for name, label in (("s", s), ("m", m), ("j", j)):
+        if abs(label.twice_value) > sys.float_info.max:  # |label| > max/2, so m -+ s fit a float
+            raise InvalidQuantumNumbers(f"{name} is too large: |{name}| must not exceed {sys.float_info.max / 2:g}")
     if m.parity != s.parity:
         raise InvalidQuantumNumbers(
             f"m={m} must be integer/half-integer exactly as s={s} is"
@@ -243,12 +247,17 @@ def energy(sector: SectorLabels, n: HalfInt) -> LevelLabels:
     if not isinstance(n, HalfInt):
         n = HalfInt.from_int(n)
     j = sector.j
+    if n.twice_value - j.twice_value > sys.float_info.max:
+        raise InvalidLevel(f"n is too large: n - j must not exceed {sys.float_info.max / 2:g}")
     if n.parity != j.parity:
         raise InvalidLevel(f"n={n} must share the integer/half-integer parity of j={j}")
     if n.twice_value - j.twice_value < 2:
         raise InvalidLevel(f"n={n} is below the tower bottom n = j + 1 = {j + 1}")
     K = sector.bigJ + float(n - j)
-    return LevelLabels(n=n, K=K, epsilon=1.0 / K, energy=-1.0 / (2.0 * K * K))
+    level = LevelLabels(n=n, K=K, epsilon=1.0 / K, energy=-1.0 / (2.0 * K * K))
+    if level.energy == 0.0:
+        raise InvalidLevel(f"2K^2 overflows at K={K:g}, so the energy -1/(2K^2) underflows to 0")
+    return level
 
 
 def irrep_labels(sector: SectorLabels, nprime: int) -> IrrepLabels:

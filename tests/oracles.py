@@ -10,6 +10,8 @@ at the very end.
 import math
 from fractions import Fraction
 
+from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly
+
 
 def _rising(x: Fraction, n: int) -> Fraction:
     out = Fraction(1)
@@ -96,3 +98,71 @@ def eig_oracle_full_sweep(J: float, grid, count: int) -> list[float]:
     diag, off = fd_matrix(J, grid)
     lo, hi = gershgorin(diag, off)
     return [bisect_eigenvalue_full(diag, off * off, k, lo, hi) for k in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# The exact kernel as it accumulated before it built results in canonical
+# form: every partial sum is a fresh ParamPoly from the validating public
+# constructor.  Kept as the reference for `compose` and `monomial_action`.
+# ---------------------------------------------------------------------------
+
+def _falling(k: int, m: int) -> int:
+    out = 1
+    for i in range(m):
+        out *= k - i
+    return out
+
+
+def _poly_add(a: ParamPoly, b: ParamPoly) -> ParamPoly:
+    terms = dict(a.items())
+    for key, c in b.items():
+        terms[key] = terms.get(key, Fraction(0)) + c
+    return ParamPoly(terms)
+
+
+def _poly_mul(a: ParamPoly, b: ParamPoly) -> ParamPoly:
+    terms = {}
+    for (ja, ka), ca in a.items():
+        for (jb, kb), cb in b.items():
+            key = (ja + jb, ka + kb)
+            terms[key] = terms.get(key, Fraction(0)) + ca * cb
+    return ParamPoly(terms)
+
+
+def compose_reference(lhs: NormalOrderedOperator, rhs: NormalOrderedOperator) -> NormalOrderedOperator:
+    """Normal-ordered product: D^q x^r = sum_i C(q,i) r^(i-falling) x^(r-i) D^(q-i)."""
+    terms = {}
+    for (p, q), cl in lhs.items():
+        for (r, s), cr in rhs.items():
+            cc = _poly_mul(cl, cr)
+            for i in range(q + 1):
+                w = math.comb(q, i) * _falling(r, i)
+                if w == 0:
+                    continue
+                key = (p + r - i, q - i + s)
+                add = _poly_mul(cc, ParamPoly.const(w))
+                acc = terms.get(key)
+                acc = add if acc is None else _poly_add(acc, add)
+                if acc.is_zero:
+                    terms.pop(key, None)
+                else:
+                    terms[key] = acc
+    return NormalOrderedOperator(terms)
+
+
+def monomial_action_reference(op: NormalOrderedOperator, k: int) -> list[tuple[int, ParamPoly]]:
+    """Image of x^k: x^p D^q x^k = k^(q-falling) x^(k+p-q)."""
+    acc = {}
+    for (p, q), c in op.items():
+        w = _falling(k, q)
+        if w == 0:
+            continue
+        power = k + p - q
+        cur = acc.get(power)
+        add = _poly_mul(c, ParamPoly.const(w))
+        cur = add if cur is None else _poly_add(cur, add)
+        if cur.is_zero:
+            acc.pop(power, None)
+        else:
+            acc[power] = cur
+    return sorted(acc.items())

@@ -369,6 +369,42 @@ def test_overflowing_coupling_names_the_coupling(capsys, command, coupling):
     assert err.startswith(f"error: coupling {coupling}=1e+308 is too large")
 
 
+@pytest.mark.parametrize("command", ["spectrum", "oracle"])
+def test_underflowing_energy_exit_2(capsys, command):
+    # J(J+1) = 1.6e308 is finite, but 2K^2 overflows and E = -1/(2K^2) would print as -0
+    argv = SECTOR_COMMANDS[command] + ["--s", "0", "--c1", "4e307", "--c2", "4e307", "--m", "0", "--j", "0"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: 2K^2 overflows at K=1.26491e+154")
+
+
+@pytest.mark.parametrize(
+    "labels, flag",
+    [
+        (["--s", "0", "--m", "0", "--j", "1e400"], "j"),
+        (["--s", "0", "--m", "1e400", "--j", "1e400"], "m"),
+        (["--s", "1e400", "--m", "0", "--j", "0"], "s"),
+    ],
+    ids=["j", "m", "s"],
+)
+@pytest.mark.parametrize("command", ["spectrum", "eigenfunction"])
+def test_label_too_large_for_a_float_exit_2(capsys, command, labels, flag):
+    code, out, err = run(capsys, SECTOR_COMMANDS[command] + labels)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {flag} is too large: |{flag}| must not exceed 8.98847e+307")
+
+
+def test_level_too_large_for_a_float_exit_2(capsys):
+    code, out, err = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "1e400"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: n is too large: n - j must not exceed 8.98847e+307\n"
+
+
 class TestParser:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,111 @@
+"""The exact kernel against its old accumulation, and the canonical form it builds.
+
+`compose` and `monomial_action` accumulate raw Fraction sums and wrap each
+result once; `oracles.compose_reference` and `oracles.monomial_action_reference`
+still build a validated ParamPoly for every partial sum.  Both must give the
+same `_terms` dicts, and every result must be in the canonical form that
+`==`, `hash` and `is_zero` rely on.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly, compose, monomial_action
+from oracles import compose_reference, monomial_action_reference
+
+X_INV = NormalOrderedOperator.x_power(-1)
+
+
+def plain(op: NormalOrderedOperator) -> dict:
+    return {key: dict(poly.items()) for key, poly in op.items()}
+
+
+def plain_image(image: list) -> list:
+    return [(power, dict(poly.items())) for power, poly in image]
+
+
+def assert_canonical_poly(poly: ParamPoly) -> None:
+    for (jp, kp), c in poly.items():
+        assert type(jp) is int and type(kp) is int
+        assert type(c) is Fraction, f"coefficient {c!r} is a {type(c).__name__}"
+        assert c != 0, "zero coefficient stored"
+
+
+def assert_canonical(op: NormalOrderedOperator) -> None:
+    for (xp, dq), poly in op.items():
+        assert type(xp) is int and type(dq) is int and dq >= 0
+        assert type(poly) is ParamPoly
+        assert not poly.is_zero, f"zero coefficient stored at x^{xp} D^{dq}"
+        assert_canonical_poly(poly)
+
+
+def assert_canonical_image(image: list) -> None:
+    for _, poly in image:
+        assert not poly.is_zero
+        assert_canonical_poly(poly)
+
+
+# coefficients of J/K degree <= 2; ints and zeros exercise the public constructors
+coefficients = st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=4), st.integers(-3, 3))
+monomials = st.integers(0, 2).flatmap(lambda jp: st.tuples(st.just(jp), st.integers(0, 2 - jp)))
+polys = st.dictionaries(monomials, coefficients, max_size=3).map(ParamPoly)
+operators = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(0, 3)), polys, max_size=4
+).map(NormalOrderedOperator)
+
+
+def vanishing_powers(op: NormalOrderedOperator) -> set[int]:
+    """x^k for k in {0, 1, q-1}: images where falling factorials vanish and terms cancel."""
+    return {0, 1} | {dq - 1 for (_, dq), _ in op.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(operators, operators, polys)
+def test_kernel_matches_reference(a, b, p):
+    cases = [
+        (a, b),
+        (a + (-a), b),
+        (a, b - b),
+        (a, b + a),
+        # D + x^-1 composed with x^-1: the x^-2 terms cancel inside one product
+        (NormalOrderedOperator({(0, 1): p, (-1, 0): p}), X_INV),
+    ]
+    cases += [(a, NormalOrderedOperator.x_power(k, p)) for k in vanishing_powers(a)]
+    for lhs, rhs in cases:
+        new = compose(lhs, rhs)
+        assert plain(new) == plain(compose_reference(lhs, rhs))
+        assert_canonical(new)
+    assert compose(a, b) - compose(a, b) == NormalOrderedOperator.zero()
+    assert plain(compose(NormalOrderedOperator({(0, 1): p, (-1, 0): p}), X_INV)) == plain(
+        NormalOrderedOperator({(-1, 1): p})
+    )
+    ab = compose(a, b)
+    for op in (a, ab, ab - compose_reference(a, b), a + (-a)):
+        for k in sorted(vanishing_powers(op) | {-2, 3}):
+            image = monomial_action(op, k)
+            assert plain_image(image) == plain_image(monomial_action_reference(op, k))
+            assert_canonical_image(image)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operators, operators, polys, polys, st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3)))
+def test_results_are_canonical(a, b, p, q, scalar):
+    assert_canonical(a)
+    assert_canonical_poly(p)
+    for poly in (p + q, p - q, p + (-p), -p, p * q, p * scalar, scalar * p, p + scalar, scalar - p, p * 0):
+        assert_canonical_poly(poly)
+    for op in (a + b, a - b, a + (-a), -a, a * p, a * scalar, scalar * a, a * 0, p * a,
+               compose(a, b), compose(a, a) - compose(a, a)):
+        assert_canonical(op)
+    assert (a + (-a)).is_zero and (p - p).is_zero and (a * 0).is_zero
+    for k in range(-3, 4):
+        assert_canonical_image(monomial_action(a, k))
+
+
+def test_integer_coefficients_become_fractions():
+    op = NormalOrderedOperator({(1, 0): 2, (0, 1): ParamPoly({(1, 0): 3})})
+    for result in (op, op + NormalOrderedOperator.zero(), op * 1, compose(op, NormalOrderedOperator.identity())):
+        assert_canonical(result)
+    assert_canonical_poly(ParamPoly.const(5) * 2)

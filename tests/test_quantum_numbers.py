@@ -115,6 +115,17 @@ class TestMakeSector:
         sec = sector("0", 4e307, 0.0, "0", "0")
         assert math.isfinite(sec.sep_const) and sec.bigJ == pytest.approx(0.5 * math.sqrt(1.6e308))
 
+    @pytest.mark.parametrize("flag, labels", [("s", ("1e400", "0", "0")), ("m", ("0", "1e400", "1e400")),
+                                              ("j", ("0", "0", "1e400"))])
+    def test_label_too_large_for_a_float_rejected(self, flag, labels):
+        s, m, j = labels
+        with pytest.raises(InvalidQuantumNumbers, match=rf"^{flag} is too large: \|{flag}\| must not exceed"):
+            sector(s, 0.0, 0.0, m, j)
+
+    def test_large_label_that_fits_a_float_accepted(self):
+        sec = sector("0", 0.0, 0.0, "0", "1e150")
+        assert sec.bigJ == 1e150 and sec.sep_const == pytest.approx(1e300)
+
 
 class TestEnergy:
     def test_hydrogen_ground_state(self):
@@ -142,6 +153,19 @@ class TestEnergy:
             energy(sec, H("1"))  # below j + 1
         with pytest.raises(InvalidLevel):
             energy(sec, H("5/2"))  # wrong parity
+
+    def test_energy_underflow_rejected(self):
+        # J(J+1) = 1e308 is finite, but 2K^2 is not: -1/(2K^2) would be -0.0
+        sec = sector("0", 0.0, 0.0, "0", "1" + "0" * 154)
+        with pytest.raises(InvalidLevel, match=r"^2K\^2 overflows at K=1e\+154, so the energy"):
+            energy(sec, sec.j + 1)
+        with pytest.raises(InvalidLevel, match=r"2K\^2 overflows"):
+            levels(sector("0", 4e307, 4e307, "0", "0"), 1)
+
+    def test_level_too_large_for_a_float_rejected(self):
+        sec = sector("0", 0.0, 0.0, "0", "0")
+        with pytest.raises(InvalidLevel, match=r"^n is too large: n - j must not exceed"):
+            energy(sec, H("1e400"))
 
     @pytest.mark.parametrize("spec", [("0", 0.0, 0.0, "0", "0"), ("1/2", 1.0, 0.0, "1/2", "1/2"), ("1", 0.3, 0.7, "0", "1")])
     def test_energy_increases_toward_zero(self, spec):
