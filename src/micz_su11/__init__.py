@@ -27,6 +27,7 @@ from .special_functions import (
     ParamOutOfRange,
     jacobi,
     jacobi_deriv,
+    kummer_deriv,
     kummer_terminating,
 )
 from .operator_algebra import (
@@ -70,7 +71,6 @@ from .numeric_verify import (
     GridFunction,
     GridTooCoarse,
     RadialGrid,
-    StencilUnsupported,
     VerificationReport,
     apply_operator,
     eig_oracle,

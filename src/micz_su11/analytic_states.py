@@ -3,7 +3,9 @@
 The radial function is stored in the scaled variable x = r/K_n, where it
 reads chi(x) = (2x)^(J+1) e^(-x) F(j+1-n, 2J+2; 2x).  That form contains no
 K, so every level of a j tower lives on one common x axis and the ladder
-checks can compare levels pointwise.
+checks can compare levels pointwise.  The polynomial factor and its
+derivatives are evaluated in float only through `kummer_terminating` and
+`kummer_deriv`; the exact rational coefficients are kept as a reference.
 """
 
 from __future__ import annotations
@@ -11,12 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .quantum_numbers import HalfInt, LevelLabels, SectorLabels, energy
-from .special_functions import JacobiParams, jacobi, jacobi_deriv
+from .special_functions import (
+    JacobiParams,
+    KummerParams,
+    jacobi,
+    jacobi_deriv,
+    kummer_deriv,
+    kummer_terminating,
+)
 
 
 class DomainError(ValueError):
@@ -33,23 +41,20 @@ def _as_array(x, what: str, upper: float | None = None):
 
 @dataclass(frozen=True)
 class RadialState:
-    """One bound level: polynomial factor, leading exponent J+1, decay rate 1."""
+    """One bound level: polynomial factor F(-k, b; 2x), leading exponent J+1, decay rate 1."""
 
     sector: SectorLabels
     level: LevelLabels
+    kummer: KummerParams
     poly_coeffs: tuple[Fraction, ...]
     exponent: float
     decay: float
 
-    @cached_property
-    def _fcoeffs(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.poly_coeffs)
-
 
 def radial_state(sector: SectorLabels, n: HalfInt | int) -> RadialState:
-    """Build chi_{n,j}; the polynomial factor is kept as exact rationals.
+    """Build chi_{n,j}: the Kummer parameters of its polynomial factor and its exact coefficients.
 
-    The coefficients come from the terminating hypergeometric recurrence with
+    The coefficients come from the terminating hypergeometric series with
     the 2x argument absorbed, so poly(x) = F(-(n-j-1), 2J+2; 2x) exactly at
     the binary-rational value of J carried by the sector.
     """
@@ -62,30 +67,17 @@ def radial_state(sector: SectorLabels, n: HalfInt | int) -> RadialState:
     return RadialState(
         sector=sector,
         level=level,
+        kummer=KummerParams(k, 2.0 * sector.bigJ + 2.0),
         poly_coeffs=tuple(coeffs),
         exponent=sector.bigJ + 1.0,
         decay=1.0,
     )
 
 
-def _poly_eval(coeffs, x):
-    out = np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def _poly_deriv(coeffs: tuple[float, ...], order: int) -> tuple[float, ...]:
-    cur = list(coeffs)
-    for _ in range(order):
-        cur = [cur[i] * i for i in range(1, len(cur))]
-    return tuple(cur)
-
-
 def chi(state: RadialState, x):
     """chi_{n,j} at x > 0 (scalar or array)."""
     arr, scalar = _as_array(x, "x")
-    val = (2.0 * arr) ** state.exponent * np.exp(-arr) * _poly_eval(state._fcoeffs, arr)
+    val = (2.0 * arr) ** state.exponent * np.exp(-arr) * kummer_terminating(state.kummer, 2.0 * arr)
     return float(val) if scalar else val
 
 
@@ -94,6 +86,7 @@ def chi_dn(state: RadialState, x, order: int):
 
     chi = 2^alpha * x^alpha * e^(-x) * P(x) with alpha = J+1, so the
     derivative is a finite multinomial sum; no finite differences anywhere.
+    Each P^(l)(x) = 2^l F^(l)(-k, b; 2x) is evaluated once per call.
     """
     if order < 0:
         raise ValueError("derivative order must be non-negative")
@@ -103,6 +96,8 @@ def chi_dn(state: RadialState, x, order: int):
     alpha = state.exponent
     pref = 2.0**alpha
     expf = np.exp(-arr)
+    z = 2.0 * arr
+    dpoly = [2.0**l * kummer_deriv(state.kummer, z, l) for l in range(min(order, state.kummer.k) + 1)]
     total = np.zeros_like(arr)
     for i in range(order + 1):
         fall = 1.0
@@ -113,14 +108,13 @@ def chi_dn(state: RadialState, x, order: int):
         xpow = arr ** (alpha - i)
         for jj in range(order - i + 1):
             l = order - i - jj
-            dcoeffs = _poly_deriv(state._fcoeffs, l)
-            if not dcoeffs:
+            if l >= len(dpoly):
                 continue
             mult = math.factorial(order) // (
                 math.factorial(i) * math.factorial(jj) * math.factorial(l)
             )
             sgn = -1.0 if jj % 2 else 1.0
-            total += mult * fall * sgn * xpow * _poly_eval(dcoeffs, arr)
+            total += mult * fall * sgn * xpow * dpoly[l]
     val = pref * expf * total
     return float(val) if scalar else val
 
@@ -141,7 +135,7 @@ def radial_R(state: RadialState, r):
     """
     arr, scalar = _as_array(r, "r")
     t = state.level.epsilon * arr
-    val = (2.0 * t) ** (state.exponent - 1.0) * np.exp(-t) * _poly_eval(state._fcoeffs, t)
+    val = (2.0 * t) ** (state.exponent - 1.0) * np.exp(-t) * kummer_terminating(state.kummer, 2.0 * t)
     return float(val) if scalar else val
 
 

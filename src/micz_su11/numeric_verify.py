@@ -80,10 +80,6 @@ class GridTooCoarse(ValueError):
     """Fewer than the required nodes per expected wavelength."""
 
 
-class StencilUnsupported(ValueError):
-    """Finite-difference path asked for a derivative order above 4."""
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform interior nodes r_i = i h, h = rmax/(npoints+1); Dirichlet ends."""
@@ -297,71 +293,18 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
 # Operator application on grid functions
 # ---------------------------------------------------------------------------
 
-def _fd_weights(offsets, m: int) -> np.ndarray:
-    """Fornberg weights for the m-th derivative at 0 on integer offsets."""
-    x = [float(o) for o in offsets]
-    n = len(x)
-    C = np.zeros((n, m + 1))
-    C[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0]
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i]
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    C[i, k] = c1 * (k * C[i - 1, k - 1] - c5 * C[i - 1, k]) / c2
-                C[i, 0] = -c1 * c5 * C[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                C[j, k] = (c4 * C[j, k] - k * C[j, k - 1]) / c3
-            C[j, 0] = c4 * C[j, 0] / c3
-        c1 = c2
-    return C[:, m]
-
-
-def _fd_derivative(vals: np.ndarray, h: float, m: int) -> np.ndarray:
-    """4th-order central differences, one-sided closures at the edges."""
-    width = 5 if m <= 2 else 7
-    half = width // 2
-    n = len(vals)
-    if n < width:
-        raise StencilUnsupported(f"grid too small for the {width}-point stencil")
-    out = np.empty_like(vals)
-    wc = _fd_weights(range(-half, half + 1), m)
-    out[half : n - half] = np.convolve(vals, wc[::-1], mode="valid")
-    for i in range(half):
-        w = _fd_weights([o - i for o in range(width)], m)
-        out[i] = np.dot(w, vals[:width])
-        w = _fd_weights([o - (n - 1 - i) for o in range(n - width, n)], m)
-        out[n - 1 - i] = np.dot(w, vals[n - width :])
-    return out / h**m
-
-
-def apply_operator(numop: NumericOperator, f: GridFunction, derivatives=None) -> GridFunction:
+def apply_operator(numop: NumericOperator, f: GridFunction, derivatives) -> GridFunction:
     """Apply sum of coeff x^xpow D^dorder to f per node.
 
-    `derivatives(x, order)` supplies analytic derivative samples; without it,
-    orders up to 4 fall back to the FD stencils.
+    `derivatives(x, order)` supplies the derivative samples of f at the
+    nodes x, for each order >= 1 that the operator needs.
     """
-    if derivatives is None and numop.max_dorder() > 4:
-        raise StencilUnsupported(
-            f"operator needs D^{numop.max_dorder()}; finite differences stop at 4 "
-            "(pass analytic derivative callbacks)"
-        )
     x = f.grid.nodes
     cache = {0: f.values}
     out = np.zeros_like(f.values)
     for xp, dq, c in numop.terms:
         if dq not in cache:
-            if derivatives is not None:
-                cache[dq] = np.asarray(derivatives(x, dq), dtype=float)
-            else:
-                cache[dq] = _fd_derivative(f.values, f.grid.h, dq)
+            cache[dq] = np.asarray(derivatives(x, dq), dtype=float)
         term = cache[dq] if xp == 0 else cache[dq] * x ** float(xp)
         out += c * term
     return GridFunction(f.grid, out)

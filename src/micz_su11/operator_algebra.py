@@ -468,9 +468,6 @@ class NumericOperator:
     jval: float
     kval: float
 
-    def max_dorder(self) -> int:
-        return max((dq for (_, dq, _) in self.terms), default=0)
-
 
 def substitute(op: NormalOrderedOperator, jval: float, kval: float) -> NumericOperator:
     """Evaluate the ParamPoly coefficients; zero terms are dropped."""

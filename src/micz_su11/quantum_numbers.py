@@ -184,8 +184,9 @@ def make_sector(params: MonopoleParams, m: HalfInt, j: HalfInt) -> SectorLabels:
 
     m1 = sqrt((m-s)^2 + 4 c1), m2 = sqrt((m+s)^2 + 4 c2), delta_i the excess of
     m_i over the unshifted |m -+ s|, J = j + (delta1+delta2)/2 and the angular
-    separation constant J(J+1).  A coupling so large that m1, m2 or J(J+1)
-    overflows is rejected.
+    separation constant J(J+1).  Labels or a coupling so large that m1, m2 or
+    J(J+1) overflows are rejected, naming m -+ s when its square alone
+    overflows and the coupling otherwise.
     """
     s = params.s
     for name, label in (("s", s), ("m", m), ("j", j)):
@@ -213,9 +214,13 @@ def make_sector(params: MonopoleParams, m: HalfInt, j: HalfInt) -> SectorLabels:
     dp = float(m + s)
     m1 = math.sqrt(dm * dm + 4.0 * params.c1)
     m2 = math.sqrt(dp * dp + 4.0 * params.c2)
-    for name, value, formula in (("c1", m1, "m1 = sqrt((m-s)^2 + 4 c1)"), ("c2", m2, "m2 = sqrt((m+s)^2 + 4 c2)")):
-        if not math.isfinite(value):
-            raise InvalidQuantumNumbers(f"coupling {name}={getattr(params, name)} is too large: {formula} overflows")
+    for name, label, d, value, formula in (("c1", "m-s", dm, m1, "m1 = sqrt((m-s)^2 + 4 c1)"),
+                                           ("c2", "m+s", dp, m2, "m2 = sqrt((m+s)^2 + 4 c2)")):
+        if math.isfinite(value):
+            continue
+        if not math.isfinite(d * d):
+            raise InvalidQuantumNumbers(f"labels too large: {label}={d:g} squared overflows in {formula}")
+        raise InvalidQuantumNumbers(f"coupling {name}={getattr(params, name)} is too large: {formula} overflows")
     delta1 = m1 - abs(dm)
     delta2 = m2 - abs(dp)
     bigJ = float(j) + 0.5 * (delta1 + delta2)

@@ -2,7 +2,9 @@
 
 These are the only special functions the closed-form eigenfunctions need:
 the bound-state first argument of F(a, b; z) is always a non-positive
-integer, so no non-terminating hypergeometric machinery is provided.
+integer, so no non-terminating hypergeometric machinery is provided.  Each
+has one float evaluation, a three-term recurrence in the degree, and its
+derivatives are the same function at shifted parameters.
 """
 
 from __future__ import annotations
@@ -82,19 +84,29 @@ def jacobi_deriv(p: JacobiParams, z, degree_cap: int = DEFAULT_DEGREE_CAP):
 
 
 def kummer_terminating(p: KummerParams, z):
-    """F(-k, b; z) as the exact (k+1)-term sum, Kahan-compensated.
+    """F(-k, b; z) by the three-term recurrence in the order k.
 
-    Terms alternate in sign for z > 0, so the compensation bounds the
-    cancellation error of the partial sums.
+    The contiguous relation (DLMF 13.3.1; the Laguerre recurrence, DLMF
+    18.9.13, with F(-k, b; z) = k!/(b)_k L_k^(b-1)(z)) is
+    F_(i+1) = ((2i + b - z) F_i - i F_(i-1)) / (b + i) from F_0 = 1, an
+    evaluation without the cancellation of the alternating monomial sum.
+    Accepts a scalar or an ndarray for z.
     """
-    one = np.ones_like(z, dtype=float) if isinstance(z, np.ndarray) else 1.0
-    total = one * 1.0
-    comp = one * 0.0
-    term = one * 1.0
+    b = p.bparam
+    prev = 0.0
+    cur = np.ones_like(z, dtype=float) if isinstance(z, np.ndarray) else 1.0
     for i in range(p.k):
-        term = term * z * ((i - p.k) / ((p.bparam + i) * (i + 1.0)))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+        prev, cur = cur, ((2.0 * i + b - z) * cur - i * prev) / (b + i)
+    return cur
+
+
+def kummer_deriv(p: KummerParams, z, order: int):
+    """d^l/dz^l F(-k, b; z) = (-k)_l/(b)_l F(-k+l, b+l; z), zero for l > k."""
+    if order < 0:
+        raise ValueError("derivative order must be non-negative")
+    if order > p.k:
+        return np.zeros_like(z, dtype=float) if isinstance(z, np.ndarray) else 0.0
+    scale = 1.0
+    for i in range(order):
+        scale *= (i - p.k) / (p.bparam + i)
+    return scale * kummer_terminating(KummerParams(p.k - order, p.bparam + order), z)

@@ -10,6 +10,8 @@ at the very end.
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly
 
 
@@ -166,3 +168,107 @@ def monomial_action_reference(op: NormalOrderedOperator, k: int) -> list[tuple[i
         else:
             acc[power] = cur
     return sorted(acc.items())
+
+
+# ---------------------------------------------------------------------------
+# Finite-difference derivatives: an approximation independent of the closed
+# forms, passed to `apply_operator` as its derivative callback.
+# ---------------------------------------------------------------------------
+
+class StencilUnsupported(ValueError):
+    """Finite-difference derivative asked for an order above 4."""
+
+
+def fd_weights(offsets, m: int) -> np.ndarray:
+    """Fornberg weights for the m-th derivative at 0 on integer offsets."""
+    x = [float(o) for o in offsets]
+    n = len(x)
+    C = np.zeros((n, m + 1))
+    C[0, 0] = 1.0
+    c1 = 1.0
+    c4 = x[0]
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i]
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    C[i, k] = c1 * (k * C[i - 1, k - 1] - c5 * C[i - 1, k]) / c2
+                C[i, 0] = -c1 * c5 * C[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                C[j, k] = (c4 * C[j, k] - k * C[j, k - 1]) / c3
+            C[j, 0] = c4 * C[j, 0] / c3
+        c1 = c2
+    return C[:, m]
+
+
+def fd_derivative(vals: np.ndarray, h: float, m: int) -> np.ndarray:
+    """4th-order central differences, one-sided closures at the edges."""
+    width = 5 if m <= 2 else 7
+    half = width // 2
+    n = len(vals)
+    if n < width:
+        raise StencilUnsupported(f"grid too small for the {width}-point stencil")
+    out = np.empty_like(vals)
+    wc = fd_weights(range(-half, half + 1), m)
+    out[half : n - half] = np.convolve(vals, wc[::-1], mode="valid")
+    for i in range(half):
+        w = fd_weights([o - i for o in range(width)], m)
+        out[i] = np.dot(w, vals[:width])
+        w = fd_weights([o - (n - 1 - i) for o in range(n - width, n)], m)
+        out[n - 1 - i] = np.dot(w, vals[n - width :])
+    return out / h**m
+
+
+def fd_derivatives(f):
+    """Derivative callback for `apply_operator` from the samples of f alone."""
+
+    def derivs(xs, order):
+        assert xs is f.grid.nodes
+        if order > 4:
+            raise StencilUnsupported(f"finite differences stop at D^4, asked for D^{order}")
+        return fd_derivative(f.values, f.grid.h, order)
+
+    return derivs
+
+
+# ---------------------------------------------------------------------------
+# Exact derivatives of the radial states: chi = (2x)^alpha e^(-x) P(x) with
+# P given by its rational coefficients, summed exactly at the float nodes.
+# ---------------------------------------------------------------------------
+
+def chi_dn_reference(coeffs, alpha: float, max_order: int, nodes) -> list[np.ndarray]:
+    """d^l/dx^l of (2x)^alpha e^(-x) P(x) at the nodes for l = 0..max_order.
+
+    P = sum coeffs[m] x^m.  d/dx [x^a e^(-x) R] = x^(a-1) e^(-x) (a R + x R' - x R),
+    so the l-th derivative is 2^alpha x^(alpha-l) e^(-x) R_l(x) with R_0 = P
+    and R_(l+1) = (alpha - l) R_l + x R_l' - x R_l.  A float alpha and float
+    nodes are binary rationals, so each R_l is carried exactly as integer
+    coefficients over one denominator and summed exactly at every node;
+    only the prefactor and one final rounding of R_l(x) are float.
+    """
+    anum, aden = Fraction(alpha).as_integer_ratio()
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    r = [Fraction(c).numerator * (den // Fraction(c).denominator) for c in coeffs]
+    pref = 2.0**alpha
+    out = []
+    for l in range(max_order + 1):
+        vals = []
+        for x in nodes:
+            # R(p/q) = (sum r_m p^m q^(d-m)) / (den q^d), homogeneous Horner
+            p, q = float(x).as_integer_ratio()
+            acc, qk = r[-1], 1
+            for c in reversed(r[:-1]):
+                qk *= q
+                acc = acc * p + c * qk
+            vals.append(pref * x ** (alpha - l) * math.exp(-x) * (acc / (den * qk)))
+        out.append(np.array(vals))
+        nxt = [(anum - l * aden + m * aden) * c for m, c in enumerate(r)] + [0]
+        for m, c in enumerate(r):
+            nxt[m + 1] -= aden * c
+        r, den = nxt, den * aden
+    return out

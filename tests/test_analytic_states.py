@@ -18,7 +18,7 @@ from micz_su11.analytic_states import (
     radial_state,
 )
 from micz_su11.quantum_numbers import HalfInt, MonopoleParams, make_sector
-from micz_su11.special_functions import KummerParams, kummer_terminating
+from oracles import chi_dn_reference, kummer_rational
 
 H = HalfInt.parse
 
@@ -76,13 +76,14 @@ class TestRadialState:
         assert exps == {shifted.bigJ + 1.0}
 
     def test_polynomial_matches_kummer(self, shifted):
-        # dual route: exact rational coefficients vs the float Kummer sum
+        # dual route: the float recurrence inside chi vs the exact rational series
+        b = 2 * Fraction(shifted.bigJ) + 2
         for i in (1, 2, 3, 5):
             st = radial_state(shifted, shifted.j + i)
             k = i - 1
             x = np.linspace(0.05, 9.0, 31)
             poly = chi(st, x) / ((2.0 * x) ** st.exponent * np.exp(-x))
-            ref = kummer_terminating(KummerParams(k, 2.0 * shifted.bigJ + 2.0), 2.0 * x)
+            ref = np.array([float(kummer_rational(k, b, 2 * Fraction(xi))) for xi in x])
             assert np.max(np.abs(poly - ref)) <= 1e-12 * np.max(np.abs(ref) + 1.0)
 
     @pytest.mark.parametrize("i", [1, 2, 3, 4, 6])
@@ -121,6 +122,40 @@ class TestDerivatives:
             fd = (chi_dn(st, xs + h, order) - chi_dn(st, xs - h, order)) / (2 * h)
             got = chi_dn(st, xs, order + 1)
             assert np.max(np.abs(got - fd)) <= 1e-4 * max(1.0, np.max(np.abs(got)))
+
+
+class TestHighLevels:
+    """chi and chi_dn at every level n = j+1 ... j+60 against the exact polynomial.
+
+    The reference sums the exact rational coefficients at the float nodes
+    (multiples of 1/16, so binary rationals) with no rounding, then applies
+    the float prefactor.  Bound: 1e-12 relative to the largest |chi_dn| of
+    the level and order on the window (0, 10 + 4K], the window that
+    `eigenfunction` samples.  The alternating monomial sum in float missed
+    this by more than 1e11 at n = j+60.
+    """
+
+    SECTORS = {  # J = 0, 1.54..., 7.32...
+        "hydrogen": ("0", 0.0, 0.0, "0", "0"),
+        "J~1.5": ("0", 0.5, 0.7, "0", "0"),
+        "J~7.3": ("1/2", 1.0, 1.5, "1/2", "11/2"),
+    }
+    NODES = 64
+    BOUND = 1e-12
+
+    @pytest.mark.parametrize("name", sorted(SECTORS))
+    def test_chi_dn_matches_exact_polynomial(self, name):
+        s, c1, c2, m, j = self.SECTORS[name]
+        sec = make_sector(MonopoleParams(H(s), c1, c2), H(m), H(j))
+        for i in range(1, 61):
+            st = radial_state(sec, sec.j + i)
+            step = math.ceil((10.0 + 4.0 * st.level.K) / self.NODES * 16) / 16
+            x = step * np.arange(1, self.NODES + 1)
+            refs = chi_dn_reference(st.poly_coeffs, st.exponent, 4, x)
+            for order, ref in enumerate(refs):
+                got = chi_dn(st, x, order)
+                err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                assert err <= self.BOUND, f"n = j+{i}, order {order}: {err:.2e}"
 
 
 class TestRadialOde:

@@ -133,6 +133,15 @@ class TestEigenfunction:
         assert code == 2
         assert "--n" in err
 
+    def test_high_level_values_bounded(self, capsys):
+        # at n = 60 the float monomial sum printed |chi| up to 5.7e10
+        code, out, _ = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "60"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        values = [abs(float(v)) for row in rows for v in row[1:]]
+        assert len(values) == 3 * len(rows) > 0
+        assert max(values) < 10.0
+
 
 class TestVerifyAlgebra:
     def test_default_run_passes(self, capsys):
@@ -189,6 +198,12 @@ class TestVerifyStates:
         assert all(r["passed"] for r in doc["reports"])
         names = {r["check_name"] for r in doc["reports"]}
         assert "ladder_annihilation" in names and "t3_spacing" in names
+
+    def test_hydrogen_twenty_levels_pass(self, capsys):
+        # default grid and tolerances; the float monomial sum failed 13 of these
+        code, out, _ = run(capsys, ["verify-states", "--s", "0", "--m", "0", "--j", "0", "--nmax", "20"])
+        assert code == 0
+        assert out.splitlines()[-1] == "120/120 checks PASS"
 
     def test_deterministic_modulo_runtime(self, capsys, tmp_path):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
@@ -367,6 +382,16 @@ def test_overflowing_coupling_names_the_coupling(capsys, command, coupling):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith(f"error: coupling {coupling}=1e+308 is too large")
+
+
+@pytest.mark.parametrize("command", sorted(SECTOR_COMMANDS))
+def test_overflowing_label_square_names_the_labels(capsys, command):
+    # m + s = 2e200 fits a float, (m + s)^2 does not; c2 = 0 is not to blame
+    argv = SECTOR_COMMANDS[command] + ["--s", "1e200", "--m", "1e200", "--j", "1e200"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: labels too large: m+s=2e+200 squared overflows in m2 = sqrt((m+s)^2 + 4 c2)\n"
 
 
 @pytest.mark.parametrize("command", ["spectrum", "oracle"])

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import eig_oracle_full_sweep, fd_matrix, gershgorin, sturm_count_full
+from oracles import (
+    StencilUnsupported,
+    eig_oracle_full_sweep,
+    fd_derivative,
+    fd_derivatives,
+    fd_matrix,
+    fd_weights,
+    gershgorin,
+    sturm_count_full,
+)
 
 from micz_su11 import numeric_verify, operator_algebra
 from micz_su11.analytic_states import chi, chi_dn, radial_state
@@ -16,9 +25,7 @@ from micz_su11.numeric_verify import (
     GridFunction,
     GridTooCoarse,
     RadialGrid,
-    StencilUnsupported,
     _bisect_eigenvalue,
-    _fd_weights,
     _state_and_samples,
     _sturm_count,
     _suffix_min,
@@ -103,19 +110,17 @@ class TestGridTypes:
 
 class TestFdWeights:
     def test_second_derivative_five_point(self):
-        w = _fd_weights(range(-2, 3), 2)
+        w = fd_weights(range(-2, 3), 2)
         assert np.allclose(w, np.array([-1, 16, -30, 16, -1]) / 12.0, atol=1e-12)
 
     def test_first_derivative_five_point(self):
-        w = _fd_weights(range(-2, 3), 1)
+        w = fd_weights(range(-2, 3), 1)
         assert np.allclose(w, np.array([1, -8, 0, 8, -1]) / 12.0, atol=1e-12)
 
     def test_smooth_function_accuracy(self):
         g = RadialGrid(6.0, 600)
         x = g.nodes
-        from micz_su11.numeric_verify import _fd_derivative
-
-        d2 = _fd_derivative(np.sin(x), g.h, 2)
+        d2 = fd_derivative(np.sin(x), g.h, 2)
         interior = slice(3, -3)
         assert np.max(np.abs(d2[interior] + np.sin(x)[interior])) <= 1e-8
 
@@ -124,9 +129,9 @@ class TestApplyOperator:
     def test_identity_returns_input(self, hydrogen, xgrid):
         from micz_su11.operator_algebra import NormalOrderedOperator
 
-        _, f, _ = sampled(hydrogen, H("1"), xgrid)
+        _, f, derivs = sampled(hydrogen, H("1"), xgrid)
         numop = substitute(NormalOrderedOperator.identity(), 0.0, 1.0)
-        out = apply_operator(numop, f)
+        out = apply_operator(numop, f, derivatives=derivs)
         assert np.array_equal(out.values, f.values)
 
     def test_t3_eigen_action_analytic(self, hydrogen, xgrid):
@@ -145,7 +150,7 @@ class TestApplyOperator:
         for op in (build_T3(), build_Ln(), build_Tpm(+1)):
             numop = substitute(op, shifted.bigJ, 2.5)
             exact = apply_operator(numop, f, derivatives=derivs).values
-            fd = apply_operator(numop, f).values
+            fd = apply_operator(numop, f, derivatives=fd_derivatives(f)).values
             x = xgrid.nodes
             mask = (x >= 5 * xgrid.h) & (np.arange(len(x)) >= 2) & (np.arange(len(x)) < len(x) - 2)
             assert np.max(np.abs((exact - fd)[mask])) <= 1e-5
@@ -155,8 +160,10 @@ class TestApplyOperator:
 
         _, f, derivs = sampled(hydrogen, H("1"), xgrid)
         numop = substitute(NormalOrderedOperator({(0, 5): 1}), 0.0, 1.0)
+        with pytest.raises(TypeError):
+            apply_operator(numop, f)  # the derivative callback is required
         with pytest.raises(StencilUnsupported):
-            apply_operator(numop, f)
+            apply_operator(numop, f, derivatives=fd_derivatives(f))
         apply_operator(numop, f, derivatives=derivs)  # analytic path is fine
 
 
@@ -323,7 +330,7 @@ class TestLadder:
             ladder_check(shifted, H("1/2"), -1, xgrid)
 
     def test_fd_path_defects_shrink_under_refinement(self, hydrogen):
-        # without analytic callbacks the defect is FD truncation, which must
+        # with FD derivative callbacks the defect is FD truncation, which must
         # fall as the grid refines and the window grows
         raise_defects = []
         annihilation = []
@@ -332,10 +339,10 @@ class TestLadder:
             state, f, _ = sampled(hydrogen, H("1"), grid)
             tstate = radial_state(hydrogen, H("2"))
             t = GridFunction(grid, chi(tstate, grid.nodes))
-            y = apply_operator(substitute(build_Tpm(+1), 0.0, 1.0), f)
+            y = apply_operator(substitute(build_Tpm(+1), 0.0, 1.0), f, derivatives=fd_derivatives(f))
             sim = abs(y.inner(t)) / (y.norm() * t.norm())
             raise_defects.append(1.0 - sim)
-            ym = apply_operator(substitute(build_Tpm(-1), 0.0, 1.0), f)
+            ym = apply_operator(substitute(build_Tpm(-1), 0.0, 1.0), f, derivatives=fd_derivatives(f))
             annihilation.append(ym.norm() / f.norm())
         assert raise_defects[0] > raise_defects[1] > raise_defects[2]
         assert annihilation[0] > annihilation[1] > annihilation[2]

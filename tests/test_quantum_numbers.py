@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -105,6 +106,16 @@ class TestMakeSector:
         couplings = {"c1": 0.0, "c2": 0.0, field: 1e308}
         with pytest.raises(InvalidQuantumNumbers, match=f"coupling {field}=1e\\+308 is too large"):
             make_sector(MonopoleParams(H("0"), **couplings), H("0"), H("0"))
+
+    @pytest.mark.parametrize("m, label, value, formula", [("1e200", "m+s", "2e\\+200", "m2"),
+                                                          ("-1e200", "m-s", "-2e\\+200", "m1")])
+    def test_label_whose_square_overflows_named_not_the_coupling(self, m, label, value, formula):
+        # m -+ s fits a float but its square does not; both couplings are zero
+        with pytest.raises(InvalidQuantumNumbers) as exc:
+            sector("1e200", 0.0, 0.0, m, "1e200")
+        msg = str(exc.value)
+        assert re.match(rf"^labels too large: {re.escape(label)}={value} squared overflows in {formula} = ", msg)
+        assert "coupling" not in msg
 
     def test_overflowing_separation_constant_rejected(self):
         # m1 and m2 stay finite, but J = j + sqrt(c1) + sqrt(c2) squared does not

@@ -13,6 +13,7 @@ from micz_su11.special_functions import (
     ParamOutOfRange,
     jacobi,
     jacobi_deriv,
+    kummer_deriv,
     kummer_terminating,
 )
 from oracles import jacobi_series, kummer_rational
@@ -126,3 +127,33 @@ class TestKummer:
         vals = kummer_terminating(KummerParams(3, 2.5), z)
         assert vals.shape == z.shape
         assert vals[2] == kummer_terminating(KummerParams(3, 2.5), float(z[2]))
+
+
+class TestKummerDeriv:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 5), st.integers(1, 9),
+           st.fractions(min_value=-4, max_value=4, max_denominator=8))
+    def test_matches_series_derivative(self, k, order, bnum, z):
+        # term-by-term derivative of the exact series: d^l z^i = i!/(i-l)! z^(i-l)
+        b = Fraction(bnum, 2)
+        expected = Fraction(0)
+        term = Fraction(1)
+        for i in range(k + 1):
+            if i >= order:
+                expected += term * math.perm(i, order) * z ** (i - order)
+            term = term * (i - k) / ((b + i) * (i + 1))
+        got = kummer_deriv(KummerParams(k, float(b)), float(z), order)
+        assert abs(got - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))
+
+    def test_order_above_degree_is_zero(self):
+        z = np.linspace(0.0, 4.0, 5)
+        assert kummer_deriv(KummerParams(2, 1.5), 0.7, 3) == 0.0
+        assert np.array_equal(kummer_deriv(KummerParams(2, 1.5), z, 3), np.zeros(5))
+
+    def test_order_zero_is_the_function(self):
+        p = KummerParams(4, 2.5)
+        assert kummer_deriv(p, 1.3, 0) == kummer_terminating(p, 1.3)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            kummer_deriv(KummerParams(2, 1.5), 0.7, -1)
