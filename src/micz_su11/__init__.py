@@ -24,10 +24,12 @@ from .special_functions import (
     DegreeCapExceeded,
     JacobiParams,
     KummerParams,
+    KummerSweep,
     ParamOutOfRange,
     jacobi,
     jacobi_deriv,
     kummer_deriv,
+    kummer_deriv_scale,
     kummer_terminating,
 )
 from .operator_algebra import (
@@ -55,6 +57,7 @@ from .analytic_states import (
     AngularState,
     DomainError,
     RadialState,
+    TowerSampler,
     angular_Z,
     angular_residual,
     angular_state,
@@ -70,6 +73,7 @@ from .numeric_verify import (
     ConvergenceFailure,
     GridFunction,
     GridTooCoarse,
+    GridUnderflow,
     RadialGrid,
     VerificationReport,
     apply_operator,

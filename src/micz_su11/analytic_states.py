@@ -4,8 +4,13 @@ The radial function is stored in the scaled variable x = r/K_n, where it
 reads chi(x) = (2x)^(J+1) e^(-x) F(j+1-n, 2J+2; 2x).  That form contains no
 K, so every level of a j tower lives on one common x axis and the ladder
 checks can compare levels pointwise.  The polynomial factor and its
-derivatives are evaluated in float only through `kummer_terminating` and
-`kummer_deriv`; the exact rational coefficients are kept as a reference.
+derivatives are evaluated in float only through the Kummer recurrence
+(`kummer_terminating`, `kummer_deriv`, `KummerSweep`); the exact rational
+coefficients are kept as a reference.
+
+`chi` and `chi_dn` sample one level at any x; `TowerSampler` samples every
+level of one tower on one fixed x, resuming its Kummer sweeps from level to
+level, with the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ from .special_functions import (
     KummerParams,
     jacobi,
     jacobi_deriv,
+    KummerSweep,
     kummer_deriv,
+    kummer_deriv_scale,
     kummer_terminating,
 )
 
@@ -81,6 +88,33 @@ def chi(state: RadialState, x):
     return float(val) if scalar else val
 
 
+def _product_rule(arr, alpha: float, expf, xpow, dpoly, order: int):
+    """d^order/dx^order of 2^alpha x^alpha e^(-x) P(x) by the three-factor product rule.
+
+    `expf` is e^(-x), `xpow(i)` gives x^(alpha-i) and `dpoly[l]` gives
+    P^(l)(x); the P^(l) that vanish identically (l > k) are absent.
+    """
+    pref = 2.0**alpha
+    total = np.zeros_like(arr)
+    for i in range(order + 1):
+        fall = 1.0
+        for t in range(i):
+            fall *= alpha - t
+        if fall == 0.0:
+            continue
+        xp = xpow(i)
+        for jj in range(order - i + 1):
+            l = order - i - jj
+            if l >= len(dpoly):
+                continue
+            mult = math.factorial(order) // (
+                math.factorial(i) * math.factorial(jj) * math.factorial(l)
+            )
+            sgn = -1.0 if jj % 2 else 1.0
+            total += mult * fall * sgn * xp * dpoly[l]
+    return pref * expf * total
+
+
 def chi_dn(state: RadialState, x, order: int):
     """Exact order-th derivative of chi via the three-factor product rule.
 
@@ -93,30 +127,66 @@ def chi_dn(state: RadialState, x, order: int):
     if order == 0:
         return chi(state, x)
     arr, scalar = _as_array(x, "x")
-    alpha = state.exponent
-    pref = 2.0**alpha
-    expf = np.exp(-arr)
     z = 2.0 * arr
     dpoly = [2.0**l * kummer_deriv(state.kummer, z, l) for l in range(min(order, state.kummer.k) + 1)]
-    total = np.zeros_like(arr)
-    for i in range(order + 1):
-        fall = 1.0
-        for t in range(i):
-            fall *= alpha - t
-        if fall == 0.0:
-            continue
-        xpow = arr ** (alpha - i)
-        for jj in range(order - i + 1):
-            l = order - i - jj
-            if l >= len(dpoly):
-                continue
-            mult = math.factorial(order) // (
-                math.factorial(i) * math.factorial(jj) * math.factorial(l)
-            )
-            sgn = -1.0 if jj % 2 else 1.0
-            total += mult * fall * sgn * xpow * dpoly[l]
-    val = pref * expf * total
+    alpha = state.exponent
+    val = _product_rule(arr, alpha, np.exp(-arr), lambda i: arr ** (alpha - i), dpoly, order)
     return float(val) if scalar else val
+
+
+class TowerSampler:
+    """chi and its derivatives for every level of one j tower on one fixed x array.
+
+    Derivative order l of level k needs F(-(k-l), b+l; 2x), and the
+    recurrence in the order does not depend on k.  So the sampler keeps one
+    `KummerSweep` per shift l, which resumes when a higher level is asked
+    for and restarts when a lower one is: an ascending walk over the tower
+    runs each sweep once.  It also keeps 2x, e^(-x) and the powers
+    x^(alpha-i) it has used.  Values equal those of `chi` and `chi_dn` bit
+    for bit.
+    """
+
+    def __init__(self, sector: SectorLabels, x):
+        self.x, _ = _as_array(x, "x")
+        self.sector = sector
+        self.alpha = sector.bigJ + 1.0
+        self.z = 2.0 * self.x
+        self.expf = np.exp(-self.x)
+        self._xpow: dict[int, np.ndarray] = {}
+        self._sweeps: list[KummerSweep] = []
+
+    def _xpow_at(self, i: int):
+        out = self._xpow.get(i)
+        if out is None:
+            out = self._xpow[i] = self.x ** (self.alpha - i)
+        return out
+
+    def _row(self, p: KummerParams, l: int):
+        """F(-(k-l), b+l; 2x), from the sweep of shift l."""
+        while len(self._sweeps) <= l:
+            self._sweeps.append(KummerSweep(p.bparam + len(self._sweeps), self.z))
+        return self._sweeps[l].row(p.k - l)
+
+    def _check(self, state: RadialState) -> None:
+        if state.sector != self.sector:
+            raise ValueError("state belongs to another sector than the sampler")
+
+    def chi(self, state: RadialState):
+        """chi of `state` on the sampler's x, as `chi(state, x)` computes it."""
+        self._check(state)
+        return self.z**self.alpha * self.expf * self._row(state.kummer, 0)
+
+    def chi_dn(self, state: RadialState, order: int):
+        """The order-th derivative of chi on the sampler's x, as `chi_dn` computes it."""
+        if order < 0:
+            raise ValueError("derivative order must be non-negative")
+        if order == 0:
+            return self.chi(state)
+        self._check(state)
+        p = state.kummer
+        dpoly = [2.0**l * (kummer_deriv_scale(p, l) * self._row(p, l))
+                 for l in range(min(order, p.k) + 1)]
+        return _product_rule(self.x, self.alpha, self.expf, self._xpow_at, dpoly, order)
 
 
 def chi_d1(state: RadialState, x):

@@ -27,6 +27,7 @@ from .analytic_states import (
 )
 from .numeric_verify import (
     ConvergenceFailure,
+    GridUnderflow,
     RadialGrid,
     oracle_reports,
     spectrum_cross_check,
@@ -47,6 +48,7 @@ from .quantum_numbers import (
     levels,
     make_sector,
 )
+from .special_functions import kummer_terminating
 
 SCHEMA = "su11-micz/1"
 EXIT_OK = 0
@@ -150,8 +152,16 @@ def cmd_eigenfunction(args) -> int:
         state = radial_state(sector, args.n)
         xmax = args.rmax if args.rmax is not None else 10.0 + 4.0 * state.level.K
         xs = xmax * np.arange(1, args.npoints + 1) / args.npoints
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols = (chi(state, xs), chi_d1(state, xs), chi_d2(state, xs))
+            if not all(np.all(np.isfinite(c)) for c in cols):
+                what = "chi or its derivatives are not finite"
+                if not np.all(np.isfinite(kummer_terminating(state.kummer, 2.0 * xs))):
+                    what = (f"F(-k, b; 2x) with k={state.kummer.k}, b={state.kummer.bparam:g} "
+                            "overflows")
+                raise ValueError(f"at n={args.n} {what} on the window 0 < x <= {xmax:g}")
         header = ["x", "chi", "chi_d1", "chi_d2"]
-        rows = list(zip(xs, chi(state, xs), chi_d1(state, xs), chi_d2(state, xs)))
+        rows = list(zip(xs, *cols))
         config = {"command": "eigenfunction", "kind": "radial", **_sector_config(args),
                   "n": str(args.n), "rmax": xmax, "npoints": args.npoints}
     else:
@@ -357,6 +367,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except GridUnderflow as exc:
+        print(f"error: {exc}; choose another --rmax", file=sys.stderr)
+        return EXIT_USAGE
     except (ConvergenceFailure, ValueError) as exc:
         # every validation error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -15,19 +15,29 @@ eigenvalues share their first midpoints.  Brackets, midpoints and the
 stopping rule are those of the plain full sweep, so the eigenvalues are
 bit-for-bit the same.
 
-The grid checks reuse work in two process-wide caches:
+The grid checks reuse work in process-wide caches:
 
 - the su(1,1) generators and their products come from
-  `operator_algebra.generator_table()`, composed once per process; each
-  check only `substitute`s (J, K) into them;
+  `operator_algebra.generator_table()`, composed once per process;
+  `_generator(name, J, K)` substitutes (J, K) into one of them once per
+  (name, J, K) (GENERATOR_CACHE = 32 entries, 9 names at each of two
+  neighbouring levels), and `_node_power(grid, xp)` holds x^xp on the grid
+  nodes for `apply_operator` (NODE_POWER_CACHE = 6 arrays; the generators
+  use xp in {-2, -1, 1, 2});
+- `_tower_sampler(sector, grid)` keeps one `analytic_states.TowerSampler`
+  (the last (sector, grid) asked for).  It holds 2x, e^(-x), up to five
+  powers x^(J+1-i) and, for each derivative order l <= 4, the last two rows
+  of its resumable Kummer sweep: at most 17 arrays.  A walk up the tower
+  runs each sweep from order 0 once;
 - `_state_and_samples(sector, n, grid)` is an LRU cache keyed on the frozen
-  (SectorLabels, HalfInt, RadialGrid) triple.  An entry holds the state, chi
-  on the grid nodes and a derivative callback that memoizes each order it is
-  asked for on those nodes (orders 1-4 are used).  The LRU keeps
+  (SectorLabels, HalfInt, RadialGrid) triple.  An entry holds the state,
+  chi on the grid nodes and a derivative callback that takes each order it
+  is asked for (1-4) from the sampler once and memoizes it.  The LRU keeps
   SAMPLE_CACHE_LEVELS = 4 levels, enough for the n-1, n, n+1 window that
-  `verify_states_suite` walks, so it holds at most 4 levels x 5 arrays x
-  npoints x 8 B (640 KB at the default 4000 points).  The cached arrays are
-  read-only.
+  `verify_states_suite` walks: at most 20 arrays.
+
+Together that is at most 43 arrays of npoints x 8 B (1.4 MB at the default
+4000 points).  Every array the caches hand out is read-only.
 """
 
 from __future__ import annotations
@@ -43,9 +53,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .analytic_states import (
+    TowerSampler,
     angular_residual,
     angular_state,
-    chi,
     chi_dn,
     default_angular_mesh,
     radial_state,
@@ -58,6 +68,10 @@ MIN_NODES_PER_WAVELENGTH = 8
 # above machine epsilon keeps the stop exact
 STURM_TAIL_MARGIN = 1e-12
 SAMPLE_CACHE_LEVELS = 4
+# x^xp per (grid, xp): the generators use xp in {-2, -1, 1, 2}
+NODE_POWER_CACHE = 6
+# substituted generators per (name, J, K): 9 names for each of levels n and n+1
+GENERATOR_CACHE = 32
 
 DEFAULT_TOLERANCES = {
     "angular_residual": 1e-9,
@@ -78,6 +92,10 @@ class ConvergenceFailure(RuntimeError):
 
 class GridTooCoarse(ValueError):
     """Fewer than the required nodes per expected wavelength."""
+
+
+class GridUnderflow(ValueError):
+    """The grid is too small for floats: h^2 or the norm of a sampled state is zero."""
 
 
 @dataclass(frozen=True)
@@ -251,7 +269,8 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
     eigenvalue bit-for-bit equal to the full-sweep bisection.
 
     J must be finite and non-negative, and the diagonal must not overflow
-    (J(J+1) overflows above J of about 1.3e154); otherwise ValueError.
+    (J(J+1) overflows above J of about 1.3e154); otherwise ValueError.  A
+    spacing h whose square underflows to zero raises GridUnderflow.
     """
     if not (math.isfinite(J) and J >= 0.0):
         raise ValueError(f"J must be non-negative and finite, got {J}")
@@ -269,6 +288,9 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
         )
     r = grid.nodes
     h = grid.h
+    if h * h == 0.0:
+        raise GridUnderflow(f"the grid spacing h={h:.4g} of rmax={grid.rmax!r} over "
+                            f"{grid.npoints} points squares to zero")
     off = -1.0 / (2.0 * h * h)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         diag_arr = 1.0 / (h * h) - 1.0 / r + J * (J + 1.0) / (2.0 * r * r)
@@ -305,9 +327,17 @@ def apply_operator(numop: NumericOperator, f: GridFunction, derivatives) -> Grid
     for xp, dq, c in numop.terms:
         if dq not in cache:
             cache[dq] = np.asarray(derivatives(x, dq), dtype=float)
-        term = cache[dq] if xp == 0 else cache[dq] * x ** float(xp)
+        term = cache[dq] if xp == 0 else cache[dq] * _node_power(f.grid, xp)
         out += c * term
     return GridFunction(f.grid, out)
+
+
+@lru_cache(maxsize=NODE_POWER_CACHE)
+def _node_power(grid: RadialGrid, xp: int) -> np.ndarray:
+    """Read-only x^xp on the grid nodes."""
+    out = grid.nodes ** float(xp)
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +348,25 @@ def _as_halfint(n) -> HalfInt:
     return n if isinstance(n, HalfInt) else HalfInt.from_int(n)
 
 
+@lru_cache(maxsize=1)
+def _tower_sampler(sector: SectorLabels, grid: RadialGrid) -> TowerSampler:
+    return TowerSampler(sector, grid.nodes)
+
+
 @lru_cache(maxsize=SAMPLE_CACHE_LEVELS)
 def _state_and_samples(sector: SectorLabels, n: HalfInt, grid: RadialGrid):
-    """State, read-only chi samples and a derivative callback memoized on grid.nodes."""
+    """State, read-only chi samples and a derivative callback memoized on grid.nodes.
+
+    Raises GridUnderflow when the norm of chi on the grid is zero.
+    """
     state = radial_state(sector, n)
     nodes = grid.nodes
-    values = chi(state, nodes)
+    values = _tower_sampler(sector, grid).chi(state)
     values.flags.writeable = False
     f = GridFunction(grid, values)
+    if f.norm() == 0.0:
+        raise GridUnderflow(f"chi at n={n} has zero norm on the grid with rmax={grid.rmax!r} "
+                            f"and {grid.npoints} points")
     memo = {0: f.values}
 
     def derivs(xs, order):
@@ -333,11 +374,17 @@ def _state_and_samples(sector: SectorLabels, n: HalfInt, grid: RadialGrid):
             return chi_dn(state, xs, order)
         out = memo.get(order)
         if out is None:
-            out = memo[order] = chi_dn(state, xs, order)
+            out = memo[order] = _tower_sampler(sector, grid).chi_dn(state, order)
             out.flags.writeable = False
         return out
 
     return state, f, derivs
+
+
+@lru_cache(maxsize=GENERATOR_CACHE)
+def _generator(name: str, J: float, K: float) -> NumericOperator:
+    """`generator_table()[name]` at (J, K)."""
+    return substitute(generator_table()[name], J, K)
 
 
 def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
@@ -351,7 +398,7 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
     t0 = time.perf_counter()
     n = _as_halfint(n)
     state, f, derivs = _state_and_samples(sector, n, grid)
-    numop = substitute(generator_table()["T+" if sign == 1 else "T-"], sector.bigJ, state.level.K)
+    numop = _generator("T+" if sign == 1 else "T-", sector.bigJ, state.level.K)
     y = apply_operator(numop, f, derivatives=derivs)
     bottom = n - sector.j == 1
     inputs = _sector_inputs(sector, grid, n)
@@ -375,8 +422,7 @@ def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None 
     K = state.level.K
     J = sector.bigJ
     fnorm = f.norm()
-    gen = generator_table()
-    y = apply_operator(substitute(gen["T3"], J, K), f, derivatives=derivs)
+    y = apply_operator(_generator("T3", J, K), f, derivatives=derivs)
     r_main = GridFunction(grid, y.values - K * f.values).norm() / fnorm
     details = {"measured_eigenvalue": y.inner(f) / f.inner(f)}
     residual = r_main
@@ -384,8 +430,8 @@ def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None 
     for sign, tag, tpm in ((1, "raised", "T+"), (-1, "lowered", "T-")):
         if sign == -1 and bottom:
             continue
-        z = apply_operator(substitute(gen[tpm], J, K), f, derivatives=derivs)
-        w = apply_operator(substitute(gen["T3 " + tpm], J, K), f, derivatives=derivs)
+        z = apply_operator(_generator(tpm, J, K), f, derivatives=derivs)
+        w = apply_operator(_generator("T3 " + tpm, J, K), f, derivatives=derivs)
         znorm = z.norm()
         r_shift = GridFunction(grid, w.values - (K + sign) * z.values).norm() / znorm
         details[f"{tag}_eigenvalue"] = w.inner(z) / z.inner(z)
@@ -398,11 +444,10 @@ def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | Non
     t0 = time.perf_counter()
     n = _as_halfint(n)
     J = sector.bigJ
-    t3 = generator_table()["T3"]
     measured = []
     for level_n in (n, n + 1):
         state, f, derivs = _state_and_samples(sector, level_n, grid)
-        y = apply_operator(substitute(t3, J, state.level.K), f, derivatives=derivs)
+        y = apply_operator(_generator("T3", J, state.level.K), f, derivatives=derivs)
         measured.append(y.inner(f) / f.inner(f))
     spacing = measured[1] - measured[0]
     return _report(
@@ -429,11 +474,10 @@ def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None =
     K = state.level.K
     fnorm = f.norm()
     target = sector.sep_const * f.values
-    gen = generator_table()
-    t3f = apply_operator(substitute(gen["T3"], J, K), f, derivatives=derivs).values
-    t3sq = apply_operator(substitute(gen["T3 T3"], J, K), f, derivatives=derivs).values
-    pm = apply_operator(substitute(gen["T+ T-"], J, K), f, derivatives=derivs).values
-    mp = apply_operator(substitute(gen["T- T+"], J, K), f, derivatives=derivs).values
+    t3f = apply_operator(_generator("T3", J, K), f, derivatives=derivs).values
+    t3sq = apply_operator(_generator("T3 T3", J, K), f, derivatives=derivs).values
+    pm = apply_operator(_generator("T+ T-", J, K), f, derivatives=derivs).values
+    mp = apply_operator(_generator("T- T+", J, K), f, derivatives=derivs).values
     res_direct = GridFunction(grid, -pm + t3sq - t3f - target).norm() / fnorm
     res_mirror = GridFunction(grid, -mp + t3sq + t3f - target).norm() / fnorm
     details = {"direct": float(res_direct), "mirror": float(res_mirror)}
@@ -458,7 +502,7 @@ def radial_equation_check(
     t0 = time.perf_counter()
     n = _as_halfint(n)
     state, f, derivs = _state_and_samples(sector, n, grid)
-    numop = substitute(generator_table()["Ln"], sector.bigJ, state.level.K)
+    numop = _generator("Ln", sector.bigJ, state.level.K)
     y = apply_operator(numop, f, derivatives=derivs)
     resid = y.values + sector.sep_const * f.values
     x = grid.nodes

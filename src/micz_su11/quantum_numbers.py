@@ -79,7 +79,9 @@ class HalfInt:
         return self.twice_value == o.twice_value
 
     def __hash__(self) -> int:
-        return hash(self.as_fraction())
+        # equal to hash(self.as_fraction()); integers skip building the Fraction
+        t = self.twice_value
+        return hash(self.as_fraction()) if t & 1 else hash(t >> 1)
 
     def __lt__(self, other):
         o = self._coerce(other)

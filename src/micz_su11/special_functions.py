@@ -92,12 +92,46 @@ def kummer_terminating(p: KummerParams, z):
     evaluation without the cancellation of the alternating monomial sum.
     Accepts a scalar or an ndarray for z.
     """
-    b = p.bparam
-    prev = 0.0
-    cur = np.ones_like(z, dtype=float) if isinstance(z, np.ndarray) else 1.0
-    for i in range(p.k):
-        prev, cur = cur, ((2.0 * i + b - z) * cur - i * prev) / (b + i)
-    return cur
+    return KummerSweep(p.bparam, z).row(p.k)
+
+
+class KummerSweep:
+    """The recurrence of `kummer_terminating` on a fixed z, resumable in the order.
+
+    `row(k)` returns F(-k, b; z).  The sweep keeps only its last two rows
+    (i, F_(i-1), F_i): a higher k resumes from them and a lower one
+    restarts from i = 0, so every row is computed by the same operations
+    in the same order as a fresh sweep, bit for bit.  Returned rows are
+    never modified afterwards.
+    """
+
+    def __init__(self, b: float, z):
+        self.b = b
+        self.z = z
+        self.restart()
+
+    def restart(self) -> None:
+        z = self.z
+        self.i = 0
+        self.prev = 0.0
+        self.cur = np.ones_like(z, dtype=float) if isinstance(z, np.ndarray) else 1.0
+
+    def row(self, k: int):
+        if k < self.i:
+            self.restart()
+        b, z, i, prev, cur = self.b, self.z, self.i, self.prev, self.cur
+        for i in range(i, k):
+            prev, cur = cur, ((2.0 * i + b - z) * cur - i * prev) / (b + i)
+        self.i, self.prev, self.cur = k, prev, cur
+        return cur
+
+
+def kummer_deriv_scale(p: KummerParams, order: int) -> float:
+    """(-k)_l/(b)_l for l = order, accumulated factor by factor."""
+    scale = 1.0
+    for i in range(order):
+        scale *= (i - p.k) / (p.bparam + i)
+    return scale
 
 
 def kummer_deriv(p: KummerParams, z, order: int):
@@ -106,7 +140,4 @@ def kummer_deriv(p: KummerParams, z, order: int):
         raise ValueError("derivative order must be non-negative")
     if order > p.k:
         return np.zeros_like(z, dtype=float) if isinstance(z, np.ndarray) else 0.0
-    scale = 1.0
-    for i in range(order):
-        scale *= (i - p.k) / (p.bparam + i)
-    return scale * kummer_terminating(KummerParams(p.k - order, p.bparam + order), z)
+    return kummer_deriv_scale(p, order) * kummer_terminating(KummerParams(p.k - order, p.bparam + order), z)

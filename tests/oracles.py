@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from micz_su11.analytic_states import RadialState, _as_array, chi
 from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly
+from micz_su11.special_functions import kummer_deriv
 
 
 def _rising(x: Fraction, n: int) -> Fraction:
@@ -272,3 +274,47 @@ def chi_dn_reference(coeffs, alpha: float, max_order: int, nodes) -> list[np.nda
             nxt[m + 1] -= aden * c
         r, den = nxt, den * aden
     return out
+
+
+# ---------------------------------------------------------------------------
+# chi_dn as one self-contained call: every P^(l) from its own Kummer sweep
+# started at order 0, the evaluation that `TowerSampler` must reproduce bit
+# for bit.
+# ---------------------------------------------------------------------------
+
+def chi_dn_per_call(state: RadialState, x, order: int):
+    """Exact order-th derivative of chi via the three-factor product rule.
+
+    chi = 2^alpha * x^alpha * e^(-x) * P(x) with alpha = J+1, so the
+    derivative is a finite multinomial sum; no finite differences anywhere.
+    Each P^(l)(x) = 2^l F^(l)(-k, b; 2x) is evaluated once per call.
+    """
+    if order < 0:
+        raise ValueError("derivative order must be non-negative")
+    if order == 0:
+        return chi(state, x)
+    arr, scalar = _as_array(x, "x")
+    alpha = state.exponent
+    pref = 2.0**alpha
+    expf = np.exp(-arr)
+    z = 2.0 * arr
+    dpoly = [2.0**l * kummer_deriv(state.kummer, z, l) for l in range(min(order, state.kummer.k) + 1)]
+    total = np.zeros_like(arr)
+    for i in range(order + 1):
+        fall = 1.0
+        for t in range(i):
+            fall *= alpha - t
+        if fall == 0.0:
+            continue
+        xpow = arr ** (alpha - i)
+        for jj in range(order - i + 1):
+            l = order - i - jj
+            if l >= len(dpoly):
+                continue
+            mult = math.factorial(order) // (
+                math.factorial(i) * math.factorial(jj) * math.factorial(l)
+            )
+            sgn = -1.0 if jj % 2 else 1.0
+            total += mult * fall * sgn * xpow * dpoly[l]
+    val = pref * expf * total
+    return float(val) if scalar else val

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from micz_su11.analytic_states import (
     DomainError,
+    TowerSampler,
     angular_Z,
     angular_residual,
     angular_state,
@@ -18,7 +20,7 @@ from micz_su11.analytic_states import (
     radial_state,
 )
 from micz_su11.quantum_numbers import HalfInt, MonopoleParams, make_sector
-from oracles import chi_dn_reference, kummer_rational
+from oracles import chi_dn_per_call, chi_dn_reference, kummer_rational
 
 H = HalfInt.parse
 
@@ -156,6 +158,50 @@ class TestHighLevels:
                 got = chi_dn(st, x, order)
                 err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
                 assert err <= self.BOUND, f"n = j+{i}, order {order}: {err:.2e}"
+
+
+class TestTowerSampler:
+    """The resumable sampler against one self-contained chi_dn call per (level, order).
+
+    Every level n = j+1 ... j+60 of a tower, orders 0-4, on one window that
+    holds the top level; the levels are visited ascending (every sweep only
+    resumes), descending and shuffled (sweeps restart from order 0).  The
+    values must be equal bit for bit.
+    """
+
+    NODES = 96
+    VISITS = ("ascending", "descending", "shuffled")
+
+    @pytest.mark.parametrize("name", sorted(TestHighLevels.SECTORS))
+    def test_equals_per_call_chi_dn(self, name):
+        s, c1, c2, m, j = TestHighLevels.SECTORS[name]
+        sec = make_sector(MonopoleParams(H(s), c1, c2), H(m), H(j))
+        states = [radial_state(sec, sec.j + i) for i in range(1, 61)]
+        x = (10.0 + 4.0 * states[-1].level.K) * np.arange(1, self.NODES + 1) / self.NODES
+        refs = [[chi_dn_per_call(st, x, order) for order in range(5)] for st in states]
+        assert all(np.all(np.isfinite(ref)) for level in refs for ref in level)
+        for visit in self.VISITS:
+            order = list(range(len(states)))
+            if visit == "descending":
+                order.reverse()
+            elif visit == "shuffled":
+                random.Random(7).shuffle(order)
+            sampler = TowerSampler(sec, x)
+            for i in order:
+                st = states[i]
+                assert np.array_equal(sampler.chi(st), refs[i][0]), (visit, i)
+                for d in range(5):
+                    assert np.array_equal(sampler.chi_dn(st, d), refs[i][d]), (visit, i, d)
+
+    def test_rejects_state_of_another_sector(self, hydrogen, shifted):
+        sampler = TowerSampler(hydrogen, np.linspace(0.1, 5.0, 8))
+        with pytest.raises(ValueError, match="another sector"):
+            sampler.chi_dn(radial_state(shifted, H("3/2")), 1)
+
+    def test_negative_order_rejected(self, hydrogen):
+        sampler = TowerSampler(hydrogen, np.linspace(0.1, 5.0, 8))
+        with pytest.raises(ValueError, match="non-negative"):
+            sampler.chi_dn(radial_state(hydrogen, H("2")), -1)
 
 
 class TestRadialOde:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import pytest
 from oracles import eig_oracle_full_sweep
@@ -143,6 +144,24 @@ class TestEigenfunction:
         assert max(values) < 10.0
 
 
+    def test_overflowing_polynomial_exit_2_without_warnings(self, capsys):
+        # F(-249, 2; 2x) passes 1e308 in the tail of the window x <= 1010
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "250"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: at n=250 F(-k, b; 2x)") and "overflows on the window" in err
+
+    def test_n_150_still_finite(self, capsys):
+        code, out, _ = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "150"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 512
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 class TestVerifyAlgebra:
     def test_default_run_passes(self, capsys):
         code, out, _ = run(capsys, ["verify-algebra"])
@@ -247,6 +266,14 @@ class TestVerifyStates:
         assert err.count("\n") == 1
         assert err.startswith("error:") and field in err
 
+    def test_grid_where_chi_underflows_exit_2(self, capsys):
+        code, out, err = run(capsys, ["verify-states", "--s", "0", "--m", "0", "--j", "0",
+                                      "--nmax", "3", "--rmax", "1e-300"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: chi at n=1 has zero norm") and "--rmax" in err
+
     @pytest.mark.parametrize("bad", ["0", "-1e-8"])
     def test_non_positive_tol_exit_2(self, capsys, bad):
         code, out, err = run(capsys, ["verify-states", "--s", "0", "--m", "0", "--j", "0",
@@ -319,6 +346,14 @@ class TestOracle:
         assert out == ""
         assert err.count("\n") == 1
         assert "rmax=100.0 cannot hold the level at K=1e+150" in err
+
+    def test_spacing_that_squares_to_zero_exit_2(self, capsys):
+        code, out, err = run(capsys, ["oracle", "--s", "0", "--m", "0", "--j", "0", "--nmax", "3",
+                                      "--rmax", "1e-300"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "squares to zero" in err and "--rmax" in err
 
     @pytest.mark.parametrize(
         "argv, fmt",

@@ -19,14 +19,16 @@ from oracles import (
 )
 
 from micz_su11 import numeric_verify, operator_algebra
-from micz_su11.analytic_states import chi, chi_dn, radial_state
+from micz_su11.analytic_states import TowerSampler, chi, chi_dn, radial_state
 from micz_su11.numeric_verify import (
     ConvergenceFailure,
     GridFunction,
     GridTooCoarse,
+    GridUnderflow,
     RadialGrid,
     _bisect_eigenvalue,
     _state_and_samples,
+    _tower_sampler,
     _sturm_count,
     _suffix_min,
     apply_operator,
@@ -41,6 +43,7 @@ from micz_su11.numeric_verify import (
     verify_states_suite,
 )
 from micz_su11.operator_algebra import build_Ln, build_T3, build_Tpm, substitute
+from micz_su11.special_functions import KummerSweep
 from micz_su11.quantum_numbers import (
     HalfInt,
     InvalidLevel,
@@ -403,6 +406,11 @@ class TestSpectrumCrossCheck:
         with pytest.raises(InvalidQuantumNumbers):
             spectrum_cross_check(params, H("0"), H("0"), 1, RadialGrid(60.0, 1000))
 
+    def test_spacing_that_squares_to_zero_rejected(self):
+        params = MonopoleParams(H("0"), 0.0, 0.0)
+        with pytest.raises(GridUnderflow, match="squares to zero"):
+            spectrum_cross_check(params, H("0"), H("0"), 3, RadialGrid(1e-300, 6000))
+
     def test_details_carry_K_and_analytic_energy(self, shifted):
         grid = RadialGrid(150.0, 6000)
         reports = spectrum_cross_check(shifted.params, shifted.m, shifted.j, 2, grid)
@@ -499,17 +507,39 @@ class TestSampleCache:
 
     def test_each_level_and_order_sampled_once(self, hydrogen, monkeypatch):
         calls = Counter()
+        sample = TowerSampler.chi_dn
 
-        def counting(state, x, order):
+        def counting(sampler, state, order):
             calls[state.level.n, order] += 1
-            return chi_dn(state, x, order)
+            return sample(sampler, state, order)
 
         _state_and_samples.cache_clear()
-        monkeypatch.setattr(numeric_verify, "chi_dn", counting)
+        monkeypatch.setattr(TowerSampler, "chi_dn", counting)
         self._suite(hydrogen)
         assert calls
         assert max(calls.values()) == 1
         assert {order for _, order in calls} == {1, 2, 3, 4}
+
+    def test_ascending_suite_starts_each_sweep_once(self, hydrogen, shifted, monkeypatch):
+        starts = Counter()
+        restart = KummerSweep.restart
+
+        def counting(sweep):
+            starts[sweep.b] += 1
+            restart(sweep)
+
+        _state_and_samples.cache_clear()
+        _tower_sampler.cache_clear()
+        monkeypatch.setattr(KummerSweep, "restart", counting)
+        for sector in (hydrogen, shifted):
+            verify_states_suite(sector.params, sector.m, sector.j, nlevels=10)
+        b = [2.0 * sector.bigJ + 2.0 + l for sector in (hydrogen, shifted) for l in range(5)]
+        assert starts == Counter(b)
+
+    def test_chi_that_underflows_on_the_grid_rejected(self, hydrogen):
+        with pytest.raises(GridUnderflow, match="n=1 has zero norm"):
+            verify_states_suite(hydrogen.params, hydrogen.m, hydrogen.j, nlevels=3,
+                                grid=RadialGrid(1e-300, 4000))
 
     def test_second_suite_composes_nothing(self, hydrogen, monkeypatch):
         self._suite(hydrogen)

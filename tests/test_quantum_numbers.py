@@ -51,6 +51,13 @@ class TestHalfInt:
         assert (x < y) == (a < b)
         assert abs(x).twice_value == abs(a)
 
+    @given(st.one_of(st.integers(-50, 50), st.integers(-(2**200), 2**200)))
+    def test_hash_is_that_of_the_fraction(self, twice):
+        x = HalfInt(twice)
+        assert hash(x) == hash(x.as_fraction())
+        if twice % 2 == 0:
+            assert hash(x) == hash(twice // 2)
+
     def test_int_mixing(self):
         assert H("1/2") + 1 == H("3/2")
         assert H("3/2") - 1 == H("1/2")
