@@ -24,12 +24,10 @@ from .special_functions import (
     DegreeCapExceeded,
     JacobiParams,
     KummerParams,
-    KummerSweep,
     ParamOutOfRange,
     jacobi,
     jacobi_deriv,
     kummer_deriv,
-    kummer_deriv_scale,
     kummer_terminating,
 )
 from .operator_algebra import (
@@ -57,7 +55,6 @@ from .analytic_states import (
     AngularState,
     DomainError,
     RadialState,
-    TowerSampler,
     angular_Z,
     angular_residual,
     angular_state,

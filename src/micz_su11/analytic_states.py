@@ -5,12 +5,13 @@ reads chi(x) = (2x)^(J+1) e^(-x) F(j+1-n, 2J+2; 2x).  That form contains no
 K, so every level of a j tower lives on one common x axis and the ladder
 checks can compare levels pointwise.  The polynomial factor and its
 derivatives are evaluated in float only through the Kummer recurrence
-(`kummer_terminating`, `kummer_deriv`, `KummerSweep`); the exact rational
+(`KummerSweep`, which `kummer_terminating` runs once); the exact rational
 coefficients are kept as a reference.
 
-`chi` and `chi_dn` sample one level at any x; `TowerSampler` samples every
-level of one tower on one fixed x, resuming its Kummer sweeps from level to
-level, with the same values bit for bit.
+`TowerSampler` samples chi and its derivatives for every level of one tower
+on one fixed x, resuming its Kummer sweeps from level to level; `chi` and
+`chi_dn` are one call to a sampler of their own, so there is one float
+evaluation of chi and one product-rule body for its derivatives.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from .special_functions import (
     jacobi,
     jacobi_deriv,
     KummerSweep,
-    kummer_deriv,
-    kummer_deriv_scale,
+    _kummer_deriv_scale,
     kummer_terminating,
 )
 
@@ -81,73 +81,20 @@ def radial_state(sector: SectorLabels, n: HalfInt | int) -> RadialState:
     )
 
 
-def chi(state: RadialState, x):
-    """chi_{n,j} at x > 0 (scalar or array)."""
-    arr, scalar = _as_array(x, "x")
-    val = (2.0 * arr) ** state.exponent * np.exp(-arr) * kummer_terminating(state.kummer, 2.0 * arr)
-    return float(val) if scalar else val
-
-
-def _product_rule(arr, alpha: float, expf, xpow, dpoly, order: int):
-    """d^order/dx^order of 2^alpha x^alpha e^(-x) P(x) by the three-factor product rule.
-
-    `expf` is e^(-x), `xpow(i)` gives x^(alpha-i) and `dpoly[l]` gives
-    P^(l)(x); the P^(l) that vanish identically (l > k) are absent.
-    """
-    pref = 2.0**alpha
-    total = np.zeros_like(arr)
-    for i in range(order + 1):
-        fall = 1.0
-        for t in range(i):
-            fall *= alpha - t
-        if fall == 0.0:
-            continue
-        xp = xpow(i)
-        for jj in range(order - i + 1):
-            l = order - i - jj
-            if l >= len(dpoly):
-                continue
-            mult = math.factorial(order) // (
-                math.factorial(i) * math.factorial(jj) * math.factorial(l)
-            )
-            sgn = -1.0 if jj % 2 else 1.0
-            total += mult * fall * sgn * xp * dpoly[l]
-    return pref * expf * total
-
-
-def chi_dn(state: RadialState, x, order: int):
-    """Exact order-th derivative of chi via the three-factor product rule.
-
-    chi = 2^alpha * x^alpha * e^(-x) * P(x) with alpha = J+1, so the
-    derivative is a finite multinomial sum; no finite differences anywhere.
-    Each P^(l)(x) = 2^l F^(l)(-k, b; 2x) is evaluated once per call.
-    """
-    if order < 0:
-        raise ValueError("derivative order must be non-negative")
-    if order == 0:
-        return chi(state, x)
-    arr, scalar = _as_array(x, "x")
-    z = 2.0 * arr
-    dpoly = [2.0**l * kummer_deriv(state.kummer, z, l) for l in range(min(order, state.kummer.k) + 1)]
-    alpha = state.exponent
-    val = _product_rule(arr, alpha, np.exp(-arr), lambda i: arr ** (alpha - i), dpoly, order)
-    return float(val) if scalar else val
-
-
 class TowerSampler:
-    """chi and its derivatives for every level of one j tower on one fixed x array.
+    """chi and its derivatives for every level of one j tower on one fixed x.
 
     Derivative order l of level k needs F(-(k-l), b+l; 2x), and the
     recurrence in the order does not depend on k.  So the sampler keeps one
     `KummerSweep` per shift l, which resumes when a higher level is asked
     for and restarts when a lower one is: an ascending walk over the tower
     runs each sweep once.  It also keeps 2x, e^(-x) and the powers
-    x^(alpha-i) it has used.  Values equal those of `chi` and `chi_dn` bit
-    for bit.
+    x^(alpha-i) it has used.  A sweep's rows do not depend on where it
+    resumed from, so a value does not depend on the levels asked for before.
     """
 
     def __init__(self, sector: SectorLabels, x):
-        self.x, _ = _as_array(x, "x")
+        self.x, self.scalar = _as_array(x, "x")
         self.sector = sector
         self.alpha = sector.bigJ + 1.0
         self.z = 2.0 * self.x
@@ -172,21 +119,60 @@ class TowerSampler:
             raise ValueError("state belongs to another sector than the sampler")
 
     def chi(self, state: RadialState):
-        """chi of `state` on the sampler's x, as `chi(state, x)` computes it."""
+        """chi of `state` on the sampler's x."""
         self._check(state)
         return self.z**self.alpha * self.expf * self._row(state.kummer, 0)
 
     def chi_dn(self, state: RadialState, order: int):
-        """The order-th derivative of chi on the sampler's x, as `chi_dn` computes it."""
+        """Exact order-th derivative of chi via the three-factor product rule.
+
+        chi = 2^alpha * x^alpha * e^(-x) * P(x) with alpha = J+1, so the
+        derivative is a finite multinomial sum; no finite differences
+        anywhere.  Each P^(l)(x) = 2^l F^(l)(-k, b; 2x) that does not vanish
+        identically (l <= k) is taken once from the sweep of shift l.
+        """
         if order < 0:
             raise ValueError("derivative order must be non-negative")
         if order == 0:
             return self.chi(state)
         self._check(state)
         p = state.kummer
-        dpoly = [2.0**l * (kummer_deriv_scale(p, l) * self._row(p, l))
+        dpoly = [2.0**l * (_kummer_deriv_scale(p, l) * self._row(p, l))
                  for l in range(min(order, p.k) + 1)]
-        return _product_rule(self.x, self.alpha, self.expf, self._xpow_at, dpoly, order)
+        alpha = self.alpha
+        pref = 2.0**alpha
+        total = np.zeros_like(self.x)
+        for i in range(order + 1):
+            fall = 1.0
+            for t in range(i):
+                fall *= alpha - t
+            if fall == 0.0:
+                continue
+            xp = self._xpow_at(i)
+            for jj in range(order - i + 1):
+                l = order - i - jj
+                if l >= len(dpoly):
+                    continue
+                mult = math.factorial(order) // (
+                    math.factorial(i) * math.factorial(jj) * math.factorial(l)
+                )
+                sgn = -1.0 if jj % 2 else 1.0
+                total += mult * fall * sgn * xp * dpoly[l]
+        return pref * self.expf * total
+
+
+def chi(state: RadialState, x):
+    """chi_{n,j} at x > 0 (scalar or array)."""
+    sampler = TowerSampler(state.sector, x)
+    val = sampler.chi(state)
+    return float(val) if sampler.scalar else val
+
+
+def chi_dn(state: RadialState, x, order: int):
+    """The order-th derivative of chi at x > 0: `TowerSampler.chi_dn` on a sampler of its own."""
+    sampler = TowerSampler(state.sector, x)
+    val = sampler.chi_dn(state, order)
+    return float(val) if sampler.scalar else val
 
 
 def chi_d1(state: RadialState, x):

@@ -18,12 +18,11 @@ bit-for-bit the same.
 The grid checks reuse work in process-wide caches:
 
 - the su(1,1) generators and their products come from
-  `operator_algebra.generator_table()`, composed once per process;
-  `_generator(name, J, K)` substitutes (J, K) into one of them once per
-  (name, J, K) (GENERATOR_CACHE = 32 entries, 9 names at each of two
-  neighbouring levels), and `_node_power(grid, xp)` holds x^xp on the grid
-  nodes for `apply_operator` (NODE_POWER_CACHE = 6 arrays; the generators
-  use xp in {-2, -1, 1, 2});
+  `operator_algebra.generator_table()`, composed once per process; each
+  check only `substitute`s (J, K) into them;
+- `_node_power(grid, xp)` holds x^xp on the grid nodes for
+  `apply_operator` (NODE_POWER_CACHE = 6 arrays; the generators use xp in
+  {-2, -1, 1, 2});
 - `_tower_sampler(sector, grid)` keeps one `analytic_states.TowerSampler`
   (the last (sector, grid) asked for).  It holds 2x, e^(-x), up to five
   powers x^(J+1-i) and, for each derivative order l <= 4, the last two rows
@@ -38,6 +37,11 @@ The grid checks reuse work in process-wide caches:
 
 Together that is at most 43 arrays of npoints x 8 B (1.4 MB at the default
 4000 points).  Every array the caches hand out is read-only.
+
+The caches are not thread-safe.  The cached sampler's sweeps advance in
+place, so two threads that sample one (sector, grid) at once can mix their
+rows and get wrong values with no error.  Run concurrent suites in separate
+processes.
 """
 
 from __future__ import annotations
@@ -70,8 +74,6 @@ STURM_TAIL_MARGIN = 1e-12
 SAMPLE_CACHE_LEVELS = 4
 # x^xp per (grid, xp): the generators use xp in {-2, -1, 1, 2}
 NODE_POWER_CACHE = 6
-# substituted generators per (name, J, K): 9 names for each of levels n and n+1
-GENERATOR_CACHE = 32
 
 DEFAULT_TOLERANCES = {
     "angular_residual": 1e-9,
@@ -381,12 +383,6 @@ def _state_and_samples(sector: SectorLabels, n: HalfInt, grid: RadialGrid):
     return state, f, derivs
 
 
-@lru_cache(maxsize=GENERATOR_CACHE)
-def _generator(name: str, J: float, K: float) -> NumericOperator:
-    """`generator_table()[name]` at (J, K)."""
-    return substitute(generator_table()[name], J, K)
-
-
 def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
     """Similarity of T_pm chi_n against chi_{n+-1}; annihilation at the bottom.
 
@@ -398,7 +394,7 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
     t0 = time.perf_counter()
     n = _as_halfint(n)
     state, f, derivs = _state_and_samples(sector, n, grid)
-    numop = _generator("T+" if sign == 1 else "T-", sector.bigJ, state.level.K)
+    numop = substitute(generator_table()["T+" if sign == 1 else "T-"], sector.bigJ, state.level.K)
     y = apply_operator(numop, f, derivatives=derivs)
     bottom = n - sector.j == 1
     inputs = _sector_inputs(sector, grid, n)
@@ -422,7 +418,8 @@ def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None 
     K = state.level.K
     J = sector.bigJ
     fnorm = f.norm()
-    y = apply_operator(_generator("T3", J, K), f, derivatives=derivs)
+    gen = generator_table()
+    y = apply_operator(substitute(gen["T3"], J, K), f, derivatives=derivs)
     r_main = GridFunction(grid, y.values - K * f.values).norm() / fnorm
     details = {"measured_eigenvalue": y.inner(f) / f.inner(f)}
     residual = r_main
@@ -430,8 +427,8 @@ def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None 
     for sign, tag, tpm in ((1, "raised", "T+"), (-1, "lowered", "T-")):
         if sign == -1 and bottom:
             continue
-        z = apply_operator(_generator(tpm, J, K), f, derivatives=derivs)
-        w = apply_operator(_generator("T3 " + tpm, J, K), f, derivatives=derivs)
+        z = apply_operator(substitute(gen[tpm], J, K), f, derivatives=derivs)
+        w = apply_operator(substitute(gen["T3 " + tpm], J, K), f, derivatives=derivs)
         znorm = z.norm()
         r_shift = GridFunction(grid, w.values - (K + sign) * z.values).norm() / znorm
         details[f"{tag}_eigenvalue"] = w.inner(z) / z.inner(z)
@@ -444,10 +441,11 @@ def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | Non
     t0 = time.perf_counter()
     n = _as_halfint(n)
     J = sector.bigJ
+    t3 = generator_table()["T3"]
     measured = []
     for level_n in (n, n + 1):
         state, f, derivs = _state_and_samples(sector, level_n, grid)
-        y = apply_operator(_generator("T3", J, state.level.K), f, derivatives=derivs)
+        y = apply_operator(substitute(t3, J, state.level.K), f, derivatives=derivs)
         measured.append(y.inner(f) / f.inner(f))
     spacing = measured[1] - measured[0]
     return _report(
@@ -474,10 +472,11 @@ def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None =
     K = state.level.K
     fnorm = f.norm()
     target = sector.sep_const * f.values
-    t3f = apply_operator(_generator("T3", J, K), f, derivatives=derivs).values
-    t3sq = apply_operator(_generator("T3 T3", J, K), f, derivatives=derivs).values
-    pm = apply_operator(_generator("T+ T-", J, K), f, derivatives=derivs).values
-    mp = apply_operator(_generator("T- T+", J, K), f, derivatives=derivs).values
+    gen = generator_table()
+    t3f = apply_operator(substitute(gen["T3"], J, K), f, derivatives=derivs).values
+    t3sq = apply_operator(substitute(gen["T3 T3"], J, K), f, derivatives=derivs).values
+    pm = apply_operator(substitute(gen["T+ T-"], J, K), f, derivatives=derivs).values
+    mp = apply_operator(substitute(gen["T- T+"], J, K), f, derivatives=derivs).values
     res_direct = GridFunction(grid, -pm + t3sq - t3f - target).norm() / fnorm
     res_mirror = GridFunction(grid, -mp + t3sq + t3f - target).norm() / fnorm
     details = {"direct": float(res_direct), "mirror": float(res_mirror)}
@@ -502,7 +501,7 @@ def radial_equation_check(
     t0 = time.perf_counter()
     n = _as_halfint(n)
     state, f, derivs = _state_and_samples(sector, n, grid)
-    numop = _generator("Ln", sector.bigJ, state.level.K)
+    numop = substitute(generator_table()["Ln"], sector.bigJ, state.level.K)
     y = apply_operator(numop, f, derivatives=derivs)
     resid = y.values + sector.sep_const * f.values
     x = grid.nodes

@@ -126,7 +126,7 @@ class KummerSweep:
         return cur
 
 
-def kummer_deriv_scale(p: KummerParams, order: int) -> float:
+def _kummer_deriv_scale(p: KummerParams, order: int) -> float:
     """(-k)_l/(b)_l for l = order, accumulated factor by factor."""
     scale = 1.0
     for i in range(order):
@@ -140,4 +140,4 @@ def kummer_deriv(p: KummerParams, z, order: int):
         raise ValueError("derivative order must be non-negative")
     if order > p.k:
         return np.zeros_like(z, dtype=float) if isinstance(z, np.ndarray) else 0.0
-    return kummer_deriv_scale(p, order) * kummer_terminating(KummerParams(p.k - order, p.bparam + order), z)
+    return _kummer_deriv_scale(p, order) * kummer_terminating(KummerParams(p.k - order, p.bparam + order), z)
