@@ -3,87 +3,116 @@
 Subpackages: exact quantum-number bookkeeping, Jacobi/Kummer special
 functions, an exact differential-operator algebra kernel, closed-form
 eigenfunctions, and an independent finite-difference eigensolver oracle.
+
+Exports are resolved lazily (PEP 562), so `import micz_su11` loads no
+submodule and no numpy.  `_EXPORTS` maps each defining module to the names
+the package re-exports from it; the first access to a name imports that
+module, and the object is then cached in this module's globals, so
+`micz_su11.X is micz_su11.<module>.X` and later lookups cost nothing.  The
+submodules themselves (`micz_su11.numeric_verify`, ...) are attributes too.
+Only `special_functions`, `analytic_states` and `numeric_verify` import numpy.
 """
 
-from .quantum_numbers import (
-    HalfInt,
-    InvalidLevel,
-    InvalidQuantumNumbers,
-    IrrepLabels,
-    LevelLabels,
-    MonopoleParams,
-    SectorLabels,
-    energy,
-    irrep_labels,
-    iter_valid_j,
-    levels,
-    m_plus,
-    make_sector,
-)
-from .special_functions import (
-    DegreeCapExceeded,
-    JacobiParams,
-    KummerParams,
-    ParamOutOfRange,
-    jacobi,
-    jacobi_deriv,
-    kummer_deriv,
-    kummer_terminating,
-)
-from .operator_algebra import (
-    FactorizationSolution,
-    NoFactorization,
-    NormalOrderedOperator,
-    NumericOperator,
-    ParamPoly,
-    build_Ln,
-    build_T3,
-    build_Tpm,
-    build_Tpm_n,
-    casimir,
-    commutator,
-    compose,
-    extra_identity_checks,
-    generator_table,
-    identity_suite,
-    monomial_action,
-    replace_K,
-    solve_schrodinger_ansatz,
-    substitute,
-)
-from .analytic_states import (
-    AngularState,
-    DomainError,
-    RadialState,
-    angular_Z,
-    angular_residual,
-    angular_state,
-    chi,
-    chi_d1,
-    chi_d2,
-    chi_dn,
-    default_angular_mesh,
-    radial_R,
-    radial_state,
-)
-from .numeric_verify import (
-    ConvergenceFailure,
-    GridFunction,
-    GridTooCoarse,
-    GridUnderflow,
-    RadialGrid,
-    VerificationReport,
-    apply_operator,
-    eig_oracle,
-    ladder_check,
-    casimir_check,
-    radial_equation_check,
-    angular_residual_check,
-    oracle_reports,
-    spectrum_cross_check,
-    t3_eigen_check,
-    t3_spacing_check,
-    verify_states_suite,
-)
+import importlib
 
+_EXPORTS = {
+    "quantum_numbers": (
+        "ConvergenceFailure",
+        "GridUnderflow",
+        "HalfInt",
+        "InvalidLevel",
+        "InvalidQuantumNumbers",
+        "IrrepLabels",
+        "LevelLabels",
+        "MonopoleParams",
+        "SectorLabels",
+        "energy",
+        "irrep_labels",
+        "iter_valid_j",
+        "levels",
+        "m_plus",
+        "make_sector",
+    ),
+    "special_functions": (
+        "DegreeCapExceeded",
+        "JacobiParams",
+        "KummerParams",
+        "ParamOutOfRange",
+        "jacobi",
+        "jacobi_deriv",
+        "kummer_deriv",
+        "kummer_terminating",
+    ),
+    "operator_algebra": (
+        "FactorizationSolution",
+        "NoFactorization",
+        "NormalOrderedOperator",
+        "NumericOperator",
+        "ParamPoly",
+        "build_Ln",
+        "build_T3",
+        "build_Tpm",
+        "build_Tpm_n",
+        "casimir",
+        "commutator",
+        "compose",
+        "extra_identity_checks",
+        "generator_table",
+        "identity_suite",
+        "monomial_action",
+        "replace_K",
+        "solve_schrodinger_ansatz",
+        "substitute",
+    ),
+    "analytic_states": (
+        "AngularState",
+        "DomainError",
+        "RadialState",
+        "angular_Z",
+        "angular_residual",
+        "angular_state",
+        "chi",
+        "chi_d1",
+        "chi_d2",
+        "chi_dn",
+        "default_angular_mesh",
+        "radial_R",
+        "radial_state",
+    ),
+    "numeric_verify": (
+        "GridFunction",
+        "GridTooCoarse",
+        "RadialGrid",
+        "VerificationReport",
+        "apply_operator",
+        "eig_oracle",
+        "ladder_check",
+        "casimir_check",
+        "radial_equation_check",
+        "angular_residual_check",
+        "oracle_reports",
+        "spectrum_cross_check",
+        "t3_eigen_check",
+        "t3_spacing_check",
+        "verify_states_suite",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

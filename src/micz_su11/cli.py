@@ -3,6 +3,9 @@
 Exit codes: 0 all pass, 1 verification failure, 2 usage or validation error.
 Output is deterministic: floats are printed with 17 significant digits, CSV
 uses LF line endings, JSON documents carry the "su11-micz/1" schema key.
+
+Each command imports the modules it needs when it runs, so `spectrum` and
+`verify-algebra`, whose results are exact or closed-form, start without numpy.
 """
 
 from __future__ import annotations
@@ -15,40 +18,17 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .analytic_states import (
-    angular_Z,
-    angular_state,
-    chi,
-    chi_d1,
-    chi_d2,
-    radial_state,
-)
-from .numeric_verify import (
+from .quantum_numbers import (
     ConvergenceFailure,
     GridUnderflow,
-    RadialGrid,
-    oracle_reports,
-    spectrum_cross_check,
-    verify_states_suite,
-)
-from .operator_algebra import (
-    NormalOrderedOperator,
-    extra_identity_checks,
-    identity_suite,
-    monomial_action,
-    build_T3,
-)
-from .quantum_numbers import (
     HalfInt,
     InvalidLevel,
     InvalidQuantumNumbers,
     MonopoleParams,
+    SectorLabels,
     levels,
     make_sector,
 )
-from .special_functions import kummer_terminating
 
 SCHEMA = "su11-micz/1"
 EXIT_OK = 0
@@ -111,13 +91,14 @@ def _check_positive(flag: str, value: float) -> None:
         raise ValueError(f"{flag} must be positive and finite, got {value}")
 
 
-def _sector_config(args) -> dict:
+def _sector_config(sector: SectorLabels) -> dict:
+    params = sector.params
     return {
-        "s": str(args.s),
-        "c1": args.c1,
-        "c2": args.c2,
-        "m": str(args.m),
-        "j": str(args.j),
+        "s": str(params.s),
+        "c1": params.c1,
+        "c2": params.c2,
+        "m": str(sector.m),
+        "j": str(sector.j),
     }
 
 
@@ -135,12 +116,17 @@ def cmd_spectrum(args) -> int:
          level.K, level.energy]
         for level in levels(sector, args.nmax)
     ]
-    config = {"command": "spectrum", **_sector_config(args), "nmax": args.nmax}
+    config = {"command": "spectrum", **_sector_config(sector), "nmax": args.nmax}
     _write_document(args, config, header, rows)
     return EXIT_OK
 
 
 def cmd_eigenfunction(args) -> int:
+    import numpy as np
+
+    from .analytic_states import angular_Z, angular_state, chi, chi_d1, chi_d2, radial_state
+    from .special_functions import kummer_terminating
+
     if args.npoints < 1:
         raise ValueError(f"--npoints must be positive, got {args.npoints}")
     sector = make_sector(MonopoleParams(args.s, args.c1, args.c2), args.m, args.j)
@@ -162,23 +148,32 @@ def cmd_eigenfunction(args) -> int:
                 raise ValueError(f"at n={args.n} {what} on the window 0 < x <= {xmax:g}")
         header = ["x", "chi", "chi_d1", "chi_d2"]
         rows = list(zip(xs, *cols))
-        config = {"command": "eigenfunction", "kind": "radial", **_sector_config(args),
+        config = {"command": "eigenfunction", "kind": "radial", **_sector_config(sector),
                   "n": str(args.n), "rmax": xmax, "npoints": args.npoints}
     else:
         if not math.isfinite(args.phi):
             raise ValueError(f"--phi must be finite, got {args.phi}")
+        phi = 0.0 if args.phi == 0.0 else args.phi  # -0.0 is +0.0, so no document echoes -0
         state = angular_state(sector)
         thetas = math.pi * np.arange(1, args.npoints + 1) / (args.npoints + 1.0)
-        z = angular_Z(state, thetas, args.phi)
+        z = angular_Z(state, thetas, phi)
         header = ["theta", "re_z", "im_z"]
         rows = list(zip(thetas, z.real, z.imag))
-        config = {"command": "eigenfunction", "kind": "angular", **_sector_config(args),
-                  "phi": args.phi, "npoints": args.npoints}
+        config = {"command": "eigenfunction", "kind": "angular", **_sector_config(sector),
+                  "phi": phi, "npoints": args.npoints}
     _write_document(args, config, header, [[float(v) for v in row] for row in rows])
     return EXIT_OK
 
 
 def cmd_verify_algebra(args) -> int:
+    from .operator_algebra import (
+        NormalOrderedOperator,
+        build_T3,
+        extra_identity_checks,
+        identity_suite,
+        monomial_action,
+    )
+
     kmax = args.deg_check_max
     if kmax < -4:
         raise ValueError(f"--deg-check-max must be at least -4, got {kmax}")
@@ -221,6 +216,8 @@ def cmd_verify_algebra(args) -> int:
 
 
 def cmd_verify_states(args) -> int:
+    from .numeric_verify import RadialGrid, verify_states_suite
+
     params = MonopoleParams(args.s, args.c1, args.c2)
     sector = make_sector(params, args.m, args.j)
     if args.nmax < 1:
@@ -239,7 +236,7 @@ def cmd_verify_states(args) -> int:
     n_fail = sum(1 for r in reports if not r.passed)
     print(f"{len(reports) - n_fail}/{len(reports)} checks PASS")
     if args.out or args.format == "csv":
-        config = {"command": "verify-states", **_sector_config(args), "nmax": args.nmax,
+        config = {"command": "verify-states", **_sector_config(sector), "nmax": args.nmax,
                   "rmax": grid.rmax if grid else None, "npoints": grid.npoints if grid else None,
                   "tol": args.tol}
         rows = [[r.check_name, r.inputs.get("n", ""), r.residual, r.tolerance, r.passed, r.runtime_ms]
@@ -250,13 +247,15 @@ def cmd_verify_states(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .numeric_verify import RadialGrid, oracle_reports, spectrum_cross_check
+
     if args.nmax < 1:
         raise InvalidLevel(f"--nmax must be at least 1, got {args.nmax}")
     _check_positive("--tol", args.tol)
     if args.bigJ is not None:
         if not (math.isfinite(args.bigJ) and args.bigJ >= 0):
             raise InvalidQuantumNumbers(f"--bigJ must be non-negative and finite, got {args.bigJ}")
-        J = args.bigJ
+        J = 0.0 if args.bigJ == 0.0 else args.bigJ  # -0.0 is +0.0, so no document echoes -0
         ks = [J + 1.0 + i for i in range(args.nmax)]
         k_top = ks[-1]
         config = {"command": "oracle", "bigJ": J}
@@ -264,8 +263,9 @@ def cmd_oracle(args) -> int:
         if args.s is None or args.m is None or args.j is None:
             raise InvalidQuantumNumbers("oracle needs either --bigJ or the sector flags --s --m --j")
         params = MonopoleParams(args.s, args.c1, args.c2)
-        k_top = levels(make_sector(params, args.m, args.j), args.nmax)[-1].K
-        config = {"command": "oracle", **_sector_config(args)}
+        sector = make_sector(params, args.m, args.j)
+        k_top = levels(sector, args.nmax)[-1].K
+        config = {"command": "oracle", **_sector_config(sector)}
     if args.rmax is not None:
         rmax = args.rmax
     else:

@@ -65,7 +65,15 @@ from .analytic_states import (
     radial_state,
 )
 from .operator_algebra import NumericOperator, generator_table, substitute
-from .quantum_numbers import HalfInt, MonopoleParams, SectorLabels, make_sector, levels as sector_levels
+from .quantum_numbers import (
+    ConvergenceFailure,
+    GridUnderflow,
+    HalfInt,
+    MonopoleParams,
+    SectorLabels,
+    make_sector,
+    levels as sector_levels,
+)
 
 MIN_NODES_PER_WAVELENGTH = 8
 # relative margin of the early-stop bound in `_sturm_count`; any value far
@@ -88,16 +96,8 @@ DEFAULT_TOLERANCES = {
 }
 
 
-class ConvergenceFailure(RuntimeError):
-    """Sturm bisection could not isolate an eigenvalue."""
-
-
 class GridTooCoarse(ValueError):
     """Fewer than the required nodes per expected wavelength."""
-
-
-class GridUnderflow(ValueError):
-    """The grid is too small for floats: h^2 or the norm of a sampled state is zero."""
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,22 @@ class InvalidLevel(ValueError):
     """Raised when a principal quantum number n does not belong to the sector."""
 
 
+# The two numeric failures the CLI reports; they live here, next to the other
+# error classes, so that catching them needs no numpy.  `numeric_verify`
+# raises and re-exports them.
+
+class ConvergenceFailure(RuntimeError):
+    """Sturm bisection could not isolate an eigenvalue."""
+
+
+class GridUnderflow(ValueError):
+    """The grid is too small for floats: h^2 or the norm of a sampled state is zero."""
+
+
+# the inverse of 2 modulo the hash modulus: hash(t/2) = hash(t) * _HASH_HALF
+_HASH_HALF = pow(2, -1, sys.hash_info.modulus)
+
+
 @dataclass(frozen=True)
 class HalfInt:
     """Exact integer or half-integer, stored as twice its value."""
@@ -79,9 +95,13 @@ class HalfInt:
         return self.twice_value == o.twice_value
 
     def __hash__(self) -> int:
-        # equal to hash(self.as_fraction()); integers skip building the Fraction
+        # equal to hash(self.as_fraction()), by Python's rule for rationals,
+        # without building the Fraction
         t = self.twice_value
-        return hash(self.as_fraction()) if t & 1 else hash(t >> 1)
+        if not t & 1:
+            return hash(t >> 1)
+        h = hash(hash(abs(t)) * _HASH_HALF)
+        return h if t > 0 else -h  # Python turns a returned -1 into -2, as for Fraction
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -133,6 +153,8 @@ class MonopoleParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InvalidQuantumNumbers(f"coupling {name} must be finite, got {value}")
+            if value == 0.0:
+                object.__setattr__(self, name, 0.0)  # -0.0 is +0.0, so no document echoes -0
         if self.c1 < 0 or self.c2 < 0:
             raise InvalidQuantumNumbers(
                 f"couplings must be non-negative, got c1={self.c1}, c2={self.c2}"

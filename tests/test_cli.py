@@ -272,7 +272,7 @@ class TestVerifyStates:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
-        assert err.startswith("error: chi at n=1 has zero norm") and "--rmax" in err
+        assert err.startswith("error: chi at n=1 has zero norm") and err.endswith("; choose another --rmax\n")
 
     @pytest.mark.parametrize("bad", ["0", "-1e-8"])
     def test_non_positive_tol_exit_2(self, capsys, bad):
@@ -353,7 +353,7 @@ class TestOracle:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
-        assert "squares to zero" in err and "--rmax" in err
+        assert "squares to zero" in err and err.endswith("; choose another --rmax\n")
 
     @pytest.mark.parametrize(
         "argv, fmt",
@@ -463,6 +463,35 @@ def test_level_too_large_for_a_float_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: n is too large: n - j must not exceed 8.98847e+307\n"
+
+
+# a JSON or CSV number -0: not part of -0.5, 1e-05 or a label such as "-0/2"
+NEGATIVE_ZERO = re.compile(r"(?<![\w.])-0(?![\w./])")
+SIGNED_ZERO_CASES = {
+    "spectrum": (["spectrum", "--s", "0", "--m", "0", "--j", "0", "--nmax", "1", "--c1", "-0.0",
+                  "--format", "json"], ['"c1": 0,']),
+    "eigenfunction": (["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--kind", "angular",
+                       "--phi", "-0.0", "--npoints", "4", "--format", "json"], ['"phi": 0,']),
+    "verify-states": (["verify-states", "--s", "0", "--m", "0", "--j", "0", "--nmax", "1", "--npoints", "800",
+                       "--c1", "-0.0", "--c2", "-0.0"], ['"c1": 0,', '"c2": 0,']),
+    "oracle": (["oracle", "--s", "0", "--m", "0", "--j", "0", "--nmax", "1", "--c2", "-0.0", "--rmax", "60",
+                "--npoints", "6000", "--format", "json"], ['"c2": 0,']),
+    "oracle-bigJ": (["oracle", "--bigJ", "-0.0", "--nmax", "1", "--rmax", "60", "--npoints", "6000",
+                     "--format", "json"], ['"bigJ": 0,']),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGNED_ZERO_CASES))
+def test_signed_zero_input_is_echoed_as_zero(capsys, tmp_path, case):
+    argv, echoes = SIGNED_ZERO_CASES[case]
+    out_path = tmp_path / "doc.json"
+    code, out, err = run(capsys, argv + ["--out", str(out_path)])
+    doc = out_path.read_text()
+    assert code == 0 and err == ""
+    assert not NEGATIVE_ZERO.search(out) and not NEGATIVE_ZERO.search(doc)
+    for echo in echoes:
+        # every echo of the flag, in config and in each report's inputs
+        assert doc.count(echo) == doc.count(echo.split(":")[0])
 
 
 class TestParser:

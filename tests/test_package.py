@@ -1,0 +1,113 @@
+"""The package namespace and the numpy-free start-up of the exact subcommands.
+
+`micz_su11` resolves its exports lazily, so `import micz_su11` and the
+`spectrum` and `verify-algebra` subcommands, whose results are exact or
+closed-form, must not load numpy.  The start-up tests run a fresh interpreter
+each, because this process has long imported numpy.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import micz_su11
+from micz_su11 import numeric_verify, quantum_numbers
+
+SRC = Path(micz_su11.__file__).resolve().parent.parent
+GOLDEN = Path(__file__).parent / "golden"
+
+# every name `micz_su11` exported when its __init__ imported all five modules
+EXPORTED = """
+    HalfInt InvalidLevel InvalidQuantumNumbers IrrepLabels LevelLabels MonopoleParams SectorLabels energy
+    irrep_labels iter_valid_j levels m_plus make_sector
+    DegreeCapExceeded JacobiParams KummerParams ParamOutOfRange jacobi jacobi_deriv kummer_deriv
+    kummer_terminating
+    FactorizationSolution NoFactorization NormalOrderedOperator NumericOperator ParamPoly build_Ln build_T3
+    build_Tpm build_Tpm_n casimir commutator compose extra_identity_checks generator_table identity_suite
+    monomial_action replace_K solve_schrodinger_ansatz substitute
+    AngularState DomainError RadialState angular_Z angular_residual angular_state chi chi_d1 chi_d2 chi_dn
+    default_angular_mesh radial_R radial_state
+    ConvergenceFailure GridFunction GridTooCoarse GridUnderflow RadialGrid VerificationReport apply_operator
+    eig_oracle ladder_check casimir_check radial_equation_check angular_residual_check oracle_reports
+    spectrum_cross_check t3_eigen_check t3_spacing_check verify_states_suite
+""".split()
+SUBMODULES = ["quantum_numbers", "special_functions", "operator_algebra", "analytic_states", "numeric_verify"]
+
+# runs `python -m micz_su11.cli ARGS` and then prints whether numpy was loaded
+CLI_PROBE = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr))\n"
+    "runpy.run_module('micz_su11.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestNamespace:
+    def test_exports_are_unchanged(self):
+        assert sorted(micz_su11.__all__) == sorted(EXPORTED)
+
+    @pytest.mark.parametrize("name", EXPORTED)
+    def test_export_is_the_defining_module_object(self, name):
+        obj = getattr(micz_su11, name)
+        module = sys.modules[obj.__module__]
+        assert module.__name__.rsplit(".", 1)[-1] in SUBMODULES
+        assert getattr(module, name) is obj
+        assert vars(micz_su11)[name] is obj  # cached after the first access
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from micz_su11 import *", namespace)
+        assert {name: namespace[name] for name in EXPORTED} == {name: getattr(micz_su11, name)
+                                                               for name in EXPORTED}
+
+    @pytest.mark.parametrize("name", SUBMODULES)
+    def test_submodules_are_attributes(self, name):
+        assert getattr(micz_su11, name) is sys.modules[f"micz_su11.{name}"]
+
+    def test_dir_lists_exports_and_submodules(self):
+        assert set(EXPORTED) | set(SUBMODULES) <= set(dir(micz_su11))
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            micz_su11.no_such_name  # noqa: B018
+        assert not hasattr(micz_su11, "GridTooCoarser")
+
+    @pytest.mark.parametrize("name, base", [("ConvergenceFailure", RuntimeError), ("GridUnderflow", ValueError)])
+    def test_moved_exceptions_keep_their_identity(self, name, base):
+        cls = getattr(quantum_numbers, name)
+        assert getattr(numeric_verify, name) is cls
+        assert getattr(micz_su11, name) is cls
+        assert issubclass(cls, base)
+
+
+class TestStartWithoutNumpy:
+    def test_import_package(self):
+        proc = fresh_python("-c", "import sys, micz_su11; print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_spectrum(self):
+        proc = fresh_python("-c", CLI_PROBE, "spectrum", "--s", "0", "--m", "0", "--j", "0", "--nmax", "3")
+        assert proc.returncode == 0
+        assert proc.stdout == (GOLDEN / "spectrum-readme-hydrogen.stdout").read_text(encoding="utf-8")
+        assert proc.stderr == "numpy loaded: False\n"
+
+    def test_verify_algebra(self):
+        proc = fresh_python("-c", CLI_PROBE, "verify-algebra", "--deg-check-max", "20")
+        assert proc.returncode == 0
+        assert proc.stdout == (GOLDEN / "verify-algebra-readme.stdout").read_text(encoding="utf-8")
+        assert proc.stderr == "numpy loaded: False\n"
+
+    def test_spectrum_usage_error(self):
+        proc = fresh_python("-c", CLI_PROBE, "spectrum", "--s", "0", "--m", "0", "--j", "0", "--c1", "nan")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: coupling c1 must be finite, got nan\nnumpy loaded: False\n"

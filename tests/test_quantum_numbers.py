@@ -1,8 +1,9 @@
 import math
 import re
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from micz_su11.quantum_numbers import (
@@ -51,7 +52,15 @@ class TestHalfInt:
         assert (x < y) == (a < b)
         assert abs(x).twice_value == abs(a)
 
+    # half-odd labels around the hash modulus P, where the hash wraps; for
+    # t = -(P + 2) the rational rule gives -1, which hash() reports as -2
     @given(st.one_of(st.integers(-50, 50), st.integers(-(2**200), 2**200)))
+    @example(-1)
+    @example(sys.hash_info.modulus)
+    @example(-sys.hash_info.modulus)
+    @example(-(sys.hash_info.modulus + 2))
+    @example(2 * sys.hash_info.modulus + 1)
+    @example(-(3**301))
     def test_hash_is_that_of_the_fraction(self, twice):
         x = HalfInt(twice)
         assert hash(x) == hash(x.as_fraction())
@@ -100,6 +109,11 @@ class TestMakeSector:
     def test_negative_coupling_rejected(self):
         with pytest.raises(InvalidQuantumNumbers):
             MonopoleParams(H("0"), -0.5, 0.0)
+
+    def test_signed_zero_coupling_becomes_plus_zero(self):
+        params = MonopoleParams(H("0"), -0.0, -0.0)
+        assert math.copysign(1.0, params.c1) == math.copysign(1.0, params.c2) == 1.0
+        assert params == MonopoleParams(H("0"), 0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["c1", "c2"])
