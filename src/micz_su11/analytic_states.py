@@ -48,14 +48,13 @@ def _as_array(x, what: str, upper: float | None = None):
 
 @dataclass(frozen=True)
 class RadialState:
-    """One bound level: polynomial factor F(-k, b; 2x), leading exponent J+1, decay rate 1."""
+    """One bound level: polynomial factor F(-k, b; 2x), leading exponent J+1."""
 
     sector: SectorLabels
     level: LevelLabels
     kummer: KummerParams
     poly_coeffs: tuple[Fraction, ...]
     exponent: float
-    decay: float
 
 
 def radial_state(sector: SectorLabels, n: HalfInt | int) -> RadialState:
@@ -77,7 +76,6 @@ def radial_state(sector: SectorLabels, n: HalfInt | int) -> RadialState:
         kummer=KummerParams(k, 2.0 * sector.bigJ + 2.0),
         poly_coeffs=tuple(coeffs),
         exponent=sector.bigJ + 1.0,
-        decay=1.0,
     )
 
 

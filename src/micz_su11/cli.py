@@ -1,6 +1,7 @@
 """Command-line front end: spectrum tables, eigenfunction dumps, verification suites.
 
-Exit codes: 0 all pass, 1 verification failure, 2 usage or validation error.
+Exit codes: 0 all pass, 1 verification failure, 2 usage or validation error
+or a stdout closed by its reader.
 Output is deterministic: floats are printed with 17 significant digits, CSV
 uses LF line endings, JSON documents carry the "su11-micz/1" schema key.
 
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -124,7 +126,7 @@ def cmd_spectrum(args) -> int:
 def cmd_eigenfunction(args) -> int:
     import numpy as np
 
-    from .analytic_states import angular_Z, angular_state, chi, chi_d1, chi_d2, radial_state
+    from .analytic_states import TowerSampler, angular_Z, angular_state, radial_state
     from .special_functions import kummer_terminating
 
     if args.npoints < 1:
@@ -139,7 +141,8 @@ def cmd_eigenfunction(args) -> int:
         xmax = args.rmax if args.rmax is not None else 10.0 + 4.0 * state.level.K
         xs = xmax * np.arange(1, args.npoints + 1) / args.npoints
         with np.errstate(over="ignore", invalid="ignore"):
-            cols = (chi(state, xs), chi_d1(state, xs), chi_d2(state, xs))
+            sampler = TowerSampler(sector, xs)
+            cols = (sampler.chi(state), sampler.chi_dn(state, 1), sampler.chi_dn(state, 2))
             if not all(np.all(np.isfinite(c)) for c in cols):
                 what = "chi or its derivatives are not finite"
                 if not np.all(np.isfinite(kummer_terminating(state.kummer, 2.0 * xs))):
@@ -366,7 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; with fd 1 on devnull the flush at
+        # interpreter shutdown cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_USAGE
     except GridUnderflow as exc:
         print(f"error: {exc}; choose another --rmax", file=sys.stderr)
         return EXIT_USAGE

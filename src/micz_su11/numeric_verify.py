@@ -18,8 +18,8 @@ bit-for-bit the same.
 The grid checks reuse work in process-wide caches:
 
 - the su(1,1) generators and their products come from
-  `operator_algebra.generator_table()`, composed once per process; each
-  check only `substitute`s (J, K) into them;
+  `operator_algebra.generator_table()`, composed once per process;
+  `_Level.apply` only `substitute`s (J, K) into them;
 - `_node_power(grid, xp)` holds x^xp on the grid nodes for
   `apply_operator` (NODE_POWER_CACHE = 6 arrays; the generators use xp in
   {-2, -1, 1, 2});
@@ -28,12 +28,13 @@ The grid checks reuse work in process-wide caches:
   powers x^(J+1-i) and, for each derivative order l <= 4, the last two rows
   of its resumable Kummer sweep: at most 17 arrays.  A walk up the tower
   runs each sweep from order 0 once;
-- `_state_and_samples(sector, n, grid)` is an LRU cache keyed on the frozen
-  (SectorLabels, HalfInt, RadialGrid) triple.  An entry holds the state,
-  chi on the grid nodes and a derivative callback that takes each order it
-  is asked for (1-4) from the sampler once and memoizes it.  The LRU keeps
-  SAMPLE_CACHE_LEVELS = 4 levels, enough for the n-1, n, n+1 window that
-  `verify_states_suite` walks: at most 20 arrays.
+- `_level(sector, n, grid)` is an LRU cache keyed on the frozen
+  (SectorLabels, HalfInt, RadialGrid) triple.  An entry is a `_Level`: the
+  state, chi on the grid nodes and each derivative order (1-4) it has been
+  asked for, taken from the sampler once.  `_Level.apply(name)` is the one
+  path from a `generator_table()` name to its image at the level's (J, K).
+  The LRU keeps SAMPLE_CACHE_LEVELS = 4 levels, enough for the n-1, n, n+1
+  window that `verify_states_suite` walks: at most 20 arrays.
 
 Together that is at most 43 arrays of npoints x 8 B (1.4 MB at the default
 4000 points).  Every array the caches hand out is read-only.
@@ -60,7 +61,6 @@ from .analytic_states import (
     TowerSampler,
     angular_residual,
     angular_state,
-    chi_dn,
     default_angular_mesh,
     radial_state,
 )
@@ -82,6 +82,8 @@ STURM_TAIL_MARGIN = 1e-12
 SAMPLE_CACHE_LEVELS = 4
 # x^xp per (grid, xp): the generators use xp in {-2, -1, 1, 2}
 NODE_POWER_CACHE = 6
+# the x range on which `radial_equation_check` takes its max-norm residual
+RADIAL_EQUATION_WINDOW = (0.01, 40.0)
 
 DEFAULT_TOLERANCES = {
     "angular_residual": 1e-9,
@@ -320,15 +322,15 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
 def apply_operator(numop: NumericOperator, f: GridFunction, derivatives) -> GridFunction:
     """Apply sum of coeff x^xpow D^dorder to f per node.
 
-    `derivatives(x, order)` supplies the derivative samples of f at the
-    nodes x, for each order >= 1 that the operator needs.
+    `derivatives(order)` supplies the samples of the order-th derivative of
+    f on the grid nodes; it is called once for each order >= 1 that the
+    operator needs.
     """
-    x = f.grid.nodes
     cache = {0: f.values}
     out = np.zeros_like(f.values)
     for xp, dq, c in numop.terms:
         if dq not in cache:
-            cache[dq] = np.asarray(derivatives(x, dq), dtype=float)
+            cache[dq] = np.asarray(derivatives(dq), dtype=float)
         term = cache[dq] if xp == 0 else cache[dq] * _node_power(f.grid, xp)
         out += c * term
     return GridFunction(f.grid, out)
@@ -355,32 +357,42 @@ def _tower_sampler(sector: SectorLabels, grid: RadialGrid) -> TowerSampler:
     return TowerSampler(sector, grid.nodes)
 
 
-@lru_cache(maxsize=SAMPLE_CACHE_LEVELS)
-def _state_and_samples(sector: SectorLabels, n: HalfInt, grid: RadialGrid):
-    """State, read-only chi samples and a derivative callback memoized on grid.nodes.
+class _Level:
+    """Level n of a tower on one grid: its state, read-only samples of chi and its derivatives.
 
     Raises GridUnderflow when the norm of chi on the grid is zero.
     """
-    state = radial_state(sector, n)
-    nodes = grid.nodes
-    values = _tower_sampler(sector, grid).chi(state)
-    values.flags.writeable = False
-    f = GridFunction(grid, values)
-    if f.norm() == 0.0:
-        raise GridUnderflow(f"chi at n={n} has zero norm on the grid with rmax={grid.rmax!r} "
-                            f"and {grid.npoints} points")
-    memo = {0: f.values}
 
-    def derivs(xs, order):
-        if xs is not nodes:
-            return chi_dn(state, xs, order)
-        out = memo.get(order)
+    def __init__(self, sector: SectorLabels, n: HalfInt, grid: RadialGrid):
+        self.state = radial_state(sector, n)
+        self.grid = grid
+        values = self._sampler().chi(self.state)
+        values.flags.writeable = False
+        self.f = GridFunction(grid, values)
+        if self.f.norm() == 0.0:
+            raise GridUnderflow(f"chi at n={n} has zero norm on the grid with rmax={grid.rmax!r} "
+                                f"and {grid.npoints} points")
+        self._derivatives = {0: values}
+
+    def _sampler(self):
+        return _tower_sampler(self.state.sector, self.grid)
+
+    def derivative(self, order: int) -> np.ndarray:
+        """The order-th derivative of chi on the grid nodes, sampled once."""
+        out = self._derivatives.get(order)
         if out is None:
-            out = memo[order] = _tower_sampler(sector, grid).chi_dn(state, order)
+            out = self._derivatives[order] = self._sampler().chi_dn(self.state, order)
             out.flags.writeable = False
         return out
 
-    return state, f, derivs
+    def apply(self, name: str) -> GridFunction:
+        """The image of chi under `generator_table()[name]` at this level's (J, K)."""
+        numop = substitute(generator_table()[name], self.state.sector.bigJ, self.state.level.K)
+        return apply_operator(numop, self.f, self.derivative)
+
+
+# _level(sector, n, grid): the `_Level`, from an LRU cache of SAMPLE_CACHE_LEVELS entries
+_level = lru_cache(maxsize=SAMPLE_CACHE_LEVELS)(_Level)
 
 
 def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
@@ -393,15 +405,14 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
         raise ValueError("sign must be +1 or -1")
     t0 = time.perf_counter()
     n = _as_halfint(n)
-    state, f, derivs = _state_and_samples(sector, n, grid)
-    numop = substitute(generator_table()["T+" if sign == 1 else "T-"], sector.bigJ, state.level.K)
-    y = apply_operator(numop, f, derivatives=derivs)
+    level = _level(sector, n, grid)
+    y = level.apply("T+" if sign == 1 else "T-")
     bottom = n - sector.j == 1
     inputs = _sector_inputs(sector, grid, n)
     if sign == -1 and bottom:
-        residual = y.norm() / f.norm()
+        residual = y.norm() / level.f.norm()
         return _report("ladder_annihilation", inputs, residual, tol, t0)
-    tstate, t, _ = _state_and_samples(sector, n + sign, grid)
+    t = _level(sector, n + sign, grid).f
     overlap = y.inner(t)
     sim = abs(overlap) / (y.norm() * t.norm())
     residual = max(0.0, 1.0 - sim)
@@ -414,23 +425,19 @@ def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None 
     """||T3 chi - K chi||/||chi|| plus the shifted eigenvalues of T3 on T_pm chi."""
     t0 = time.perf_counter()
     n = _as_halfint(n)
-    state, f, derivs = _state_and_samples(sector, n, grid)
-    K = state.level.K
-    J = sector.bigJ
-    fnorm = f.norm()
-    gen = generator_table()
-    y = apply_operator(substitute(gen["T3"], J, K), f, derivatives=derivs)
-    r_main = GridFunction(grid, y.values - K * f.values).norm() / fnorm
+    level = _level(sector, n, grid)
+    f = level.f
+    K = level.state.level.K
+    y = level.apply("T3")
+    residual = GridFunction(grid, y.values - K * f.values).norm() / f.norm()
     details = {"measured_eigenvalue": y.inner(f) / f.inner(f)}
-    residual = r_main
     bottom = n - sector.j == 1
     for sign, tag, tpm in ((1, "raised", "T+"), (-1, "lowered", "T-")):
         if sign == -1 and bottom:
             continue
-        z = apply_operator(substitute(gen[tpm], J, K), f, derivatives=derivs)
-        w = apply_operator(substitute(gen["T3 " + tpm], J, K), f, derivatives=derivs)
-        znorm = z.norm()
-        r_shift = GridFunction(grid, w.values - (K + sign) * z.values).norm() / znorm
+        z = level.apply(tpm)
+        w = level.apply("T3 " + tpm)
+        r_shift = GridFunction(grid, w.values - (K + sign) * z.values).norm() / z.norm()
         details[f"{tag}_eigenvalue"] = w.inner(z) / z.inner(z)
         residual = max(residual, r_shift)
     return _report("t3_eigen", _sector_inputs(sector, grid, n), residual, tol, t0, details)
@@ -440,13 +447,11 @@ def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | Non
     """Measured T3 eigenvalue difference between levels n+1 and n, against 1."""
     t0 = time.perf_counter()
     n = _as_halfint(n)
-    J = sector.bigJ
-    t3 = generator_table()["T3"]
     measured = []
     for level_n in (n, n + 1):
-        state, f, derivs = _state_and_samples(sector, level_n, grid)
-        y = apply_operator(substitute(t3, J, state.level.K), f, derivatives=derivs)
-        measured.append(y.inner(f) / f.inner(f))
+        level = _level(sector, level_n, grid)
+        y = level.apply("T3")
+        measured.append(y.inner(level.f) / level.f.inner(level.f))
     spacing = measured[1] - measured[0]
     return _report(
         "t3_spacing",
@@ -467,16 +472,10 @@ def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None =
     """
     t0 = time.perf_counter()
     n = _as_halfint(n)
-    state, f, derivs = _state_and_samples(sector, n, grid)
-    J = sector.bigJ
-    K = state.level.K
-    fnorm = f.norm()
-    target = sector.sep_const * f.values
-    gen = generator_table()
-    t3f = apply_operator(substitute(gen["T3"], J, K), f, derivatives=derivs).values
-    t3sq = apply_operator(substitute(gen["T3 T3"], J, K), f, derivatives=derivs).values
-    pm = apply_operator(substitute(gen["T+ T-"], J, K), f, derivatives=derivs).values
-    mp = apply_operator(substitute(gen["T- T+"], J, K), f, derivatives=derivs).values
+    level = _level(sector, n, grid)
+    fnorm = level.f.norm()
+    target = sector.sep_const * level.f.values
+    t3f, t3sq, pm, mp = (level.apply(name).values for name in ("T3", "T3 T3", "T+ T-", "T- T+"))
     res_direct = GridFunction(grid, -pm + t3sq - t3f - target).norm() / fnorm
     res_mirror = GridFunction(grid, -mp + t3sq + t3f - target).norm() / fnorm
     details = {"direct": float(res_direct), "mirror": float(res_mirror)}
@@ -490,40 +489,29 @@ def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None =
     )
 
 
-def radial_equation_check(
-    sector: SectorLabels,
-    n,
-    grid: RadialGrid,
-    tol: float | None = None,
-    window: tuple[float, float] = (0.01, 40.0),
-) -> VerificationReport:
-    """Max-norm residual of (-x^2 D^2 - 2Kx + x^2) chi = -J(J+1) chi on the window."""
+def radial_equation_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
+    """Max-norm residual of (-x^2 D^2 - 2Kx + x^2) chi = -J(J+1) chi on RADIAL_EQUATION_WINDOW."""
     t0 = time.perf_counter()
     n = _as_halfint(n)
-    state, f, derivs = _state_and_samples(sector, n, grid)
-    numop = substitute(generator_table()["Ln"], sector.bigJ, state.level.K)
-    y = apply_operator(numop, f, derivatives=derivs)
-    resid = y.values + sector.sep_const * f.values
+    level = _level(sector, n, grid)
+    f = level.f
+    resid = level.apply("Ln").values + sector.sep_const * f.values
     x = grid.nodes
-    mask = (x >= window[0]) & (x <= window[1])
+    mask = (x >= RADIAL_EQUATION_WINDOW[0]) & (x <= RADIAL_EQUATION_WINDOW[1])
     if not np.any(mask):
         mask = np.ones_like(x, dtype=bool)
     residual = float(np.max(np.abs(resid[mask])) / np.max(np.abs(f.values[mask])))
     return _report("radial_equation", _sector_inputs(sector, grid, n), residual, tol, t0)
 
 
-def angular_residual_check(
-    sector: SectorLabels,
-    ntheta: int = 200,
-    nphi: int = 8,
-    tol: float | None = None,
-) -> VerificationReport:
+def angular_residual_check(sector: SectorLabels, tol: float | None = None) -> VerificationReport:
+    """Angular equation residual on `default_angular_mesh()`, whose size the inputs echo."""
     t0 = time.perf_counter()
-    thetas, phis = default_angular_mesh(ntheta, nphi)
+    thetas, phis = default_angular_mesh()
     residual = angular_residual(angular_state(sector), thetas, phis)
     inputs = _sector_inputs(sector)
-    inputs["ntheta"] = ntheta
-    inputs["nphi"] = nphi
+    inputs["ntheta"] = len(thetas)
+    inputs["nphi"] = len(phis)
     return _report("angular_residual", inputs, residual, tol, t0)
 
 
@@ -580,8 +568,6 @@ def verify_states_suite(
     j: HalfInt,
     nlevels: int = 5,
     grid: RadialGrid | None = None,
-    ntheta: int = 200,
-    nphi: int = 8,
     tol: float | None = None,
 ) -> list[VerificationReport]:
     """The full per-sector state-level suite used by the CLI.
@@ -595,7 +581,7 @@ def verify_states_suite(
     if grid is None:
         k_top = sector.bigJ + nlevels
         grid = RadialGrid(rmax=10.0 + 4.0 * k_top, npoints=4000)
-    reports = [angular_residual_check(sector, ntheta=ntheta, nphi=nphi, tol=tol)]
+    reports = [angular_residual_check(sector, tol=tol)]
     bottom = sector.j + 1
     for i in range(nlevels):
         n = bottom + i

@@ -246,14 +246,6 @@ class NormalOrderedOperator:
     def x_power(cls, k: int, coeff: ParamPoly | Scalar = 1) -> "NormalOrderedOperator":
         return cls({(k, 0): coeff})
 
-    @classmethod
-    def derivative(cls, order: int = 1, coeff: ParamPoly | Scalar = 1) -> "NormalOrderedOperator":
-        return cls({(0, order): coeff})
-
-    @classmethod
-    def term(cls, xpow: int, dorder: int, coeff: ParamPoly | Scalar = 1) -> "NormalOrderedOperator":
-        return cls({(xpow, dorder): coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -303,9 +295,6 @@ class NormalOrderedOperator:
 
     def __hash__(self):
         return hash(frozenset((key, c) for key, c in self._terms.items()))
-
-    def max_dorder(self) -> int:
-        return max((dq for (_, dq) in self._terms), default=0)
 
     def render(self) -> str:
         if not self._terms:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_DEGREE_CAP = 200
+# `jacobi` and `jacobi_deriv` refuse degrees above this
+DEGREE_CAP = 200
 
 
 class ParamOutOfRange(ValueError):
@@ -21,7 +22,7 @@ class ParamOutOfRange(ValueError):
 
 
 class DegreeCapExceeded(ValueError):
-    """Requested polynomial degree above the configured cap."""
+    """Requested polynomial degree above DEGREE_CAP."""
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,14 @@ class KummerParams:
             raise ParamOutOfRange(f"Kummer parameter b must be positive, got {self.bparam}")
 
 
-def jacobi(p: JacobiParams, z, degree_cap: int = DEFAULT_DEGREE_CAP):
+def jacobi(p: JacobiParams, z):
     """P^(a,b)_degree(z) by the three-term recurrence in the degree.
 
     Accepts a scalar or an ndarray for z.  With a, b > -1 none of the
     recurrence denominators can vanish.
     """
-    if p.degree > degree_cap:
-        raise DegreeCapExceeded(f"degree {p.degree} exceeds cap {degree_cap}")
+    if p.degree > DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {p.degree} exceeds cap {DEGREE_CAP}")
     a, b = p.a, p.b
     one = np.ones_like(z, dtype=float) if isinstance(z, np.ndarray) else 1.0
     if p.degree == 0:
@@ -73,14 +74,14 @@ def jacobi(p: JacobiParams, z, degree_cap: int = DEFAULT_DEGREE_CAP):
     return cur
 
 
-def jacobi_deriv(p: JacobiParams, z, degree_cap: int = DEFAULT_DEGREE_CAP):
+def jacobi_deriv(p: JacobiParams, z):
     """d/dz P^(a,b)_k(z) = ((k+a+b+1)/2) P^(a+1,b+1)_(k-1)(z) for k >= 1, else 0."""
-    if p.degree > degree_cap:
-        raise DegreeCapExceeded(f"degree {p.degree} exceeds cap {degree_cap}")
+    if p.degree > DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {p.degree} exceeds cap {DEGREE_CAP}")
     if p.degree == 0:
         return np.zeros_like(z, dtype=float) if isinstance(z, np.ndarray) else 0.0
     shifted = JacobiParams(p.degree - 1, p.a + 1.0, p.b + 1.0)
-    return 0.5 * (p.degree + p.a + p.b + 1.0) * jacobi(shifted, z, degree_cap)
+    return 0.5 * (p.degree + p.a + p.b + 1.0) * jacobi(shifted, z)
 
 
 def kummer_terminating(p: KummerParams, z):

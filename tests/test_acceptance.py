@@ -176,7 +176,7 @@ def test_criterion_5_ladder_action():
     y = apply_operator(
         substitute(build_Tpm(+1), 0.0, 1.0),
         f,
-        derivatives=lambda xs, order: chi_dn(state, xs, order),
+        derivatives=lambda order: chi_dn(state, grid.nodes, order),
     )
     x = grid.nodes
     image = x * (x - 1.0) * np.exp(-x)

@@ -2,14 +2,21 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from oracles import eig_oracle_full_sweep
 
+import micz_su11
 import micz_su11.numeric_verify as numeric_verify
 from micz_su11.cli import main
+
+SRC = Path(micz_su11.__file__).resolve().parent.parent
 
 # every documented README invocation is executed here (paths adapted per test)
 README_EXAMPLES = [
@@ -499,3 +506,21 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--s", "0", "--m", "0", "--j", "0", "--bogus", "1"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-algebra"], ["spectrum", "--s", "0", "--m", "0", "--j", "0", "--nmax", "3"]],
+    ids=["verify-algebra", "spectrum"],
+)
+def test_closed_stdout_exit_2_with_one_line(argv):
+    # the reader closes stdout before the child writes anything
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "micz_su11.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -2,6 +2,7 @@ import math
 import sys
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from micz_su11.numeric_verify import (
     GridUnderflow,
     RadialGrid,
     _bisect_eigenvalue,
-    _state_and_samples,
+    _Level,
+    _level,
     _tower_sampler,
     _sturm_count,
     _suffix_min,
@@ -74,10 +76,19 @@ def sampled(sector, n, grid):
     state = radial_state(sector, n)
     f = GridFunction(grid, chi(state, grid.nodes))
 
-    def derivs(xs, order):
-        return chi_dn(state, xs, order)
+    def derivs(order):
+        return chi_dn(state, grid.nodes, order)
 
     return state, f, derivs
+
+
+class PerCallLevel(_Level):
+    """An uncached level whose samples come from per-call `chi` and `chi_dn`."""
+
+    def _sampler(self):
+        nodes = self.grid.nodes
+        return SimpleNamespace(chi=lambda state: chi(state, nodes),
+                               chi_dn=lambda state, order: chi_dn(state, nodes, order))
 
 
 class TestGridTypes:
@@ -168,6 +179,24 @@ class TestApplyOperator:
         with pytest.raises(StencilUnsupported):
             apply_operator(numop, f, derivatives=fd_derivatives(f))
         apply_operator(numop, f, derivatives=derivs)  # analytic path is fine
+
+    def test_callback_asked_once_per_distinct_order(self, hydrogen, xgrid):
+        from micz_su11.operator_algebra import NormalOrderedOperator
+
+        _, f, derivs = sampled(hydrogen, H("1"), xgrid)
+        asked = []
+
+        def counting(order):
+            asked.append(order)
+            return derivs(order)
+
+        terms = {(0, 0): 1, (1, 0): 2, (0, 2): 1, (2, 2): -1, (-1, 1): 3, (1, 4): 1, (2, 4): 1}
+        apply_operator(substitute(NormalOrderedOperator(terms), 0.0, 1.0), f, derivatives=counting)
+        assert sorted(asked) == [1, 2, 4]
+        asked.clear()
+        apply_operator(substitute(NormalOrderedOperator({(0, 0): 1, (2, 0): 1}), 0.0, 1.0), f,
+                       derivatives=counting)
+        assert asked == []
 
 
 class TestEigOracle:
@@ -502,7 +531,7 @@ class TestSampleCache:
 
     def test_cached_reports_equal_uncached(self, hydrogen, monkeypatch):
         cached = self._fields(self._suite(hydrogen))
-        monkeypatch.setattr(numeric_verify, "_state_and_samples", sampled)
+        monkeypatch.setattr(numeric_verify, "_level", PerCallLevel)
         assert cached == self._fields(self._suite(hydrogen))
 
     def test_each_level_and_order_sampled_once(self, hydrogen, monkeypatch):
@@ -513,7 +542,7 @@ class TestSampleCache:
             calls[state.level.n, order] += 1
             return sample(sampler, state, order)
 
-        _state_and_samples.cache_clear()
+        _level.cache_clear()
         monkeypatch.setattr(TowerSampler, "chi_dn", counting)
         self._suite(hydrogen)
         assert calls
@@ -528,7 +557,7 @@ class TestSampleCache:
             starts[sweep.b] += 1
             restart(sweep)
 
-        _state_and_samples.cache_clear()
+        _level.cache_clear()
         _tower_sampler.cache_clear()
         monkeypatch.setattr(KummerSweep, "restart", counting)
         for sector in (hydrogen, shifted):
@@ -556,16 +585,32 @@ class TestSampleCache:
         assert calls == []
 
     def test_cached_arrays_are_read_only(self, hydrogen, xgrid):
-        _, f, derivs = _state_and_samples(hydrogen, H("2"), xgrid)
-        d2 = derivs(xgrid.nodes, 2)
-        assert derivs(xgrid.nodes, 2) is d2
-        for arr in (f.values, d2, xgrid.nodes):
+        level = _level(hydrogen, H("2"), xgrid)
+        d2 = level.derivative(2)
+        assert level.derivative(2) is d2
+        assert level.derivative(0) is level.f.values
+        for arr in (level.f.values, d2, xgrid.nodes):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
-    def test_derivatives_off_the_nodes_are_not_memoized(self, hydrogen, xgrid):
-        state, _, derivs = _state_and_samples(hydrogen, H("3"), xgrid)
-        xs = np.linspace(0.5, 9.0, 7)
-        out = derivs(xs, 2)
-        assert np.array_equal(out, chi_dn(state, xs, 2))
-        assert derivs(xs, 2) is not out
+    @pytest.mark.parametrize("name", ["hydrogen", "shifted"])
+    def test_each_check_alone_equals_the_suite(self, name, request):
+        # every grid check reads its level through `_level`; called on its own
+        # with cold caches it must report what it reports inside the suite
+        sector = request.getfixturevalue(name)
+        grid = RadialGrid(40.0, 1500)
+        nlevels = 4
+        suite = self._fields(verify_states_suite(sector.params, sector.m, sector.j, nlevels=nlevels, grid=grid))
+        checks = [lambda n: radial_equation_check(sector, n, grid),
+                  lambda n: t3_eigen_check(sector, n, grid),
+                  lambda n: casimir_check(sector, n, grid),
+                  lambda n: ladder_check(sector, n, +1, grid),
+                  lambda n: ladder_check(sector, n, -1, grid),
+                  lambda n: t3_spacing_check(sector, n, grid)]
+        alone = []
+        for i in range(nlevels):
+            for check in checks[:6 if i + 1 < nlevels else 5]:
+                _level.cache_clear()
+                _tower_sampler.cache_clear()
+                alone.append(check(sector.j + 1 + i))
+        assert suite[1:] == self._fields(alone)

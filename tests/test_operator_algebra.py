@@ -29,8 +29,8 @@ J = ParamPoly.J()
 K = ParamPoly.K()
 ONE = NormalOrderedOperator.identity()
 X = NormalOrderedOperator.x_power(1)
-D = NormalOrderedOperator.derivative()
-XD = NormalOrderedOperator.term(1, 1)
+D = NormalOrderedOperator({(0, 1): 1})
+XD = NormalOrderedOperator({(1, 1): 1})
 
 
 def jj1() -> ParamPoly:

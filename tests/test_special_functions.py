@@ -69,7 +69,7 @@ class TestJacobi:
         with pytest.raises(DegreeCapExceeded):
             jacobi(JacobiParams(201, 0.0, 0.0), 0.1)
         with pytest.raises(DegreeCapExceeded):
-            jacobi(JacobiParams(30, 0.0, 0.0), 0.1, degree_cap=20)
+            jacobi_deriv(JacobiParams(201, 0.0, 0.0), 0.1)
 
 
 class TestJacobiDeriv:
