@@ -18,8 +18,8 @@ bit-for-bit the same.
 The grid checks reuse work in process-wide caches:
 
 - the su(1,1) generators and their products come from
-  `operator_algebra.generator_table()`, composed once per process;
-  `_Level.apply` only `substitute`s (J, K) into them;
+  `operator_algebra.generator_table()`, composed once per process; a level
+  `substitute`s (J, K) into each of the nine once;
 - `_node_power(grid, xp)` holds x^xp on the grid nodes for
   `apply_operator` (NODE_POWER_CACHE = 6 arrays; the generators use xp in
   {-2, -1, 1, 2});
@@ -30,14 +30,22 @@ The grid checks reuse work in process-wide caches:
   runs each sweep from order 0 once;
 - `_level(sector, n, grid)` is an LRU cache keyed on the frozen
   (SectorLabels, HalfInt, RadialGrid) triple.  An entry is a `_Level`: the
-  state, chi on the grid nodes and each derivative order (1-4) it has been
-  asked for, taken from the sampler once.  `_Level.apply(name)` is the one
-  path from a `generator_table()` name to its image at the level's (J, K).
-  The LRU keeps SAMPLE_CACHE_LEVELS = 4 levels, enough for the n-1, n, n+1
-  window that `verify_states_suite` walks: at most 20 arrays.
+  state, chi on the grid nodes and, from the first `apply`, the images of
+  chi under all nine `generator_table()` operators at the level's (J, K).
+  They are built together: the nine operators have 69 terms but only 15
+  distinct (p, q), so each product x^p chi^(q) is formed once (and each
+  derivative order sampled once), and each image sums its terms in
+  `apply_operator`'s order with `apply_operator`'s operations, so it is
+  bit-for-bit that operator's `apply_operator` image.  The four derivative
+  samples and twelve products with p != 0 live only while the images are
+  built.  `_Level.apply(name)` is the one path from a `generator_table()`
+  name to its image.  The LRU keeps SAMPLE_CACHE_LEVELS = 4 levels, enough
+  for the n-1, n, n+1 window that `verify_states_suite` walks: at most 40
+  arrays (chi and nine images each).
 
-Together that is at most 43 arrays of npoints x 8 B (1.4 MB at the default
-4000 points).  Every array the caches hand out is read-only.
+Together that is at most 63 arrays of npoints x 8 B (2.0 MB at the default
+4000 points), plus the 16 arrays of the one level whose images are being
+built.  Every array the caches hand out is read-only.
 
 The caches are not thread-safe.  The cached sampler's sweeps advance in
 place, so two threads that sample one (sector, grid) at once can mix their
@@ -52,8 +60,10 @@ import itertools
 import math
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -326,14 +336,27 @@ def apply_operator(numop: NumericOperator, f: GridFunction, derivatives) -> Grid
     f on the grid nodes; it is called once for each order >= 1 that the
     operator needs.
     """
-    cache = {0: f.values}
-    out = np.zeros_like(f.values)
+    return GridFunction(f.grid, _sum_terms(numop, _term_products(f, derivatives)))
+
+
+def _term_products(f: GridFunction, derivatives):
+    """product(xp, dq): x^xp f^(dq) on the nodes; each order dq >= 1 is asked of `derivatives` once."""
+    samples = {0: f.values}
+
+    def product(xp: int, dq: int) -> np.ndarray:
+        if dq not in samples:
+            samples[dq] = np.asarray(derivatives(dq), dtype=float)
+        return samples[dq] if xp == 0 else samples[dq] * _node_power(f.grid, xp)
+
+    return product
+
+
+def _sum_terms(numop: NumericOperator, product) -> np.ndarray:
+    """The one body of operator application: sum of c * product(xp, dq) in term order."""
+    out = np.zeros_like(product(0, 0))
     for xp, dq, c in numop.terms:
-        if dq not in cache:
-            cache[dq] = np.asarray(derivatives(dq), dtype=float)
-        term = cache[dq] if xp == 0 else cache[dq] * _node_power(f.grid, xp)
-        out += c * term
-    return GridFunction(f.grid, out)
+        out += c * product(xp, dq)
+    return out
 
 
 @lru_cache(maxsize=NODE_POWER_CACHE)
@@ -358,9 +381,11 @@ def _tower_sampler(sector: SectorLabels, grid: RadialGrid) -> TowerSampler:
 
 
 class _Level:
-    """Level n of a tower on one grid: its state, read-only samples of chi and its derivatives.
+    """Level n of a tower on one grid: its state, read-only chi on the nodes and its images.
 
-    Raises GridUnderflow when the norm of chi on the grid is zero.
+    Raises GridUnderflow when the squared norm of chi on the grid is zero or
+    subnormal: below `sys.float_info.min` the norm has lost precision to
+    gradual underflow, and so have the overlaps the checks divide by it.
     """
 
     def __init__(self, sector: SectorLabels, n: HalfInt, grid: RadialGrid):
@@ -369,26 +394,35 @@ class _Level:
         values = self._sampler().chi(self.state)
         values.flags.writeable = False
         self.f = GridFunction(grid, values)
-        if self.f.norm() == 0.0:
-            raise GridUnderflow(f"chi at n={n} has zero norm on the grid with rmax={grid.rmax!r} "
+        norm2 = self.f.inner(self.f)
+        if norm2 < sys.float_info.min:
+            what = "zero norm" if norm2 == 0.0 else f"a subnormal squared norm {norm2:.3g}"
+            raise GridUnderflow(f"chi at n={n} has {what} on the grid with rmax={grid.rmax!r} "
                                 f"and {grid.npoints} points")
-        self._derivatives = {0: values}
 
     def _sampler(self):
         return _tower_sampler(self.state.sector, self.grid)
 
-    def derivative(self, order: int) -> np.ndarray:
-        """The order-th derivative of chi on the grid nodes, sampled once."""
-        out = self._derivatives.get(order)
-        if out is None:
-            out = self._derivatives[order] = self._sampler().chi_dn(self.state, order)
-            out.flags.writeable = False
-        return out
+    @cached_property
+    def images(self) -> Mapping[str, np.ndarray]:
+        """Read-only image of chi under each `generator_table()` operator at this level's (J, K).
+
+        All nine are built at once: (J, K) is substituted once per name, each
+        derivative order sampled once and each product x^p chi^(q) formed
+        once; the samples and products are dropped once the images exist.
+        """
+        J, K = self.state.sector.bigJ, self.state.level.K
+        sampler = self._sampler()
+        product = cache(_term_products(self.f, lambda order: sampler.chi_dn(self.state, order)))
+        images = {}
+        for name, op in generator_table().items():
+            image = images[name] = _sum_terms(substitute(op, J, K), product)
+            image.flags.writeable = False
+        return MappingProxyType(images)
 
     def apply(self, name: str) -> GridFunction:
         """The image of chi under `generator_table()[name]` at this level's (J, K)."""
-        numop = substitute(generator_table()[name], self.state.sector.bigJ, self.state.level.K)
-        return apply_operator(numop, self.f, self.derivative)
+        return GridFunction(self.grid, self.images[name])
 
 
 # _level(sector, n, grid): the `_Level`, from an LRU cache of SAMPLE_CACHE_LEVELS entries

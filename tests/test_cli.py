@@ -281,6 +281,25 @@ class TestVerifyStates:
         assert err.count("\n") == 1
         assert err.startswith("error: chi at n=1 has zero norm") and err.endswith("; choose another --rmax\n")
 
+    @pytest.mark.parametrize("grid", [["--rmax", "3e-107"], ["--rmax", "6e-107"],
+                                      ["--rmax", "1e-106", "--npoints", "16"]])
+    def test_grid_where_chi_norm_is_subnormal_exit_2(self, capsys, grid):
+        # a squared norm below the smallest normal float has lost precision to
+        # gradual underflow; at 3e-107 three checks used to fail on it
+        code, out, err = run(capsys, ["verify-states", "--s", "0", "--m", "0", "--j", "0",
+                                      "--nmax", "3", *grid])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: chi at n=1 has a subnormal squared norm")
+        assert err.endswith("; choose another --rmax\n")
+
+    def test_grid_where_chi_norm_is_small_but_normal_passes(self, capsys):
+        code, out, _ = run(capsys, ["verify-states", "--s", "0", "--m", "0", "--j", "0",
+                                    "--nmax", "3", "--rmax", "1e-100"])
+        assert code == 0
+        assert out.rstrip().endswith("18/18 checks PASS")
+
     @pytest.mark.parametrize("bad", ["0", "-1e-8"])
     def test_non_positive_tol_exit_2(self, capsys, bad):
         code, out, err = run(capsys, ["verify-states", "--s", "0", "--m", "0", "--j", "0",

@@ -586,12 +586,71 @@ class TestSampleCache:
 
     def test_cached_arrays_are_read_only(self, hydrogen, xgrid):
         level = _level(hydrogen, H("2"), xgrid)
-        d2 = level.derivative(2)
-        assert level.derivative(2) is d2
-        assert level.derivative(0) is level.f.values
-        for arr in (level.f.values, d2, xgrid.nodes):
+        t3 = level.apply("T3").values
+        assert level.apply("T3").values is t3
+        assert level.images["T3"] is t3
+        # the level keeps chi and its nine images, no derivative samples
+        assert not hasattr(level, "derivative") and not hasattr(level, "_derivatives")
+        for arr in (level.f.values, t3, xgrid.nodes):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
+
+    @pytest.mark.parametrize("spec", [("0", 0.0, 0.0, "0", "0"), ("1/2", 1.0, 0.0, "1/2", "1/2"),
+                                      ("1", 0.5, 2.0, "-1", "2")],
+                             ids=["hydrogen", "half-odd", "shifted-J"])
+    @pytest.mark.parametrize("step", [0, 2, 4], ids=["bottom", "middle", "top"])
+    def test_images_equal_apply_operator(self, spec, step):
+        s, c1, c2, m, j = spec
+        sector = make_sector(MonopoleParams(H(s), c1, c2), H(m), H(j))
+        # the grid `verify_states_suite` picks at its default nlevels = 5
+        grid = RadialGrid(10.0 + 4.0 * (sector.bigJ + 5), 4000)
+        n = sector.j + 1 + step
+        _level.cache_clear()
+        _tower_sampler.cache_clear()
+        level = _level(sector, n, grid)
+        _, f, derivs = sampled(sector, n, grid)
+        assert np.array_equal(level.f.values, f.values)
+        table = operator_algebra.generator_table()
+        assert set(level.images) == set(table) and len(table) == 9
+        for name, op in table.items():
+            expected = apply_operator(substitute(op, sector.bigJ, level.state.level.K), f, derivs).values
+            image = level.images[name]
+            assert np.array_equal(image, expected), name
+            with pytest.raises(ValueError, match="read-only"):
+                image[0] = 1.0
+
+    def test_each_image_built_once(self, hydrogen, monkeypatch):
+        names = {id(op): name for name, op in operator_algebra.generator_table().items()}
+        substituted = Counter()
+        sampled_orders = Counter()
+        sums = []
+        substitute_ = numeric_verify.substitute
+        chi_dn_ = TowerSampler.chi_dn
+        sum_terms = numeric_verify._sum_terms
+
+        def counting_substitute(op, jval, kval):
+            substituted[names[id(op)], kval] += 1
+            return substitute_(op, jval, kval)
+
+        def counting_chi_dn(sampler, state, order):
+            sampled_orders[state.level.n, order] += 1
+            return chi_dn_(sampler, state, order)
+
+        def counting_sum(numop, product):
+            sums.append((numop.kval, numop.terms))
+            return sum_terms(numop, product)
+
+        _level.cache_clear()
+        _tower_sampler.cache_clear()
+        monkeypatch.setattr(numeric_verify, "substitute", counting_substitute)
+        monkeypatch.setattr(TowerSampler, "chi_dn", counting_chi_dn)
+        monkeypatch.setattr(numeric_verify, "_sum_terms", counting_sum)
+        self._suite(hydrogen)
+        # ten levels, nine generators each: 90 substitutions and 90 images
+        assert sum(substituted.values()) == 90 and len(substituted) == 90
+        assert len(sums) == 90 and len(set(sums)) == 90
+        # four derivative orders per level, each sampled once
+        assert sum(sampled_orders.values()) == 40 and max(sampled_orders.values()) == 1
 
     @pytest.mark.parametrize("name", ["hydrogen", "shifted"])
     def test_each_check_alone_equals_the_suite(self, name, request):
