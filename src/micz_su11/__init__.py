@@ -22,13 +22,10 @@ _EXPORTS = {
         "HalfInt",
         "InvalidLevel",
         "InvalidQuantumNumbers",
-        "IrrepLabels",
         "LevelLabels",
         "MonopoleParams",
         "SectorLabels",
         "energy",
-        "irrep_labels",
-        "iter_valid_j",
         "levels",
         "m_plus",
         "make_sector",
@@ -40,7 +37,6 @@ _EXPORTS = {
         "ParamOutOfRange",
         "jacobi",
         "jacobi_deriv",
-        "kummer_deriv",
         "kummer_terminating",
     ),
     "operator_algebra": (
@@ -50,9 +46,6 @@ _EXPORTS = {
         "NumericOperator",
         "ParamPoly",
         "build_Ln",
-        "build_T3",
-        "build_Tpm",
-        "build_Tpm_n",
         "casimir",
         "commutator",
         "compose",
@@ -76,7 +69,6 @@ _EXPORTS = {
         "chi_d2",
         "chi_dn",
         "default_angular_mesh",
-        "radial_R",
         "radial_state",
     ),
     "numeric_verify": (

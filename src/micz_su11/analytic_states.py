@@ -30,7 +30,6 @@ from .special_functions import (
     jacobi_deriv,
     KummerSweep,
     _kummer_deriv_scale,
-    kummer_terminating,
 )
 
 
@@ -179,18 +178,6 @@ def chi_d1(state: RadialState, x):
 
 def chi_d2(state: RadialState, x):
     return chi_dn(state, x, 2)
-
-
-def radial_R(state: RadialState, r):
-    """R_{n,j}(r) = (2 eps r)^J e^(-eps r) F(j+1-n, 2J+2; 2 eps r).
-
-    Related to the stored form by R(r) = (K/2r) chi(r/K): the consistency is
-    checked, not assumed, by the tests.
-    """
-    arr, scalar = _as_array(r, "r")
-    t = state.level.epsilon * arr
-    val = (2.0 * t) ** (state.exponent - 1.0) * np.exp(-t) * kummer_terminating(state.kummer, 2.0 * t)
-    return float(val) if scalar else val
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ from .quantum_numbers import (
     InvalidLevel,
     InvalidQuantumNumbers,
     MonopoleParams,
-    SectorLabels,
     levels,
     make_sector,
+    sector_inputs,
 )
 
 SCHEMA = "su11-micz/1"
@@ -93,17 +93,6 @@ def _check_positive(flag: str, value: float) -> None:
         raise ValueError(f"{flag} must be positive and finite, got {value}")
 
 
-def _sector_config(sector: SectorLabels) -> dict:
-    params = sector.params
-    return {
-        "s": str(params.s),
-        "c1": params.c1,
-        "c2": params.c2,
-        "m": str(sector.m),
-        "j": str(sector.j),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -118,7 +107,7 @@ def cmd_spectrum(args) -> int:
          level.K, level.energy]
         for level in levels(sector, args.nmax)
     ]
-    config = {"command": "spectrum", **_sector_config(sector), "nmax": args.nmax}
+    config = {"command": "spectrum", **sector_inputs(sector), "nmax": args.nmax}
     _write_document(args, config, header, rows)
     return EXIT_OK
 
@@ -139,8 +128,11 @@ def cmd_eigenfunction(args) -> int:
             _check_positive("--rmax", args.rmax)
         state = radial_state(sector, args.n)
         xmax = args.rmax if args.rmax is not None else 10.0 + 4.0 * state.level.K
-        xs = xmax * np.arange(1, args.npoints + 1) / args.npoints
         with np.errstate(over="ignore", invalid="ignore"):
+            xs = xmax * np.arange(1, args.npoints + 1) / args.npoints
+            if not math.isfinite(2.0 * xs[-1]):  # the largest x; the sampler works on 2x
+                raise ValueError(f"--rmax {xmax:g} is too large: the sample points x = rmax i/npoints "
+                                 "or 2x overflow")
             sampler = TowerSampler(sector, xs)
             cols = (sampler.chi(state), sampler.chi_dn(state, 1), sampler.chi_dn(state, 2))
             if not all(np.all(np.isfinite(c)) for c in cols):
@@ -151,7 +143,7 @@ def cmd_eigenfunction(args) -> int:
                 raise ValueError(f"at n={args.n} {what} on the window 0 < x <= {xmax:g}")
         header = ["x", "chi", "chi_d1", "chi_d2"]
         rows = list(zip(xs, *cols))
-        config = {"command": "eigenfunction", "kind": "radial", **_sector_config(sector),
+        config = {"command": "eigenfunction", "kind": "radial", **sector_inputs(sector),
                   "n": str(args.n), "rmax": xmax, "npoints": args.npoints}
     else:
         if not math.isfinite(args.phi):
@@ -162,7 +154,7 @@ def cmd_eigenfunction(args) -> int:
         z = angular_Z(state, thetas, phi)
         header = ["theta", "re_z", "im_z"]
         rows = list(zip(thetas, z.real, z.imag))
-        config = {"command": "eigenfunction", "kind": "angular", **_sector_config(sector),
+        config = {"command": "eigenfunction", "kind": "angular", **sector_inputs(sector),
                   "phi": phi, "npoints": args.npoints}
     _write_document(args, config, header, [[float(v) for v in row] for row in rows])
     return EXIT_OK
@@ -171,8 +163,8 @@ def cmd_eigenfunction(args) -> int:
 def cmd_verify_algebra(args) -> int:
     from .operator_algebra import (
         NormalOrderedOperator,
-        build_T3,
         extra_identity_checks,
+        generator_table,
         identity_suite,
         monomial_action,
     )
@@ -180,10 +172,10 @@ def cmd_verify_algebra(args) -> int:
     kmax = args.deg_check_max
     if kmax < -4:
         raise ValueError(f"--deg-check-max must be at least -4, got {kmax}")
-    t3 = build_T3()
+    t3 = None  # the derived T3 of `generator_table()`
     if args.corrupt_identity:
         # test hook: flips the sign of the x/2 term of T3
-        t3 = t3 - NormalOrderedOperator.x_power(1)
+        t3 = generator_table()["T3"] - NormalOrderedOperator.x_power(1)
     identities = identity_suite(t3)
     reports = []
     failed = []
@@ -239,7 +231,7 @@ def cmd_verify_states(args) -> int:
     n_fail = sum(1 for r in reports if not r.passed)
     print(f"{len(reports) - n_fail}/{len(reports)} checks PASS")
     if args.out or args.format == "csv":
-        config = {"command": "verify-states", **_sector_config(sector), "nmax": args.nmax,
+        config = {"command": "verify-states", **sector_inputs(sector), "nmax": args.nmax,
                   "rmax": grid.rmax if grid else None, "npoints": grid.npoints if grid else None,
                   "tol": args.tol}
         rows = [[r.check_name, r.inputs.get("n", ""), r.residual, r.tolerance, r.passed, r.runtime_ms]
@@ -268,7 +260,7 @@ def cmd_oracle(args) -> int:
         params = MonopoleParams(args.s, args.c1, args.c2)
         sector = make_sector(params, args.m, args.j)
         k_top = levels(sector, args.nmax)[-1].K
-        config = {"command": "oracle", **_sector_config(sector)}
+        config = {"command": "oracle", **sector_inputs(sector)}
     if args.rmax is not None:
         rmax = args.rmax
     else:

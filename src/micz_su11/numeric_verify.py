@@ -83,6 +83,7 @@ from .quantum_numbers import (
     SectorLabels,
     make_sector,
     levels as sector_levels,
+    sector_inputs,
 )
 
 MIN_NODES_PER_WAVELENGTH = 8
@@ -183,17 +184,6 @@ def _report(name, inputs, residual, tolerance, t0, details=None) -> Verification
         runtime_ms=(time.perf_counter() - t0) * 1000.0,
         details=details or {},
     )
-
-
-def _sector_inputs(sector: SectorLabels, grid: RadialGrid | None = None, n: HalfInt | None = None) -> dict:
-    p = sector.params
-    out = {"s": str(p.s), "c1": p.c1, "c2": p.c2, "m": str(sector.m), "j": str(sector.j)}
-    if n is not None:
-        out["n"] = str(n)
-    if grid is not None:
-        out["rmax"] = grid.rmax
-        out["npoints"] = grid.npoints
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +432,7 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
     level = _level(sector, n, grid)
     y = level.apply("T+" if sign == 1 else "T-")
     bottom = n - sector.j == 1
-    inputs = _sector_inputs(sector, grid, n)
+    inputs = sector_inputs(sector, grid, n)
     if sign == -1 and bottom:
         residual = y.norm() / level.f.norm()
         return _report("ladder_annihilation", inputs, residual, tol, t0)
@@ -474,7 +464,7 @@ def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None 
         r_shift = GridFunction(grid, w.values - (K + sign) * z.values).norm() / z.norm()
         details[f"{tag}_eigenvalue"] = w.inner(z) / z.inner(z)
         residual = max(residual, r_shift)
-    return _report("t3_eigen", _sector_inputs(sector, grid, n), residual, tol, t0, details)
+    return _report("t3_eigen", sector_inputs(sector, grid, n), residual, tol, t0, details)
 
 
 def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
@@ -489,7 +479,7 @@ def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | Non
     spacing = measured[1] - measured[0]
     return _report(
         "t3_spacing",
-        _sector_inputs(sector, grid, n),
+        sector_inputs(sector, grid, n),
         abs(spacing - 1.0),
         tol,
         t0,
@@ -515,7 +505,7 @@ def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None =
     details = {"direct": float(res_direct), "mirror": float(res_mirror)}
     return _report(
         "casimir_action",
-        _sector_inputs(sector, grid, n),
+        sector_inputs(sector, grid, n),
         max(res_direct, res_mirror),
         tol,
         t0,
@@ -535,7 +525,7 @@ def radial_equation_check(sector: SectorLabels, n, grid: RadialGrid, tol: float 
     if not np.any(mask):
         mask = np.ones_like(x, dtype=bool)
     residual = float(np.max(np.abs(resid[mask])) / np.max(np.abs(f.values[mask])))
-    return _report("radial_equation", _sector_inputs(sector, grid, n), residual, tol, t0)
+    return _report("radial_equation", sector_inputs(sector, grid, n), residual, tol, t0)
 
 
 def angular_residual_check(sector: SectorLabels, tol: float | None = None) -> VerificationReport:
@@ -543,7 +533,7 @@ def angular_residual_check(sector: SectorLabels, tol: float | None = None) -> Ve
     t0 = time.perf_counter()
     thetas, phis = default_angular_mesh()
     residual = angular_residual(angular_state(sector), thetas, phis)
-    inputs = _sector_inputs(sector)
+    inputs = sector_inputs(sector)
     inputs["ntheta"] = len(thetas)
     inputs["nphi"] = len(phis)
     return _report("angular_residual", inputs, residual, tol, t0)
@@ -592,7 +582,7 @@ def spectrum_cross_check(
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     sector = make_sector(params, m, j)
-    pairs = [(lv.K, _sector_inputs(sector, grid, lv.n)) for lv in sector_levels(sector, levels)]
+    pairs = [(lv.K, sector_inputs(sector, grid, lv.n)) for lv in sector_levels(sector, levels)]
     return oracle_reports(sector.bigJ, pairs, grid, tol)
 
 

@@ -12,6 +12,16 @@ Canonical form, which `==`, `hash` and `is_zero` rely on: a `ParamPoly` maps
 The public constructors check and convert outside input into that form; the
 arithmetic, `compose` and `monomial_action` build each result in canonical
 form once and hand it to the private `_adopt`, which checks nothing.
+
+The su(1,1) generators are derived, not typed in, by the Schroedinger
+factorization of the radial operator Ln = -x^2 D^2 - 2K x + x^2, whose
+bound states satisfy Ln chi = -J(J+1) chi.  Dividing that equation by 2x
+gives T3 = (1/2) x^-1 (Ln + J(J+1)) + K, with T3 chi = K chi.  The +1 branch
+of `solve_schrodinger_ansatz(Ln)` writes Ln + K(K+1) = (T-^n - 1) T+^n with
+the first-order factors T+^n = -xD + x - K and T-^n = xD + x - K, and
+replacing the scalar K by T3 (`replace_K`) turns them into the ladder
+generators T_pm = -+xD + x - T3.  `generator_table()` does this once per
+process; the identity suites read the same derivation.
 """
 
 from __future__ import annotations
@@ -354,35 +364,6 @@ def build_Ln() -> NormalOrderedOperator:
     )
 
 
-def build_T3() -> NormalOrderedOperator:
-    """(1/2)(-x D^2 + x + J(J+1)/x)."""
-    half = Fraction(1, 2)
-    return NormalOrderedOperator(
-        {(1, 2): -half, (1, 0): half, (-1, 0): _poly_jj1() * half}
-    )
-
-
-def build_Tpm_n(sign: int) -> NormalOrderedOperator:
-    """First-order ladder factor -+x D + x - K; sign=+1 gives the raising one."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return NormalOrderedOperator(
-        {(1, 1): -sign, (1, 0): 1, (0, 0): -ParamPoly.K()}
-    )
-
-
-def _ladder_from(t3: NormalOrderedOperator, sign: int) -> NormalOrderedOperator:
-    """Second-order su(1,1) ladder generator -+x D + x - t3; sign=+1 raises."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return NormalOrderedOperator({(1, 1): -sign, (1, 0): 1}) - t3
-
-
-def build_Tpm(sign: int) -> NormalOrderedOperator:
-    """Second-order su(1,1) ladder generator -+x D + x - T3."""
-    return _ladder_from(build_T3(), sign)
-
-
 def _casimir_from(t3, tp, tm, mirror: bool = False) -> NormalOrderedOperator:
     """-T+T- + T3^2 - T3, or the mirror -T-T+ + T3^2 + T3, from the given generators."""
     if mirror:
@@ -391,15 +372,37 @@ def _casimir_from(t3, tp, tm, mirror: bool = False) -> NormalOrderedOperator:
 
 
 @cache
+def _factorization() -> tuple[NormalOrderedOperator, NormalOrderedOperator, NormalOrderedOperator]:
+    """(T3, T+^n, T-^n), derived from `build_Ln()` once per process (see `generator_table`)."""
+    ln = build_Ln()
+    one = NormalOrderedOperator.identity()
+    plus, _ = solve_schrodinger_ansatz(ln)  # the branch +1, then -1
+    half_inv_x = NormalOrderedOperator.x_power(-1, Fraction(1, 2))
+    t3 = compose(half_inv_x, ln + one * _poly_jj1()) + one * ParamPoly.K()
+    return t3, plus.right_factor(), plus.left_factor() + one
+
+
+def _generators(t3: NormalOrderedOperator | None = None) -> tuple[NormalOrderedOperator, ...]:
+    """(T3, T+, T-, T+^n, T-^n) with T_pm = T_pm^n with K -> T3; `t3` replaces the derived T3."""
+    derived_t3, tpn, tmn = _factorization()
+    if t3 is None:
+        t3 = derived_t3
+    return t3, replace_K(tpn, t3), replace_K(tmn, t3), tpn, tmn
+
+
+@cache
 def generator_table() -> Mapping[str, NormalOrderedOperator]:
-    """The level-independent generators and products, composed once per process.
+    """The level-independent generators and products, derived and composed once per process.
 
     Read-only mapping with keys "T3", "T+", "T-", "Ln" and the normal-ordered
-    products "T3 T+", "T3 T-", "T3 T3", "T+ T-", "T- T+".  Built on first
-    call, so importing the module composes nothing.
+    products "T3 T+", "T3 T-", "T3 T3", "T+ T-", "T- T+".  The generators
+    are derived from Ln = `build_Ln()` as the module docstring says:
+    T3 = (1/2) x^-1 (Ln + J(J+1)) + K; T+^n and T-^n - 1 are the right and
+    left factors of the +1 branch of `solve_schrodinger_ansatz(Ln)`; and
+    T_pm = `replace_K`(T_pm^n, T3).  Built on first call, so importing the
+    module composes nothing.
     """
-    t3 = build_T3()
-    tp, tm = _ladder_from(t3, +1), _ladder_from(t3, -1)
+    t3, tp, tm, _, _ = _generators()
     return MappingProxyType(
         {
             "T3": t3,
@@ -568,14 +571,11 @@ def solve_schrodinger_ansatz(
 def identity_suite(t3: NormalOrderedOperator | None = None) -> list[tuple[str, NormalOrderedOperator]]:
     """The six defining identities as (name, difference) pairs; all must be zero.
 
-    Passing a custom t3 rebuilds every derived operator from it, which lets a
-    corrupted generator demonstrate the failure path.
+    The generators are those of `generator_table()`.  Passing a custom t3
+    rebuilds T_pm from it with `replace_K`, which lets a corrupted generator
+    demonstrate the failure path.
     """
-    if t3 is None:
-        t3 = build_T3()
-    tp, tm = _ladder_from(t3, +1), _ladder_from(t3, -1)
-    tpn = build_Tpm_n(+1)
-    tmn = build_Tpm_n(-1)
+    t3, tp, tm, tpn, tmn = _generators(t3)
     ln = build_Ln()
     one = NormalOrderedOperator.identity()
     K = ParamPoly.K()
@@ -592,12 +592,15 @@ def identity_suite(t3: NormalOrderedOperator | None = None) -> list[tuple[str, N
 
 
 def extra_identity_checks(t3: NormalOrderedOperator | None = None) -> list[tuple[str, NormalOrderedOperator]]:
-    """Supplementary exact zeros: the Casimir mirror and the definitional T_pm."""
-    if t3 is None:
-        t3 = build_T3()
-    tp, tm = _ladder_from(t3, +1), _ladder_from(t3, -1)
+    """Supplementary exact zeros: the Casimir mirror and the definitional T_pm.
+
+    T_pm is built as `replace_K`(T_pm^n, T3), so the two T_pm rows hold by
+    construction, for a custom t3 too; they stay as named rows of the
+    `verify-algebra` document.
+    """
+    t3, tp, tm, tpn, tmn = _generators(t3)
     return [
         ("casimir mirror - casimir", _casimir_from(t3, tp, tm, mirror=True) - _casimir_from(t3, tp, tm)),
-        ("T+ - (T+^n with K -> T3)", tp - replace_K(build_Tpm_n(+1), t3)),
-        ("T- - (T-^n with K -> T3)", tm - replace_K(build_Tpm_n(-1), t3)),
+        ("T+ - (T+^n with K -> T3)", tp - replace_K(tpn, t3)),
+        ("T- - (T-^n with K -> T3)", tm - replace_K(tmn, t3)),
     ]

@@ -12,7 +12,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 
 class InvalidQuantumNumbers(ValueError):
@@ -187,15 +186,6 @@ class LevelLabels:
     energy: float
 
 
-@dataclass(frozen=True)
-class IrrepLabels:
-    """Lowest-weight representation labels (mu, nu) for excitation number nprime."""
-
-    mu: float
-    nu: float
-    nprime: int
-
-
 def m_plus(s: HalfInt, m: HalfInt) -> HalfInt:
     """(|m+s| + |m-s|)/2, exact.  Always >= |m| and shares the parity of m."""
     tv = abs(m.twice_value + s.twice_value) + abs(m.twice_value - s.twice_value)
@@ -289,20 +279,22 @@ def energy(sector: SectorLabels, n: HalfInt) -> LevelLabels:
     return level
 
 
-def irrep_labels(sector: SectorLabels, nprime: int) -> IrrepLabels:
-    """Representation labels mu = J, nu = J + nprime + 1 of the n-th tower state."""
-    if nprime < 0:
-        raise InvalidLevel(f"nprime must be a non-negative integer, got {nprime}")
-    return IrrepLabels(mu=sector.bigJ, nu=sector.bigJ + nprime + 1.0, nprime=nprime)
-
-
-def iter_valid_j(params: MonopoleParams, m: HalfInt, count: int = 33) -> Iterator[HalfInt]:
-    """The j values admitting the sector (m, j): m_plus, m_plus + 1, ..."""
-    start = m_plus(params.s, m)
-    for i in range(count):
-        yield start + i
-
-
 def levels(sector: SectorLabels, count: int = 32) -> list[LevelLabels]:
     """The lowest `count` bound levels n = j+1, ..., j+count of the sector."""
     return [energy(sector, sector.j + (i + 1)) for i in range(count)]
+
+
+def sector_inputs(sector: SectorLabels, grid=None, n: HalfInt | None = None) -> dict:
+    """The labels that name a sector in reports and CLI documents.
+
+    Keys in order: s, c1, c2, m, j, then the level n when given, then the
+    `rmax` and `npoints` of `grid` (a `numeric_verify.RadialGrid`) when given.
+    """
+    p = sector.params
+    out = {"s": str(p.s), "c1": p.c1, "c2": p.c2, "m": str(sector.m), "j": str(sector.j)}
+    if n is not None:
+        out["n"] = str(n)
+    if grid is not None:
+        out["rmax"] = grid.rmax
+        out["npoints"] = grid.npoints
+    return out

@@ -133,12 +133,3 @@ def _kummer_deriv_scale(p: KummerParams, order: int) -> float:
     for i in range(order):
         scale *= (i - p.k) / (p.bparam + i)
     return scale
-
-
-def kummer_deriv(p: KummerParams, z, order: int):
-    """d^l/dz^l F(-k, b; z) = (-k)_l/(b)_l F(-k+l, b+l; z), zero for l > k."""
-    if order < 0:
-        raise ValueError("derivative order must be non-negative")
-    if order > p.k:
-        return np.zeros_like(z, dtype=float) if isinstance(z, np.ndarray) else 0.0
-    return _kummer_deriv_scale(p, order) * kummer_terminating(KummerParams(p.k - order, p.bparam + order), z)

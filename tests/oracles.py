@@ -14,7 +14,7 @@ import numpy as np
 
 from micz_su11.analytic_states import RadialState, _as_array, chi
 from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly
-from micz_su11.special_functions import kummer_deriv
+from micz_su11.special_functions import KummerParams, _kummer_deriv_scale, kummer_terminating
 
 
 def _rising(x: Fraction, n: int) -> Fraction:
@@ -48,6 +48,33 @@ def kummer_rational(k: int, b: Fraction, z: Fraction) -> Fraction:
         total += term
         term = term * (i - k) * z / ((b + i) * (i + 1))
     return total
+
+
+# ---------------------------------------------------------------------------
+# The su(1,1) generators as typed-in formulas: the reference that
+# `operator_algebra.generator_table()`, which derives them from the
+# factorization of Ln, must reproduce term for term.
+# ---------------------------------------------------------------------------
+
+def build_T3() -> NormalOrderedOperator:
+    """(1/2)(-x D^2 + x + J(J+1)/x)."""
+    half = Fraction(1, 2)
+    J = ParamPoly.J()
+    return NormalOrderedOperator({(1, 2): -half, (1, 0): half, (-1, 0): J * (J + 1) * half})
+
+
+def build_Tpm_n(sign: int) -> NormalOrderedOperator:
+    """First-order ladder factor -+x D + x - K; sign=+1 gives the raising one."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return NormalOrderedOperator({(1, 1): -sign, (1, 0): 1, (0, 0): -ParamPoly.K()})
+
+
+def build_Tpm(sign: int) -> NormalOrderedOperator:
+    """Second-order su(1,1) ladder generator -+x D + x - T3; sign=+1 raises."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return NormalOrderedOperator({(1, 1): -sign, (1, 0): 1}) - build_T3()
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +304,18 @@ def chi_dn_reference(coeffs, alpha: float, max_order: int, nodes) -> list[np.nda
 
 # ---------------------------------------------------------------------------
 # chi_dn as one self-contained call: every P^(l) from its own Kummer sweep
-# started at order 0, the evaluation that `TowerSampler` must reproduce bit
-# for bit.
+# started at order 0 (`kummer_deriv`), the evaluation that `TowerSampler`
+# must reproduce bit for bit.
 # ---------------------------------------------------------------------------
+
+def kummer_deriv(p: KummerParams, z, order: int):
+    """d^l/dz^l F(-k, b; z) = (-k)_l/(b)_l F(-k+l, b+l; z), zero for l > k."""
+    if order < 0:
+        raise ValueError("derivative order must be non-negative")
+    if order > p.k:
+        return np.zeros_like(z, dtype=float) if isinstance(z, np.ndarray) else 0.0
+    return _kummer_deriv_scale(p, order) * kummer_terminating(KummerParams(p.k - order, p.bparam + order), z)
+
 
 def chi_dn_per_call(state: RadialState, x, order: int):
     """Exact order-th derivative of chi via the three-factor product rule.

@@ -34,18 +34,16 @@ from micz_su11.operator_algebra import (
     NormalOrderedOperator,
     ParamPoly,
     build_Ln,
-    build_T3,
-    build_Tpm,
-    build_Tpm_n,
     commutator,
     compose,
+    generator_table,
     monomial_action,
     solve_schrodinger_ansatz,
     substitute,
 )
 from micz_su11.quantum_numbers import HalfInt, MonopoleParams, make_sector
 from micz_su11.special_functions import JacobiParams, jacobi
-from oracles import jacobi_series
+from oracles import build_Tpm_n, jacobi_series
 
 H = HalfInt.parse
 
@@ -66,9 +64,9 @@ def criterion(num: int, ok: bool, desc: str) -> None:
 
 def test_criterion_1_exact_algebra_suite():
     t0 = time.perf_counter()
-    t3 = build_T3()
-    tp = build_Tpm(+1)
-    tm = build_Tpm(-1)
+    # the program's generators, and the paper's first-order factors as typed in
+    gen = generator_table()
+    t3, tp, tm = gen["T3"], gen["T+"], gen["T-"]
     tpn = build_Tpm_n(+1)
     tmn = build_Tpm_n(-1)
     ln = build_Ln()
@@ -174,7 +172,7 @@ def test_criterion_5_ladder_action():
     state = radial_state(HYDROGEN, H("1"))
     f = GridFunction(grid, chi(state, grid.nodes))
     y = apply_operator(
-        substitute(build_Tpm(+1), 0.0, 1.0),
+        substitute(generator_table()["T+"], 0.0, 1.0),
         f,
         derivatives=lambda order: chi_dn(state, grid.nodes, order),
     )

@@ -16,7 +16,6 @@ from micz_su11.analytic_states import (
     chi_d2,
     chi_dn,
     default_angular_mesh,
-    radial_R,
     radial_state,
 )
 from micz_su11.quantum_numbers import HalfInt, MonopoleParams, make_sector
@@ -217,29 +216,37 @@ class TestRadialOde:
 
 
 class TestRadialR:
+    """The radial function in r, R(r) = (2 eps r)^J e^(-eps r) F(j+1-n, 2J+2; 2 eps r), is (K/2r) chi(r/K)."""
+
     def test_proportional_to_chi_over_r(self, shifted):
         st = radial_state(shifted, H("5/2"))
         K = st.level.K
         rng = np.random.default_rng(7)
         r = rng.uniform(0.1, 20.0, size=50)
-        ratio = radial_R(st, r) * r / chi(st, r / K)
+        t = st.level.epsilon * r
+        b = Fraction(2.0 * shifted.bigJ + 2.0)
+        poly = np.array([float(kummer_rational(st.kummer.k, b, Fraction(2.0 * ti))) for ti in t])
+        R = (2.0 * t) ** shifted.bigJ * np.exp(-t) * poly  # F summed exactly
+        ratio = R * r / chi(st, r / K)
         assert np.std(ratio) <= 1e-12 * abs(np.mean(ratio))
         assert np.mean(ratio) == pytest.approx(K / 2.0, rel=1e-12)
 
     def test_hydrogen_ground_state_pure_exponential(self, hydrogen):
+        # K = 1, so R(r) = chi(r)/(2r) = e^(-r)
         st = radial_state(hydrogen, H("1"))
         r = np.linspace(0.1, 12.0, 25)
-        ratio = radial_R(st, r) / np.exp(-r)
-        assert np.max(np.abs(ratio - ratio[0])) <= 1e-12
+        ratio = chi(st, r) / (2.0 * r * np.exp(-r))
+        assert np.max(np.abs(ratio - 1.0)) <= 1e-12
 
     def test_square_integrable(self, shifted):
+        # int R^2 r^2 dr = (K^3/4) int chi^2 dx
         st = radial_state(shifted, H("7/2"))
         K = st.level.K
-        r = np.linspace(1e-4, 80.0 * K, 200001)
-        total = trapezoid(radial_R(st, r) ** 2 * r * r, r)
+        x = np.linspace(1e-4, 80.0 * K, 200001) / K
+        total = trapezoid(chi(st, x) ** 2, x)
         assert math.isfinite(total) and total > 0.0
-        tail_r = np.linspace(80.0 * K, 160.0 * K, 2001)
-        tail = trapezoid(radial_R(st, tail_r) ** 2 * tail_r * tail_r, tail_r)
+        tail_x = np.linspace(80.0, 160.0, 2001)
+        tail = trapezoid(chi(st, tail_x) ** 2, tail_x)
         assert tail <= 1e-10 * total
 
 

@@ -161,6 +161,26 @@ class TestEigenfunction:
         assert err.count("\n") == 1
         assert err.startswith("error: at n=250 F(-k, b; 2x)") and "overflows on the window" in err
 
+    @pytest.mark.parametrize("argv", [["--rmax", "1e308"], ["--rmax", "1e306"],
+                                      ["--rmax", "1e308", "--npoints", "1"]])
+    def test_overflowing_window_exit_2_without_warnings(self, capsys, argv):
+        # x = rmax i/npoints overflows before the division, or 2x does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "2", *argv])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: --rmax {float(argv[1]):g} is too large: the sample points")
+
+    def test_finite_window_bytes_unchanged(self, capsys):
+        # the sample points are still xmax * i / npoints, rounded as before
+        code, out, _ = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "2",
+                                    "--rmax", "7.3", "--npoints", "7"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == [format(7.3 * i / 7, ".17g") for i in range(1, 8)]
+
     def test_n_150_still_finite(self, capsys):
         code, out, _ = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "150"])
         assert code == 0

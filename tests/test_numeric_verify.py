@@ -44,7 +44,7 @@ from micz_su11.numeric_verify import (
     t3_spacing_check,
     verify_states_suite,
 )
-from micz_su11.operator_algebra import build_Ln, build_T3, build_Tpm, substitute
+from micz_su11.operator_algebra import build_Ln, generator_table, substitute
 from micz_su11.special_functions import KummerSweep
 from micz_su11.quantum_numbers import (
     HalfInt,
@@ -151,7 +151,7 @@ class TestApplyOperator:
     def test_t3_eigen_action_analytic(self, hydrogen, xgrid):
         # T3 chi_{1,0} = 1 * chi_{1,0}
         _, f, derivs = sampled(hydrogen, H("1"), xgrid)
-        y = apply_operator(substitute(build_T3(), 0.0, 1.0), f, derivatives=derivs)
+        y = apply_operator(substitute(generator_table()["T3"], 0.0, 1.0), f, derivatives=derivs)
         assert np.max(np.abs(y.values - f.values)) <= 1e-8 * np.max(np.abs(f.values))
 
     def test_Ln_annihilates_hydrogen_ground_state(self, hydrogen, xgrid):
@@ -161,7 +161,7 @@ class TestApplyOperator:
 
     def test_fd_matches_analytic_for_second_order(self, shifted, xgrid):
         _, f, derivs = sampled(shifted, H("5/2"), xgrid)
-        for op in (build_T3(), build_Ln(), build_Tpm(+1)):
+        for op in (generator_table()["T3"], build_Ln(), generator_table()["T+"]):
             numop = substitute(op, shifted.bigJ, 2.5)
             exact = apply_operator(numop, f, derivatives=derivs).values
             fd = apply_operator(numop, f, derivatives=fd_derivatives(f)).values
@@ -331,7 +331,7 @@ class TestLadder:
     def test_hydrogen_raise_closed_form(self, hydrogen, xgrid):
         # T+ chi_{1,0} = 4 x (x-1) e^{-x} with the stored normalization
         state, f, derivs = sampled(hydrogen, H("1"), xgrid)
-        y = apply_operator(substitute(build_Tpm(+1), 0.0, 1.0), f, derivatives=derivs)
+        y = apply_operator(substitute(generator_table()["T+"], 0.0, 1.0), f, derivatives=derivs)
         x = xgrid.nodes
         image = 4.0 * x * (x - 1.0) * np.exp(-x)
         assert np.max(np.abs(y.values - image)) <= 1e-10 * max(1.0, np.max(np.abs(image)))
@@ -371,10 +371,10 @@ class TestLadder:
             state, f, _ = sampled(hydrogen, H("1"), grid)
             tstate = radial_state(hydrogen, H("2"))
             t = GridFunction(grid, chi(tstate, grid.nodes))
-            y = apply_operator(substitute(build_Tpm(+1), 0.0, 1.0), f, derivatives=fd_derivatives(f))
+            y = apply_operator(substitute(generator_table()["T+"], 0.0, 1.0), f, derivatives=fd_derivatives(f))
             sim = abs(y.inner(t)) / (y.norm() * t.norm())
             raise_defects.append(1.0 - sim)
-            ym = apply_operator(substitute(build_Tpm(-1), 0.0, 1.0), f, derivatives=fd_derivatives(f))
+            ym = apply_operator(substitute(generator_table()["T-"], 0.0, 1.0), f, derivatives=fd_derivatives(f))
             annihilation.append(ym.norm() / f.norm())
         assert raise_defects[0] > raise_defects[1] > raise_defects[2]
         assert annihilation[0] > annihilation[1] > annihilation[2]

@@ -10,9 +10,6 @@ from micz_su11.operator_algebra import (
     NormalOrderedOperator,
     ParamPoly,
     build_Ln,
-    build_T3,
-    build_Tpm,
-    build_Tpm_n,
     casimir,
     commutator,
     compose,
@@ -24,6 +21,7 @@ from micz_su11.operator_algebra import (
     solve_schrodinger_ansatz,
     substitute,
 )
+from oracles import build_T3, build_Tpm, build_Tpm_n
 
 J = ParamPoly.J()
 K = ParamPoly.K()
@@ -31,6 +29,34 @@ ONE = NormalOrderedOperator.identity()
 X = NormalOrderedOperator.x_power(1)
 D = NormalOrderedOperator({(0, 1): 1})
 XD = NormalOrderedOperator({(1, 1): 1})
+GENERATORS = ("T3", "T+", "T-", "Ln", "T3 T+", "T3 T-", "T3 T3", "T+ T-", "T- T+")
+
+
+def gen(name: str) -> NormalOrderedOperator:
+    """The program's operator: derived from the factorization of Ln, composed once."""
+    return generator_table()[name]
+
+
+def derived_factors() -> tuple[NormalOrderedOperator, NormalOrderedOperator]:
+    """T+^n and T-^n as the +1 branch of the ansatz for Ln gives them."""
+    plus = solve_schrodinger_ansatz(build_Ln())[0]
+    return plus.right_factor(), plus.left_factor() + ONE
+
+
+def reference_table() -> dict[str, NormalOrderedOperator]:
+    """`generator_table()` rebuilt from the typed-in formulas of `tests/oracles.py`."""
+    t3, tp, tm = build_T3(), build_Tpm(+1), build_Tpm(-1)
+    return {
+        "T3": t3,
+        "T+": tp,
+        "T-": tm,
+        "Ln": build_Ln(),
+        "T3 T+": compose(t3, tp),
+        "T3 T-": compose(t3, tm),
+        "T3 T3": compose(t3, t3),
+        "T+ T-": compose(tp, tm),
+        "T- T+": compose(tm, tp),
+    }
 
 
 def jj1() -> ParamPoly:
@@ -51,7 +77,7 @@ class TestCompose:
         assert compose(D, xinv) == expected
 
     def test_commutator_antisymmetry_on_generators(self):
-        for op in (build_T3(), build_Tpm(+1), build_Ln()):
+        for op in (gen("T3"), gen("T+"), build_Ln()):
             assert commutator(op, op).is_zero
 
     @settings(max_examples=60, deadline=None)
@@ -119,35 +145,40 @@ class TestBuilders:
         assert ln.coeff(2, 0) == 1
 
     def test_T3_inverse_power_coefficient(self):
-        assert build_T3().coeff(-1, 0) == jj1() * Fraction(1, 2)
+        assert gen("T3").coeff(-1, 0) == jj1() * Fraction(1, 2)
 
     def test_Tpm_definition(self):
-        assert build_Tpm(+1) == -XD + X - build_T3()
-        assert build_Tpm(-1) == XD + X - build_T3()
+        assert gen("T+") == -XD + X - gen("T3")
+        assert gen("T-") == XD + X - gen("T3")
 
     def test_Tpm_n_shape(self):
-        tp = build_Tpm_n(+1)
+        tp, tm = derived_factors()
         assert tp == NormalOrderedOperator({(1, 1): -1, (1, 0): 1, (0, 0): -K})
-        tm = build_Tpm_n(-1)
-        assert tm.coeff(1, 1) == 1
+        assert tm == NormalOrderedOperator({(1, 1): 1, (1, 0): 1, (0, 0): -K})
 
     def test_generator_table_matches_fresh_builds(self):
-        gen = generator_table()
-        assert generator_table() is gen
-        t3, tp, tm = build_T3(), build_Tpm(+1), build_Tpm(-1)
-        assert dict(gen) == {
-            "T3": t3,
-            "T+": tp,
-            "T-": tm,
-            "Ln": build_Ln(),
-            "T3 T+": compose(t3, tp),
-            "T3 T-": compose(t3, tm),
-            "T3 T3": compose(t3, t3),
-            "T+ T-": compose(tp, tm),
-            "T- T+": compose(tm, tp),
-        }
+        table = generator_table()
+        assert generator_table() is table
+        assert list(table) == list(GENERATORS)
+        assert dict(table) == reference_table()
         with pytest.raises(TypeError):
-            gen["T3"] = ONE
+            table["T3"] = ONE
+
+    @pytest.mark.parametrize("name", GENERATORS)
+    def test_derived_terms_keep_the_reference_order(self, name):
+        # `ParamPoly.evaluate` sums in insertion order, so equal operators
+        # substitute to the same floats only if their terms are also ordered alike
+        def layout(op):
+            return [(key, list(poly.items())) for key, poly in op.items()]
+
+        assert layout(gen(name)) == layout(reference_table()[name])
+
+    @pytest.mark.parametrize("jval, kval", [(0.0, 1.0), (0.5, 3.5), (1.2071067811865475, 4.2071067811865475),
+                                            (7.25, 9.25), (84.0, 90.0), (3.0e5, 3.0e5 + 17.0)])
+    def test_substitute_matches_the_reference_bit_for_bit(self, jval, kval):
+        reference = reference_table()
+        for name in GENERATORS:
+            assert substitute(gen(name), jval, kval).terms == substitute(reference[name], jval, kval).terms
 
     def test_sign_validation(self):
         with pytest.raises(ValueError):
@@ -157,7 +188,7 @@ class TestBuilders:
 
     def test_lowering_factor_annihilates_hydrogen_ground_state(self):
         # T-^n at K=1, J=0 applied to 2x e^-x via closed-form derivatives
-        numop = substitute(build_Tpm_n(-1), 0.0, 1.0)
+        numop = substitute(derived_factors()[1], 0.0, 1.0)
         x = np.linspace(0.05, 12.0, 200)
         derivs = {
             0: 2.0 * x * np.exp(-x),
@@ -171,17 +202,14 @@ class TestBuilders:
 
 class TestAlgebraIdentities:
     def test_su11_commutators(self):
-        t3 = build_T3()
-        tp = build_Tpm(+1)
-        tm = build_Tpm(-1)
+        t3, tp, tm = gen("T3"), gen("T+"), gen("T-")
         assert commutator(tp, tm) == -2 * t3
         assert commutator(tp, t3) == -tp
         assert commutator(tm, t3) == tm
 
     def test_factorization_products(self):
         ln = build_Ln()
-        tpn = build_Tpm_n(+1)
-        tmn = build_Tpm_n(-1)
+        tpn, tmn = derived_factors()
         assert compose(tmn - ONE, tpn) == ln + (K * (K + 1)) * ONE
         assert compose(tpn + ONE, tmn) == ln + (K * (K - 1)) * ONE
 
@@ -198,20 +226,19 @@ class TestAlgebraIdentities:
             assert diff.is_zero, name
 
     def test_definitional_K_replacement(self):
-        t3 = build_T3()
-        for sign in (+1, -1):
-            rebuilt = replace_K(build_Tpm_n(sign), t3)
-            assert rebuilt == build_Tpm(sign)
+        for sign, name in ((+1, "T+"), (-1, "T-")):
+            assert replace_K(build_Tpm_n(sign), build_T3()) == build_Tpm(sign)
+            assert replace_K(build_Tpm_n(sign), gen("T3")) == gen(name)
 
     def test_replace_K_rejects_quadratic_K(self):
         op = NormalOrderedOperator({(0, 0): K * K})
         with pytest.raises(ValueError):
-            replace_K(op, build_T3())
+            replace_K(op, gen("T3"))
 
 
 class TestSubstitute:
     def test_T3_at_J_zero_drops_inverse_power(self):
-        numop = substitute(build_T3(), 0.0, 123.0)
+        numop = substitute(gen("T3"), 0.0, 123.0)
         assert numop.terms == ((1, 2, -0.5), (1, 0, 0.5))
 
     def test_Ln_linear_coefficient_at_K_one(self):
@@ -285,7 +312,7 @@ class TestRendering:
     def test_render_is_deterministic(self):
         a = casimir() - jj1() * ONE
         assert a.render() == "0"
-        op = build_T3()
+        op = gen("T3")
         assert op.render() == NormalOrderedOperator(dict(op.items())).render()
 
 

@@ -18,18 +18,21 @@ from micz_su11 import numeric_verify, quantum_numbers
 
 SRC = Path(micz_su11.__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
-# every name `micz_su11` exported when its __init__ imported all five modules
+# every name `micz_su11` exported when its __init__ imported all five modules, less
+# IrrepLabels, irrep_labels, iter_valid_j and radial_R (removed) and kummer_deriv,
+# build_T3, build_Tpm and build_Tpm_n (moved to tests/oracles.py)
 EXPORTED = """
-    HalfInt InvalidLevel InvalidQuantumNumbers IrrepLabels LevelLabels MonopoleParams SectorLabels energy
-    irrep_labels iter_valid_j levels m_plus make_sector
-    DegreeCapExceeded JacobiParams KummerParams ParamOutOfRange jacobi jacobi_deriv kummer_deriv
+    HalfInt InvalidLevel InvalidQuantumNumbers LevelLabels MonopoleParams SectorLabels energy
+    levels m_plus make_sector
+    DegreeCapExceeded JacobiParams KummerParams ParamOutOfRange jacobi jacobi_deriv
     kummer_terminating
-    FactorizationSolution NoFactorization NormalOrderedOperator NumericOperator ParamPoly build_Ln build_T3
-    build_Tpm build_Tpm_n casimir commutator compose extra_identity_checks generator_table identity_suite
+    FactorizationSolution NoFactorization NormalOrderedOperator NumericOperator ParamPoly build_Ln
+    casimir commutator compose extra_identity_checks generator_table identity_suite
     monomial_action replace_K solve_schrodinger_ansatz substitute
     AngularState DomainError RadialState angular_Z angular_residual angular_state chi chi_d1 chi_d2 chi_dn
-    default_angular_mesh radial_R radial_state
+    default_angular_mesh radial_state
     ConvergenceFailure GridFunction GridTooCoarse GridUnderflow RadialGrid VerificationReport apply_operator
     eig_oracle ladder_check casimir_check radial_equation_check angular_residual_check oracle_reports
     spectrum_cross_check t3_eigen_check t3_spacing_check verify_states_suite
@@ -86,6 +89,18 @@ class TestNamespace:
         assert getattr(numeric_verify, name) is cls
         assert getattr(micz_su11, name) is cls
         assert issubclass(cls, base)
+
+
+class TestReadme:
+    def test_library_example(self, capsys):
+        section = README.read_text(encoding="utf-8").split("\n## Library example\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(code, "README.md", "exec"), {})
+        energy, casimir, ladder = capsys.readouterr().out.splitlines()
+        assert energy == "-0.08"
+        assert casimir == "(J^2 + J)"
+        passed, residual = ladder.split()
+        assert passed == "True" and float(residual) <= 1e-7
 
 
 class TestStartWithoutNumpy:

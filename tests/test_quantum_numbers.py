@@ -12,8 +12,6 @@ from micz_su11.quantum_numbers import (
     InvalidQuantumNumbers,
     MonopoleParams,
     energy,
-    irrep_labels,
-    iter_valid_j,
     levels,
     m_plus,
     make_sector,
@@ -215,29 +213,30 @@ class TestEnergy:
 
 
 class TestIrrepLabels:
+    """A j tower is a lowest-weight su(1,1) irrep: mu = J, and the state nprime
+    steps above the bottom, n = j + nprime + 1, has T3 eigenvalue nu = K = J + nprime + 1."""
+
     def test_trivial_tower(self):
         sec = sector("0", 0.0, 0.0, "0", "0")
-        ir = irrep_labels(sec, 0)
-        assert ir.mu == 0.0 and ir.nu == 1.0
+        assert sec.bigJ == 0.0 and energy(sec, sec.j + 1).K == 1.0
 
     def test_shifted_tower(self):
         sec = sector("1/2", 1.0, 0.0, "1/2", "1/2")
-        assert irrep_labels(sec, 2).nu == 4.5
+        assert energy(sec, sec.j + 3).K == 4.5
 
     @pytest.mark.parametrize("nprime", range(6))
     @pytest.mark.parametrize("spec", [("0", 0.0, 0.0, "0", "0"), ("1/2", 1.0, 0.0, "1/2", "1/2")])
     def test_nu_equals_level_K(self, spec, nprime):
-        # two independent code paths forced to agree: nu = K of n = j + nprime + 1
         sec = sector(*spec)
-        ir = irrep_labels(sec, nprime)
         lv = energy(sec, sec.j + (nprime + 1))
-        assert ir.nu == lv.K
-        assert ir.nu == ir.mu + nprime + 1
+        assert lv.K == sec.bigJ + nprime + 1  # exact: K = J + (n - j)
+        assert lv.n - sec.j == nprime + 1
 
     def test_negative_nprime_rejected(self):
+        # nprime = -1 is n = j, below the lowest weight
         sec = sector("0", 0.0, 0.0, "0", "0")
         with pytest.raises(InvalidLevel):
-            irrep_labels(sec, -1)
+            energy(sec, sec.j)
 
 
 class TestEnumeration:
@@ -247,9 +246,7 @@ class TestEnumeration:
         sv = H(s)
         for tm in range(-6, 7):
             m = HalfInt(2 * tm + sv.parity)
-            listed = set(iter_valid_j(params, m, count=12))
-            assert listed == {m_plus(sv, m) + i for i in range(12)}
-            for j in listed:
+            for j in (m_plus(sv, m) + i for i in range(12)):
                 make_sector(params, m, j)  # must validate
             below = m_plus(sv, m) - 1
             if below >= abs(m):
@@ -261,7 +258,7 @@ class TestEnumeration:
         params = MonopoleParams(H(s), 0.0, 0.25)
         sv = H(s)
         m = HalfInt(sv.parity)  # smallest non-negative m of matching parity
-        for j in iter_valid_j(params, m, count=8):
+        for j in (m_plus(sv, m) + i for i in range(8)):
             assert j.parity == sv.parity
             sec = make_sector(params, m, j)
             for lv in levels(sec, 6):

@@ -13,10 +13,9 @@ from micz_su11.special_functions import (
     ParamOutOfRange,
     jacobi,
     jacobi_deriv,
-    kummer_deriv,
     kummer_terminating,
 )
-from oracles import jacobi_series, kummer_rational
+from oracles import jacobi_series, kummer_deriv, kummer_rational
 
 
 class TestJacobi:
