@@ -65,8 +65,6 @@ _EXPORTS = {
         "angular_residual",
         "angular_state",
         "chi",
-        "chi_d1",
-        "chi_d2",
         "chi_dn",
         "default_angular_mesh",
         "radial_state",

@@ -6,12 +6,13 @@ K, so every level of a j tower lives on one common x axis and the ladder
 checks can compare levels pointwise.  The polynomial factor and its
 derivatives are evaluated in float only through the Kummer recurrence
 (`KummerSweep`, which `kummer_terminating` runs once); the exact rational
-coefficients are kept as a reference.
+coefficients, `RadialState.poly_coeffs`, are a reference computed on first read.
 
 `TowerSampler` samples chi and its derivatives for every level of one tower
-on one fixed x, resuming its Kummer sweeps from level to level; `chi` and
-`chi_dn` are one call to a sampler of their own, so there is one float
-evaluation of chi and one product-rule body for its derivatives.
+on one fixed x, resuming its Kummer sweeps from level to level; its
+`derivatives` gives all orders up to a top one from one list of Kummer rows.
+`chi` and `chi_dn` are one call to a sampler of their own, so there is one
+float evaluation of chi and one product-rule body for its derivatives.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -34,14 +36,14 @@ from .special_functions import (
 
 
 class DomainError(ValueError):
-    """Evaluation outside the coordinate domain (x <= 0 or theta at a pole)."""
+    """Evaluation outside the coordinate domain: x not in (0, inf), theta not in (0, pi), or NaN."""
 
 
-def _as_array(x, what: str, upper: float | None = None):
+def _as_array(x, what: str, upper: float = math.inf):
+    """(float array, was scalar); DomainError unless every entry, NaN included, lies in (0, upper)."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or (upper is not None and np.any(arr >= upper)):
-        rng = f"(0, {upper})" if upper is not None else "(0, inf)"
-        raise DomainError(f"{what} must lie in {rng}")
+    if not np.all((arr > 0.0) & (arr < upper)):
+        raise DomainError(f"{what} must lie in (0, {upper})")
     return arr, np.isscalar(x) or arr.ndim == 0
 
 
@@ -52,28 +54,27 @@ class RadialState:
     sector: SectorLabels
     level: LevelLabels
     kummer: KummerParams
-    poly_coeffs: tuple[Fraction, ...]
     exponent: float
+
+    @cached_property
+    def poly_coeffs(self) -> tuple[Fraction, ...]:
+        """Exact coefficients of F(-k, 2J+2; 2x) in powers of x at the sector's J, computed on first read."""
+        k = self.kummer.k
+        b = 2 * Fraction(self.sector.bigJ) + 2
+        coeffs = [Fraction(1)]
+        for i in range(k):
+            coeffs.append(coeffs[-1] * 2 * (i - k) / ((b + i) * (i + 1)))
+        return tuple(coeffs)
 
 
 def radial_state(sector: SectorLabels, n: HalfInt | int) -> RadialState:
-    """Build chi_{n,j}: the Kummer parameters of its polynomial factor and its exact coefficients.
-
-    The coefficients come from the terminating hypergeometric series with
-    the 2x argument absorbed, so poly(x) = F(-(n-j-1), 2J+2; 2x) exactly at
-    the binary-rational value of J carried by the sector.
-    """
+    """Build chi_{n,j}: its level and the Kummer parameters of its polynomial factor."""
     level = energy(sector, n)
     k = (level.n.twice_value - sector.j.twice_value) // 2 - 1
-    b = 2 * Fraction(sector.bigJ) + 2
-    coeffs = [Fraction(1)]
-    for i in range(k):
-        coeffs.append(coeffs[-1] * 2 * (i - k) / ((b + i) * (i + 1)))
     return RadialState(
         sector=sector,
         level=level,
         kummer=KummerParams(k, 2.0 * sector.bigJ + 2.0),
-        poly_coeffs=tuple(coeffs),
         exponent=sector.bigJ + 1.0,
     )
 
@@ -120,49 +121,52 @@ class TowerSampler:
         self._check(state)
         return self.z**self.alpha * self.expf * self._row(state.kummer, 0)
 
-    def chi_dn(self, state: RadialState, order: int):
-        """Exact order-th derivative of chi via the three-factor product rule.
+    def derivatives(self, state: RadialState, top: int) -> list:
+        """Exact chi', chi'', ..., chi^(top) via the three-factor product rule.
 
-        chi = 2^alpha * x^alpha * e^(-x) * P(x) with alpha = J+1, so the
+        chi = 2^alpha * x^alpha * e^(-x) * P(x) with alpha = J+1, so each
         derivative is a finite multinomial sum; no finite differences
         anywhere.  Each P^(l)(x) = 2^l F^(l)(-k, b; 2x) that does not vanish
-        identically (l <= k) is taken once from the sweep of shift l.
+        identically (l <= k) is taken once, for all orders, from the sweep of
+        shift l; the terms are formed in one scratch array.
         """
-        if order < 0:
-            raise ValueError("derivative order must be non-negative")
-        if order == 0:
-            return self.chi(state)
         self._check(state)
         p = state.kummer
         dpoly = [2.0**l * (_kummer_deriv_scale(p, l) * self._row(p, l))
-                 for l in range(min(order, p.k) + 1)]
+                 for l in range(min(top, p.k) + 1)]
         alpha = self.alpha
         pref = 2.0**alpha
-        total = np.zeros_like(self.x)
-        for i in range(order + 1):
-            fall = 1.0
-            for t in range(i):
-                fall *= alpha - t
-            if fall == 0.0:
-                continue
-            xp = self._xpow_at(i)
-            for jj in range(order - i + 1):
-                l = order - i - jj
-                if l >= len(dpoly):
+        tmp = np.empty_like(self.x)
+        out = []
+        for order in range(1, top + 1):
+            total = np.zeros_like(self.x)
+            for i in range(order + 1):
+                fall = 1.0
+                for t in range(i):
+                    fall *= alpha - t
+                if fall == 0.0:
                     continue
-                mult = math.factorial(order) // (
-                    math.factorial(i) * math.factorial(jj) * math.factorial(l)
-                )
-                sgn = -1.0 if jj % 2 else 1.0
-                total += mult * fall * sgn * xp * dpoly[l]
-        return pref * self.expf * total
+                xp = self._xpow_at(i)
+                for jj in range(order - i + 1):
+                    l = order - i - jj
+                    if l >= len(dpoly):
+                        continue
+                    sgn = -1.0 if jj % 2 else 1.0
+                    np.multiply(math.comb(order, i) * math.comb(order - i, jj) * fall * sgn, xp, out=tmp)
+                    total += np.multiply(tmp, dpoly[l], out=tmp)
+            out.append(pref * self.expf * total)
+        return out
+
+    def chi_dn(self, state: RadialState, order: int):
+        """The order-th derivative of chi; order 0 is chi itself."""
+        if order < 0:
+            raise ValueError("derivative order must be non-negative")
+        return self.derivatives(state, order)[-1] if order else self.chi(state)
 
 
 def chi(state: RadialState, x):
     """chi_{n,j} at x > 0 (scalar or array)."""
-    sampler = TowerSampler(state.sector, x)
-    val = sampler.chi(state)
-    return float(val) if sampler.scalar else val
+    return chi_dn(state, x, 0)
 
 
 def chi_dn(state: RadialState, x, order: int):
@@ -170,14 +174,6 @@ def chi_dn(state: RadialState, x, order: int):
     sampler = TowerSampler(state.sector, x)
     val = sampler.chi_dn(state, order)
     return float(val) if sampler.scalar else val
-
-
-def chi_d1(state: RadialState, x):
-    return chi_dn(state, x, 1)
-
-
-def chi_d2(state: RadialState, x):
-    return chi_dn(state, x, 2)
 
 
 @dataclass(frozen=True)

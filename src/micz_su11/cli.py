@@ -134,7 +134,7 @@ def cmd_eigenfunction(args) -> int:
                 raise ValueError(f"--rmax {xmax:g} is too large: the sample points x = rmax i/npoints "
                                  "or 2x overflow")
             sampler = TowerSampler(sector, xs)
-            cols = (sampler.chi(state), sampler.chi_dn(state, 1), sampler.chi_dn(state, 2))
+            cols = (sampler.chi(state), *sampler.derivatives(state, 2))
             if not all(np.all(np.isfinite(c)) for c in cols):
                 what = "chi or its derivatives are not finite"
                 if not np.all(np.isfinite(kummer_terminating(state.kummer, 2.0 * xs))):

@@ -17,35 +17,31 @@ bit-for-bit the same.
 
 The grid checks reuse work in process-wide caches:
 
-- the su(1,1) generators and their products come from
-  `operator_algebra.generator_table()`, composed once per process; a level
-  `substitute`s (J, K) into each of the nine once;
-- `_node_power(grid, xp)` holds x^xp on the grid nodes for
-  `apply_operator` (NODE_POWER_CACHE = 6 arrays; the generators use xp in
-  {-2, -1, 1, 2});
+- `operator_algebra.generator_table()` composes the su(1,1) generators and
+  their products once per process; each keeps the float image of its exact
+  coefficients, built by its first `substitute`, and a level substitutes
+  (J, K) into each of the nine once;
+- `_node_power(grid, xp)` holds x^xp on the grid nodes (NODE_POWER_CACHE = 6
+  arrays; the generators use xp in {-2, -1, 1, 2});
 - `_tower_sampler(sector, grid)` keeps one `analytic_states.TowerSampler`
-  (the last (sector, grid) asked for).  It holds 2x, e^(-x), up to five
-  powers x^(J+1-i) and, for each derivative order l <= 4, the last two rows
-  of its resumable Kummer sweep: at most 17 arrays.  A walk up the tower
-  runs each sweep from order 0 once;
-- `_level(sector, n, grid)` is an LRU cache keyed on the frozen
-  (SectorLabels, HalfInt, RadialGrid) triple.  An entry is a `_Level`: the
-  state, chi on the grid nodes and, from the first `apply`, the images of
-  chi under all nine `generator_table()` operators at the level's (J, K).
-  They are built together: the nine operators have 69 terms but only 15
-  distinct (p, q), so each product x^p chi^(q) is formed once (and each
-  derivative order sampled once), and each image sums its terms in
-  `apply_operator`'s order with `apply_operator`'s operations, so it is
-  bit-for-bit that operator's `apply_operator` image.  The four derivative
-  samples and twelve products with p != 0 live only while the images are
-  built.  `_Level.apply(name)` is the one path from a `generator_table()`
-  name to its image.  The LRU keeps SAMPLE_CACHE_LEVELS = 4 levels, enough
-  for the n-1, n, n+1 window that `verify_states_suite` walks: at most 40
-  arrays (chi and nine images each).
+  for the last (sector, grid): 2x, e^(-x), up to five powers x^(J+1-i) and
+  the last two rows of the resumable Kummer sweep of each derivative order
+  l <= 4, at most 17 arrays.  A walk up the tower runs each sweep once;
+- `_level(sector, n, grid)` is an LRU of SAMPLE_CACHE_LEVELS = 4 `_Level`s,
+  enough for the n-1, n, n+1 window of `verify_states_suite`.  A `_Level`
+  holds the state, chi on the nodes and, from the first `apply`, the images
+  of chi under the nine `generator_table()` operators at its (J, K): at most
+  40 arrays.  The images are built together: one `TowerSampler.derivatives`
+  pass gives orders 1-4, each of the 15 distinct products x^p chi^(q) behind
+  the 69 terms is formed once, and each image sums its terms in
+  `apply_operator`'s order with its operations, so it is bit for bit that
+  operator's `apply_operator` image.  Each image is checked for non-finite
+  entries once, as it is built, so a bad image raises ValueError from the
+  build; `apply(name)` hands out the checked `GridFunction` as it is.
 
 Together that is at most 63 arrays of npoints x 8 B (2.0 MB at the default
-4000 points), plus the 16 arrays of the one level whose images are being
-built.  Every array the caches hand out is read-only.
+4000 points), plus, while one level builds its images, 4 derivative samples,
+12 products with p != 0 and 2 scratch arrays.  Every cached array is read-only.
 
 The caches are not thread-safe.  The cached sampler's sweeps advance in
 place, so two threads that sample one (sector, grid) at once can mix their
@@ -146,7 +142,7 @@ class GridFunction:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.npoints,):
             raise ValueError(f"expected {self.grid.npoints} values, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("grid function contains non-finite entries")
         object.__setattr__(self, "values", vals)
 
@@ -344,8 +340,9 @@ def _term_products(f: GridFunction, derivatives):
 def _sum_terms(numop: NumericOperator, product) -> np.ndarray:
     """The one body of operator application: sum of c * product(xp, dq) in term order."""
     out = np.zeros_like(product(0, 0))
+    tmp = np.empty_like(out)
     for xp, dq, c in numop.terms:
-        out += c * product(xp, dq)
+        out += np.multiply(c, product(xp, dq), out=tmp)
     return out
 
 
@@ -363,6 +360,12 @@ def _node_power(grid: RadialGrid, xp: int) -> np.ndarray:
 
 def _as_halfint(n) -> HalfInt:
     return n if isinstance(n, HalfInt) else HalfInt.from_int(n)
+
+
+@cache
+def _top_order() -> int:
+    """The highest derivative order among the `generator_table()` operators."""
+    return max(dq for op in generator_table().values() for (_, dq), _ in op.items())
 
 
 @lru_cache(maxsize=1)
@@ -394,25 +397,24 @@ class _Level:
         return _tower_sampler(self.state.sector, self.grid)
 
     @cached_property
-    def images(self) -> Mapping[str, np.ndarray]:
+    def images(self) -> Mapping[str, GridFunction]:
         """Read-only image of chi under each `generator_table()` operator at this level's (J, K).
 
-        All nine are built at once: (J, K) is substituted once per name, each
-        derivative order sampled once and each product x^p chi^(q) formed
-        once; the samples and products are dropped once the images exist.
+        All nine are built at once (see the module docstring).  ValueError if one is not finite.
         """
         J, K = self.state.sector.bigJ, self.state.level.K
-        sampler = self._sampler()
-        product = cache(_term_products(self.f, lambda order: sampler.chi_dn(self.state, order)))
+        derived = self._sampler().derivatives(self.state, _top_order())
+        product = cache(_term_products(self.f, lambda order: derived[order - 1]))
         images = {}
         for name, op in generator_table().items():
-            image = images[name] = _sum_terms(substitute(op, J, K), product)
+            image = _sum_terms(substitute(op, J, K), product)
             image.flags.writeable = False
+            images[name] = GridFunction(self.grid, image)
         return MappingProxyType(images)
 
     def apply(self, name: str) -> GridFunction:
         """The image of chi under `generator_table()[name]` at this level's (J, K)."""
-        return GridFunction(self.grid, self.images[name])
+        return self.images[name]
 
 
 # _level(sector, n, grid): the `_Level`, from an LRU cache of SAMPLE_CACHE_LEVELS entries

@@ -182,9 +182,6 @@ class ParamPoly:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def evaluate(self, jval: float, kval: float) -> float:
-        return float(sum(float(c) * jval**jp * kval**kp for (jp, kp), c in self._terms.items()))
-
     def render(self) -> str:
         if not self._terms:
             return "0"
@@ -225,7 +222,7 @@ def _poly_jj1() -> ParamPoly:
 class NormalOrderedOperator:
     """Canonical normal-ordered operator: (xpow, dorder) -> ParamPoly coefficient."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_floats")
 
     def __init__(self, terms: Mapping[tuple[int, int], ParamPoly | Scalar] | None = None):
         clean: dict[tuple[int, int], ParamPoly] = {}
@@ -269,6 +266,13 @@ class NormalOrderedOperator:
     def canonical_terms(self) -> list[tuple[tuple[int, int], ParamPoly]]:
         """Terms ordered derivative-major, then by ascending x power."""
         return sorted(self._terms.items(), key=lambda kv: (-kv[0][1], kv[0][0]))
+
+    def _float_terms(self) -> tuple[tuple[int, int, tuple[tuple[float, int, int], ...]], ...]:
+        """(xpow, dorder, ((float(c), jpow, kpow), ...)) in canonical order, built by the first `substitute`."""
+        if not hasattr(self, "_floats"):
+            self._floats = tuple((xp, dq, tuple((float(c), jp, kp) for (jp, kp), c in poly.items()))
+                                 for (xp, dq), poly in self.canonical_terms())
+        return self._floats
 
     def __add__(self, other):
         if not isinstance(other, NormalOrderedOperator):
@@ -462,10 +466,10 @@ class NumericOperator:
 
 
 def substitute(op: NormalOrderedOperator, jval: float, kval: float) -> NumericOperator:
-    """Evaluate the ParamPoly coefficients; zero terms are dropped."""
+    """Each coefficient as sum(float(c) J^jpow K^kpow) in stored term order; zero terms are dropped."""
     terms = []
-    for (xp, dq), poly in op.canonical_terms():
-        c = poly.evaluate(jval, kval)
+    for xp, dq, coeffs in op._float_terms():
+        c = float(sum(fc * jval**jp * kval**kp for fc, jp, kp in coeffs))
         if c != 0.0:
             terms.append((xp, dq, c))
     return NumericOperator(terms=tuple(terms), jval=jval, kval=kval)

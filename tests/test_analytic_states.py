@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,6 @@ from micz_su11.analytic_states import (
     angular_residual,
     angular_state,
     chi,
-    chi_d1,
-    chi_d2,
     chi_dn,
     default_angular_mesh,
     radial_state,
@@ -71,6 +70,16 @@ class TestRadialState:
         with pytest.raises(DomainError):
             chi_dn(st, -2.0, 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_x_rejected(self, hydrogen, bad):
+        st = radial_state(hydrogen, H("2"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"x must lie in \(0, inf\)"):
+                chi(st, bad)
+            with pytest.raises(DomainError, match=r"x must lie in \(0, inf\)"):
+                chi_dn(st, np.array([1.0, bad]), 2)
+
     def test_exponent_is_level_independent(self, shifted):
         # the stored representation carries no K: all levels share the x axis
         exps = {radial_state(shifted, shifted.j + i).exponent for i in (1, 2, 3, 4)}
@@ -105,14 +114,14 @@ class TestDerivatives:
         fd1 = (chi(st, xs + h) - chi(st, xs - h)) / (2 * h)
         fd2 = (chi(st, xs + h) - 2 * chi(st, xs) + chi(st, xs - h)) / (h * h)
         scale = np.max(np.abs(chi(st, xs)))
-        assert np.max(np.abs(chi_d1(st, xs) - fd1)) <= 1e-7 * scale
-        assert np.max(np.abs(chi_d2(st, xs) - fd2)) <= 1e-4 * scale
+        assert np.max(np.abs(chi_dn(st, xs, 1) - fd1)) <= 1e-7 * scale
+        assert np.max(np.abs(chi_dn(st, xs, 2) - fd2)) <= 1e-4 * scale
 
     def test_hydrogen_closed_form_derivatives(self, hydrogen):
         st = radial_state(hydrogen, H("1"))
         x = np.linspace(0.05, 15.0, 40)
-        assert np.max(np.abs(chi_d1(st, x) - 2.0 * np.exp(-x) * (1.0 - x))) < 1e-14
-        assert np.max(np.abs(chi_d2(st, x) - 2.0 * np.exp(-x) * (x - 2.0))) < 1e-14
+        assert np.max(np.abs(chi_dn(st, x, 1) - 2.0 * np.exp(-x) * (1.0 - x))) < 1e-14
+        assert np.max(np.abs(chi_dn(st, x, 2) - 2.0 * np.exp(-x) * (x - 2.0))) < 1e-14
 
     def test_higher_orders_consistent(self, shifted):
         # d/dx of chi_dn(order) equals chi_dn(order+1), via central differences
@@ -191,6 +200,11 @@ class TestTowerSampler:
                 assert np.array_equal(sampler.chi(st), refs[i][0]), (visit, i)
                 for d in range(5):
                     assert np.array_equal(sampler.chi_dn(st, d), refs[i][d]), (visit, i, d)
+                # one pass for orders 1..4 gives the same bits as one call per order
+                derived = sampler.derivatives(st, 4)
+                assert len(derived) == 4
+                for d, got in enumerate(derived, start=1):
+                    assert np.array_equal(got, refs[i][d]), (visit, i, d)
 
     def test_rejects_state_of_another_sector(self, hydrogen, shifted):
         sampler = TowerSampler(hydrogen, np.linspace(0.1, 5.0, 8))
@@ -211,7 +225,7 @@ class TestRadialOde:
         K = st.level.K
         A = shifted.sep_const
         x = np.linspace(0.01, 40.0, 3000)
-        resid = -(x**2) * chi_d2(st, x) - 2.0 * K * x * chi(st, x) + x**2 * chi(st, x) + A * chi(st, x)
+        resid = -(x**2) * chi_dn(st, x, 2) - 2.0 * K * x * chi(st, x) + x**2 * chi(st, x) + A * chi(st, x)
         assert np.max(np.abs(resid)) <= 1e-9 * np.max(np.abs(chi(st, x)))
 
 
@@ -276,6 +290,11 @@ class TestAngular:
         for theta in (0.0, math.pi, -0.1, 3.5):
             with pytest.raises(DomainError):
                 angular_Z(ast, theta, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_theta_rejected(self, hydrogen, bad):
+        with pytest.raises(DomainError, match="theta must lie in"):
+            angular_Z(angular_state(hydrogen), bad, 0.0)
 
     def test_trivial_residual_is_exactly_zero(self, hydrogen):
         thetas, phis = default_angular_mesh()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     StencilUnsupported,
+    chi_dn_per_call,
     eig_oracle_full_sweep,
     fd_derivative,
     fd_derivatives,
@@ -19,7 +20,7 @@ from oracles import (
     sturm_count_full,
 )
 
-from micz_su11 import numeric_verify, operator_algebra
+from micz_su11 import cli, numeric_verify, operator_algebra
 from micz_su11.analytic_states import TowerSampler, chi, chi_dn, radial_state
 from micz_su11.numeric_verify import (
     ConvergenceFailure,
@@ -83,12 +84,14 @@ def sampled(sector, n, grid):
 
 
 class PerCallLevel(_Level):
-    """An uncached level whose samples come from per-call `chi` and `chi_dn`."""
+    """An uncached level whose samples come from per-call `chi` and the reference `chi_dn_per_call`."""
 
     def _sampler(self):
         nodes = self.grid.nodes
-        return SimpleNamespace(chi=lambda state: chi(state, nodes),
-                               chi_dn=lambda state, order: chi_dn(state, nodes, order))
+        return SimpleNamespace(
+            chi=lambda state: chi(state, nodes),
+            derivatives=lambda state, top: [chi_dn_per_call(state, nodes, o) for o in range(1, top + 1)],
+        )
 
 
 class TestGridTypes:
@@ -529,25 +532,45 @@ class TestSampleCache:
             out.append(d)
         return out
 
-    def test_cached_reports_equal_uncached(self, hydrogen, monkeypatch):
-        cached = self._fields(self._suite(hydrogen))
-        monkeypatch.setattr(numeric_verify, "_level", PerCallLevel)
-        assert cached == self._fields(self._suite(hydrogen))
+    # hydrogen at nlevels 10 and 20, and a shifted sector with J = 7.37
+    UNCACHED_SUITES = [(("0", 0.0, 0.0), "0", "0", 10), (("0", 0.0, 0.0), "0", "0", 20),
+                       (("0", 0.5, 2.0), "1", "6", 10)]
+
+    def test_cached_reports_equal_uncached(self, monkeypatch):
+        for (s, c1, c2), m, j, nlevels in self.UNCACHED_SUITES:
+            params = MonopoleParams(H(s), c1, c2)
+            _level.cache_clear()
+            _tower_sampler.cache_clear()
+            with monkeypatch.context() as patch:
+                cached = self._fields(verify_states_suite(params, H(m), H(j), nlevels=nlevels))
+                patch.setattr(numeric_verify, "_level", PerCallLevel)
+                uncached = self._fields(verify_states_suite(params, H(m), H(j), nlevels=nlevels))
+            assert cached == uncached, (s, m, j, nlevels)
+            # bit for bit: float.hex tells 0.0 from -0.0, which == does not
+            for a, b in zip(cached, uncached):
+                assert float.hex(a["residual"]) == float.hex(b["residual"])
+                for key, value in a["details"].items():
+                    assert float.hex(value) == float.hex(b["details"][key]), (a["check_name"], key)
 
     def test_each_level_and_order_sampled_once(self, hydrogen, monkeypatch):
         calls = Counter()
-        sample = TowerSampler.chi_dn
+        derivatives = TowerSampler.derivatives
 
-        def counting(sampler, state, order):
-            calls[state.level.n, order] += 1
-            return sample(sampler, state, order)
+        def counting(sampler, state, top):
+            calls.update((state.level.n, order) for order in range(1, top + 1))
+            return derivatives(sampler, state, top)
+
+        def per_order(sampler, state, order):
+            raise AssertionError("the suite samples derivatives through one pass per level")
 
         _level.cache_clear()
-        monkeypatch.setattr(TowerSampler, "chi_dn", counting)
+        monkeypatch.setattr(TowerSampler, "derivatives", counting)
+        monkeypatch.setattr(TowerSampler, "chi_dn", per_order)
         self._suite(hydrogen)
         assert calls
         assert max(calls.values()) == 1
         assert {order for _, order in calls} == {1, 2, 3, 4}
+        assert len(calls) == 40
 
     def test_ascending_suite_starts_each_sweep_once(self, hydrogen, shifted, monkeypatch):
         starts = Counter()
@@ -570,6 +593,32 @@ class TestSampleCache:
             verify_states_suite(hydrogen.params, hydrogen.m, hydrogen.j, nlevels=3,
                                 grid=RadialGrid(1e-300, 4000))
 
+    def test_non_finite_image_rejected_when_built(self, hydrogen, monkeypatch, capsys):
+        # each image is checked once, when the level builds its images; a NaN
+        # in one input of the sums must surface there, and the CLI must turn
+        # it into exit 2 with one stderr line
+        node_power = numeric_verify._node_power
+
+        def poisoned(grid, xp):
+            out = node_power(grid, xp).copy()
+            if xp == 2:
+                out[grid.npoints // 2] = math.nan
+            return out
+
+        monkeypatch.setattr(numeric_verify, "_node_power", poisoned)
+        _level.cache_clear()
+        try:
+            level = _Level(hydrogen, H("2"), RadialGrid(40.0, 1500))
+            assert np.all(np.isfinite(level.f.values))
+            with pytest.raises(ValueError, match="^grid function contains non-finite entries$"):
+                level.images
+            code = cli.main(["verify-states", "--s", "0", "--m", "0", "--j", "0", "--nmax", "3"])
+        finally:
+            _level.cache_clear()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: grid function contains non-finite entries\n"
+
     def test_second_suite_composes_nothing(self, hydrogen, monkeypatch):
         self._suite(hydrogen)
         compose = operator_algebra.compose
@@ -587,8 +636,9 @@ class TestSampleCache:
     def test_cached_arrays_are_read_only(self, hydrogen, xgrid):
         level = _level(hydrogen, H("2"), xgrid)
         t3 = level.apply("T3").values
-        assert level.apply("T3").values is t3
-        assert level.images["T3"] is t3
+        assert level.images["T3"].values is t3
+        # `apply` hands out the image checked when it was built, without re-wrapping it
+        assert all(level.apply(name) is image for name, image in level.images.items())
         # the level keeps chi and its nine images, no derivative samples
         assert not hasattr(level, "derivative") and not hasattr(level, "_derivatives")
         for arr in (level.f.values, t3, xgrid.nodes):
@@ -614,7 +664,7 @@ class TestSampleCache:
         assert set(level.images) == set(table) and len(table) == 9
         for name, op in table.items():
             expected = apply_operator(substitute(op, sector.bigJ, level.state.level.K), f, derivs).values
-            image = level.images[name]
+            image = level.images[name].values
             assert np.array_equal(image, expected), name
             with pytest.raises(ValueError, match="read-only"):
                 image[0] = 1.0
@@ -625,16 +675,16 @@ class TestSampleCache:
         sampled_orders = Counter()
         sums = []
         substitute_ = numeric_verify.substitute
-        chi_dn_ = TowerSampler.chi_dn
+        derivatives = TowerSampler.derivatives
         sum_terms = numeric_verify._sum_terms
 
         def counting_substitute(op, jval, kval):
             substituted[names[id(op)], kval] += 1
             return substitute_(op, jval, kval)
 
-        def counting_chi_dn(sampler, state, order):
-            sampled_orders[state.level.n, order] += 1
-            return chi_dn_(sampler, state, order)
+        def counting_derivatives(sampler, state, top):
+            sampled_orders.update((state.level.n, order) for order in range(1, top + 1))
+            return derivatives(sampler, state, top)
 
         def counting_sum(numop, product):
             sums.append((numop.kval, numop.terms))
@@ -643,7 +693,7 @@ class TestSampleCache:
         _level.cache_clear()
         _tower_sampler.cache_clear()
         monkeypatch.setattr(numeric_verify, "substitute", counting_substitute)
-        monkeypatch.setattr(TowerSampler, "chi_dn", counting_chi_dn)
+        monkeypatch.setattr(TowerSampler, "derivatives", counting_derivatives)
         monkeypatch.setattr(numeric_verify, "_sum_terms", counting_sum)
         self._suite(hydrogen)
         # ten levels, nine generators each: 90 substitutions and 90 images

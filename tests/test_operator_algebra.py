@@ -166,7 +166,7 @@ class TestBuilders:
 
     @pytest.mark.parametrize("name", GENERATORS)
     def test_derived_terms_keep_the_reference_order(self, name):
-        # `ParamPoly.evaluate` sums in insertion order, so equal operators
+        # `substitute` sums each coefficient in insertion order, so equal operators
         # substitute to the same floats only if their terms are also ordered alike
         def layout(op):
             return [(key, list(poly.items())) for key, poly in op.items()]
@@ -179,6 +179,30 @@ class TestBuilders:
         reference = reference_table()
         for name in GENERATORS:
             assert substitute(gen(name), jval, kval).terms == substitute(reference[name], jval, kval).terms
+
+    @pytest.mark.parametrize("jval, kval", [(0.5, 3.5), (7.366025403784438, 9.366025403784438), (3.0e5, 3.0e5 + 17.0)])
+    def test_substitute_sums_each_fraction_in_stored_order(self, jval, kval):
+        # the float table holds float(c) for each exact c, so substitute is the
+        # plain Fraction sum float(sum(float(c) J^jp K^kp)) in canonical term order
+        for name in GENERATORS:
+            op = gen(name)
+            expected = []
+            for (xp, dq), poly in op.canonical_terms():
+                c = float(sum(float(f) * jval**jp * kval**kp for (jp, kp), f in poly.items()))
+                if c != 0.0:
+                    expected.append((xp, dq, c))
+            got = substitute(op, jval, kval).terms
+            assert [(xp, dq, c.hex()) for xp, dq, c in got] == [(xp, dq, c.hex()) for xp, dq, c in expected]
+
+    def test_float_table_is_built_by_substitute_only(self):
+        op = compose(build_Ln(), X)
+        # the exact kernel (compare, hash, render) never builds it
+        assert op == compose(build_Ln(), X) and hash(op) and op.render()
+        assert not hasattr(op, "_floats")
+        substitute(op, 1.5, 2.5)
+        table = op._floats
+        substitute(op, 0.5, 3.5)
+        assert op._floats is table
 
     def test_sign_validation(self):
         with pytest.raises(ValueError):
