@@ -36,7 +36,7 @@ from .special_functions import (
 
 
 class DomainError(ValueError):
-    """Evaluation outside the coordinate domain: x not in (0, inf), theta not in (0, pi), or NaN."""
+    """Evaluation outside the coordinate domain: x not in (0, inf), theta not in (0, pi), phi not finite, or NaN."""
 
 
 def _as_array(x, what: str, upper: float = math.inf):
@@ -45,6 +45,14 @@ def _as_array(x, what: str, upper: float = math.inf):
     if not np.all((arr > 0.0) & (arr < upper)):
         raise DomainError(f"{what} must lie in (0, {upper})")
     return arr, np.isscalar(x) or arr.ndim == 0
+
+
+def _as_phi(phi) -> np.ndarray:
+    """phi as a float array; DomainError unless every entry is finite."""
+    arr = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("phi must be finite")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -205,7 +213,7 @@ def angular_Z(state: AngularState, theta, phi):
         * np.sin(half) ** sec.m2
         * jacobi(state.jacobi, np.cos(arr))
     )
-    val = w * np.exp(1j * state.phase_rate * np.asarray(phi, dtype=float))
+    val = w * np.exp(1j * state.phase_rate * _as_phi(phi))
     return complex(val) if scalar and np.isscalar(phi) else val
 
 
@@ -261,7 +269,7 @@ def angular_residual(state: AngularState, thetas, phis, sep_const: float | None 
     """
     thetas, _ = _as_array(thetas, "theta", upper=math.pi)
     thetas = np.atleast_1d(thetas)
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    phis = np.atleast_1d(_as_phi(phis))
     sec = state.sector
     A = sec.sep_const if sep_const is None else sep_const
 

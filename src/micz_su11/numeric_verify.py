@@ -6,14 +6,19 @@ Dirichlet grid and extracts eigenvalues of the symmetric tridiagonal matrix
 by Sturm-sequence bisection, so agreement with the algebraic spectrum is a
 genuine cross-check and not a tautology.
 
-Each Sturm count stops early, and exactly: for lam < 0 every node past the
-classical turning point V(r) = lam has d_i - lam >= 2|off|, and once a pivot
-there reaches |off| no later pivot can turn negative, so the sweep ends
-without visiting the forbidden tail (see `_sturm_count`).  Counts are
-memoized per `eig_oracle` call, because the bisections for different
-eigenvalues share their first midpoints.  Brackets, midpoints and the
-stopping rule are those of the plain full sweep, so the eigenvalues are
-bit-for-bit the same.
+Bisection for eigenvalue k asks only whether count(lam) > k, so each pivot
+sweep runs only until that is known.  It stops once its count passes k, and
+it finishes early, and exactly, past the turning point: for lam < 0 every
+node past the classical turning point V(r) = lam has d_i - lam >= 2|off|,
+and once a pivot there reaches |off| no later pivot can turn negative, so
+the sweep never visits the forbidden tail (see `_PivotSweep`).  Each
+`eig_oracle` call keeps one resumable sweep per exact float lam, because the
+bisections for different eigenvalues share their first midpoints: a later
+question at the same lam with a larger k resumes the sweep where it
+stopped, and one with a smaller k is answered from the count it reached.
+Counts only grow along a sweep, so every answer is the full sweep's.
+Brackets, midpoints and the stopping rule are those of the plain full-sweep
+bisection, so the eigenvalues are bit-for-bit the same.
 
 The grid checks reuse work in process-wide caches:
 
@@ -83,7 +88,7 @@ from .quantum_numbers import (
 )
 
 MIN_NODES_PER_WAVELENGTH = 8
-# relative margin of the early-stop bound in `_sturm_count`; any value far
+# relative margin of the early-stop bound in `_PivotSweep`; any value far
 # above machine epsilon keeps the stop exact
 STURM_TAIL_MARGIN = 1e-12
 SAMPLE_CACHE_LEVELS = 4
@@ -193,13 +198,18 @@ def _suffix_min(diag: list[float]) -> list[float]:
     return out
 
 
-def _sturm_count(diag: list[float], suffix_min: list[float], off: float, lam: float) -> int:
-    """Number of eigenvalues strictly below lam (LDL^T pivot signs).
+class _PivotSweep:
+    """The LDL^T pivot sweep at one lam, resumable: counts negative pivots only as far as asked.
 
     The matrix has diagonal `diag` and constant off-diagonal `off`; the
-    pivots are q_0 = d_0 - lam, q_i = d_i - lam - off^2 / q_{i-1}.  The
-    count equals that of the full sweep over every node, but the sweep stops
-    once no later pivot can turn negative.  With b = |off|:
+    pivots are q_0 = d_0 - lam, q_i = d_i - lam - off^2 / q_{i-1}, and the
+    number of negative ones is the number of eigenvalues strictly below lam.
+    The sweep keeps the node it reached (the position of its two node
+    iterators), the last pivot `q`, the negatives counted so far `count` and
+    whether it has finished `done`.
+
+    A finished sweep has the count of the full sweep over every node, but it
+    stops once no later pivot can turn negative.  With b = |off|:
 
     - if d_j - lam >= 2b for every j >= i and some q_{i-1} >= b, then
       q_i >= 2b - b^2/b = b, and by induction every later pivot is >= b > 0;
@@ -213,42 +223,81 @@ def _sturm_count(diag: list[float], suffix_min: list[float], off: float, lam: fl
     every later node starts at the first i with fl(suffix_min[i] - lam) >=
     2b(1 + eta), found by binary search.  For lam < 0 that is just past the
     outer turning point V(r) = lam.  The recurrence runs unchanged up to
-    that node; past it, the sweep breaks at the first pivot >= b.
+    that node; past it, the sweep finishes at the first pivot >= b.
+
+    The head loop (nodes before the tail) and the tail loop take the same
+    step; only the tail tests for the finish, which keeps that test off the
+    nodes that make up most of a sweep.
     """
-    e2 = off * off
-    b = abs(off)
-    if e2 >= sys.float_info.min:
-        tail = bisect.bisect_left(suffix_min, 2.0 * b * (1.0 + STURM_TAIL_MARGIN), key=lambda d: d - lam)
-    else:
-        tail = len(diag)
-    count = 0
-    q = diag[0] - lam
-    if q < 0.0:
-        count += 1
-    for d in itertools.islice(diag, 1, tail):
-        if q == 0.0:
-            q = 1e-300
-        q = d - lam - e2 / q
-        if q < 0.0:
-            count += 1
-    for d in itertools.islice(diag, max(tail, 1), None):
-        if q >= b:
-            break
-        if q == 0.0:
-            q = 1e-300
-        q = d - lam - e2 / q
-        if q < 0.0:
-            count += 1
-    return count
+
+    __slots__ = ("lam", "e2", "b", "head", "tail", "q", "count", "done")
+
+    def __init__(self, diag: list[float], suffix_min: list[float], off: float, lam: float):
+        self.lam = lam
+        self.e2 = off * off
+        self.b = abs(off)
+        if self.e2 >= sys.float_info.min:
+            tail = bisect.bisect_left(suffix_min, 2.0 * self.b * (1.0 + STURM_TAIL_MARGIN), key=lambda d: d - lam)
+        else:
+            tail = len(diag)
+        self.head = itertools.islice(diag, 1, tail)
+        self.tail = itertools.islice(diag, max(tail, 1), None)
+        self.q = diag[0] - lam
+        self.count = 1 if self.q < 0.0 else 0
+        self.done = False
+
+    def exceeds(self, k: int) -> bool:
+        """Whether the finished sweep counts more than k negative pivots.
+
+        Counts only grow along the sweep, so it runs until its count passes
+        k or it finishes, and a later call resumes from there.
+        """
+        if self.count > k or self.done:
+            return self.count > k
+        lam, e2, q, count = self.lam, self.e2, self.q, self.count
+        for d in self.head:
+            if q == 0.0:
+                q = 1e-300
+            q = d - lam - e2 / q
+            if q < 0.0:
+                count += 1
+                if count > k:
+                    self.q, self.count = q, count
+                    return True
+        b = self.b
+        for d in self.tail:
+            if q >= b:
+                break
+            if q == 0.0:
+                q = 1e-300
+            q = d - lam - e2 / q
+            if q < 0.0:
+                count += 1
+                if count > k:
+                    self.q, self.count = q, count
+                    return True
+        self.q, self.count, self.done = q, count, True
+        return False
 
 
-def _bisect_eigenvalue(count_below, k: int, lo: float, hi: float) -> float:
-    """Eigenvalue k (from 0) by bisection of [lo, hi] on `count_below(lam)`."""
+def _sturm_count(diag: list[float], suffix_min: list[float], off: float, lam: float) -> int:
+    """Number of eigenvalues strictly below lam: the `_PivotSweep` at lam run to its end."""
+    sweep = _PivotSweep(diag, suffix_min, off, lam)
+    sweep.exceeds(len(diag))  # no count exceeds the number of nodes
+    return sweep.count
+
+
+def _bisect_eigenvalue(exceeds, k: int, lo: float, hi: float) -> float:
+    """Eigenvalue k (from 0) by bisection of [lo, hi].
+
+    `exceeds(lam, k)` tells whether more than k eigenvalues lie strictly
+    below lam, the one decision a step needs; it need not compute the count.
+    """
     for _ in range(256):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        if count_below(mid) > k:
+        if exceeds(mid, k):
             hi = mid
         else:
             lo = mid
@@ -262,11 +311,14 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
 
     Discretization: diagonal 1/h^2 + V(r_i) with V = -1/r + J(J+1)/(2 r^2),
     off-diagonal -1/(2 h^2); eigenvalues by Sturm-sequence bisection between
-    Gershgorin bounds, sorted ascending.  Each Sturm count stops past the
-    classical turning point, where no later pivot can turn negative (see
-    `_sturm_count`), and counts are shared between the eigenvalues through
-    a per-call memo keyed on the exact float lam; both leave every
-    eigenvalue bit-for-bit equal to the full-sweep bisection.
+    Gershgorin bounds, sorted ascending.  Each bisection step asks only
+    whether count(lam) > k, and the pivot sweep at lam runs only until that
+    is known: until its count passes k, or past the classical turning point
+    where no later pivot can turn negative (see `_PivotSweep`).  The sweeps
+    are kept for the whole call, one per exact float lam, so a later
+    eigenvalue's question at a shared midpoint resumes the sweep or reads
+    the count it reached.  Every decision is the full sweep's, so every
+    eigenvalue is bit-for-bit that of the full-sweep bisection.
 
     J must be finite and non-negative, and the diagonal must not overflow
     (J(J+1) overflows above J of about 1.3e154); otherwise ValueError.  A
@@ -300,15 +352,15 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
     if not (np.all(np.isfinite(diag_arr)) and math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"J={J} on a grid with h={h:.4g} overflows the finite-difference matrix")
     suffix_min = _suffix_min(diag)
-    counts: dict[float, int] = {}
+    sweeps: dict[float, _PivotSweep] = {}
 
-    def count_below(lam: float) -> int:
-        c = counts.get(lam)
-        if c is None:
-            c = counts[lam] = _sturm_count(diag, suffix_min, off, lam)
-        return c
+    def exceeds(lam: float, k: int) -> bool:
+        sweep = sweeps.get(lam)
+        if sweep is None:
+            sweep = sweeps[lam] = _PivotSweep(diag, suffix_min, off, lam)
+        return sweep.exceeds(k)
 
-    return [_bisect_eigenvalue(count_below, k, lo, hi) for k in range(count)]
+    return [_bisect_eigenvalue(exceeds, k, lo, hi) for k in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +428,8 @@ def _tower_sampler(sector: SectorLabels, grid: RadialGrid) -> TowerSampler:
 class _Level:
     """Level n of a tower on one grid: its state, read-only chi on the nodes and its images.
 
+    `norm2` is the squared grid norm of chi, `f.inner(f)`, which the checks read.
+
     Raises GridUnderflow when the squared norm of chi on the grid is zero or
     subnormal: below `sys.float_info.min` the norm has lost precision to
     gradual underflow, and so have the overlaps the checks divide by it.
@@ -387,7 +441,7 @@ class _Level:
         values = self._sampler().chi(self.state)
         values.flags.writeable = False
         self.f = GridFunction(grid, values)
-        norm2 = self.f.inner(self.f)
+        self.norm2 = norm2 = self.f.inner(self.f)
         if norm2 < sys.float_info.min:
             what = "zero norm" if norm2 == 0.0 else f"a subnormal squared norm {norm2:.3g}"
             raise GridUnderflow(f"chi at n={n} has {what} on the grid with rmax={grid.rmax!r} "
@@ -436,14 +490,14 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
     bottom = n - sector.j == 1
     inputs = sector_inputs(sector, grid, n)
     if sign == -1 and bottom:
-        residual = y.norm() / level.f.norm()
+        residual = y.norm() / math.sqrt(level.norm2)
         return _report("ladder_annihilation", inputs, residual, tol, t0)
-    t = _level(sector, n + sign, grid).f
-    overlap = y.inner(t)
-    sim = abs(overlap) / (y.norm() * t.norm())
+    target = _level(sector, n + sign, grid)
+    overlap = y.inner(target.f)
+    sim = abs(overlap) / (y.norm() * math.sqrt(target.norm2))
     residual = max(0.0, 1.0 - sim)
     name = "ladder_raise" if sign == 1 else "ladder_lower"
-    details = {"proportionality_ratio": overlap / t.inner(t)}
+    details = {"proportionality_ratio": overlap / target.norm2}
     return _report(name, inputs, residual, tol, t0, details)
 
 
@@ -455,8 +509,8 @@ def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None 
     f = level.f
     K = level.state.level.K
     y = level.apply("T3")
-    residual = GridFunction(grid, y.values - K * f.values).norm() / f.norm()
-    details = {"measured_eigenvalue": y.inner(f) / f.inner(f)}
+    residual = GridFunction(grid, y.values - K * f.values).norm() / math.sqrt(level.norm2)
+    details = {"measured_eigenvalue": y.inner(f) / level.norm2}
     bottom = n - sector.j == 1
     for sign, tag, tpm in ((1, "raised", "T+"), (-1, "lowered", "T-")):
         if sign == -1 and bottom:
@@ -477,7 +531,7 @@ def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | Non
     for level_n in (n, n + 1):
         level = _level(sector, level_n, grid)
         y = level.apply("T3")
-        measured.append(y.inner(level.f) / level.f.inner(level.f))
+        measured.append(y.inner(level.f) / level.norm2)
     spacing = measured[1] - measured[0]
     return _report(
         "t3_spacing",
@@ -499,7 +553,7 @@ def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None =
     t0 = time.perf_counter()
     n = _as_halfint(n)
     level = _level(sector, n, grid)
-    fnorm = level.f.norm()
+    fnorm = math.sqrt(level.norm2)
     target = sector.sep_const * level.f.values
     t3f, t3sq, pm, mp = (level.apply(name).values for name in ("T3", "T3 T3", "T+ T-", "T- T+"))
     res_direct = GridFunction(grid, -pm + t3sq - t3f - target).norm() / fnorm

@@ -79,7 +79,7 @@ def build_Tpm(sign: int) -> NormalOrderedOperator:
 
 # ---------------------------------------------------------------------------
 # Full-sweep Sturm bisection: the FD eigenvalue oracle without the early stop
-# or the count memo, kept as the bit-for-bit reference for `eig_oracle`.
+# or the per-call sweep memo, kept as the bit-for-bit reference for `eig_oracle`.
 # ---------------------------------------------------------------------------
 
 def fd_matrix(J: float, grid) -> tuple[list[float], float]:

@@ -296,6 +296,20 @@ class TestAngular:
         with pytest.raises(DomainError, match="theta must lie in"):
             angular_Z(angular_state(hydrogen), bad, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_phi_rejected(self, shifted, bad):
+        # unchecked, an infinite phi makes the field nan, which max(0.0, nan) drops: a residual of 0.0
+        ast = angular_state(shifted)
+        with pytest.raises(DomainError, match="phi must be finite"):
+            angular_Z(ast, 1.0, bad)
+        with pytest.raises(DomainError, match="phi must be finite"):
+            angular_Z(ast, np.array([0.5, 1.0]), np.array([0.0, bad]))
+        with pytest.raises(DomainError, match="phi must be finite"):
+            angular_residual(ast, [1.0], [bad])
+        thetas, _ = default_angular_mesh()
+        with pytest.raises(DomainError, match="phi must be finite"):
+            angular_residual(ast, thetas, [0.0, bad])
+
     def test_trivial_residual_is_exactly_zero(self, hydrogen):
         thetas, phis = default_angular_mesh()
         assert angular_residual(angular_state(hydrogen), thetas, phis) == 0.0

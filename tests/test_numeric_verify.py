@@ -30,6 +30,7 @@ from micz_su11.numeric_verify import (
     RadialGrid,
     _bisect_eigenvalue,
     _Level,
+    _PivotSweep,
     _level,
     _tower_sampler,
     _sturm_count,
@@ -273,10 +274,13 @@ class TestSturmEarlyStop:
         def count(lam):
             return _sturm_count(diag, suffix_min, off, lam)
 
+        def exceeds(lam, k):
+            return count(lam) > k
+
         k = data.draw(st.integers(0, min(9, npoints - 2)), label="k")
-        ev_k = _bisect_eigenvalue(count, k, lo, hi)
-        ev_next = _bisect_eigenvalue(count, k + 1, lo, hi)
-        ev_0 = _bisect_eigenvalue(count, 0, lo, hi)
+        ev_k = _bisect_eigenvalue(exceeds, k, lo, hi)
+        ev_next = _bisect_eigenvalue(exceeds, k + 1, lo, hi)
+        ev_0 = _bisect_eigenvalue(exceeds, 0, lo, hi)
         lams = [lo, hi, lo - 1.0, 0.0, -0.0, 0.5 * (ev_k + ev_next)]
         for ev in (ev_k, ev_next):
             lam = ev
@@ -292,17 +296,58 @@ class TestSturmEarlyStop:
             assert count(lam) == sturm_count_full(diag, off * off, lam), lam
 
     @pytest.mark.parametrize(
-        "params, m, j",
+        "params, m, j, npoints",
         [
-            (MonopoleParams(H("0"), 0.0, 0.0), H("0"), H("0")),
-            (MonopoleParams(H("1/2"), 1.0, 0.0), H("1/2"), H("1/2")),
+            (MonopoleParams(H("0"), 0.0, 0.0), H("0"), H("0"), 6000),
+            (MonopoleParams(H("1/2"), 1.0, 0.0), H("1/2"), H("1/2"), 6000),
+            # the largest solve of the oracle benchmark
+            (MonopoleParams(H("1/2"), 1.0, 0.0), H("1/2"), H("1/2"), 20000),
         ],
-        ids=["hydrogen", "shifted"],
+        ids=["hydrogen", "shifted", "shifted-20000"],
     )
-    def test_eig_oracle_bit_identical_at_nmax_10(self, params, m, j):
+    def test_eig_oracle_bit_identical_at_nmax_10(self, params, m, j, npoints):
         bigJ = make_sector(params, m, j).bigJ
-        grid = RadialGrid(12.0 * (bigJ + 10.0) ** 2, 6000)
+        grid = RadialGrid(12.0 * (bigJ + 10.0) ** 2, npoints)
         assert eig_oracle(bigJ, grid, 10) == eig_oracle_full_sweep(bigJ, grid, 10)
+
+    @pytest.mark.parametrize(
+        "order",
+        [list(range(14)), list(range(13, -1, -1)), [3, 3, 0, 7, 7, 2, 12, 1, 12, 5]],
+        ids=["ascending", "descending", "repeated"],
+    )
+    def test_exceeds_matches_full_sweep_in_any_order(self, order):
+        diag, off = fd_matrix(1.5, RadialGrid(600.0, 3000))
+        suffix_min = _suffix_min(diag)
+        lo, hi = gershgorin(diag, off)
+        # below the spectrum, between bound levels, near zero and above it
+        for lam in (lo, -0.1, -0.02, -0.0105, -1e-4, 0.0, 0.05, hi):
+            full = sturm_count_full(diag, off * off, lam)
+            sweep = _PivotSweep(diag, suffix_min, off, lam)
+            for k in order:
+                assert sweep.exceeds(k) == (full > k), (lam, k)
+            assert sweep.count <= full
+            if max(order) >= full:
+                assert sweep.done and sweep.count == full
+
+    def test_exceeds_stops_once_the_count_passes_k(self):
+        diag, off = fd_matrix(0.0, RadialGrid(1200.0, 6000))
+        lam = -0.5 / 16.0 + 1e-3  # between levels 3 and 4: four eigenvalues below
+        sweep = _PivotSweep(diag, _suffix_min(diag), off, lam)
+        assert sweep.exceeds(0) and sweep.count == 1 and not sweep.done
+        assert sweep.exceeds(2) and sweep.count == 3 and not sweep.done
+        assert not sweep.exceeds(4) and sweep.count == 4 and sweep.done
+
+    def test_zero_first_pivot_takes_the_guard(self):
+        diag, off = fd_matrix(0.0, RadialGrid(60.0, 2000))
+        suffix_min = _suffix_min(diag)
+        lam = diag[0]
+        full = sturm_count_full(diag, off * off, lam)
+        sweep = _PivotSweep(diag, suffix_min, off, lam)
+        assert sweep.q == 0.0 and sweep.count == 0
+        for k in range(full + 2):
+            assert sweep.exceeds(k) == (full > k), k
+        assert sweep.done and sweep.count == full
+        assert _sturm_count(diag, suffix_min, off, lam) == full
 
     def test_sweep_skips_the_forbidden_tail(self):
         # a negative diagonal entry deep in the tail adds a negative pivot to
