@@ -74,7 +74,6 @@ _EXPORTS = {
         "GridTooCoarse",
         "RadialGrid",
         "VerificationReport",
-        "apply_operator",
         "eig_oracle",
         "ladder_check",
         "casimir_check",

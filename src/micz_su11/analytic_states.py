@@ -11,8 +11,9 @@ coefficients, `RadialState.poly_coeffs`, are a reference computed on first read.
 `TowerSampler` samples chi and its derivatives for every level of one tower
 on one fixed x, resuming its Kummer sweeps from level to level; its
 `derivatives` gives all orders up to a top one from one list of Kummer rows.
-`chi` and `chi_dn` are one call to a sampler of their own, so there is one
-float evaluation of chi and one product-rule body for its derivatives.
+`chi` and `chi_dn` read a sampler of their own (its `chi`, or the last of its
+`derivatives`), so there is one float evaluation of chi and one product-rule
+body for its derivatives.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ from .special_functions import (
 
 
 class DomainError(ValueError):
-    """Evaluation outside the coordinate domain: x not in (0, inf), theta not in (0, pi), phi not finite, or NaN."""
+    """Evaluation outside the coordinate domain or on an empty angular mesh.
+
+    x must lie in (0, inf) and theta in (0, pi), phi must be finite, and NaN lies in no domain.
+    """
 
 
 def _as_array(x, what: str, upper: float = math.inf):
@@ -165,12 +169,6 @@ class TowerSampler:
             out.append(pref * self.expf * total)
         return out
 
-    def chi_dn(self, state: RadialState, order: int):
-        """The order-th derivative of chi; order 0 is chi itself."""
-        if order < 0:
-            raise ValueError("derivative order must be non-negative")
-        return self.derivatives(state, order)[-1] if order else self.chi(state)
-
 
 def chi(state: RadialState, x):
     """chi_{n,j} at x > 0 (scalar or array)."""
@@ -178,9 +176,11 @@ def chi(state: RadialState, x):
 
 
 def chi_dn(state: RadialState, x, order: int):
-    """The order-th derivative of chi at x > 0: `TowerSampler.chi_dn` on a sampler of its own."""
+    """The order-th derivative of chi at x > 0, order 0 being chi itself, from a sampler of its own."""
     sampler = TowerSampler(state.sector, x)
-    val = sampler.chi_dn(state, order)
+    if order < 0:
+        raise ValueError("derivative order must be non-negative")
+    val = sampler.derivatives(state, order)[-1] if order else sampler.chi(state)
     return float(val) if sampler.scalar else val
 
 
@@ -258,20 +258,22 @@ def _theta_profile(state: AngularState, thetas: np.ndarray):
     return w, w1, w2
 
 
-def angular_residual(state: AngularState, thetas, phis, sep_const: float | None = None) -> float:
+def angular_residual(state: AngularState, thetas, phis) -> float:
     """Max-norm residual of the angular equation over the (theta, phi) mesh.
 
     The phi action is analytic: the second phi derivative contributes
     -(m-s)^2 and the gauged derivative -(m+s)^2, which combine with the 4c_i
-    into -m1^2/(4 cos^2(t/2)) and -m2^2/(4 sin^2(t/2)).  `sep_const` replaces
-    the sector separation constant, which lets a perturbed value demonstrate
-    that the residual actually measures the equation.
+    into -m1^2/(4 cos^2(t/2)) and -m2^2/(4 sin^2(t/2)).  The separation
+    constant is the sector's `sep_const`.  An empty theta or phi mesh raises
+    DomainError.
     """
     thetas, _ = _as_array(thetas, "theta", upper=math.pi)
     thetas = np.atleast_1d(thetas)
     phis = np.atleast_1d(_as_phi(phis))
+    for name, mesh in (("theta", thetas), ("phi", phis)):
+        if mesh.size == 0:
+            raise DomainError(f"the {name} mesh is empty")
     sec = state.sector
-    A = sec.sep_const if sep_const is None else sep_const
 
     w, w1, w2 = _theta_profile(state, thetas)
     half = 0.5 * thetas
@@ -281,7 +283,7 @@ def angular_residual(state: AngularState, thetas, phis, sep_const: float | None 
         w2
         + (np.cos(thetas) / np.sin(thetas)) * w1
         - (sec.m1**2 / (4.0 * C2) + sec.m2**2 / (4.0 * S2)) * w
-        + A * w
+        + sec.sep_const * w
     )
     scale = float(np.max(np.abs(w)))
     if scale == 0.0:
@@ -293,8 +295,8 @@ def angular_residual(state: AngularState, thetas, phis, sep_const: float | None 
     return worst / scale
 
 
-def default_angular_mesh(ntheta: int = 200, nphi: int = 8):
-    """Interior theta nodes and a uniform phi circle."""
-    thetas = math.pi * np.arange(1, ntheta + 1) / (ntheta + 1.0)
-    phis = 2.0 * math.pi * np.arange(nphi) / max(nphi, 1)
+def default_angular_mesh():
+    """200 interior theta nodes pi i/201 and 8 phi nodes 2 pi i/8 on the circle."""
+    thetas = math.pi * np.arange(1, 201) / 201.0
+    phis = 2.0 * math.pi * np.arange(8) / 8
     return thetas, phis

@@ -161,25 +161,15 @@ def cmd_eigenfunction(args) -> int:
 
 
 def cmd_verify_algebra(args) -> int:
-    from .operator_algebra import (
-        NormalOrderedOperator,
-        extra_identity_checks,
-        generator_table,
-        identity_suite,
-        monomial_action,
-    )
+    from .operator_algebra import extra_identity_checks, identity_suite, monomial_action
 
     kmax = args.deg_check_max
     if kmax < -4:
         raise ValueError(f"--deg-check-max must be at least -4, got {kmax}")
-    t3 = None  # the derived T3 of `generator_table()`
-    if args.corrupt_identity:
-        # test hook: flips the sign of the x/2 term of T3
-        t3 = generator_table()["T3"] - NormalOrderedOperator.x_power(1)
-    identities = identity_suite(t3)
+    identities = identity_suite()
     reports = []
     failed = []
-    for group, checks in (("identity", identities), ("supplementary", extra_identity_checks(t3))):
+    for group, checks in (("identity", identities), ("supplementary", extra_identity_checks())):
         for name, diff in checks:
             rendered = diff.render()
             ok = diff.is_zero
@@ -331,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-algebra", help="exact su(1,1) and factorization identities")
     sp.add_argument("--deg-check-max", type=int, default=12,
                     help="upper monomial power for the action oracle sweep")
-    sp.add_argument("--corrupt-identity", action="store_true", help=argparse.SUPPRESS)
     _add_output_args(sp, "json")
     sp.set_defaults(func=cmd_verify_algebra)
 

@@ -38,11 +38,11 @@ The grid checks reuse work in process-wide caches:
   of chi under the nine `generator_table()` operators at its (J, K): at most
   40 arrays.  The images are built together: one `TowerSampler.derivatives`
   pass gives orders 1-4, each of the 15 distinct products x^p chi^(q) behind
-  the 69 terms is formed once, and each image sums its terms in
-  `apply_operator`'s order with its operations, so it is bit for bit that
-  operator's `apply_operator` image.  Each image is checked for non-finite
-  entries once, as it is built, so a bad image raises ValueError from the
-  build; `apply(name)` hands out the checked `GridFunction` as it is.
+  the 69 terms is formed once, and each image sums c x^p chi^(q) over its
+  operator's terms in canonical order (`_sum_terms`).  Each image is checked
+  for non-finite entries once, as it is built, so a bad image raises
+  ValueError from the build; `apply(name)` hands out the checked
+  `GridFunction` as it is.
 
 Together that is at most 63 arrays of npoints x 8 B (2.0 MB at the default
 4000 points), plus, while one level builds its images, 4 derivative samples,
@@ -59,6 +59,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import sys
 import time
 from collections.abc import Mapping
@@ -116,7 +117,10 @@ class GridTooCoarse(ValueError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform interior nodes r_i = i h, h = rmax/(npoints+1); Dirichlet ends."""
+    """Uniform interior nodes r_i = i h, h = rmax/(npoints+1); Dirichlet ends.
+
+    `npoints` must be an integer (a numpy integer is stored as an int).
+    """
 
     rmax: float
     npoints: int
@@ -124,6 +128,10 @@ class RadialGrid:
     def __post_init__(self):
         if not math.isfinite(self.rmax) or self.rmax <= 0.0:
             raise ValueError(f"rmax must be positive and finite, got {self.rmax}")
+        try:
+            object.__setattr__(self, "npoints", operator.index(self.npoints))
+        except TypeError:
+            raise ValueError(f"npoints must be an integer, got {self.npoints!r}") from None
         if self.npoints < 16:
             raise ValueError(f"need at least 16 grid points, got {self.npoints}")
 
@@ -280,13 +288,6 @@ class _PivotSweep:
         return False
 
 
-def _sturm_count(diag: list[float], suffix_min: list[float], off: float, lam: float) -> int:
-    """Number of eigenvalues strictly below lam: the `_PivotSweep` at lam run to its end."""
-    sweep = _PivotSweep(diag, suffix_min, off, lam)
-    sweep.exceeds(len(diag))  # no count exceeds the number of nodes
-    return sweep.count
-
-
 def _bisect_eigenvalue(exceeds, k: int, lo: float, hi: float) -> float:
     """Eigenvalue k (from 0) by bisection of [lo, hi].
 
@@ -367,28 +368,6 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
 # Operator application on grid functions
 # ---------------------------------------------------------------------------
 
-def apply_operator(numop: NumericOperator, f: GridFunction, derivatives) -> GridFunction:
-    """Apply sum of coeff x^xpow D^dorder to f per node.
-
-    `derivatives(order)` supplies the samples of the order-th derivative of
-    f on the grid nodes; it is called once for each order >= 1 that the
-    operator needs.
-    """
-    return GridFunction(f.grid, _sum_terms(numop, _term_products(f, derivatives)))
-
-
-def _term_products(f: GridFunction, derivatives):
-    """product(xp, dq): x^xp f^(dq) on the nodes; each order dq >= 1 is asked of `derivatives` once."""
-    samples = {0: f.values}
-
-    def product(xp: int, dq: int) -> np.ndarray:
-        if dq not in samples:
-            samples[dq] = np.asarray(derivatives(dq), dtype=float)
-        return samples[dq] if xp == 0 else samples[dq] * _node_power(f.grid, xp)
-
-    return product
-
-
 def _sum_terms(numop: NumericOperator, product) -> np.ndarray:
     """The one body of operator application: sum of c * product(xp, dq) in term order."""
     out = np.zeros_like(product(0, 0))
@@ -457,8 +436,13 @@ class _Level:
         All nine are built at once (see the module docstring).  ValueError if one is not finite.
         """
         J, K = self.state.sector.bigJ, self.state.level.K
-        derived = self._sampler().derivatives(self.state, _top_order())
-        product = cache(_term_products(self.f, lambda order: derived[order - 1]))
+        samples = [self.f.values, *self._sampler().derivatives(self.state, _top_order())]
+
+        @cache
+        def product(xp: int, dq: int) -> np.ndarray:
+            """x^xp chi^(dq) on the nodes."""
+            return samples[dq] if xp == 0 else samples[dq] * _node_power(self.grid, xp)
+
         images = {}
         for name, op in generator_table().items():
             image = _sum_terms(substitute(op, J, K), product)
@@ -657,6 +641,8 @@ def verify_states_suite(
     raising similarity, the in-tower lowering similarity and the bottom
     annihilation, plus the T3 spacing between consecutive levels.
     """
+    if nlevels < 1:
+        raise ValueError(f"nlevels must be >= 1, got {nlevels}")
     sector = make_sector(params, m, j)
     if grid is None:
         k_top = sector.bigJ + nlevels

@@ -20,8 +20,8 @@ gives T3 = (1/2) x^-1 (Ln + J(J+1)) + K, with T3 chi = K chi.  The +1 branch
 of `solve_schrodinger_ansatz(Ln)` writes Ln + K(K+1) = (T-^n - 1) T+^n with
 the first-order factors T+^n = -xD + x - K and T-^n = xD + x - K, and
 replacing the scalar K by T3 (`replace_K`) turns them into the ladder
-generators T_pm = -+xD + x - T3.  `generator_table()` does this once per
-process; the identity suites read the same derivation.
+generators T_pm = -+xD + x - T3.  This derivation runs once per process,
+and `generator_table()`, `casimir()` and both identity suites read it.
 """
 
 from __future__ import annotations
@@ -368,29 +368,15 @@ def build_Ln() -> NormalOrderedOperator:
     )
 
 
-def _casimir_from(t3, tp, tm, mirror: bool = False) -> NormalOrderedOperator:
-    """-T+T- + T3^2 - T3, or the mirror -T-T+ + T3^2 + T3, from the given generators."""
-    if mirror:
-        return -compose(tm, tp) + compose(t3, t3) + t3
-    return -compose(tp, tm) + compose(t3, t3) - t3
-
-
 @cache
-def _factorization() -> tuple[NormalOrderedOperator, NormalOrderedOperator, NormalOrderedOperator]:
-    """(T3, T+^n, T-^n), derived from `build_Ln()` once per process (see `generator_table`)."""
+def _generators() -> tuple[NormalOrderedOperator, ...]:
+    """(T3, T+, T-, T+^n, T-^n), derived from `build_Ln()` once per process (see `generator_table`)."""
     ln = build_Ln()
     one = NormalOrderedOperator.identity()
     plus, _ = solve_schrodinger_ansatz(ln)  # the branch +1, then -1
     half_inv_x = NormalOrderedOperator.x_power(-1, Fraction(1, 2))
     t3 = compose(half_inv_x, ln + one * _poly_jj1()) + one * ParamPoly.K()
-    return t3, plus.right_factor(), plus.left_factor() + one
-
-
-def _generators(t3: NormalOrderedOperator | None = None) -> tuple[NormalOrderedOperator, ...]:
-    """(T3, T+, T-, T+^n, T-^n) with T_pm = T_pm^n with K -> T3; `t3` replaces the derived T3."""
-    derived_t3, tpn, tmn = _factorization()
-    if t3 is None:
-        t3 = derived_t3
+    tpn, tmn = plus.right_factor(), plus.left_factor() + one
     return t3, replace_K(tpn, t3), replace_K(tmn, t3), tpn, tmn
 
 
@@ -422,13 +408,14 @@ def generator_table() -> Mapping[str, NormalOrderedOperator]:
     )
 
 
-def casimir(mirror: bool = False) -> NormalOrderedOperator:
-    """Quadratic Casimir -T+T- + T3^2 - T3 (or the mirror -T-T+ + T3^2 + T3).
+def casimir() -> NormalOrderedOperator:
+    """Quadratic Casimir -T+T- + T3^2 - T3, which canonicalizes to the constant J(J+1) times the identity.
 
-    Both canonicalize to the constant J(J+1) times the identity.
+    The mirror form -T-T+ + T3^2 + T3 is the row "casimir mirror - casimir"
+    of `extra_identity_checks`.
     """
-    gen = generator_table()
-    return _casimir_from(gen["T3"], gen["T+"], gen["T-"], mirror)
+    t3, tp, tm, _, _ = _generators()
+    return -compose(tp, tm) + compose(t3, t3) - t3
 
 
 def replace_K(op: NormalOrderedOperator, replacement: NormalOrderedOperator) -> NormalOrderedOperator:
@@ -500,10 +487,6 @@ class FactorizationSolution:
     def product(self) -> NormalOrderedOperator:
         return compose(self.left_factor(), self.right_factor())
 
-    def offset(self) -> ParamPoly:
-        """Constant by which the product exceeds the target: g - eigenvalue."""
-        return self.g - self.eigenvalue
-
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
     if q < 0:
@@ -515,18 +498,14 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def solve_schrodinger_ansatz(
-    target: NormalOrderedOperator,
-    eigenvalue: ParamPoly | None = None,
-) -> list[FactorizationSolution]:
+def solve_schrodinger_ansatz(target: NormalOrderedOperator) -> list[FactorizationSolution]:
     """All first-order factorizations of a -x^2 D^2 + (lin in x) + (quad in x) operator.
 
-    `eigenvalue` is the constant the target produces on the eigenfunctions the
-    ansatz equation is written for (default -J(J+1)); it is absorbed into g so
-    the returned g matches the eigenspace statement of the factorization.
+    The eigenvalue is -J(J+1), the constant Ln produces on its bound states;
+    it is absorbed into g so the returned g matches the eigenspace statement
+    of the factorization, and the product exceeds the target by g - eigenvalue.
     """
-    if eigenvalue is None:
-        eigenvalue = -_poly_jj1()
+    eigenvalue = -_poly_jj1()
     allowed = {(2, 2), (2, 1), (1, 1), (2, 0), (1, 0), (0, 0)}
     extra = [key for key, _ in target.items() if key not in allowed]
     if extra:
@@ -572,14 +551,9 @@ def solve_schrodinger_ansatz(
 # Named identity suite (exact zero checks)
 # ---------------------------------------------------------------------------
 
-def identity_suite(t3: NormalOrderedOperator | None = None) -> list[tuple[str, NormalOrderedOperator]]:
-    """The six defining identities as (name, difference) pairs; all must be zero.
-
-    The generators are those of `generator_table()`.  Passing a custom t3
-    rebuilds T_pm from it with `replace_K`, which lets a corrupted generator
-    demonstrate the failure path.
-    """
-    t3, tp, tm, tpn, tmn = _generators(t3)
+def identity_suite() -> list[tuple[str, NormalOrderedOperator]]:
+    """The six defining identities of the derived generators as (name, difference) pairs; all must be zero."""
+    t3, tp, tm, tpn, tmn = _generators()
     ln = build_Ln()
     one = NormalOrderedOperator.identity()
     K = ParamPoly.K()
@@ -591,20 +565,20 @@ def identity_suite(t3: NormalOrderedOperator | None = None) -> list[tuple[str, N
         ("[T-,T3] - T-", commutator(tm, t3) - tm),
         ("(T-^n - 1) T+^n - Ln - K(K+1)", compose(tmn - one, tpn) - ln - kk1 * one),
         ("(T+^n + 1) T-^n - Ln - K(K-1)", compose(tpn + one, tmn) - ln - kk1m * one),
-        ("T^2 - J(J+1)", _casimir_from(t3, tp, tm) - _poly_jj1() * one),
+        ("T^2 - J(J+1)", casimir() - _poly_jj1() * one),
     ]
 
 
-def extra_identity_checks(t3: NormalOrderedOperator | None = None) -> list[tuple[str, NormalOrderedOperator]]:
+def extra_identity_checks() -> list[tuple[str, NormalOrderedOperator]]:
     """Supplementary exact zeros: the Casimir mirror and the definitional T_pm.
 
     T_pm is built as `replace_K`(T_pm^n, T3), so the two T_pm rows hold by
-    construction, for a custom t3 too; they stay as named rows of the
-    `verify-algebra` document.
+    construction; they stay as named rows of the `verify-algebra` document.
     """
-    t3, tp, tm, tpn, tmn = _generators(t3)
+    t3, tp, tm, tpn, tmn = _generators()
+    mirror = -compose(tm, tp) + compose(t3, t3) + t3
     return [
-        ("casimir mirror - casimir", _casimir_from(t3, tp, tm, mirror=True) - _casimir_from(t3, tp, tm)),
+        ("casimir mirror - casimir", mirror - casimir()),
         ("T+ - (T+^n with K -> T3)", tp - replace_K(tpn, t3)),
         ("T- - (T-^n with K -> T3)", tm - replace_K(tmn, t3)),
     ]

@@ -12,8 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from micz_su11 import operator_algebra
 from micz_su11.analytic_states import RadialState, _as_array, chi
-from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly
+from micz_su11.numeric_verify import GridFunction, _PivotSweep
+from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly, replace_K
 from micz_su11.special_functions import KummerParams, _kummer_deriv_scale, kummer_terminating
 
 
@@ -77,6 +79,20 @@ def build_Tpm(sign: int) -> NormalOrderedOperator:
     return NormalOrderedOperator({(1, 1): -sign, (1, 0): 1}) - build_T3()
 
 
+def corrupted_generators():
+    """A stand-in for `operator_algebra._generators` whose T3 is the derived T3 - x.
+
+    That flips the sign of T3's x/2 term; T+- are rebuilt from it by
+    `replace_K`, and T+-^n stay as derived.  Monkeypatch it over
+    `_generators` to drive `identity_suite`, `extra_identity_checks` and
+    `verify-algebra` down their failure path.
+    """
+    t3, _, _, tpn, tmn = operator_algebra._generators()
+    bad = t3 - NormalOrderedOperator.x_power(1)
+    generators = (bad, replace_K(tpn, bad), replace_K(tmn, bad), tpn, tmn)
+    return lambda: generators
+
+
 # ---------------------------------------------------------------------------
 # Full-sweep Sturm bisection: the FD eigenvalue oracle without the early stop
 # or the per-call sweep memo, kept as the bit-for-bit reference for `eig_oracle`.
@@ -129,6 +145,13 @@ def eig_oracle_full_sweep(J: float, grid, count: int) -> list[float]:
     diag, off = fd_matrix(J, grid)
     lo, hi = gershgorin(diag, off)
     return [bisect_eigenvalue_full(diag, off * off, k, lo, hi) for k in range(count)]
+
+
+def sturm_count(diag: list[float], suffix_min: list[float], off: float, lam: float) -> int:
+    """The early-stopping count of `eig_oracle`: the `_PivotSweep` at lam run to its end."""
+    sweep = _PivotSweep(diag, suffix_min, off, lam)
+    sweep.exceeds(len(diag))  # no count exceeds the number of nodes
+    return sweep.count
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +220,27 @@ def monomial_action_reference(op: NormalOrderedOperator, k: int) -> list[tuple[i
         else:
             acc[power] = cur
     return sorted(acc.items())
+
+
+# ---------------------------------------------------------------------------
+# Operator application from a derivative callback: the reference for the
+# images `numeric_verify._Level` builds from one sampler pass, bit for bit.
+# ---------------------------------------------------------------------------
+
+def apply_operator(numop, f: GridFunction, derivatives) -> GridFunction:
+    """Sum of c x^xp f^(dq) over the terms of `numop`, in their order, on the nodes of f.
+
+    `derivatives(order)` supplies the samples of the order-th derivative of
+    f on `f.grid.nodes`; it is called once for each order >= 1 that the
+    operator needs.
+    """
+    samples = {0: f.values}
+    out = np.zeros_like(f.values)
+    for xp, dq, c in numop.terms:
+        if dq not in samples:
+            samples[dq] = np.asarray(derivatives(dq), dtype=float)
+        out += c * (samples[dq] if xp == 0 else samples[dq] * f.grid.nodes ** float(xp))
+    return GridFunction(f.grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import warnings
@@ -198,8 +199,8 @@ class TestTowerSampler:
             for i in order:
                 st = states[i]
                 assert np.array_equal(sampler.chi(st), refs[i][0]), (visit, i)
-                for d in range(5):
-                    assert np.array_equal(sampler.chi_dn(st, d), refs[i][d]), (visit, i, d)
+                for d in range(1, 5):
+                    assert np.array_equal(sampler.derivatives(st, d)[-1], refs[i][d]), (visit, i, d)
                 # one pass for orders 1..4 gives the same bits as one call per order
                 derived = sampler.derivatives(st, 4)
                 assert len(derived) == 4
@@ -209,12 +210,11 @@ class TestTowerSampler:
     def test_rejects_state_of_another_sector(self, hydrogen, shifted):
         sampler = TowerSampler(hydrogen, np.linspace(0.1, 5.0, 8))
         with pytest.raises(ValueError, match="another sector"):
-            sampler.chi_dn(radial_state(shifted, H("3/2")), 1)
+            sampler.derivatives(radial_state(shifted, H("3/2")), 1)
 
     def test_negative_order_rejected(self, hydrogen):
-        sampler = TowerSampler(hydrogen, np.linspace(0.1, 5.0, 8))
         with pytest.raises(ValueError, match="non-negative"):
-            sampler.chi_dn(radial_state(hydrogen, H("2")), -1)
+            chi_dn(radial_state(hydrogen, H("2")), np.linspace(0.1, 5.0, 8), -1)
 
 
 class TestRadialOde:
@@ -315,17 +315,30 @@ class TestAngular:
         assert angular_residual(angular_state(hydrogen), thetas, phis) == 0.0
 
     def test_shifted_sector_residual(self, shifted):
-        thetas, phis = default_angular_mesh(200, 8)
+        thetas, phis = default_angular_mesh()
         assert angular_residual(angular_state(shifted), thetas, phis) <= 1e-9
 
     @pytest.mark.parametrize("j, m", [(1, 0), (1, 1), (2, -1), (3, 2)])
     def test_pure_monopole_free_sectors(self, j, m):
         sec = make_sector(MonopoleParams(H("0"), 0.0, 0.0), HalfInt.from_int(m), HalfInt.from_int(j))
-        thetas, phis = default_angular_mesh(200, 8)
+        thetas, phis = default_angular_mesh()
         assert angular_residual(angular_state(sec), thetas, phis) <= 1e-9
 
     def test_perturbed_separation_constant_fails_loudly(self, shifted):
         # anti-test: the residual must actually measure the equation
-        thetas, phis = default_angular_mesh(200, 8)
-        bad = angular_residual(angular_state(shifted), thetas, phis, sep_const=shifted.sep_const + 1.0)
+        thetas, phis = default_angular_mesh()
+        perturbed = dataclasses.replace(shifted, sep_const=shifted.sep_const + 1.0)
+        bad = angular_residual(angular_state(perturbed), thetas, phis)
         assert bad >= 0.1
+
+    def test_default_mesh_nodes(self):
+        thetas, phis = default_angular_mesh()
+        assert np.array_equal(thetas, math.pi * np.arange(1, 201) / 201.0)
+        assert np.array_equal(phis, 2.0 * math.pi * np.arange(8) / 8)
+
+    @pytest.mark.parametrize("thetas, phis, empty", [([1.0], [], "phi"), ([], [0.0], "theta"), ([], [], "theta")],
+                             ids=["phi", "theta", "both"])
+    def test_empty_mesh_rejected(self, shifted, thetas, phis, empty):
+        # an empty phi mesh used to give a residual of 0.0 whatever the equation
+        with pytest.raises(DomainError, match=f"^the {empty} mesh is empty$"):
+            angular_residual(angular_state(shifted), thetas, phis)

@@ -10,10 +10,11 @@ import warnings
 from pathlib import Path
 
 import pytest
-from oracles import eig_oracle_full_sweep
+from oracles import corrupted_generators, eig_oracle_full_sweep
 
 import micz_su11
 import micz_su11.numeric_verify as numeric_verify
+import micz_su11.operator_algebra as operator_algebra
 from micz_su11.cli import main
 
 SRC = Path(micz_su11.__file__).resolve().parent.parent
@@ -214,12 +215,19 @@ class TestVerifyAlgebra:
         assert code == 0
         assert "oracle sweep k in [-4, -4]: PASS" in out
 
-    def test_corrupted_build_fails_with_rendered_remainder(self, capsys):
-        code, out, err = run(capsys, ["verify-algebra", "--corrupt-identity"])
+    def test_corrupted_build_fails_with_rendered_remainder(self, capsys, monkeypatch):
+        monkeypatch.setattr(operator_algebra, "_generators", corrupted_generators())
+        code, out, err = run(capsys, ["verify-algebra"])
         assert code == 1
         assert "FAIL" in out
         match = re.search(r"FAILED .*: (.+)", err)
         assert match and match.group(1).strip() not in ("", "0")
+
+    def test_corrupt_identity_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-algebra", "--corrupt-identity"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --corrupt-identity" in capsys.readouterr().err
 
     def test_json_report_document(self, capsys, tmp_path):
         out_path = tmp_path / "algebra.json"

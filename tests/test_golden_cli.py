@@ -17,7 +17,9 @@ import re
 from pathlib import Path
 
 import pytest
+from oracles import corrupted_generators
 
+from micz_su11 import operator_algebra
 from micz_su11.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -35,9 +37,10 @@ CASES = [
     ("verify-algebra-stdout", 0, ["verify-algebra"]),
     ("verify-algebra-csv", 0, ["verify-algebra", "--format", "csv"]),
     ("verify-algebra-json-out", 0, ["verify-algebra", "--out", OUT]),
-    ("verify-algebra-corrupt-stdout", 1, ["verify-algebra", "--corrupt-identity"]),
-    ("verify-algebra-corrupt-csv", 1, ["verify-algebra", "--corrupt-identity", "--format", "csv"]),
-    ("verify-algebra-corrupt-json-out", 1, ["verify-algebra", "--corrupt-identity", "--out", OUT]),
+    # the corrupt cases run with `corrupted_generators` patched over the derivation
+    ("verify-algebra-corrupt-stdout", 1, ["verify-algebra"]),
+    ("verify-algebra-corrupt-csv", 1, ["verify-algebra", "--format", "csv"]),
+    ("verify-algebra-corrupt-json-out", 1, ["verify-algebra", "--out", OUT]),
     ("oracle-readme-json", 0,
      ["oracle", "--s", "0", "--m", "0", "--j", "0", "--nmax", "3", "--rmax", "60", "--npoints", "6000",
       "--format", "json", "--out", OUT]),
@@ -76,7 +79,9 @@ def golden(case_id: str, kind: str) -> str | None:
 
 
 @pytest.mark.parametrize("case_id, code, argv", CASES, ids=[c[0] for c in CASES])
-def test_cli_output_matches_golden(capsys, tmp_path, case_id, code, argv):
+def test_cli_output_matches_golden(capsys, monkeypatch, tmp_path, case_id, code, argv):
+    if "-corrupt-" in case_id:
+        monkeypatch.setattr(operator_algebra, "_generators", corrupted_generators())
     got_code, out, err, doc = run_case(argv, tmp_path / "doc", capsys)
     assert got_code == code
     assert out == golden(case_id, "stdout")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     StencilUnsupported,
+    apply_operator,
     chi_dn_per_call,
     eig_oracle_full_sweep,
     fd_derivative,
@@ -17,6 +18,7 @@ from oracles import (
     fd_matrix,
     fd_weights,
     gershgorin,
+    sturm_count,
     sturm_count_full,
 )
 
@@ -33,9 +35,7 @@ from micz_su11.numeric_verify import (
     _PivotSweep,
     _level,
     _tower_sampler,
-    _sturm_count,
     _suffix_min,
-    apply_operator,
     casimir_check,
     eig_oracle,
     ladder_check,
@@ -112,6 +112,16 @@ class TestGridTypes:
     def test_non_finite_rmax_rejected(self, bad):
         with pytest.raises(ValueError, match="rmax must be positive and finite"):
             RadialGrid(bad, 100)
+
+    def test_non_integral_npoints_rejected(self):
+        # 6000.5 used to build 6001 nodes with h = 60/6001.5, the last one half a step short of rmax
+        with pytest.raises(ValueError, match=r"^npoints must be an integer, got 6000\.5$"):
+            RadialGrid(60.0, 6000.5)
+
+    def test_numpy_integer_npoints_stored_as_int(self):
+        g = RadialGrid(60.0, np.int64(6000))
+        assert type(g.npoints) is int and g == RadialGrid(60.0, 6000)
+        assert eig_oracle(0.0, g, 2) == eig_oracle(0.0, RadialGrid(60.0, 6000), 2)
 
     def test_grid_function_validation(self):
         g = RadialGrid(10.0, 20)
@@ -272,7 +282,7 @@ class TestSturmEarlyStop:
         lo, hi = gershgorin(diag, off)
 
         def count(lam):
-            return _sturm_count(diag, suffix_min, off, lam)
+            return sturm_count(diag, suffix_min, off, lam)
 
         def exceeds(lam, k):
             return count(lam) > k
@@ -347,7 +357,7 @@ class TestSturmEarlyStop:
         for k in range(full + 2):
             assert sweep.exceeds(k) == (full > k), k
         assert sweep.done and sweep.count == full
-        assert _sturm_count(diag, suffix_min, off, lam) == full
+        assert sturm_count(diag, suffix_min, off, lam) == full
 
     def test_sweep_skips_the_forbidden_tail(self):
         # a negative diagonal entry deep in the tail adds a negative pivot to
@@ -357,7 +367,7 @@ class TestSturmEarlyStop:
         lam = -0.5 / 9.0 - 1e-3  # between levels 2 and 3, turning point near r = 17.7
         diag[3000] = -1e6
         assert sturm_count_full(diag, off * off, lam) == 3
-        assert _sturm_count(diag, suffix_min, off, lam) == 2
+        assert sturm_count(diag, suffix_min, off, lam) == 2
 
     def test_subnormal_off_diagonal_keeps_the_full_sweep(self):
         # h = 6e78 makes off^2 subnormal; the early-stop bound needs it normal
@@ -367,7 +377,7 @@ class TestSturmEarlyStop:
         lo, hi = gershgorin(diag, off)
         lams = [lo + (hi - lo) * i / 64.0 for i in range(65)] + [-1e-158, 0.0, 1e-158]
         for lam in lams:
-            assert _sturm_count(diag, suffix_min, off, lam) == sturm_count_full(diag, off * off, lam)
+            assert sturm_count(diag, suffix_min, off, lam) == sturm_count_full(diag, off * off, lam)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
     def test_non_finite_or_overflowing_J_rejected(self, bad):
@@ -560,6 +570,13 @@ class TestReports:
                 "ladder_raise", "ladder_annihilation", "ladder_lower", "t3_spacing"} <= names
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("nlevels", [0, -3])
+    def test_suite_without_levels_rejected(self, nlevels):
+        # nlevels = 0 used to pass on the angular check alone
+        params = MonopoleParams(H("0"), 0.0, 0.0)
+        with pytest.raises(ValueError, match=f"^nlevels must be >= 1, got {nlevels}$"):
+            verify_states_suite(params, H("0"), H("0"), nlevels=nlevels)
+
 
 class TestSampleCache:
     """The suite samples each level once and composes no generator product per call."""
@@ -605,12 +622,8 @@ class TestSampleCache:
             calls.update((state.level.n, order) for order in range(1, top + 1))
             return derivatives(sampler, state, top)
 
-        def per_order(sampler, state, order):
-            raise AssertionError("the suite samples derivatives through one pass per level")
-
         _level.cache_clear()
         monkeypatch.setattr(TowerSampler, "derivatives", counting)
-        monkeypatch.setattr(TowerSampler, "chi_dn", per_order)
         self._suite(hydrogen)
         assert calls
         assert max(calls.values()) == 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from micz_su11 import operator_algebra
 from micz_su11.operator_algebra import (
     NoFactorization,
     NormalOrderedOperator,
@@ -21,7 +22,7 @@ from micz_su11.operator_algebra import (
     solve_schrodinger_ansatz,
     substitute,
 )
-from oracles import build_T3, build_Tpm, build_Tpm_n
+from oracles import build_T3, build_Tpm, build_Tpm_n, corrupted_generators
 
 J = ParamPoly.J()
 K = ParamPoly.K()
@@ -241,7 +242,8 @@ class TestAlgebraIdentities:
 
     def test_casimir_is_constant(self):
         assert casimir() == jj1() * ONE
-        assert casimir(mirror=True) == casimir()
+        t3, tp, tm = gen("T3"), gen("T+"), gen("T-")
+        assert -compose(tm, tp) + compose(t3, t3) + t3 == casimir()  # the mirror form
 
     def test_identity_suite_all_zero(self):
         suite = identity_suite()
@@ -250,6 +252,15 @@ class TestAlgebraIdentities:
             assert diff.is_zero, name
         for name, diff in extra_identity_checks():
             assert diff.is_zero, name
+
+    def test_corrupted_generators_fail_the_suites(self, monkeypatch):
+        monkeypatch.setattr(operator_algebra, "_generators", corrupted_generators())
+        failing = [name for name, diff in identity_suite() if not diff.is_zero]
+        assert failing == ["[T+,T-] + 2 T3", "[T+,T3] + T+", "[T-,T3] - T-", "T^2 - J(J+1)"]
+        extra = {name: diff.is_zero for name, diff in extra_identity_checks()}
+        # T+- are rebuilt from the corrupted T3, so the definitional rows still hold
+        assert extra == {"casimir mirror - casimir": False, "T+ - (T+^n with K -> T3)": True,
+                         "T- - (T-^n with K -> T3)": True}
 
     def test_definitional_K_replacement(self):
         for sign, name in ((+1, "T+"), (-1, "T-")):
@@ -295,7 +306,7 @@ class TestSchrodingerAnsatz:
     def test_reexpansion(self):
         ln = build_Ln()
         for sol in solve_schrodinger_ansatz(ln):
-            assert sol.product() == ln + sol.offset() * ONE
+            assert sol.product() == ln + (sol.g - sol.eigenvalue) * ONE
 
     def test_plus_branch_factors_are_the_ladder_factors(self):
         plus = solve_schrodinger_ansatz(build_Ln())[0]
