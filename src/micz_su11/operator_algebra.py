@@ -8,10 +8,16 @@ rationals; floats only appear after an explicit `substitute`.
 
 Canonical form, which `==`, `hash` and `is_zero` rely on: a `ParamPoly` maps
 (jpow, kpow) to a nonzero coefficient of type exactly `Fraction`, and a
-`NormalOrderedOperator` maps (xpow, dorder >= 0) to a nonzero `ParamPoly`.
-The public constructors check and convert outside input into that form; the
-arithmetic, `compose` and `monomial_action` build each result in canonical
-form once and hand it to the private `_adopt`, which checks nothing.
+`NormalOrderedOperator` maps (xpow, dorder >= 0) to a nonzero `ParamPoly`,
+every power an `int`.  The public constructors check and convert outside
+input into that form (each power through `operator.index`, so a float or
+`Fraction` power raises `TypeError`); the arithmetic, `compose` and
+`monomial_action` build each result in canonical form once and hand it to
+the private `_adopt`, which checks nothing.
+
+`compose` and `monomial_action` scale each operand to int numerators over the
+lcm of its denominators, sum in `int`s and build each nonzero result
+coefficient once as `Fraction(n, d)`; terms keep their first-appearance order.
 
 The su(1,1) generators are derived, not typed in, by the Schroedinger
 factorization of the radial operator Ln = -x^2 D^2 - 2K x + x^2, whose
@@ -27,6 +33,7 @@ and `generator_table()`, `casimir()` and both identity suites read it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -48,28 +55,25 @@ def _falling(k: int, m: int) -> int:
     return out
 
 
-def _accumulate(acc: dict, items, w: int = 1) -> None:
-    """acc[key] += w c for each (key, c) in items; a sum that cancels stays as a zero entry."""
-    if w != 1:
-        items = [(key, c * w) for key, c in items]
+def _accumulate(acc: dict, items) -> None:
+    """acc[key] += c for each (key, c) in items; a sum that cancels stays as a zero entry."""
     for key, c in items:
         s = acc.get(key)
         acc[key] = c if s is None else s + c
 
 
-def _product(a: dict, b: dict) -> dict:
-    """Term-by-term product of two (jpow, kpow) -> Fraction dicts, zero entries kept."""
-    terms: dict[tuple[int, int], Fraction] = {}
-    for (ja, ka), ca in a.items():
-        _accumulate(terms, [((ja + jb, ka + kb), ca * cb) for (jb, kb), cb in b.items()])
-    return terms
+def _scaled(op: "NormalOrderedOperator") -> tuple[int, list]:
+    """(d, [((xpow, dorder), [((jpow, kpow), n), ...]), ...]): op over the lcm d of its denominators."""
+    d = math.lcm(*{c.denominator for poly in op._terms.values() for c in poly._terms.values()})
+    return d, [(key, [(m, c.numerator * (d // c.denominator)) for m, c in poly._terms.items()])
+               for key, poly in op._terms.items()]
 
 
-def _canonical(raw: dict) -> dict:
-    """Wrap each accumulated (jpow, kpow) -> Fraction dict once, dropping zeros."""
+def _canonical(raw: dict, d: int) -> dict:
+    """Wrap each accumulated (jpow, kpow) -> int numerator dict once as Fractions over d, dropping zeros."""
     out = {}
     for key, acc in raw.items():
-        terms = {m: c for m, c in acc.items() if c}
+        terms = {m: Fraction(n, d) for m, n in acc.items() if n}
         if terms:
             out[key] = ParamPoly._adopt(terms)
     return out
@@ -81,7 +85,8 @@ class ParamPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        self._terms = {(jp, kp): f for (jp, kp), c in (terms or {}).items() if (f := Fraction(c))}
+        self._terms = {(operator.index(jp), operator.index(kp)): f
+                       for (jp, kp), c in (terms or {}).items() if (f := Fraction(c))}
 
     @classmethod
     def _adopt(cls, terms: dict[tuple[int, int], Fraction]) -> "ParamPoly":
@@ -168,7 +173,9 @@ class ParamPoly:
         if not isinstance(other, ParamPoly):
             return NotImplemented
         # a product of nonzero polynomials is nonzero, but single terms may cancel
-        terms = _product(self._terms, other._terms)
+        terms: dict[tuple[int, int], Fraction] = {}
+        for (ja, ka), ca in self._terms.items():
+            _accumulate(terms, [((ja + jb, ka + kb), ca * cb) for (jb, kb), cb in other._terms.items()])
         return ParamPoly._adopt({key: c for key, c in terms.items() if c})
 
     __rmul__ = __mul__
@@ -180,6 +187,8 @@ class ParamPoly:
         return self._terms == o._terms
 
     def __hash__(self):
+        if self.is_constant:  # equal to its constant, so it hashes like it
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def render(self) -> str:
@@ -227,6 +236,7 @@ class NormalOrderedOperator:
     def __init__(self, terms: Mapping[tuple[int, int], ParamPoly | Scalar] | None = None):
         clean: dict[tuple[int, int], ParamPoly] = {}
         for (xp, dq), c in (terms or {}).items():
+            xp, dq = operator.index(xp), operator.index(dq)
             if dq < 0:
                 raise ValueError("derivative order must be non-negative")
             poly = c if isinstance(c, ParamPoly) else ParamPoly.const(c)
@@ -331,16 +341,24 @@ class NormalOrderedOperator:
 
 def compose(lhs: NormalOrderedOperator, rhs: NormalOrderedOperator) -> NormalOrderedOperator:
     """Normal-ordered product: D^q x^r = sum_i C(q,i) r^(i-falling) x^(r-i) D^(q-i)."""
-    raw: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
-    for (p, q), cl in lhs.items():
-        for (r, s), cr in rhs.items():
-            cc = _product(cl._terms, cr._terms).items()
+    dl, left = _scaled(lhs)
+    dr, right = _scaled(rhs)
+    raw: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    for (p, q), cl in left:
+        for (r, s), cr in right:
+            cc: dict[tuple[int, int], int] = {}  # a term that cancels stays as a zero entry
+            for (ja, ka), a in cl:
+                for (jb, kb), b in cr:
+                    m = (ja + jb, ka + kb)
+                    cc[m] = cc.get(m, 0) + a * b
             for i in range(q + 1):
                 w = math.comb(q, i) * _falling(r, i)
                 if w == 0:  # r is an integer in [0, i), so every later i vanishes too
                     break
-                _accumulate(raw.setdefault((p + r - i, q - i + s), {}), cc, w)
-    return NormalOrderedOperator._adopt(_canonical(raw))
+                acc = raw.setdefault((p + r - i, q - i + s), {})
+                for m, n in cc.items():
+                    acc[m] = acc.get(m, 0) + w * n
+    return NormalOrderedOperator._adopt(_canonical(raw, dl * dr))
 
 
 def commutator(lhs: NormalOrderedOperator, rhs: NormalOrderedOperator) -> NormalOrderedOperator:
@@ -349,12 +367,16 @@ def commutator(lhs: NormalOrderedOperator, rhs: NormalOrderedOperator) -> Normal
 
 def monomial_action(op: NormalOrderedOperator, k: int) -> list[tuple[int, ParamPoly]]:
     """Image of x^k: x^p D^q x^k = k^(q-falling) x^(k+p-q).  The equality oracle."""
-    raw: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for (p, q), c in op.items():
-        w = _falling(k, q)
-        if w != 0:
-            _accumulate(raw.setdefault(k + p - q, {}), c.items(), w)
-    return sorted(_canonical(raw).items())
+    k = operator.index(k)
+    # d covers only the terms with a nonzero weight: Fraction(n, d) normalises, so any common d does
+    used = [(k + p - q, w, poly._terms) for (p, q), poly in op._terms.items() if (w := _falling(k, q))]
+    d = math.lcm(*{c.denominator for _, _, terms in used for c in terms.values()})
+    raw: dict[int, dict[tuple[int, int], int]] = {}
+    for power, w, terms in used:
+        acc = raw.setdefault(power, {})
+        for m, c in terms.items():
+            acc[m] = acc.get(m, 0) + w * c.numerator * (d // c.denominator)
+    return sorted(_canonical(raw, d).items())
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The exact kernel against its old accumulation, and the canonical form it builds.
 
-`compose` and `monomial_action` accumulate raw Fraction sums and wrap each
-result once; `oracles.compose_reference` and `oracles.monomial_action_reference`
-still build a validated ParamPoly for every partial sum.  Both must give the
-same `_terms` dicts, and every result must be in the canonical form that
-`==`, `hash` and `is_zero` rely on.
+`compose` and `monomial_action` scale each operand to integer numerators over
+one common denominator and build each result coefficient once;
+`oracles.compose_reference` and `oracles.monomial_action_reference` still
+build a validated ParamPoly for every partial sum.  Both must give the same
+`_terms` dicts, and every result must be in the canonical form that `==`,
+`hash` and `is_zero` rely on.
 """
 
 from fractions import Fraction
@@ -56,6 +57,24 @@ operators = st.dictionaries(
 ).map(NormalOrderedOperator)
 
 
+# 1 and the primes up to 97: distinct draws are pairwise coprime, so the common
+# denominator of an operator is the product of its coefficients' denominators
+COPRIME_DENOMINATORS = [1] + [d for d in range(2, 98) if all(d % f for f in range(2, d))]
+
+
+@st.composite
+def coprime_operators(draw):
+    """Up to four terms of up to three monomials each, every coefficient n/d with its own d."""
+    keys = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3)), max_size=4, unique=True))
+    shapes = [draw(st.lists(monomials, min_size=1, max_size=3, unique=True)) for _ in keys]
+    size = sum(map(len, shapes))
+    dens = iter(draw(st.lists(st.sampled_from(COPRIME_DENOMINATORS), min_size=size, max_size=size, unique=True)))
+    nums = iter(draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size)))
+    return NormalOrderedOperator(
+        {key: ParamPoly({m: Fraction(next(nums), next(dens)) for m in shape}) for key, shape in zip(keys, shapes)}
+    )
+
+
 def vanishing_powers(op: NormalOrderedOperator) -> set[int]:
     """x^k for k in {0, 1, q-1}: images where falling factorials vanish and terms cancel."""
     return {0, 1} | {dq - 1 for (_, dq), _ in op.items()}
@@ -84,6 +103,19 @@ def test_kernel_matches_reference(a, b, p):
     ab = compose(a, b)
     for op in (a, ab, ab - compose_reference(a, b), a + (-a)):
         for k in sorted(vanishing_powers(op) | {-2, 3}):
+            image = monomial_action(op, k)
+            assert plain_image(image) == plain_image(monomial_action_reference(op, k))
+            assert_canonical_image(image)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coprime_operators(), coprime_operators(), st.lists(st.integers(-200, 200), min_size=1, max_size=4))
+def test_kernel_matches_reference_over_coprime_denominators(a, b, powers):
+    ab = compose(a, b)
+    assert plain(ab) == plain(compose_reference(a, b))
+    assert_canonical(ab)
+    for op in (a, ab):
+        for k in powers + [200, -200]:
             image = monomial_action(op, k)
             assert plain_image(image) == plain_image(monomial_action_reference(op, k))
             assert_canonical_image(image)

@@ -31,6 +31,97 @@ X = NormalOrderedOperator.x_power(1)
 D = NormalOrderedOperator({(0, 1): 1})
 XD = NormalOrderedOperator({(1, 1): 1})
 GENERATORS = ("T3", "T+", "T-", "Ln", "T3 T+", "T3 T-", "T3 T3", "T+ T-", "T- T+")
+# `_float_terms()` of each `generator_table()` entry: the order `substitute` sums in,
+# so a kernel change that reorders any coefficient's terms fails here first
+FLOAT_TERMS = {
+    'T3': (
+        (1, 2, ((-0.5, 0, 0),)),
+        (-1, 0, ((0.5, 2, 0), (0.5, 1, 0))),
+        (1, 0, ((0.5, 0, 0),)),
+    ),
+    'T+': (
+        (1, 2, ((0.5, 0, 0),)),
+        (1, 1, ((-1.0, 0, 0),)),
+        (-1, 0, ((-0.5, 2, 0), (-0.5, 1, 0))),
+        (1, 0, ((0.5, 0, 0),)),
+    ),
+    'T-': (
+        (1, 2, ((0.5, 0, 0),)),
+        (1, 1, ((1.0, 0, 0),)),
+        (-1, 0, ((-0.5, 2, 0), (-0.5, 1, 0))),
+        (1, 0, ((0.5, 0, 0),)),
+    ),
+    'Ln': (
+        (2, 2, ((-1.0, 0, 0),)),
+        (1, 0, ((-2.0, 0, 1),)),
+        (2, 0, ((1.0, 0, 0),)),
+    ),
+    'T3 T+': (
+        (2, 4, ((-0.25, 0, 0),)),
+        (1, 3, ((-0.5, 0, 0),)),
+        (2, 3, ((0.5, 0, 0),)),
+        (0, 2, ((0.5, 2, 0), (0.5, 1, 0))),
+        (1, 2, ((1.0, 0, 0),)),
+        (-1, 1, ((-0.5, 2, 0), (-0.5, 1, 0))),
+        (0, 1, ((-0.5, 2, 0), (-0.5, 1, 0))),
+        (1, 1, ((-0.5, 0, 0),)),
+        (2, 1, ((-0.5, 0, 0),)),
+        (-2, 0, ((0.25, 2, 0), (0.5, 1, 0), (-0.25, 4, 0), (-0.5, 3, 0))),
+        (2, 0, ((0.25, 0, 0),)),
+    ),
+    'T3 T-': (
+        (2, 4, ((-0.25, 0, 0),)),
+        (1, 3, ((-0.5, 0, 0),)),
+        (2, 3, ((-0.5, 0, 0),)),
+        (0, 2, ((0.5, 2, 0), (0.5, 1, 0))),
+        (1, 2, ((-1.0, 0, 0),)),
+        (-1, 1, ((-0.5, 2, 0), (-0.5, 1, 0))),
+        (0, 1, ((0.5, 2, 0), (0.5, 1, 0))),
+        (1, 1, ((-0.5, 0, 0),)),
+        (2, 1, ((0.5, 0, 0),)),
+        (-2, 0, ((0.25, 2, 0), (0.5, 1, 0), (-0.25, 4, 0), (-0.5, 3, 0))),
+        (2, 0, ((0.25, 0, 0),)),
+    ),
+    'T3 T3': (
+        (2, 4, ((0.25, 0, 0),)),
+        (1, 3, ((0.5, 0, 0),)),
+        (0, 2, ((-0.5, 2, 0), (-0.5, 1, 0))),
+        (2, 2, ((-0.5, 0, 0),)),
+        (-1, 1, ((0.5, 2, 0), (0.5, 1, 0))),
+        (1, 1, ((-0.5, 0, 0),)),
+        (-2, 0, ((-0.25, 2, 0), (-0.5, 1, 0), (0.25, 4, 0), (0.5, 3, 0))),
+        (0, 0, ((0.5, 2, 0), (0.5, 1, 0))),
+        (2, 0, ((0.25, 0, 0),)),
+    ),
+    'T+ T-': (
+        (2, 4, ((0.25, 0, 0),)),
+        (1, 3, ((0.5, 0, 0),)),
+        (0, 2, ((-0.5, 2, 0), (-0.5, 1, 0))),
+        (1, 2, ((0.5, 0, 0),)),
+        (2, 2, ((-0.5, 0, 0),)),
+        (-1, 1, ((0.5, 2, 0), (0.5, 1, 0))),
+        (1, 1, ((-0.5, 0, 0),)),
+        (-2, 0, ((-0.25, 2, 0), (-0.5, 1, 0), (0.25, 4, 0), (0.5, 3, 0))),
+        (-1, 0, ((-0.5, 2, 0), (-0.5, 1, 0))),
+        (0, 0, ((-0.5, 2, 0), (-0.5, 1, 0))),
+        (1, 0, ((-0.5, 0, 0),)),
+        (2, 0, ((0.25, 0, 0),)),
+    ),
+    'T- T+': (
+        (2, 4, ((0.25, 0, 0),)),
+        (1, 3, ((0.5, 0, 0),)),
+        (0, 2, ((-0.5, 2, 0), (-0.5, 1, 0))),
+        (1, 2, ((-0.5, 0, 0),)),
+        (2, 2, ((-0.5, 0, 0),)),
+        (-1, 1, ((0.5, 2, 0), (0.5, 1, 0))),
+        (1, 1, ((-0.5, 0, 0),)),
+        (-2, 0, ((-0.25, 2, 0), (-0.5, 1, 0), (0.25, 4, 0), (0.5, 3, 0))),
+        (-1, 0, ((0.5, 2, 0), (0.5, 1, 0))),
+        (0, 0, ((-0.5, 2, 0), (-0.5, 1, 0))),
+        (1, 0, ((0.5, 0, 0),)),
+        (2, 0, ((0.25, 0, 0),)),
+    ),
+}
 
 
 def gen(name: str) -> NormalOrderedOperator:
@@ -173,6 +264,10 @@ class TestBuilders:
             return [(key, list(poly.items())) for key, poly in op.items()]
 
         assert layout(gen(name)) == layout(reference_table()[name])
+
+    def test_float_terms_are_pinned(self):
+        assert {name: gen(name)._float_terms() for name in GENERATORS} == FLOAT_TERMS
+        assert list(FLOAT_TERMS) == list(GENERATORS)
 
     @pytest.mark.parametrize("jval, kval", [(0.0, 1.0), (0.5, 3.5), (1.2071067811865475, 4.2071067811865475),
                                             (7.25, 9.25), (84.0, 90.0), (3.0e5, 3.0e5 + 17.0)])
@@ -331,6 +426,43 @@ class TestSchrodingerAnsatz:
         bad = NormalOrderedOperator({(2, 2): -1, (2, 0): 2, (1, 0): K * (-2)})
         with pytest.raises(NoFactorization):
             solve_schrodinger_ansatz(bad)
+
+
+class TestCanonicalInput:
+    """Every stored power is an int, so the kernel's integer arithmetic stays exact."""
+
+    @pytest.mark.parametrize("key", [(1.5, 0), (0, 0.5), (Fraction(1), 0), (0, 1.0)])
+    def test_parampoly_rejects_non_integer_powers(self, key):
+        with pytest.raises(TypeError):
+            ParamPoly({key: 1})
+
+    @pytest.mark.parametrize("key", [(0.5, 0), (0, 1.0), (Fraction(1, 2), 1), (2, Fraction(1))])
+    def test_operator_rejects_non_integer_powers(self, key):
+        with pytest.raises(TypeError):
+            NormalOrderedOperator({key: 1})
+
+    @pytest.mark.parametrize("k", [-0.5, 1.0, Fraction(1, 2)])
+    def test_x_power_rejects_non_integer_powers(self, k):
+        with pytest.raises(TypeError):
+            NormalOrderedOperator.x_power(k)
+
+    @pytest.mark.parametrize("k", [0.5, 2.0, Fraction(1, 2), Fraction(3)])
+    def test_monomial_action_rejects_non_integer_powers(self, k):
+        with pytest.raises(TypeError):
+            monomial_action(compose(D, D), k)
+
+    def test_integer_like_powers_are_stored_as_ints(self):
+        op = NormalOrderedOperator({(np.int64(-1), np.int64(2)): ParamPoly({(np.int64(1), True): 3})})
+        assert [(type(xp), type(dq)) for xp, dq in op._terms] == [(int, int)]
+        assert [(type(jp), type(kp)) for jp, kp in op.coeff(-1, 2)._terms] == [(int, int)]
+        assert monomial_action(D, np.int64(3)) == [(2, ParamPoly.const(3))]
+
+    @pytest.mark.parametrize("value", [0, 2, -7, Fraction(1, 2)])
+    def test_constant_hashes_like_its_value(self, value):
+        poly = ParamPoly.const(value)
+        assert poly == value and hash(poly) == hash(value)
+        assert {value: "v"}.get(poly) == "v"
+        assert {poly: "p"}.get(value) == "p"
 
 
 class TestRendering:
