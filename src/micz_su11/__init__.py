@@ -2,7 +2,8 @@
 
 Subpackages: exact quantum-number bookkeeping, Jacobi/Kummer special
 functions, an exact differential-operator algebra kernel, closed-form
-eigenfunctions, and an independent finite-difference eigensolver oracle.
+eigenfunctions, an independent finite-difference eigensolver oracle
+(`fd_oracle`) and the grid checks of the states (`numeric_verify`).
 
 Exports are resolved lazily (PEP 562), so `import micz_su11` loads no
 submodule and no numpy.  `_EXPORTS` maps each defining module to the names
@@ -10,7 +11,8 @@ the package re-exports from it; the first access to a name imports that
 module, and the object is then cached in this module's globals, so
 `micz_su11.X is micz_su11.<module>.X` and later lookups cost nothing.  The
 submodules themselves (`micz_su11.numeric_verify`, ...) are attributes too.
-Only `special_functions`, `analytic_states` and `numeric_verify` import numpy.
+Only `special_functions`, `analytic_states` and `numeric_verify` import numpy;
+`fd_oracle` imports it only when a grid's `nodes` array is first read.
 """
 
 import importlib
@@ -69,18 +71,20 @@ _EXPORTS = {
         "default_angular_mesh",
         "radial_state",
     ),
-    "numeric_verify": (
-        "GridFunction",
+    "fd_oracle": (
         "GridTooCoarse",
         "RadialGrid",
         "VerificationReport",
         "eig_oracle",
+        "oracle_reports",
+        "spectrum_cross_check",
+    ),
+    "numeric_verify": (
+        "GridFunction",
         "ladder_check",
         "casimir_check",
         "radial_equation_check",
         "angular_residual_check",
-        "oracle_reports",
-        "spectrum_cross_check",
         "t3_eigen_check",
         "t3_spacing_check",
         "verify_states_suite",

@@ -6,7 +6,8 @@ Output is deterministic: floats are printed with 17 significant digits, CSV
 uses LF line endings, JSON documents carry the "su11-micz/1" schema key.
 
 Each command imports the modules it needs when it runs, so `spectrum` and
-`verify-algebra`, whose results are exact or closed-form, start without numpy.
+`verify-algebra`, whose results are exact or closed-form, and `oracle`, whose
+Sturm bisection runs in plain floats (`fd_oracle`), start without numpy.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def cmd_verify_states(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .numeric_verify import RadialGrid, oracle_reports, spectrum_cross_check
+    from .fd_oracle import RadialGrid, oracle_reports, spectrum_cross_check
 
     if args.nmax < 1:
         raise InvalidLevel(f"--nmax must be at least 1, got {args.nmax}")

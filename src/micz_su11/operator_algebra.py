@@ -9,9 +9,10 @@ rationals; floats only appear after an explicit `substitute`.
 Canonical form, which `==`, `hash` and `is_zero` rely on: a `ParamPoly` maps
 (jpow, kpow) to a nonzero coefficient of type exactly `Fraction`, and a
 `NormalOrderedOperator` maps (xpow, dorder >= 0) to a nonzero `ParamPoly`,
-every power an `int`.  The public constructors check and convert outside
-input into that form (each power through `operator.index`, so a float or
-`Fraction` power raises `TypeError`); the arithmetic, `compose` and
+every power an `int` and every J or K power >= 0.  The public constructors
+check and convert outside input into that form (each power through
+`operator.index`, so a float or `Fraction` power raises `TypeError`, and a
+negative J or K power raises `ValueError`); the arithmetic, `compose` and
 `monomial_action` build each result in canonical form once and hand it to
 the private `_adopt`, which checks nothing.
 
@@ -85,8 +86,13 @@ class ParamPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        self._terms = {(operator.index(jp), operator.index(kp)): f
-                       for (jp, kp), c in (terms or {}).items() if (f := Fraction(c))}
+        self._terms = {}
+        for (jp, kp), c in (terms or {}).items():
+            jp, kp = operator.index(jp), operator.index(kp)
+            if jp < 0 or kp < 0:
+                raise ValueError(f"J and K powers must be non-negative, got J^{jp} K^{kp}")
+            if f := Fraction(c):
+                self._terms[(jp, kp)] = f
 
     @classmethod
     def _adopt(cls, terms: dict[tuple[int, int], Fraction]) -> "ParamPoly":

@@ -288,7 +288,7 @@ def sector_inputs(sector: SectorLabels, grid=None, n: HalfInt | None = None) -> 
     """The labels that name a sector in reports and CLI documents.
 
     Keys in order: s, c1, c2, m, j, then the level n when given, then the
-    `rmax` and `npoints` of `grid` (a `numeric_verify.RadialGrid`) when given.
+    `rmax` and `npoints` of `grid` (a `fd_oracle.RadialGrid`) when given.
     """
     p = sector.params
     out = {"s": str(p.s), "c1": p.c1, "c2": p.c2, "m": str(sector.m), "j": str(sector.j)}

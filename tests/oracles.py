@@ -16,6 +16,7 @@ from micz_su11 import operator_algebra
 from micz_su11.analytic_states import RadialState, _as_array, chi
 from micz_su11.numeric_verify import GridFunction, _PivotSweep
 from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly, replace_K
+from micz_su11.quantum_numbers import GridUnderflow
 from micz_su11.special_functions import KummerParams, _kummer_deriv_scale, kummer_terminating
 
 
@@ -99,16 +100,38 @@ def corrupted_generators():
 # ---------------------------------------------------------------------------
 
 def fd_matrix(J: float, grid) -> tuple[list[float], float]:
-    """Diagonal and constant off-diagonal of the FD radial Hamiltonian."""
+    """Diagonal and constant off-diagonal of the FD radial Hamiltonian, from numpy arrays.
+
+    The array expression `eig_oracle` evaluated before it built the diagonal
+    in plain floats; an entry that overflows is inf or nan, without a warning.
+    """
     r = grid.nodes
     h = grid.h
     off = -1.0 / (2.0 * h * h)
-    diag_arr = 1.0 / (h * h) - 1.0 / r + J * (J + 1.0) / (2.0 * r * r)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        diag_arr = 1.0 / (h * h) - 1.0 / r + J * (J + 1.0) / (2.0 * r * r)
     return diag_arr.tolist(), off
 
 
 def gershgorin(diag: list[float], off: float) -> tuple[float, float]:
     return min(diag) - 2.0 * abs(off), max(diag) + 2.0 * abs(off)
+
+
+def fd_matrix_checked(J: float, grid) -> tuple[list[float], float, float, float]:
+    """`fd_matrix` and its Gershgorin bounds behind the checks `eig_oracle` made on the arrays.
+
+    GridUnderflow when h^2 underflows, before any array is built; ValueError
+    when an entry or a bound is not finite.
+    """
+    h = grid.h
+    if h * h == 0.0:
+        raise GridUnderflow(f"the grid spacing h={h:.4g} of rmax={grid.rmax!r} over "
+                            f"{grid.npoints} points squares to zero")
+    diag, off = fd_matrix(J, grid)
+    lo, hi = gershgorin(diag, off)
+    if not (np.all(np.isfinite(diag)) and math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"J={J} on a grid with h={h:.4g} overflows the finite-difference matrix")
+    return diag, off, lo, hi
 
 
 def sturm_count_full(diag: list[float], e2: float, lam: float) -> int:

@@ -13,7 +13,7 @@ import pytest
 from oracles import corrupted_generators, eig_oracle_full_sweep
 
 import micz_su11
-import micz_su11.numeric_verify as numeric_verify
+import micz_su11.fd_oracle as fd_oracle
 import micz_su11.operator_algebra as operator_algebra
 from micz_su11.cli import main
 
@@ -428,7 +428,7 @@ class TestOracle:
             return code, text
 
         got = document("early_stop")
-        monkeypatch.setattr(numeric_verify, "eig_oracle", eig_oracle_full_sweep)
+        monkeypatch.setattr(fd_oracle, "eig_oracle", eig_oracle_full_sweep)
         assert got == document("full_sweep")
 
     def test_requires_sector_or_bigJ(self, capsys):
@@ -437,12 +437,12 @@ class TestOracle:
         assert "--bigJ" in err
 
     def test_convergence_failure_exit_1(self, capsys, monkeypatch):
-        from micz_su11.numeric_verify import ConvergenceFailure
+        from micz_su11.quantum_numbers import ConvergenceFailure
 
         def boom(*args, **kwargs):
             raise ConvergenceFailure("bisection stalled")
 
-        monkeypatch.setattr(numeric_verify, "eig_oracle", boom)
+        monkeypatch.setattr(fd_oracle, "eig_oracle", boom)
         code, _, err = run(capsys, ["oracle", "--bigJ", "0", "--nmax", "1", "--npoints", "100"])
         assert code == 1
         assert "stalled" in err

@@ -16,13 +16,14 @@ from oracles import (
     fd_derivative,
     fd_derivatives,
     fd_matrix,
+    fd_matrix_checked,
     fd_weights,
     gershgorin,
     sturm_count,
     sturm_count_full,
 )
 
-from micz_su11 import cli, numeric_verify, operator_algebra
+from micz_su11 import cli, fd_oracle, numeric_verify, operator_algebra
 from micz_su11.analytic_states import TowerSampler, chi, chi_dn, radial_state
 from micz_su11.numeric_verify import (
     ConvergenceFailure,
@@ -264,6 +265,46 @@ class TestEigOracle:
         assert errors[0] > errors[1] > errors[2]
         assert errors[0] / errors[1] > 2.0
         assert errors[1] / errors[2] > 2.0
+
+
+def _matrix_or_error(build, J, grid):
+    """The float.hex of every entry, off and the bounds; or the type and message of the error."""
+    try:
+        diag, off, lo, hi = build(J, grid)
+    except ValueError as exc:  # GridUnderflow and the overflow are both ValueErrors
+        return type(exc), str(exc)
+    return [v.hex() for v in diag], off.hex(), lo.hex(), hi.hex()
+
+
+# a float spread over all binary exponents in [lo, hi]: mantissa in [0.5, 1)
+def _log_floats(lo: int, hi: int):
+    return st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(lo, hi))
+
+
+class TestFdMatrixPlainFloats:
+    """`fd_oracle._fd_matrix` builds the diagonal without numpy, bit for bit the array expression."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        J=st.one_of(st.sampled_from([0.0, 0.5, 1.5, 1e150]), st.floats(0.0, 1e150), _log_floats(-1074, 498)),
+        # tiny rmax square h to zero or overflow 1/h^2 and J(J+1)/(2r^2); huge rmax overflows h^2
+        rmax=st.one_of(st.floats(1.0, 1e4), _log_floats(-1000, 1023)),
+        npoints=st.integers(16, 20000),
+    )
+    def test_matches_numpy_expression(self, J, rmax, npoints):
+        grid = RadialGrid(rmax, npoints)
+        assert _matrix_or_error(fd_oracle._fd_matrix, J, grid) == _matrix_or_error(fd_matrix_checked, J, grid)
+
+    @pytest.mark.parametrize(
+        "J, rmax, error",
+        [(1e150, 1e-80, ValueError), (0.0, 1e-170, GridUnderflow), (0.0, 1e-152, ValueError), (2.0, 1e308, None)],
+        ids=["J-term-overflows", "h-squared-underflows", "inverse-h-squared-overflows", "h-squared-overflows"],
+    )
+    def test_edge_grids_agree(self, J, rmax, error):
+        grid = RadialGrid(rmax, 6000)
+        got = _matrix_or_error(fd_oracle._fd_matrix, J, grid)
+        assert got == _matrix_or_error(fd_matrix_checked, J, grid)
+        assert got[0] is error if error else isinstance(got[0], list)
 
 
 class TestSturmEarlyStop:
@@ -514,7 +555,7 @@ class TestOracleReports:
             calls.append((J, count))
             return [-0.5, -0.126]
 
-        monkeypatch.setattr(numeric_verify, "eig_oracle", fake_oracle)
+        monkeypatch.setattr(fd_oracle, "eig_oracle", fake_oracle)
         grid = RadialGrid(60.0, 200)
         reports = oracle_reports(0.0, [(1.0, {"a": 1}), (2.0, {"a": 2})], grid, tol=1e-3)
         assert calls == [(0.0, 2)]
@@ -528,7 +569,7 @@ class TestOracleReports:
             time.sleep(0.05)
             return [-0.5, -0.125]
 
-        monkeypatch.setattr(numeric_verify, "eig_oracle", slow_oracle)
+        monkeypatch.setattr(fd_oracle, "eig_oracle", slow_oracle)
         reports = oracle_reports(0.0, [(1.0, {}), (2.0, {})], RadialGrid(60.0, 200))
         assert reports[0].runtime_ms >= 50.0 > reports[1].runtime_ms
 

@@ -451,6 +451,24 @@ class TestCanonicalInput:
         with pytest.raises(TypeError):
             monomial_action(compose(D, D), k)
 
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (-2, 3), (np.int64(1), np.int64(-1))],
+                             ids=["J", "K", "J-in-a-product", "numpy-K"])
+    def test_parampoly_rejects_negative_powers(self, key):
+        with pytest.raises(ValueError, match="J and K powers must be non-negative"):
+            ParamPoly({key: 1})
+
+    def test_negative_power_with_zero_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="got J\\^0 K\\^-1"):
+            ParamPoly({(0, 0): 1, (0, -1): 0})
+
+    @pytest.mark.parametrize("build", [lambda c: NormalOrderedOperator({(0, 0): c}),
+                                       lambda c: NormalOrderedOperator.x_power(-1, c)],
+                             ids=["operator", "x_power"])
+    def test_operator_coefficients_cannot_carry_negative_powers(self, build):
+        # J^-1 once rendered as "J^-1" and its substitute at J = 0 raised ZeroDivisionError
+        with pytest.raises(ValueError, match="got J\\^-1 K\\^0"):
+            build(ParamPoly({(-1, 0): 1}))
+
     def test_integer_like_powers_are_stored_as_ints(self):
         op = NormalOrderedOperator({(np.int64(-1), np.int64(2)): ParamPoly({(np.int64(1), True): 3})})
         assert [(type(xp), type(dq)) for xp, dq in op._terms] == [(int, int)]

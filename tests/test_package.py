@@ -2,8 +2,9 @@
 
 `micz_su11` resolves its exports lazily, so `import micz_su11` and the
 `spectrum` and `verify-algebra` subcommands, whose results are exact or
-closed-form, must not load numpy.  The start-up tests run a fresh interpreter
-each, because this process has long imported numpy.
+closed-form, must not load numpy; nor must `oracle`, whose `fd_oracle`
+module runs the Sturm bisection in plain floats.  The start-up tests run a
+fresh interpreter each, because this process has long imported numpy.
 """
 
 import os
@@ -37,7 +38,8 @@ EXPORTED = """
     eig_oracle ladder_check casimir_check radial_equation_check angular_residual_check oracle_reports
     spectrum_cross_check t3_eigen_check t3_spacing_check verify_states_suite
 """.split()
-SUBMODULES = ["quantum_numbers", "special_functions", "operator_algebra", "analytic_states", "numeric_verify"]
+SUBMODULES = ["quantum_numbers", "special_functions", "operator_algebra", "analytic_states", "fd_oracle",
+              "numeric_verify"]
 
 # runs `python -m micz_su11.cli ARGS` and then prints whether numpy was loaded
 CLI_PROBE = (
@@ -126,3 +128,33 @@ class TestStartWithoutNumpy:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: coupling c1 must be finite, got nan\nnumpy loaded: False\n"
+
+    @pytest.mark.parametrize(
+        "golden, code, argv",
+        [
+            ("oracle-default-grid-csv", 1, ["--s", "0", "--m", "0", "--j", "0", "--nmax", "6"]),
+            ("oracle-bigJ-csv", 0, ["--bigJ", "1.5", "--nmax", "2", "--rmax", "150", "--npoints", "6000"]),
+        ],
+        ids=["sector", "bigJ"],
+    )
+    def test_oracle(self, golden, code, argv):
+        proc = fresh_python("-c", CLI_PROBE, "oracle", *argv)
+        assert proc.returncode == code
+        assert proc.stdout == (GOLDEN / f"{golden}.stdout").read_text(encoding="utf-8")
+        assert proc.stderr == "numpy loaded: False\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--bigJ", "1e160", "--rmax", "1e-100"],
+             "J=1e+160 on a grid with h=1.666e-104 overflows the finite-difference matrix"),
+            (["--bigJ", "0", "--rmax", "1e-170"],
+             "the grid spacing h=1.666e-174 of rmax=1e-170 over 6000 points squares to zero; choose another --rmax"),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_oracle_usage_error(self, argv, message):
+        proc = fresh_python("-c", CLI_PROBE, "oracle", *argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\nnumpy loaded: False\n"
