@@ -28,6 +28,7 @@ from .quantum_numbers import (
     InvalidLevel,
     InvalidQuantumNumbers,
     MonopoleParams,
+    energy,
     levels,
     make_sector,
     sector_inputs,
@@ -237,20 +238,22 @@ def cmd_oracle(args) -> int:
 
     if args.nmax < 1:
         raise InvalidLevel(f"--nmax must be at least 1, got {args.nmax}")
+    npoints = args.npoints if args.npoints is not None else 6000
+    if args.nmax > npoints:
+        raise InvalidLevel(f"--nmax must not exceed --npoints ({npoints}), got {args.nmax}")
     _check_positive("--tol", args.tol)
     if args.bigJ is not None:
         if not (math.isfinite(args.bigJ) and args.bigJ >= 0):
             raise InvalidQuantumNumbers(f"--bigJ must be non-negative and finite, got {args.bigJ}")
         J = 0.0 if args.bigJ == 0.0 else args.bigJ  # -0.0 is +0.0, so no document echoes -0
-        ks = [J + 1.0 + i for i in range(args.nmax)]
-        k_top = ks[-1]
+        k_top = J + 1.0 + (args.nmax - 1)
         config = {"command": "oracle", "bigJ": J}
     else:
         if args.s is None or args.m is None or args.j is None:
             raise InvalidQuantumNumbers("oracle needs either --bigJ or the sector flags --s --m --j")
         params = MonopoleParams(args.s, args.c1, args.c2)
         sector = make_sector(params, args.m, args.j)
-        k_top = levels(sector, args.nmax)[-1].K
+        k_top = energy(sector, sector.j + args.nmax).K
         config = {"command": "oracle", **sector_inputs(sector)}
     if args.rmax is not None:
         rmax = args.rmax
@@ -259,11 +262,10 @@ def cmd_oracle(args) -> int:
             rmax = 12.0 * k_top ** 2
         except OverflowError:
             rmax = math.inf  # RadialGrid rejects it with a one-line diagnostic
-    npoints = args.npoints if args.npoints is not None else 6000
     grid = RadialGrid(rmax=rmax, npoints=npoints)
     config.update({"nmax": args.nmax, "rmax": rmax, "npoints": npoints, "tol": args.tol})
     if args.bigJ is not None:
-        pairs = [(K, {"bigJ": J, "rmax": rmax, "npoints": npoints}) for K in ks]
+        pairs = [(J + 1.0 + i, {"bigJ": J, "rmax": rmax, "npoints": npoints}) for i in range(args.nmax)]
         reports = oracle_reports(J, pairs, grid, args.tol)
     else:
         reports = spectrum_cross_check(params, args.m, args.j, args.nmax, grid, args.tol)

@@ -11,14 +11,20 @@ sweep runs only until that is known.  It stops once its count passes k, and
 it finishes early, and exactly, past the turning point: for lam < 0 every
 node past the classical turning point V(r) = lam has d_i - lam >= 2|off|,
 and once a pivot there reaches |off| no later pivot can turn negative, so
-the sweep never visits the forbidden tail (see `_PivotSweep`).  Each
-`eig_oracle` call keeps one resumable sweep per exact float lam, because the
-bisections for different eigenvalues share their first midpoints: a later
-question at the same lam with a larger k resumes the sweep where it
-stopped, and one with a smaller k is answered from the count it reached.
-Counts only grow along a sweep, so every answer is the full sweep's.
-Brackets, midpoints and the stopping rule are those of the plain full-sweep
-bisection, so the eigenvalues are bit-for-bit the same.
+the sweep never visits the forbidden tail (see `_PivotSweep`).
+
+Most midpoints need no sweep.  In IEEE arithmetic the computed count is
+nondecreasing in lam (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995), so
+once sweeps certify count(a) <= k < count(b), a midpoint <= a answers "no"
+and one >= b "yes", as its own sweep would.  `eig_oracle` keeps that bracket
+per eigenvalue from every sweep of the call and sweeps only inside it,
+resuming a sweep already made at that lam (counts only grow along it).  Once
+a bound state's bracket is narrow, `_locate` guesses the eigenvalue and
+sweeps on either side of the guess try to certify a narrower bracket.  The
+guess only chooses where those sweeps run, and the walk keeps the steps,
+midpoints and stopping rule of the full-sweep bisection, so a wrong or
+non-finite guess costs sweeps and never changes an eigenvalue: every
+eigenvalue is bit-for-bit the full-sweep bisection's.
 
 The module imports only the standard library and `quantum_numbers`, so the
 `oracle` subcommand starts without numpy.  `RadialGrid.nodes`, the one numpy
@@ -43,6 +49,13 @@ MIN_NODES_PER_WAVELENGTH = 8
 # relative margin of the early-stop bound in `_PivotSweep`; any value far
 # above machine epsilon keeps the stop exact
 STURM_TAIL_MARGIN = 1e-12
+# the locator of `eig_oracle` (see `_locate`); no value can change an eigenvalue
+LOCATE_WIDTH = 1e-2  # it runs once a bound state's bracket is narrower than this times |b|
+LOCATE_TWIST = 0.85  # the twist node as a fraction of the tail start
+LOCATE_EFOLDS = 20.0  # e-folds of decay from the tail start to the backward pivots' Dirichlet end
+LOCATE_STEPS = 12  # secant steps at most, until one is below LOCATE_FLOOR max(1, |lam|)
+LOCATE_FLOOR = 1e-15
+LOCATE_ROUNDS = 6  # widenings by 8 of the certification window
 
 DEFAULT_TOLERANCES = {
     "angular_residual": 1e-9,
@@ -125,6 +138,11 @@ def _suffix_min(diag: list[float]) -> list[float]:
     return out
 
 
+def _tail_start(suffix_min: list[float], b: float, lam: float) -> int:
+    """The first node i with fl(suffix_min[i] - lam) >= 2b(1 + STURM_TAIL_MARGIN) (see `_PivotSweep`)."""
+    return bisect.bisect_left(suffix_min, 2.0 * b * (1.0 + STURM_TAIL_MARGIN), key=lambda d: d - lam)
+
+
 class _PivotSweep:
     """The LDL^T pivot sweep at one lam, resumable: counts negative pivots only as far as asked.
 
@@ -164,7 +182,7 @@ class _PivotSweep:
         self.e2 = off * off
         self.b = abs(off)
         if self.e2 >= sys.float_info.min:
-            tail = bisect.bisect_left(suffix_min, 2.0 * self.b * (1.0 + STURM_TAIL_MARGIN), key=lambda d: d - lam)
+            tail = _tail_start(suffix_min, self.b, lam)
         else:
             tail = len(diag)
         self.head = itertools.islice(diag, 1, tail)
@@ -249,13 +267,60 @@ def _fd_matrix(J: float, grid: RadialGrid) -> tuple[list[float], float, float, f
     return diag, off, lo, hi
 
 
+def _locate(diag: list[float], suffix_min: list[float], off: float, a: float, b: float) -> tuple[float, float]:
+    """A guess at the eigenvalue in the bracket (a, b) of a bound state, and the last secant step.
+
+    Secant from a and b on the twisted factorization's
+    gamma_m(lam) = q+_m + q-_m - (d_m - lam) = 1 / [(T - lam)^-1]_mm, whose root
+    is an eigenvalue: q+ are the forward pivots from node 0, q- the backward
+    ones from a Dirichlet end at node M.  The twist m, short of the tail start
+    t at the bracket's midpoint, sits where the eigenvector is large; M lies
+    far enough past t that the truncation is far below rounding.  (nan, nan)
+    when an evaluation fails.
+    """
+    theta, e2 = 0.5 * (a + b), off * off
+    t = _tail_start(suffix_min, abs(off), theta)
+    m = int(LOCATE_TWIST * t)
+    # past t the decaying solution falls by acosh((d_i - theta) / 2|off|) e-folds per node
+    M, efolds = t, 0.0
+    while efolds < LOCATE_EFOLDS and M < len(diag):
+        efolds += math.acosh((diag[M] - theta) / (2.0 * abs(off)))
+        M += 1
+    if m < 1 or M < m + 2:
+        return math.nan, math.nan
+    head, back, d_m = diag[1:m], diag[M - 2:m:-1], diag[m]
+
+    def gamma(lam):
+        q, p = diag[0] - lam, diag[M - 1] - lam
+        for d in head:
+            q = d - lam - e2 / q
+        for d in back:
+            p = d - lam - e2 / p
+        return d_m - lam - e2 / q - e2 / p
+
+    try:
+        x0, g0, x1, g1 = a, gamma(a), b, gamma(b)
+        step = b - a
+        for _ in range(LOCATE_STEPS):
+            if not (math.isfinite(g1) and g1 != g0):
+                break
+            step = g1 * (x1 - x0) / (g1 - g0)
+            x0, g0, x1 = x1, g1, x1 - step
+            if abs(step) <= LOCATE_FLOOR * max(1.0, abs(x1)):
+                break
+            g1 = gamma(x1)
+    except ZeroDivisionError:  # a pivot that is exactly zero
+        return math.nan, math.nan
+    return x1, abs(step)
+
+
 def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
     """Lowest `count` eigenvalues of the radial problem at angular label J, ascending.
 
     Sturm-sequence bisection of `_fd_matrix` between its Gershgorin bounds
-    (see the module docstring).  The sweeps are kept for the whole call, one
-    per exact float lam, so every eigenvalue is bit-for-bit that of the
-    full-sweep bisection.
+    that sweeps only inside certified brackets (see the module docstring).
+    The guess of `_locate` is tried with delta = max(2 |step|, 2 LOCATE_FLOOR
+    max(1, |theta|)), widened while a count disagrees.
 
     J must be finite and non-negative, and the matrix must not overflow;
     otherwise ValueError.  A spacing h whose square underflows to zero
@@ -278,14 +343,42 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
     diag, off, lo, hi = _fd_matrix(J, grid)
     suffix_min = _suffix_min(diag)
     sweeps: dict[float, _PivotSweep] = {}
+    a, out = -math.inf, []
+    for k in range(count):
+        # the certified bracket count(a) <= k < count(b): a carries over, and
+        # no earlier sweep has counted past k, since each stopped once its
+        # count passed an earlier k
+        b, located = math.inf, False
 
-    def exceeds(lam: float, k: int) -> bool:
-        sweep = sweeps.get(lam)
-        if sweep is None:
-            sweep = sweeps[lam] = _PivotSweep(diag, suffix_min, off, lam)
-        return sweep.exceeds(k)
+        def sweep(lam: float) -> None:
+            nonlocal a, b
+            s = sweeps.get(lam)
+            if s is None:
+                s = sweeps[lam] = _PivotSweep(diag, suffix_min, off, lam)
+            if s.exceeds(k):
+                b = lam
+            else:
+                a = lam
 
-    return [_bisect_eigenvalue(exceeds, k, lo, hi) for k in range(count)]
+        def exceeds(lam: float, _k: int) -> bool:
+            nonlocal located
+            if not located and b < 0.0 and b - a < LOCATE_WIDTH * -b:
+                located = True
+                theta, step = _locate(diag, suffix_min, off, a, b)
+                delta = max(2.0 * step, 2.0 * LOCATE_FLOOR * max(1.0, abs(theta)))
+                for _ in range(LOCATE_ROUNDS + 1 if math.isfinite(theta) else 0):
+                    for guess in (theta - delta, theta + delta):
+                        if a < guess < b:
+                            sweep(guess)
+                    if a >= theta - delta and b <= theta + delta:
+                        break
+                    delta *= 8.0
+            if a < lam < b:
+                sweep(lam)
+            return lam >= b
+
+        out.append(_bisect_eigenvalue(exceeds, k, lo, hi))
+    return out
 
 
 def oracle_reports(J: float, levels: list[tuple[float, dict]], grid: RadialGrid,

@@ -13,7 +13,9 @@ import pytest
 from oracles import corrupted_generators, eig_oracle_full_sweep
 
 import micz_su11
+import micz_su11.cli as cli
 import micz_su11.fd_oracle as fd_oracle
+import micz_su11.quantum_numbers as quantum_numbers
 import micz_su11.operator_algebra as operator_algebra
 from micz_su11.cli import main
 
@@ -446,6 +448,28 @@ class TestOracle:
         code, _, err = run(capsys, ["oracle", "--bigJ", "0", "--nmax", "1", "--npoints", "100"])
         assert code == 1
         assert "stalled" in err
+
+    @pytest.mark.parametrize(
+        "argv, npoints",
+        [
+            (["--s", "0", "--m", "0", "--j", "0", "--npoints", "120"], 120),
+            (["--bigJ", "0", "--npoints", "120"], 120),
+            (["--s", "0", "--m", "0", "--j", "0"], 6000),
+        ],
+        ids=["sector", "bigJ", "default-grid"],
+    )
+    def test_nmax_above_npoints_refused_before_any_level(self, capsys, monkeypatch, argv, npoints):
+        built = []
+
+        def levels(sector, count=32):
+            built.append(count)
+            return quantum_numbers.levels(sector, count)
+
+        monkeypatch.setattr(cli, "levels", levels)
+        monkeypatch.setattr(fd_oracle, "sector_levels", levels)
+        code, out, err = run(capsys, ["oracle", *argv, "--nmax", str(npoints + 1)])
+        assert (code, out, built) == (2, "", [])
+        assert err == f"error: --nmax must not exceed --npoints ({npoints}), got {npoints + 1}\n"
 
     def test_too_coarse_grid_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, ["oracle", "--bigJ", "0", "--nmax", "1",

@@ -347,19 +347,23 @@ class TestSturmEarlyStop:
             assert count(lam) == sturm_count_full(diag, off * off, lam), lam
 
     @pytest.mark.parametrize(
-        "params, m, j, npoints",
+        "params, m, j, npoints, nmax",
         [
-            (MonopoleParams(H("0"), 0.0, 0.0), H("0"), H("0"), 6000),
-            (MonopoleParams(H("1/2"), 1.0, 0.0), H("1/2"), H("1/2"), 6000),
+            (MonopoleParams(H("0"), 0.0, 0.0), H("0"), H("0"), 6000, 10),
+            (MonopoleParams(H("1/2"), 1.0, 0.0), H("1/2"), H("1/2"), 6000, 10),
             # the largest solve of the oracle benchmark
-            (MonopoleParams(H("1/2"), 1.0, 0.0), H("1/2"), H("1/2"), 20000),
+            (MonopoleParams(H("1/2"), 1.0, 0.0), H("1/2"), H("1/2"), 20000, 10),
+            (MonopoleParams(H("1/2"), 1.0, 0.0), H("1/2"), H("1/2"), 6000, 20),
+            # J = 39.7, above the benchmark's sector pool
+            (MonopoleParams(H("1"), 0.5, 0.0), H("1"), H("39"), 6000, 10),
+            (MonopoleParams(H("1"), 0.5, 0.0), H("1"), H("39"), 6000, 20),
         ],
-        ids=["hydrogen", "shifted", "shifted-20000"],
+        ids=["hydrogen", "shifted", "shifted-20000", "shifted-nmax20", "J39.7", "J39.7-nmax20"],
     )
-    def test_eig_oracle_bit_identical_at_nmax_10(self, params, m, j, npoints):
+    def test_eig_oracle_bit_identical_at_nmax_10(self, params, m, j, npoints, nmax):
         bigJ = make_sector(params, m, j).bigJ
-        grid = RadialGrid(12.0 * (bigJ + 10.0) ** 2, npoints)
-        assert eig_oracle(bigJ, grid, 10) == eig_oracle_full_sweep(bigJ, grid, 10)
+        grid = RadialGrid(12.0 * (bigJ + nmax) ** 2, npoints)
+        assert eig_oracle(bigJ, grid, nmax) == eig_oracle_full_sweep(bigJ, grid, nmax)
 
     @pytest.mark.parametrize(
         "order",
@@ -424,6 +428,114 @@ class TestSturmEarlyStop:
     def test_non_finite_or_overflowing_J_rejected(self, bad):
         with pytest.raises(ValueError):
             eig_oracle(bad, RadialGrid(100.0, 6000), 2)
+
+
+def _near(ev: float):
+    """lam within a few ulps, or within 1e-12 relative, of ev."""
+    def ulps(n):
+        lam = ev
+        for _ in range(abs(n)):
+            lam = math.nextafter(lam, math.copysign(math.inf, n))
+        return lam
+
+    return st.one_of(st.integers(-16, 16).map(ulps), st.floats(-1e-12, 1e-12).map(lambda rel: ev * (1.0 + rel)))
+
+
+class TestSturmMonotone:
+    """The computed Sturm count is nondecreasing in lam (Kahan 1966), which `eig_oracle` relies on."""
+
+    SECTORS = [
+        (MonopoleParams(H("0"), 0.0, 0.0), H("0"), H("0")),
+        (MonopoleParams(H("1/2"), 1.0, 0.0), H("1/2"), H("1/2")),
+        (MonopoleParams(H("1"), 2.0, 0.5), H("-1"), H("2")),
+        (MonopoleParams(H("0"), 0.0, 0.0), H("0"), H("12")),
+        (MonopoleParams(H("1"), 0.5, 0.0), H("1"), H("39")),
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(sector=st.sampled_from(SECTORS), nmax=st.integers(1, 12), stretch=st.floats(0.5, 2.0), data=st.data())
+    def test_count_is_monotone_near_each_eigenvalue(self, sector, nmax, stretch, data):
+        J = make_sector(*sector).bigJ
+        rmax = stretch * 12.0 * (J + nmax) ** 2
+        # no coarser than eig_oracle accepts
+        fine = math.ceil(rmax * fd_oracle.MIN_NODES_PER_WAVELENGTH / (2.0 * math.pi * (J + 1.0)))
+        grid = RadialGrid(rmax, data.draw(st.integers(max(200, fine), 6000), label="npoints"))
+        ev = eig_oracle(J, grid, nmax)[data.draw(st.integers(0, nmax - 1), label="k")]
+        lams = sorted(set(data.draw(st.lists(_near(ev), min_size=2, max_size=10), label="lams")))
+        diag, off = fd_matrix(J, grid)
+        suffix_min = _suffix_min(diag)
+        full = [sturm_count_full(diag, off * off, lam) for lam in lams]
+        early = [sturm_count(diag, suffix_min, off, lam) for lam in lams]
+        assert full == sorted(full), lams
+        assert early == sorted(early), lams
+
+
+class TestCertifiedBracket:
+    """Midpoints outside a certified bracket take no sweep; the locator's guess cannot change a result."""
+
+    CASES = [(0.0, 10, 6000), (1.5, 10, 6000), (39.707106781186546, 6, 6000), (2.5, 4, 800)]
+
+    @staticmethod
+    def _grid(J, nmax, npoints):
+        return RadialGrid(12.0 * (J + nmax) ** 2, npoints)
+
+    @pytest.mark.parametrize("guess", ["nan", "neighbour", "above", "below", "exact"])
+    @pytest.mark.parametrize("J, nmax, npoints", CASES, ids=["hydrogen", "shifted", "J39.7", "coarse"])
+    def test_wrong_guess_keeps_every_eigenvalue(self, monkeypatch, J, nmax, npoints, guess):
+        grid = self._grid(J, nmax, npoints)
+        ref = eig_oracle_full_sweep(J, grid, nmax + 1)
+        brackets = []
+
+        def locate(diag, suffix_min, off, a, b):
+            brackets.append((a, b))
+            k = min(range(nmax), key=lambda i: abs(ref[i] - 0.5 * (a + b)))
+            return {
+                "nan": (math.nan, math.nan),
+                "neighbour": (ref[k + 1], 0.0),
+                "above": (b + (b - a), 0.0),
+                "below": (a - (b - a), 1e-3 * (b - a)),
+                "exact": (ref[k], 0.0),
+            }[guess]
+
+        monkeypatch.setattr(fd_oracle, "_locate", locate)
+        assert eig_oracle(J, grid, nmax) == ref[:nmax]
+        assert len(brackets) == nmax and all(b < 0.0 and b - a < fd_oracle.LOCATE_WIDTH * -b for a, b in brackets)
+
+    @pytest.mark.parametrize("J, nmax, npoints", CASES, ids=["hydrogen", "shifted", "J39.7", "coarse"])
+    def test_guess_lies_within_the_certified_window(self, J, nmax, npoints):
+        grid = self._grid(J, nmax, npoints)
+        diag, off, _, _ = fd_oracle._fd_matrix(J, grid)
+        suffix_min = _suffix_min(diag)
+        for ev in eig_oracle_full_sweep(J, grid, nmax):
+            a, b = ev * (1.0 + 4e-3), ev * (1.0 - 4e-3)
+            theta, step = fd_oracle._locate(diag, suffix_min, off, a, b)
+            # the window, plus the resolution of the bisection that gave ev
+            window = max(2.0 * step, 2.0 * fd_oracle.LOCATE_FLOOR * max(1.0, abs(theta)))
+            assert abs(theta - ev) <= window + 1e-14 * max(1.0, abs(ev)), ev
+
+    @pytest.mark.parametrize("J, rmax, npoints", [(0.0, 20.0, 40), (2.5, 400.0, 300)])
+    def test_every_eigenvalue_of_a_small_grid(self, J, rmax, npoints):
+        # bound states, the continuum and the top of the spectrum
+        grid = RadialGrid(rmax, npoints)
+        assert eig_oracle(J, grid, npoints) == eig_oracle_full_sweep(J, grid, npoints)
+
+    def test_locator_saves_most_sweeps(self, monkeypatch):
+        grid = self._grid(1.5, 10, 6000)
+        made = Counter()
+
+        class Counted(_PivotSweep):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                made["sweeps"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(fd_oracle, "_PivotSweep", Counted)
+        located = eig_oracle(1.5, grid, 10)
+        with_locator = made.pop("sweeps")
+        monkeypatch.setattr(fd_oracle, "_locate", lambda *args: (math.nan, math.nan))
+        assert eig_oracle(1.5, grid, 10) == located
+        assert 2 * with_locator < made["sweeps"]
 
 
 class TestLadder:
