@@ -18,10 +18,14 @@ nondecreasing in lam (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995), so
 once sweeps certify count(a) <= k < count(b), a midpoint <= a answers "no"
 and one >= b "yes", as its own sweep would.  `eig_oracle` keeps that bracket
 per eigenvalue from every sweep of the call and sweeps only inside it,
-resuming a sweep already made at that lam (counts only grow along it).  Once
-a bound state's bracket is narrow, `_locate` guesses the eigenvalue and
-sweeps on either side of the guess try to certify a narrower bracket.  The
-guess only chooses where those sweeps run, and the walk keeps the steps,
+resuming a sweep already made at that lam (counts only grow along it).
+
+Each eigenvalue gets one `_locate` guess, and sweeps on either side of it
+try to certify a bracket about as narrow as the stopping rule.  Its secant
+starts next to `_predict`'s extrapolation of the call's lower eigenvalues,
+so no coarse sweep runs; for the first eigenvalue, and after a prediction
+fails to certify (box states), once sweeps narrow a bound state's bracket.
+The guess only chooses where sweeps run, and the walk keeps the steps,
 midpoints and stopping rule of the full-sweep bisection, so a wrong or
 non-finite guess costs sweeps and never changes an eigenvalue: every
 eigenvalue is bit-for-bit the full-sweep bisection's.
@@ -56,6 +60,7 @@ LOCATE_EFOLDS = 20.0  # e-folds of decay from the tail start to the backward piv
 LOCATE_STEPS = 12  # secant steps at most, until one is below LOCATE_FLOOR max(1, |lam|)
 LOCATE_FLOOR = 1e-15
 LOCATE_ROUNDS = 6  # widenings by 8 of the certification window
+LOCATE_PREDICT = 5e-8  # the secant's first two points lie this far, relative, on either side of `_predict`
 
 DEFAULT_TOLERANCES = {
     "angular_residual": 1e-9,
@@ -268,13 +273,14 @@ def _fd_matrix(J: float, grid: RadialGrid) -> tuple[list[float], float, float, f
 
 
 def _locate(diag: list[float], suffix_min: list[float], off: float, a: float, b: float) -> tuple[float, float]:
-    """A guess at the eigenvalue in the bracket (a, b) of a bound state, and the last secant step.
+    """A guess at a bound state's eigenvalue near a < b, and the last secant step.
 
-    Secant from a and b on the twisted factorization's
+    (a, b) is a narrow certified bracket or a window around a predicted
+    eigenvalue.  Secant from a and b on the twisted factorization's
     gamma_m(lam) = q+_m + q-_m - (d_m - lam) = 1 / [(T - lam)^-1]_mm, whose root
     is an eigenvalue: q+ are the forward pivots from node 0, q- the backward
     ones from a Dirichlet end at node M.  The twist m, short of the tail start
-    t at the bracket's midpoint, sits where the eigenvector is large; M lies
+    t at the midpoint of (a, b), sits where the eigenvector is large; M lies
     far enough past t that the truncation is far below rounding.  (nan, nan)
     when an evaluation fails.
     """
@@ -314,12 +320,28 @@ def _locate(diag: list[float], suffix_min: list[float], off: float, a: float, b:
     return x1, abs(step)
 
 
+def _predict(found: list[float]) -> float:
+    """The next eigenvalue of a J tower from the eigenvalues below it; nan unless the last one is negative.
+
+    The excited levels of a Coulomb tail follow a slowly varying quantum
+    defect (Seaton 1983): nu = 1/sqrt(-2E) grows by about 1 per level.  So
+    nu_k = nu_0 + 1 at k = 1 and nu_{k-1} + (nu_{k-1} - nu_{k-2}) after.
+    """
+    if not found or not found[-1] < 0.0:
+        return math.nan
+    nu = [1.0 / math.sqrt(-2.0 * e) for e in found[-2:]]
+    x = 2.0 * nu[1] - nu[0] if len(nu) == 2 else nu[0] + 1.0
+    return -0.5 / (x * x)
+
+
 def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
     """Lowest `count` eigenvalues of the radial problem at angular label J, ascending.
 
     Sturm-sequence bisection of `_fd_matrix` between its Gershgorin bounds
     that sweeps only inside certified brackets (see the module docstring).
-    The guess of `_locate` is tried with delta = max(2 |step|, 2 LOCATE_FLOOR
+    The one `_locate` of each eigenvalue starts from `_predict` +- LOCATE_PREDICT
+    relative while predictions certify, else from the bracket once it is
+    narrow; its guess theta is tried with delta = max(2 |step|, 2 LOCATE_FLOOR
     max(1, |theta|)), widened while a count disagrees.
 
     J must be finite and non-negative, and the matrix must not overflow;
@@ -343,7 +365,7 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
     diag, off, lo, hi = _fd_matrix(J, grid)
     suffix_min = _suffix_min(diag)
     sweeps: dict[float, _PivotSweep] = {}
-    a, out = -math.inf, []
+    a, out, predicting = -math.inf, [], True
     for k in range(count):
         # the certified bracket count(a) <= k < count(b): a carries over, and
         # no earlier sweep has counted past k, since each stopped once its
@@ -360,19 +382,30 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
             else:
                 a = lam
 
-        def exceeds(lam: float, _k: int) -> bool:
+        def locate(x0: float, x1: float) -> bool:
+            """The one `_locate` of eigenvalue k, from x0 and x1; whether sweeps certify its guess."""
             nonlocal located
+            located = True
+            theta, step = _locate(diag, suffix_min, off, x0, x1)
+            delta = max(2.0 * step, 2.0 * LOCATE_FLOOR * max(1.0, abs(theta)))
+            for _ in range(LOCATE_ROUNDS + 1 if math.isfinite(theta) else 0):
+                for guess in (theta - delta, theta + delta):
+                    if a < guess < b:
+                        sweep(guess)
+                if a >= theta - delta and b <= theta + delta:
+                    return True
+                delta *= 8.0
+            return False
+
+        # a predicted level that fails to certify ends prediction for the call:
+        # the quantum-defect law has failed there (box states)
+        predicted = _predict(out) if predicting else math.nan
+        if predicted < 0.0:
+            predicting = locate(predicted * (1.0 + LOCATE_PREDICT), predicted * (1.0 - LOCATE_PREDICT))
+
+        def exceeds(lam: float, _k: int) -> bool:
             if not located and b < 0.0 and b - a < LOCATE_WIDTH * -b:
-                located = True
-                theta, step = _locate(diag, suffix_min, off, a, b)
-                delta = max(2.0 * step, 2.0 * LOCATE_FLOOR * max(1.0, abs(theta)))
-                for _ in range(LOCATE_ROUNDS + 1 if math.isfinite(theta) else 0):
-                    for guess in (theta - delta, theta + delta):
-                        if a < guess < b:
-                            sweep(guess)
-                    if a >= theta - delta and b <= theta + delta:
-                        break
-                    delta *= 8.0
+                locate(a, b)
             if a < lam < b:
                 sweep(lam)
             return lam >= b

@@ -51,6 +51,11 @@ CASES = [
     ("oracle-bigJ-csv", 0, ["oracle", "--bigJ", "1.5", "--nmax", "2", "--rmax", "150", "--npoints", "6000"]),
     ("oracle-bigJ-json", 0,
      ["oracle", "--bigJ", "1.5", "--nmax", "2", "--rmax", "150", "--npoints", "6000", "--format", "json"]),
+    # levels k >= 6 of a tower, where each level's locator starts from the levels below it;
+    # the hydrogen solve fails the tolerance at n <= 3 (a uniform grid at r -> 0)
+    ("oracle-hydrogen-nmax10-csv", 1,
+     ["oracle", "--s", "0", "--m", "0", "--j", "0", "--nmax", "10", "--rmax", "1452", "--npoints", "20000"]),
+    ("oracle-bigJ39.7-nmax10-csv", 0, ["oracle", "--bigJ", "39.707106781186546", "--nmax", "10"]),
     ("oracle-failing-tol", 1,
      ["oracle", "--s", "0", "--m", "0", "--j", "0", "--nmax", "1", "--rmax", "60", "--npoints", "120",
       "--tol", "1e-9"]),

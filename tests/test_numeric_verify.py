@@ -519,8 +519,9 @@ class TestCertifiedBracket:
         grid = RadialGrid(rmax, npoints)
         assert eig_oracle(J, grid, npoints) == eig_oracle_full_sweep(J, grid, npoints)
 
-    def test_locator_saves_most_sweeps(self, monkeypatch):
-        grid = self._grid(1.5, 10, 6000)
+    @staticmethod
+    def _count_sweeps(monkeypatch) -> Counter:
+        """A Counter whose "sweeps" counts the `_PivotSweep`s made from now on."""
         made = Counter()
 
         class Counted(_PivotSweep):
@@ -531,11 +532,74 @@ class TestCertifiedBracket:
                 super().__init__(*args)
 
         monkeypatch.setattr(fd_oracle, "_PivotSweep", Counted)
+        return made
+
+    def test_locator_saves_most_sweeps(self, monkeypatch):
+        grid = self._grid(1.5, 10, 6000)
+        made = self._count_sweeps(monkeypatch)
         located = eig_oracle(1.5, grid, 10)
         with_locator = made.pop("sweeps")
         monkeypatch.setattr(fd_oracle, "_locate", lambda *args: (math.nan, math.nan))
         assert eig_oracle(1.5, grid, 10) == located
         assert 2 * with_locator < made["sweeps"]
+
+    @pytest.mark.parametrize("prediction", ["nan", "positive", "next", "miss"])
+    @pytest.mark.parametrize("J, nmax, npoints", CASES, ids=["hydrogen", "shifted", "J39.7", "coarse"])
+    def test_wrong_prediction_keeps_every_eigenvalue(self, monkeypatch, J, nmax, npoints, prediction):
+        grid = self._grid(J, nmax, npoints)
+        ref = eig_oracle_full_sweep(J, grid, nmax + 1)
+        real_bisect, real_locate = fd_oracle._bisect_eigenvalue, fd_oracle._locate
+        finished, located, predicted = [0], Counter(), []
+
+        def predict(found):
+            k = len(found)
+            predicted.append(k)
+            return {"nan": math.nan, "positive": 1e-3, "next": ref[k + 1], "miss": ref[k] * (1.0 + 1e-3)}[prediction]
+
+        def bisect_eigenvalue(*args):
+            ev = real_bisect(*args)
+            finished[0] += 1
+            return ev
+
+        def locate(*args):
+            # a call before eigenvalue k is bisected belongs to eigenvalue k
+            located[finished[0]] += 1
+            return real_locate(*args)
+
+        monkeypatch.setattr(fd_oracle, "_predict", predict)
+        monkeypatch.setattr(fd_oracle, "_bisect_eigenvalue", bisect_eigenvalue)
+        monkeypatch.setattr(fd_oracle, "_locate", locate)
+        assert eig_oracle(J, grid, nmax) == ref[:nmax]
+        assert max(located.values()) == 1
+        if prediction != "miss":
+            # nan and a positive value are not tried; the next level never
+            # certifies, and no level after it is predicted
+            assert predicted == ([0] if prediction == "next" else list(range(nmax)))
+
+    @pytest.mark.parametrize("J", [0.0, 1.5, 39.707106781186546], ids=["hydrogen", "shifted", "J39.7"])
+    def test_predicted_levels_take_few_sweeps(self, monkeypatch, J):
+        made = self._count_sweeps(monkeypatch)
+        eig_oracle(J, self._grid(J, 10, 6000), 10)
+        assert made["sweeps"] <= 6 * 10
+
+    def test_prediction_costs_no_sweeps_in_a_box(self, monkeypatch):
+        # high levels feel the box and break the quantum-defect law
+        grid = RadialGrid(200.0, 2000)
+        made = self._count_sweeps(monkeypatch)
+        predicted = eig_oracle(0.0, grid, 60)
+        with_prediction = made.pop("sweeps")
+        monkeypatch.setattr(fd_oracle, "_predict", lambda found: math.nan)
+        assert eig_oracle(0.0, grid, 60) == predicted
+        assert with_prediction <= made["sweeps"]
+
+    def test_prediction_follows_a_constant_quantum_defect(self):
+        nus = [3.3 + k for k in range(4)]
+        levels = [-0.5 / (nu * nu) for nu in nus]
+        assert fd_oracle._predict(levels[:1]) == pytest.approx(levels[1], rel=1e-14)
+        assert fd_oracle._predict(levels[:3]) == pytest.approx(levels[3], rel=1e-14)
+        assert math.isnan(fd_oracle._predict([]))
+        assert math.isnan(fd_oracle._predict([levels[0], 0.0]))
+        assert math.isnan(fd_oracle._predict([levels[0], 1e-3]))
 
 
 class TestLadder:
