@@ -203,7 +203,7 @@ def cmd_verify_algebra(args) -> int:
 
 
 def cmd_verify_states(args) -> int:
-    from .numeric_verify import RadialGrid, verify_states_suite
+    from .numeric_verify import states_grid, verify_states_suite
 
     params = MonopoleParams(args.s, args.c1, args.c2)
     sector = make_sector(params, args.m, args.j)
@@ -213,8 +213,7 @@ def cmd_verify_states(args) -> int:
         _check_positive("--tol", args.tol)
     grid = None
     if args.rmax is not None or args.npoints is not None:
-        rmax = args.rmax if args.rmax is not None else 10.0 + 4.0 * (sector.bigJ + args.nmax)
-        grid = RadialGrid(rmax=rmax, npoints=args.npoints if args.npoints is not None else 4000)
+        grid = states_grid(sector, args.nmax, args.rmax, args.npoints)
     reports = verify_states_suite(params, args.m, args.j, nlevels=args.nmax, grid=grid, tol=args.tol)
     for r in reports:
         label = r.inputs.get("n", "-")
@@ -361,6 +360,10 @@ def main(argv=None) -> int:
         # interpreter shutdown cannot raise a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # an --out that cannot be written (a BrokenPipeError is caught above)
+        print(f"error: cannot write {exc.filename or 'the output'}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     except GridUnderflow as exc:
         print(f"error: {exc}; choose another --rmax", file=sys.stderr)

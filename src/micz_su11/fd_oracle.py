@@ -11,14 +11,13 @@ sweep runs only until that is known.  It stops once its count passes k, and
 it finishes early, and exactly, past the turning point: for lam < 0 every
 node past the classical turning point V(r) = lam has d_i - lam >= 2|off|,
 and once a pivot there reaches |off| no later pivot can turn negative, so
-the sweep never visits the forbidden tail (see `_PivotSweep`).
+the sweep never visits the forbidden tail (see `_sturm_count`).
 
 Most midpoints need no sweep.  In IEEE arithmetic the computed count is
 nondecreasing in lam (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995), so
 once sweeps certify count(a) <= k < count(b), a midpoint <= a answers "no"
 and one >= b "yes", as its own sweep would.  `eig_oracle` keeps that bracket
-per eigenvalue from every sweep of the call and sweeps only inside it,
-resuming a sweep already made at that lam (counts only grow along it).
+per eigenvalue from every sweep of the call and sweeps only inside it.
 
 Each eigenvalue gets one `_locate` guess, and sweeps on either side of it
 try to certify a bracket about as narrow as the stopping rule.  Its secant
@@ -50,7 +49,7 @@ from .quantum_numbers import ConvergenceFailure, GridUnderflow, HalfInt, Monopol
 from .quantum_numbers import levels as sector_levels
 
 MIN_NODES_PER_WAVELENGTH = 8
-# relative margin of the early-stop bound in `_PivotSweep`; any value far
+# relative margin of the early-stop bound in `_sturm_count`; any value far
 # above machine epsilon keeps the stop exact
 STURM_TAIL_MARGIN = 1e-12
 # the locator of `eig_oracle` (see `_locate`); no value can change an eigenvalue
@@ -144,22 +143,20 @@ def _suffix_min(diag: list[float]) -> list[float]:
 
 
 def _tail_start(suffix_min: list[float], b: float, lam: float) -> int:
-    """The first node i with fl(suffix_min[i] - lam) >= 2b(1 + STURM_TAIL_MARGIN) (see `_PivotSweep`)."""
+    """The first node i with fl(suffix_min[i] - lam) >= 2b(1 + STURM_TAIL_MARGIN) (see `_sturm_count`)."""
     return bisect.bisect_left(suffix_min, 2.0 * b * (1.0 + STURM_TAIL_MARGIN), key=lambda d: d - lam)
 
 
-class _PivotSweep:
-    """The LDL^T pivot sweep at one lam, resumable: counts negative pivots only as far as asked.
+def _sturm_count(diag: list[float], suffix_min: list[float], off: float, lam: float, k: int) -> int:
+    """The negative pivots of the LDL^T sweep at lam, counted until the count passes k.
 
     The matrix has diagonal `diag` and constant off-diagonal `off`; the
     pivots are q_0 = d_0 - lam, q_i = d_i - lam - off^2 / q_{i-1}, and the
     number of negative ones is the number of eigenvalues strictly below lam.
-    The sweep keeps the node it reached (the position of its two node
-    iterators), the last pivot `q`, the negatives counted so far `count` and
-    whether it has finished `done`.
+    Counts only grow along the sweep, so the result is > k exactly when the
+    full count is, and equals the full count otherwise.
 
-    A finished sweep has the count of the full sweep over every node, but it
-    stops once no later pivot can turn negative.  With b = |off|:
+    The sweep also stops once no later pivot can turn negative.  With b = |off|:
 
     - if d_j - lam >= 2b for every j >= i and some q_{i-1} >= b, then
       q_i >= 2b - b^2/b = b, and by induction every later pivot is >= b > 0;
@@ -179,55 +176,31 @@ class _PivotSweep:
     step; only the tail tests for the finish, which keeps that test off the
     nodes that make up most of a sweep.
     """
-
-    __slots__ = ("lam", "e2", "b", "head", "tail", "q", "count", "done")
-
-    def __init__(self, diag: list[float], suffix_min: list[float], off: float, lam: float):
-        self.lam = lam
-        self.e2 = off * off
-        self.b = abs(off)
-        if self.e2 >= sys.float_info.min:
-            tail = _tail_start(suffix_min, self.b, lam)
-        else:
-            tail = len(diag)
-        self.head = itertools.islice(diag, 1, tail)
-        self.tail = itertools.islice(diag, max(tail, 1), None)
-        self.q = diag[0] - lam
-        self.count = 1 if self.q < 0.0 else 0
-        self.done = False
-
-    def exceeds(self, k: int) -> bool:
-        """Whether the finished sweep counts more than k negative pivots.
-
-        Counts only grow along the sweep, so it runs until its count passes
-        k or it finishes, and a later call resumes from there.
-        """
-        if self.count > k or self.done:
-            return self.count > k
-        lam, e2, q, count = self.lam, self.e2, self.q, self.count
-        for d in self.head:
-            if q == 0.0:
-                q = 1e-300
-            q = d - lam - e2 / q
-            if q < 0.0:
-                count += 1
-                if count > k:
-                    self.q, self.count = q, count
-                    return True
-        b = self.b
-        for d in self.tail:
-            if q >= b:
-                break
-            if q == 0.0:
-                q = 1e-300
-            q = d - lam - e2 / q
-            if q < 0.0:
-                count += 1
-                if count > k:
-                    self.q, self.count = q, count
-                    return True
-        self.q, self.count, self.done = q, count, True
-        return False
+    e2, b = off * off, abs(off)
+    tail = _tail_start(suffix_min, b, lam) if e2 >= sys.float_info.min else len(diag)
+    q = diag[0] - lam
+    count = 1 if q < 0.0 else 0
+    if count > k:
+        return count
+    for d in itertools.islice(diag, 1, tail):
+        if q == 0.0:
+            q = 1e-300
+        q = d - lam - e2 / q
+        if q < 0.0:
+            count += 1
+            if count > k:
+                return count
+    for d in itertools.islice(diag, max(tail, 1), None):
+        if q >= b:
+            break
+        if q == 0.0:
+            q = 1e-300
+        q = d - lam - e2 / q
+        if q < 0.0:
+            count += 1
+            if count > k:
+                return count
+    return count
 
 
 def _bisect_eigenvalue(exceeds, k: int, lo: float, hi: float) -> float:
@@ -364,7 +337,6 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
         )
     diag, off, lo, hi = _fd_matrix(J, grid)
     suffix_min = _suffix_min(diag)
-    sweeps: dict[float, _PivotSweep] = {}
     a, out, predicting = -math.inf, [], True
     for k in range(count):
         # the certified bracket count(a) <= k < count(b): a carries over, and
@@ -374,10 +346,7 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
 
         def sweep(lam: float) -> None:
             nonlocal a, b
-            s = sweeps.get(lam)
-            if s is None:
-                s = sweeps[lam] = _PivotSweep(diag, suffix_min, off, lam)
-            if s.exceeds(k):
+            if _sturm_count(diag, suffix_min, off, lam, k) > k:
                 b = lam
             else:
                 a = lam

@@ -50,10 +50,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .analytic_states import TowerSampler, angular_residual, angular_state, default_angular_mesh, radial_state
-# the oracle's names, defined once in fd_oracle and re-exported here
+# the oracle's public names, defined once in fd_oracle and re-exported here
 from .fd_oracle import (  # noqa: F401
-    DEFAULT_TOLERANCES, MIN_NODES_PER_WAVELENGTH, STURM_TAIL_MARGIN, GridTooCoarse, RadialGrid, VerificationReport,
-    _bisect_eigenvalue, _PivotSweep, _report, _suffix_min, eig_oracle, oracle_reports, spectrum_cross_check,
+    DEFAULT_TOLERANCES, GridTooCoarse, RadialGrid, VerificationReport, _report, eig_oracle, oracle_reports,
+    spectrum_cross_check,
 )
 from .operator_algebra import NumericOperator, generator_table, substitute
 from .quantum_numbers import (  # noqa: F401  (ConvergenceFailure re-exported)
@@ -288,6 +288,13 @@ def angular_residual_check(sector: SectorLabels, tol: float | None = None) -> Ve
     return _report("angular_residual", inputs, residual, tol, t0)
 
 
+def states_grid(sector: SectorLabels, nlevels: int, rmax: float | None, npoints: int | None) -> RadialGrid:
+    """The suite's grid: rmax 10 + 4(J + nlevels) and 4000 points, each unless given."""
+    if rmax is None:
+        rmax = 10.0 + 4.0 * (sector.bigJ + nlevels)
+    return RadialGrid(rmax=rmax, npoints=4000 if npoints is None else npoints)
+
+
 def verify_states_suite(params: MonopoleParams, m: HalfInt, j: HalfInt, nlevels: int = 5,
                         grid: RadialGrid | None = None, tol: float | None = None) -> list[VerificationReport]:
     """The full per-sector state-level suite used by the CLI.
@@ -301,8 +308,7 @@ def verify_states_suite(params: MonopoleParams, m: HalfInt, j: HalfInt, nlevels:
         raise ValueError(f"nlevels must be >= 1, got {nlevels}")
     sector = make_sector(params, m, j)
     if grid is None:
-        k_top = sector.bigJ + nlevels
-        grid = RadialGrid(rmax=10.0 + 4.0 * k_top, npoints=4000)
+        grid = states_grid(sector, nlevels, None, None)
     reports = [angular_residual_check(sector, tol=tol)]
     bottom = sector.j + 1
     for i in range(nlevels):

@@ -14,7 +14,8 @@ import numpy as np
 
 from micz_su11 import operator_algebra
 from micz_su11.analytic_states import RadialState, _as_array, chi
-from micz_su11.numeric_verify import GridFunction, _PivotSweep
+from micz_su11.fd_oracle import _sturm_count
+from micz_su11.numeric_verify import GridFunction
 from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly, replace_K
 from micz_su11.quantum_numbers import GridUnderflow
 from micz_su11.special_functions import KummerParams, _kummer_deriv_scale, kummer_terminating
@@ -171,10 +172,8 @@ def eig_oracle_full_sweep(J: float, grid, count: int) -> list[float]:
 
 
 def sturm_count(diag: list[float], suffix_min: list[float], off: float, lam: float) -> int:
-    """The early-stopping count of `eig_oracle`: the `_PivotSweep` at lam run to its end."""
-    sweep = _PivotSweep(diag, suffix_min, off, lam)
-    sweep.exceeds(len(diag))  # no count exceeds the number of nodes
-    return sweep.count
+    """The early-stopping count of `eig_oracle`, run to its end: no count exceeds the number of nodes."""
+    return _sturm_count(diag, suffix_min, off, lam, len(diag))
 
 
 # ---------------------------------------------------------------------------

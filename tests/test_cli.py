@@ -572,6 +572,25 @@ def test_signed_zero_input_is_echoed_as_zero(capsys, tmp_path, case):
         assert doc.count(echo) == doc.count(echo.split(":")[0])
 
 
+UNWRITABLE_OUT_COMMANDS = {
+    "spectrum": ["spectrum", "--s", "0", "--m", "0", "--j", "0", "--nmax", "2"],
+    "eigenfunction": ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "1", "--npoints", "8"],
+    "verify-algebra": ["verify-algebra", "--deg-check-max", "0"],
+    "verify-states": ["verify-states", "--s", "0", "--m", "0", "--j", "0", "--nmax", "1", "--npoints", "800"],
+    "oracle": ["oracle", "--s", "0", "--m", "0", "--j", "0", "--nmax", "1", "--rmax", "60", "--npoints", "600"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_OUT_COMMANDS))
+def test_unwritable_out_exit_2_with_one_line(capsys, tmp_path, command, target):
+    path = tmp_path / "missing" / "doc.out" if target == "missing-directory" else tmp_path
+    code, _, err = run(capsys, UNWRITABLE_OUT_COMMANDS[command] + ["--out", str(path)])
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 class TestParser:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -25,18 +25,16 @@ from oracles import (
 
 from micz_su11 import cli, fd_oracle, numeric_verify, operator_algebra
 from micz_su11.analytic_states import TowerSampler, chi, chi_dn, radial_state
+from micz_su11.fd_oracle import _bisect_eigenvalue, _sturm_count, _suffix_min
 from micz_su11.numeric_verify import (
     ConvergenceFailure,
     GridFunction,
     GridTooCoarse,
     GridUnderflow,
     RadialGrid,
-    _bisect_eigenvalue,
     _Level,
-    _PivotSweep,
     _level,
     _tower_sampler,
-    _suffix_min,
     casimir_check,
     eig_oracle,
     ladder_check,
@@ -377,31 +375,24 @@ class TestSturmEarlyStop:
         # below the spectrum, between bound levels, near zero and above it
         for lam in (lo, -0.1, -0.02, -0.0105, -1e-4, 0.0, 0.05, hi):
             full = sturm_count_full(diag, off * off, lam)
-            sweep = _PivotSweep(diag, suffix_min, off, lam)
-            for k in order:
-                assert sweep.exceeds(k) == (full > k), (lam, k)
-            assert sweep.count <= full
-            if max(order) >= full:
-                assert sweep.done and sweep.count == full
+            for k in [*order, *range(full + 2)]:
+                # the count passes k as the full one does, and stops right there
+                assert _sturm_count(diag, suffix_min, off, lam, k) == (k + 1 if full > k else full), (lam, k)
 
     def test_exceeds_stops_once_the_count_passes_k(self):
         diag, off = fd_matrix(0.0, RadialGrid(1200.0, 6000))
+        suffix_min = _suffix_min(diag)
         lam = -0.5 / 16.0 + 1e-3  # between levels 3 and 4: four eigenvalues below
-        sweep = _PivotSweep(diag, _suffix_min(diag), off, lam)
-        assert sweep.exceeds(0) and sweep.count == 1 and not sweep.done
-        assert sweep.exceeds(2) and sweep.count == 3 and not sweep.done
-        assert not sweep.exceeds(4) and sweep.count == 4 and sweep.done
+        assert [_sturm_count(diag, suffix_min, off, lam, k) for k in (0, 2, 4)] == [1, 3, 4]
 
     def test_zero_first_pivot_takes_the_guard(self):
         diag, off = fd_matrix(0.0, RadialGrid(60.0, 2000))
         suffix_min = _suffix_min(diag)
         lam = diag[0]
+        assert diag[0] - lam == 0.0
         full = sturm_count_full(diag, off * off, lam)
-        sweep = _PivotSweep(diag, suffix_min, off, lam)
-        assert sweep.q == 0.0 and sweep.count == 0
         for k in range(full + 2):
-            assert sweep.exceeds(k) == (full > k), k
-        assert sweep.done and sweep.count == full
+            assert (_sturm_count(diag, suffix_min, off, lam, k) > k) == (full > k), k
         assert sturm_count(diag, suffix_min, off, lam) == full
 
     def test_sweep_skips_the_forbidden_tail(self):
@@ -521,17 +512,14 @@ class TestCertifiedBracket:
 
     @staticmethod
     def _count_sweeps(monkeypatch) -> Counter:
-        """A Counter whose "sweeps" counts the `_PivotSweep`s made from now on."""
+        """A Counter whose "sweeps" counts the `_sturm_count` calls made from now on."""
         made = Counter()
 
-        class Counted(_PivotSweep):
-            __slots__ = ()
+        def counted(*args):
+            made["sweeps"] += 1
+            return _sturm_count(*args)
 
-            def __init__(self, *args):
-                made["sweeps"] += 1
-                super().__init__(*args)
-
-        monkeypatch.setattr(fd_oracle, "_PivotSweep", Counted)
+        monkeypatch.setattr(fd_oracle, "_sturm_count", counted)
         return made
 
     def test_locator_saves_most_sweeps(self, monkeypatch):
