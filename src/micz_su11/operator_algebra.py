@@ -6,19 +6,22 @@ D x^k = x^k D + k x^(k-1) (valid for any integer k, negative included).
 Coefficients are polynomials in the two indeterminates J and K over exact
 rationals; floats only appear after an explicit `substitute`.
 
-Canonical form, which `==`, `hash` and `is_zero` rely on: a `ParamPoly` maps
-(jpow, kpow) to a nonzero coefficient of type exactly `Fraction`, and a
-`NormalOrderedOperator` maps (xpow, dorder >= 0) to a nonzero `ParamPoly`,
+Canonical form, which `==`, `hash` and `is_zero` rely on: a `ParamPoly`
+stores one `int` denominator `_den` >= 1 and maps (jpow, kpow) to nonzero
+`int` numerators in first-appearance order, reduced so that
+gcd(_den, *numerators) == 1, which makes the form unique for its rational
+coefficients; `items()` builds each coefficient as a `Fraction` on demand.
+A `NormalOrderedOperator` maps (xpow, dorder >= 0) to a nonzero `ParamPoly`,
 every power an `int` and every J or K power >= 0.  The public constructors
 check and convert outside input into that form (each power through
 `operator.index`, so a float or `Fraction` power raises `TypeError`, and a
 negative J or K power raises `ValueError`); the arithmetic, `compose` and
-`monomial_action` build each result in canonical form once and hand it to
-the private `_adopt`, which checks nothing.
-
-`compose` and `monomial_action` scale each operand to int numerators over the
-lcm of its denominators, sum in `int`s and build each nonzero result
-coefficient once as `Fraction(n, d)`; terms keep their first-appearance order.
+`monomial_action` work on the numerators directly, with one common
+denominator per result polynomial and one gcd reduction of it, and hand each
+result to the private `_adopt`, which checks nothing.  `compose` puts each
+product over the lcm of the left operand's denominators times the right's;
+`monomial_action` puts each power's image over the lcm of the denominators
+that reach it.
 
 The su(1,1) generators are derived, not typed in, by the Schroedinger
 factorization of the radial operator Ln = -x^2 D^2 - 2K x + x^2, whose
@@ -48,14 +51,6 @@ class NoFactorization(ValueError):
     """The first-order ansatz cannot reproduce the requested operator."""
 
 
-def _falling(k: int, m: int) -> int:
-    """k (k-1) ... (k-m+1), exact for any integer k."""
-    out = 1
-    for i in range(m):
-        out *= k - i
-    return out
-
-
 def _accumulate(acc: dict, items) -> None:
     """acc[key] += c for each (key, c) in items; a sum that cancels stays as a zero entry."""
     for key, c in items:
@@ -63,41 +58,46 @@ def _accumulate(acc: dict, items) -> None:
         acc[key] = c if s is None else s + c
 
 
-def _scaled(op: "NormalOrderedOperator") -> tuple[int, list]:
-    """(d, [((xpow, dorder), [((jpow, kpow), n), ...]), ...]): op over the lcm d of its denominators."""
-    d = math.lcm(*{c.denominator for poly in op._terms.values() for c in poly._terms.values()})
-    return d, [(key, [(m, c.numerator * (d // c.denominator)) for m, c in poly._terms.items()])
-               for key, poly in op._terms.items()]
+def _reduced(den: int, raw: dict[tuple[int, int], int]) -> "ParamPoly":
+    """The ParamPoly of raw's nonzero int numerators over den >= 1, divided through by their gcd with den.
 
-
-def _canonical(raw: dict, d: int) -> dict:
-    """Wrap each accumulated (jpow, kpow) -> int numerator dict once as Fractions over d, dropping zeros."""
-    out = {}
-    for key, acc in raw.items():
-        terms = {m: Fraction(n, d) for m, n in acc.items() if n}
-        if terms:
-            out[key] = ParamPoly._adopt(terms)
-    return out
+    raw must be a dict that the caller no longer uses: it may become the result's own.
+    """
+    if 0 in raw.values():
+        raw = {m: n for m, n in raw.items() if n}
+        if not raw:
+            return ParamPoly._adopt(1, raw)
+    g = math.gcd(den, *raw.values())
+    if g != 1:
+        den //= g
+        raw = {m: n // g for m, n in raw.items()}
+    return ParamPoly._adopt(den, raw)
 
 
 class ParamPoly:
-    """Polynomial in J and K with Fraction coefficients, keyed by (jpow, kpow)."""
+    """Polynomial in J and K with rational coefficients: int numerators keyed by (jpow, kpow) over one denominator."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_terms")
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        self._terms = {}
+        coeffs: dict[tuple[int, int], int | Fraction] = {}
         for (jp, kp), c in (terms or {}).items():
             jp, kp = operator.index(jp), operator.index(kp)
             if jp < 0 or kp < 0:
                 raise ValueError(f"J and K powers must be non-negative, got J^{jp} K^{kp}")
-            if f := Fraction(c):
-                self._terms[(jp, kp)] = f
+            if type(c) is not int and type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
+                coeffs[(jp, kp)] = c
+        # over the lcm of reduced denominators the numerators already have no common factor with it
+        self._den = den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self._terms = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
 
     @classmethod
-    def _adopt(cls, terms: dict[tuple[int, int], Fraction]) -> "ParamPoly":
-        """Wrap a dict already in canonical form, without copying or checking it."""
+    def _adopt(cls, den: int, terms: dict[tuple[int, int], int]) -> "ParamPoly":
+        """Wrap a denominator and numerator dict already in canonical form, without copying or checking them."""
         poly = object.__new__(cls)
+        poly._den = den
         poly._terms = terms
         return poly
 
@@ -132,17 +132,19 @@ class ParamPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"{self.render()} is not a constant")
-        return self._terms.get((0, 0), Fraction(0))
+        return Fraction(self._terms.get((0, 0), 0), self._den)
 
     def items(self):
-        return self._terms.items()
+        """((jpow, kpow), Fraction) pairs in stored order, each coefficient built on demand."""
+        den = self._den
+        return ((m, Fraction(n, den)) for m, n in self._terms.items())
 
     def kpow_split(self) -> dict[int, "ParamPoly"]:
         """Group terms by their power of K (coefficients are polynomials in J)."""
-        out: dict[int, dict[tuple[int, int], Fraction]] = {}
-        for (jp, kp), c in self._terms.items():
-            out.setdefault(kp, {})[(jp, 0)] = c
-        return {kp: ParamPoly._adopt(t) for kp, t in out.items()}
+        out: dict[int, dict[tuple[int, int], int]] = {}
+        for (jp, kp), n in self._terms.items():
+            out.setdefault(kp, {})[(jp, 0)] = n
+        return {kp: _reduced(self._den, t) for kp, t in out.items()}
 
     @staticmethod
     def _coerce(other) -> "ParamPoly":
@@ -156,9 +158,11 @@ class ParamPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        terms = dict(self._terms)
-        _accumulate(terms, o._terms.items())
-        return ParamPoly._adopt({key: c for key, c in terms.items() if c})
+        d = math.lcm(self._den, o._den)
+        sa, sb = d // self._den, d // o._den
+        terms = {m: n * sa for m, n in self._terms.items()}
+        _accumulate(terms, ((m, n * sb) for m, n in o._terms.items()))
+        return _reduced(d, terms)
 
     __radd__ = __add__
 
@@ -171,18 +175,21 @@ class ParamPoly:
         return NotImplemented if o is NotImplemented else o + (-self)
 
     def __neg__(self):
-        return ParamPoly._adopt({key: -c for key, c in self._terms.items()})
+        return ParamPoly._adopt(self._den, {m: -n for m, n in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ParamPoly._adopt({key: c * other for key, c in self._terms.items()} if other else {})
+        if isinstance(other, (int, Fraction)):  # an int has numerator and denominator too
+            num = other.numerator
+            return _reduced(self._den * other.denominator, {m: n * num for m, n in self._terms.items()})
         if not isinstance(other, ParamPoly):
             return NotImplemented
         # a product of nonzero polynomials is nonzero, but single terms may cancel
-        terms: dict[tuple[int, int], Fraction] = {}
-        for (ja, ka), ca in self._terms.items():
-            _accumulate(terms, [((ja + jb, ka + kb), ca * cb) for (jb, kb), cb in other._terms.items()])
-        return ParamPoly._adopt({key: c for key, c in terms.items() if c})
+        terms: dict[tuple[int, int], int] = {}
+        for (ja, ka), a in self._terms.items():
+            for (jb, kb), b in other._terms.items():
+                m = (ja + jb, ka + kb)
+                terms[m] = terms.get(m, 0) + a * b
+        return _reduced(self._den * other._den, terms)
 
     __rmul__ = __mul__
 
@@ -190,12 +197,12 @@ class ParamPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self._terms == o._terms
+        return self._den == o._den and self._terms == o._terms
 
     def __hash__(self):
         if self.is_constant:  # equal to its constant, so it hashes like it
-            return hash(self._terms.get((0, 0), 0))
-        return hash(frozenset(self._terms.items()))
+            return hash(Fraction(self._terms.get((0, 0), 0), self._den))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def render(self) -> str:
         if not self._terms:
@@ -203,7 +210,7 @@ class ParamPoly:
         keys = sorted(self._terms, key=lambda t: (-(t[0] + t[1]), -t[1], -t[0]))
         parts: list[str] = []
         for key in keys:
-            c = self._terms[key]
+            c = Fraction(self._terms[key], self._den)
             mono = ""
             jp, kp = key
             if jp:
@@ -347,24 +354,31 @@ class NormalOrderedOperator:
 
 def compose(lhs: NormalOrderedOperator, rhs: NormalOrderedOperator) -> NormalOrderedOperator:
     """Normal-ordered product: D^q x^r = sum_i C(q,i) r^(i-falling) x^(r-i) D^(q-i)."""
-    dl, left = _scaled(lhs)
-    dr, right = _scaled(rhs)
+    dl = math.lcm(*(c._den for c in lhs._terms.values()))
+    dr = math.lcm(*(c._den for c in rhs._terms.values()))
     raw: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for (p, q), cl in left:
-        for (r, s), cr in right:
+    for (p, q), cl in lhs._terms.items():
+        sl = dl // cl._den
+        for (r, s), cr in rhs._terms.items():
+            scale = sl * (dr // cr._den)  # puts cl * cr over dl * dr
             cc: dict[tuple[int, int], int] = {}  # a term that cancels stays as a zero entry
-            for (ja, ka), a in cl:
-                for (jb, kb), b in cr:
+            for (ja, ka), a in cl._terms.items():
+                for (jb, kb), b in cr._terms.items():
                     m = (ja + jb, ka + kb)
                     cc[m] = cc.get(m, 0) + a * b
+            w = scale  # C(q, i) r^(i-falling), times scale, built up one i at a time
             for i in range(q + 1):
-                w = math.comb(q, i) * _falling(r, i)
-                if w == 0:  # r is an integer in [0, i), so every later i vanishes too
-                    break
                 acc = raw.setdefault((p + r - i, q - i + s), {})
                 for m, n in cc.items():
                     acc[m] = acc.get(m, 0) + w * n
-    return NormalOrderedOperator._adopt(_canonical(raw, dl * dr))
+                w = w * (q - i) * (r - i) // (i + 1)  # exact: C(q, i+1) (i+1) = C(q, i) (q-i)
+                if w == 0:  # i = q, or r is an integer in [0, i], so every later weight vanishes too
+                    break
+    out = {}
+    for key, acc in raw.items():
+        if (poly := _reduced(dl * dr, acc))._terms:
+            out[key] = poly
+    return NormalOrderedOperator._adopt(out)
 
 
 def commutator(lhs: NormalOrderedOperator, rhs: NormalOrderedOperator) -> NormalOrderedOperator:
@@ -374,15 +388,25 @@ def commutator(lhs: NormalOrderedOperator, rhs: NormalOrderedOperator) -> Normal
 def monomial_action(op: NormalOrderedOperator, k: int) -> list[tuple[int, ParamPoly]]:
     """Image of x^k: x^p D^q x^k = k^(q-falling) x^(k+p-q).  The equality oracle."""
     k = operator.index(k)
-    # d covers only the terms with a nonzero weight: Fraction(n, d) normalises, so any common d does
-    used = [(k + p - q, w, poly._terms) for (p, q), poly in op._terms.items() if (w := _falling(k, q))]
-    d = math.lcm(*{c.denominator for _, _, terms in used for c in terms.values()})
-    raw: dict[int, dict[tuple[int, int], int]] = {}
-    for power, w, terms in used:
-        acc = raw.setdefault(power, {})
-        for m, c in terms.items():
-            acc[m] = acc.get(m, 0) + w * c.numerator * (d // c.denominator)
-    return sorted(_canonical(raw, d).items())
+    falling = [1]  # falling[q] = k^(q-falling)
+    for i in range(max((q for _, q in op._terms), default=0)):
+        falling.append(falling[-1] * (k - i))
+    by_power: dict[int, list[tuple[int, ParamPoly]]] = {}
+    for (p, q), poly in op._terms.items():
+        if w := falling[q]:
+            by_power.setdefault(k + p - q, []).append((w, poly))
+    image = []
+    for power in sorted(by_power):
+        terms = by_power[power]
+        d = math.lcm(*(poly._den for _, poly in terms))
+        acc: dict[tuple[int, int], int] = {}
+        for w, poly in terms:
+            w *= d // poly._den
+            for m, n in poly._terms.items():
+                acc[m] = acc.get(m, 0) + w * n
+        if (poly := _reduced(d, acc))._terms:
+            image.append((power, poly))
+    return image
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,40 @@ class TestVerifyAlgebra:
         assert code == 0
         assert "oracle sweep k in [-4, -4]: PASS" in out
 
+    def test_zero_differences_are_not_swept(self, capsys, monkeypatch):
+        # the zero operator's image of x^k is empty for every k, so the sweep's
+        # length must not cost anything when every identity holds
+        swept = []
+        real = operator_algebra.monomial_action
+
+        def counting(op, k):
+            swept.append((op.is_zero, k))
+            return real(op, k)
+
+        monkeypatch.setattr(operator_algebra, "monomial_action", counting)
+        code, out, _ = run(capsys, ["verify-algebra", "--deg-check-max", "1000000000"])
+        assert code == 0
+        assert "oracle sweep k in [-4, 1000000000]: PASS" in out
+        assert out.splitlines()[-1] == "6/6 identities PASS"
+        assert not any(is_zero for is_zero, _ in swept)
+
+    def test_nonzero_differences_are_swept_from_the_bottom(self, capsys, monkeypatch):
+        swept = {}  # id of each swept difference -> the powers it was applied to, in order
+        real = operator_algebra.monomial_action
+
+        def counting(op, k):
+            swept.setdefault(id(op), []).append(k)
+            return real(op, k)
+
+        monkeypatch.setattr(operator_algebra, "_generators", corrupted_generators())
+        monkeypatch.setattr(operator_algebra, "monomial_action", counting)
+        code, out, _ = run(capsys, ["verify-algebra", "--deg-check-max", "1000000000"])
+        assert code == 1
+        assert out.splitlines()[-1] == "2/6 identities PASS"
+        assert len(swept) == 4  # the four differences the corrupted T3 leaves nonzero
+        for powers in swept.values():
+            assert powers == list(range(-4, powers[-1] + 1)) and powers[-1] < 1000
+
     def test_corrupted_build_fails_with_rendered_remainder(self, capsys, monkeypatch):
         monkeypatch.setattr(operator_algebra, "_generators", corrupted_generators())
         code, out, err = run(capsys, ["verify-algebra"])

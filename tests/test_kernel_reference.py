@@ -1,13 +1,15 @@
 """The exact kernel against its old accumulation, and the canonical form it builds.
 
-`compose` and `monomial_action` scale each operand to integer numerators over
-one common denominator and build each result coefficient once;
+Each `ParamPoly` stores int numerators over one reduced int denominator, and
+`compose` and `monomial_action` work on those numerators directly;
 `oracles.compose_reference` and `oracles.monomial_action_reference` still
-build a validated ParamPoly for every partial sum.  Both must give the same
-`_terms` dicts, and every result must be in the canonical form that `==`,
-`hash` and `is_zero` rely on.
+build a validated ParamPoly from `Fraction`s for every partial sum.  Both
+must give the same coefficients, every result must be in
+the canonical form that `==`, `hash` and `is_zero` rely on, and values built
+along different paths must be equal and hash alike.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -28,6 +30,11 @@ def plain_image(image: list) -> list:
 
 
 def assert_canonical_poly(poly: ParamPoly) -> None:
+    # the stored form: nonzero int numerators over one int denominator, reduced together
+    assert type(poly._den) is int and poly._den >= 1
+    for n in poly._terms.values():
+        assert type(n) is int and n != 0, f"numerator {n!r} stored"
+    assert math.gcd(poly._den, *poly._terms.values()) == 1, "numerators and denominator share a factor"
     for (jp, kp), c in poly.items():
         assert type(jp) is int and type(kp) is int
         assert type(c) is Fraction, f"coefficient {c!r} is a {type(c).__name__}"
@@ -141,3 +148,40 @@ def test_integer_coefficients_become_fractions():
     for result in (op, op + NormalOrderedOperator.zero(), op * 1, compose(op, NormalOrderedOperator.identity())):
         assert_canonical(result)
     assert_canonical_poly(ParamPoly.const(5) * 2)
+
+
+def assert_same(x, y) -> None:
+    assert x == y and y == x
+    assert hash(x) == hash(y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(monomials, st.integers(-12, 12), max_size=4), st.integers(1, 12), st.integers(2, 6),
+       polys, operators, operators)
+def test_equal_values_hash_equal_across_construction_paths(nums, d, f, q, a, b):
+    exact = ParamPoly({m: Fraction(n, d) for m, n in nums.items()})
+    builds = [
+        ParamPoly({m: Fraction(n * f, d * f) for m, n in nums.items()}),
+        ParamPoly(nums) * Fraction(1, d),
+        # every scaled numerator shares f with the denominator until it is reduced
+        ParamPoly({m: n * f for m, n in nums.items()}) * Fraction(1, d * f),
+        (exact + q) - q,
+        -(-exact),
+    ]
+    for poly in builds:
+        assert_canonical_poly(poly)
+        assert_same(poly, exact)
+    assert_same(ParamPoly(nums), ParamPoly({m: Fraction(n) for m, n in nums.items()}))
+    assert_same(ParamPoly(nums), ParamPoly({m: Fraction(n * f, f) for m, n in nums.items()}))
+    assert_same(exact * q, q * exact)
+    if exact.is_constant:
+        value = exact.constant_value()
+        assert_same(exact, value)
+        for poly in builds:
+            assert hash(poly) == hash(value)
+
+    op = NormalOrderedOperator({(1, 0): exact, (0, 2): q})
+    assert_same(op, NormalOrderedOperator({(1, 0): builds[2], (0, 2): (q + exact) - exact}))
+    assert_same((a + b) - b, a)
+    assert_same(compose(a, b), compose_reference(a, b))
+    assert_same(compose(op, a), compose_reference(op, a))
