@@ -5,12 +5,13 @@ reads chi(x) = (2x)^(J+1) e^(-x) F(j+1-n, 2J+2; 2x).  That form contains no
 K, so every level of a j tower lives on one common x axis and the ladder
 checks can compare levels pointwise.  The polynomial factor and its
 derivatives are evaluated in float only through the Kummer recurrence
-(`KummerSweep`, which `kummer_terminating` runs once); the exact rational
-coefficients, `RadialState.poly_coeffs`, are a reference computed on first read.
+(`KummerSweep`, which `kummer_terminating` runs once); the tests keep the
+exact rational coefficients as a reference.
 
 `TowerSampler` samples chi and its derivatives for every level of one tower
 on one fixed x, resuming its Kummer sweeps from level to level; its
-`derivatives` gives all orders up to a top one from one list of Kummer rows.
+`derivatives` gives all orders up to a top one from one list of Kummer rows,
+and its `power` is the one cache of the powers x^e on that x.
 `chi` and `chi_dn` read a sampler of their own (its `chi`, or the last of its
 `derivatives`), so there is one float evaluation of chi and one product-rule
 body for its derivatives.
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -61,22 +60,11 @@ def _as_phi(phi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialState:
-    """One bound level: polynomial factor F(-k, b; 2x), leading exponent J+1."""
+    """One bound level: polynomial factor F(-k, b; 2x); the leading exponent is J+1."""
 
     sector: SectorLabels
     level: LevelLabels
     kummer: KummerParams
-    exponent: float
-
-    @cached_property
-    def poly_coeffs(self) -> tuple[Fraction, ...]:
-        """Exact coefficients of F(-k, 2J+2; 2x) in powers of x at the sector's J, computed on first read."""
-        k = self.kummer.k
-        b = 2 * Fraction(self.sector.bigJ) + 2
-        coeffs = [Fraction(1)]
-        for i in range(k):
-            coeffs.append(coeffs[-1] * 2 * (i - k) / ((b + i) * (i + 1)))
-        return tuple(coeffs)
 
 
 def radial_state(sector: SectorLabels, n: HalfInt | int) -> RadialState:
@@ -87,7 +75,6 @@ def radial_state(sector: SectorLabels, n: HalfInt | int) -> RadialState:
         sector=sector,
         level=level,
         kummer=KummerParams(k, 2.0 * sector.bigJ + 2.0),
-        exponent=sector.bigJ + 1.0,
     )
 
 
@@ -98,8 +85,8 @@ class TowerSampler:
     recurrence in the order does not depend on k.  So the sampler keeps one
     `KummerSweep` per shift l, which resumes when a higher level is asked
     for and restarts when a lower one is: an ascending walk over the tower
-    runs each sweep once.  It also keeps 2x, e^(-x) and the powers
-    x^(alpha-i) it has used.  A sweep's rows do not depend on where it
+    runs each sweep once.  It also keeps 2x, e^(-x) and every power x^e it
+    has been asked for (`power`).  A sweep's rows do not depend on where it
     resumed from, so a value does not depend on the levels asked for before.
     """
 
@@ -109,13 +96,14 @@ class TowerSampler:
         self.alpha = sector.bigJ + 1.0
         self.z = 2.0 * self.x
         self.expf = np.exp(-self.x)
-        self._xpow: dict[int, np.ndarray] = {}
+        self._powers: dict[float, np.ndarray] = {}
         self._sweeps: list[KummerSweep] = []
 
-    def _xpow_at(self, i: int):
-        out = self._xpow.get(i)
+    def power(self, e: float):
+        """x^e on the sampler's x, computed on the first call for e and kept."""
+        out = self._powers.get(e)
         if out is None:
-            out = self._xpow[i] = self.x ** (self.alpha - i)
+            out = self._powers[e] = self.x ** e
         return out
 
     def _row(self, p: KummerParams, l: int):
@@ -158,7 +146,7 @@ class TowerSampler:
                     fall *= alpha - t
                 if fall == 0.0:
                     continue
-                xp = self._xpow_at(i)
+                xp = self.power(alpha - i)
                 for jj in range(order - i + 1):
                     l = order - i - jj
                     if l >= len(dpoly):

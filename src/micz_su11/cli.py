@@ -236,17 +236,17 @@ def cmd_verify_states(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .fd_oracle import RadialGrid, oracle_reports, spectrum_cross_check
+    from .fd_oracle import oracle_grid, oracle_reports, spectrum_cross_check
 
     if args.nmax < 1:
         raise InvalidLevel(f"--nmax must be at least 1, got {args.nmax}")
-    npoints = args.npoints if args.npoints is not None else 6000
-    if args.nmax > npoints:
-        raise InvalidLevel(f"--nmax must not exceed --npoints ({npoints}), got {args.nmax}")
-    _check_positive("--tol", args.tol)
+    if args.tol is not None:
+        _check_positive("--tol", args.tol)
     if args.bigJ is not None:
         if not (math.isfinite(args.bigJ) and args.bigJ >= 0):
             raise InvalidQuantumNumbers(f"--bigJ must be non-negative and finite, got {args.bigJ}")
+        if args.nmax > sys.float_info.max:  # as `energy` bounds a sector's n - j: K must be a float
+            raise InvalidLevel(f"--nmax is too large: it must not exceed {sys.float_info.max:g}")
         J = 0.0 if args.bigJ == 0.0 else args.bigJ  # -0.0 is +0.0, so no document echoes -0
         k_top = J + 1.0 + (args.nmax - 1)
         config = {"command": "oracle", "bigJ": J}
@@ -257,20 +257,16 @@ def cmd_oracle(args) -> int:
         sector = make_sector(params, args.m, args.j)
         k_top = energy(sector, sector.j + args.nmax).K
         config = {"command": "oracle", **sector_inputs(sector)}
-    if args.rmax is not None:
-        rmax = args.rmax
-    else:
-        try:
-            rmax = 12.0 * k_top ** 2
-        except OverflowError:
-            rmax = math.inf  # RadialGrid rejects it with a one-line diagnostic
-    grid = RadialGrid(rmax=rmax, npoints=npoints)
-    config.update({"nmax": args.nmax, "rmax": rmax, "npoints": npoints, "tol": args.tol})
+    grid = oracle_grid(k_top, args.rmax, args.npoints)
+    if args.nmax > grid.npoints:
+        raise InvalidLevel(f"--nmax must not exceed --npoints ({grid.npoints}), got {args.nmax}")
     if args.bigJ is not None:
-        pairs = [(J + 1.0 + i, {"bigJ": J, "rmax": rmax, "npoints": npoints}) for i in range(args.nmax)]
+        pairs = [(J + 1.0 + i, {"bigJ": J, "rmax": grid.rmax, "npoints": grid.npoints}) for i in range(args.nmax)]
         reports = oracle_reports(J, pairs, grid, args.tol)
     else:
         reports = spectrum_cross_check(params, args.m, args.j, args.nmax, grid, args.tol)
+    # the tolerance the reports applied, the default one when --tol is not given
+    config.update({"nmax": args.nmax, "rmax": grid.rmax, "npoints": grid.npoints, "tol": reports[0].tolerance})
     rows = [[r.inputs.get("n", ""), r.details["K"], r.details["oracle_energy"], r.details["analytic_energy"],
              r.residual, r.passed] for r in reports]
     _write_document(args, config, ["level", "K", "E_oracle", "E_analytic", "rel_error", "passed"],
@@ -345,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nmax", type=int, default=3, help="number of eigenvalues")
     sp.add_argument("--rmax", type=float, default=None, help="grid extent (default 12 K_max^2)")
     sp.add_argument("--npoints", type=int, default=None, help="grid points (default 6000)")
-    sp.add_argument("--tol", type=float, default=1e-4, help="relative-error pass threshold")
+    sp.add_argument("--tol", type=float, default=None, help="relative-error pass threshold")
     _add_output_args(sp, "csv")
     sp.set_defaults(func=cmd_oracle)
 

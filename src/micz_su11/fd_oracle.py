@@ -112,6 +112,22 @@ class RadialGrid:
         return nodes
 
 
+def oracle_grid(k_top: float, rmax: float | None, npoints: int | None) -> RadialGrid:
+    """The oracle's grid for levels up to K = k_top: rmax 12 k_top^2 and 6000 points, each unless given.
+
+    ValueError, naming k_top, when the default rmax overflows; an explicit
+    rmax goes to `RadialGrid` as given.
+    """
+    if rmax is None:
+        try:
+            rmax = 12.0 * k_top ** 2
+        except OverflowError:
+            rmax = math.inf
+        if math.isinf(rmax):
+            raise ValueError(f"the default box 12 k_top^2 overflows at k_top={k_top:g}; give --rmax")
+    return RadialGrid(rmax=rmax, npoints=6000 if npoints is None else npoints)
+
+
 @dataclass
 class VerificationReport:
     check_name: str
@@ -384,14 +400,14 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
 
 
 def oracle_reports(J: float, levels: list[tuple[float, dict]], grid: RadialGrid,
-                   tol: float = DEFAULT_TOLERANCES["spectrum_level"]) -> list[VerificationReport]:
+                   tol: float | None = None) -> list[VerificationReport]:
     """Relative error of the FD oracle's lowest eigenvalues against -1/(2K^2).
 
     `levels` pairs each K, ascending, with the `inputs` of its report.  One
     `eig_oracle` call solves for every level; the first report's runtime
-    carries that solve.  Raises ValueError when an analytic energy
-    underflows to zero or a relative error is not finite (the grid cannot
-    hold the level).
+    carries that solve.  A tol of None is DEFAULT_TOLERANCES["spectrum_level"].
+    Raises ValueError when an analytic energy underflows to zero or a
+    relative error is not finite (the grid cannot hold the level).
     """
     t0 = time.perf_counter()
     oracle_vals = eig_oracle(J, grid, len(levels))
@@ -411,8 +427,11 @@ def oracle_reports(J: float, levels: list[tuple[float, dict]], grid: RadialGrid,
 
 
 def spectrum_cross_check(params: MonopoleParams, m: HalfInt, j: HalfInt, levels: int, grid: RadialGrid,
-                         tol: float = DEFAULT_TOLERANCES["spectrum_level"]) -> list[VerificationReport]:
-    """Per-level relative error of the FD oracle against the analytic spectrum."""
+                         tol: float | None = None) -> list[VerificationReport]:
+    """Per-level relative error of the FD oracle against the analytic spectrum.
+
+    `oracle_grid` gives the grid `micz-su11 oracle` uses by default.
+    """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     sector = make_sector(params, m, j)

@@ -9,27 +9,27 @@ The grid checks reuse work in process-wide caches:
   their products once per process; each keeps the float image of its exact
   coefficients, built by its first `substitute`, and a level substitutes
   (J, K) into each of the nine once;
-- `_node_power(grid, xp)` holds x^xp on the grid nodes (NODE_POWER_CACHE = 6
-  arrays; the generators use xp in {-2, -1, 1, 2});
 - `_tower_sampler(sector, grid)` keeps one `analytic_states.TowerSampler`
-  for the last (sector, grid): 2x, e^(-x), up to five powers x^(J+1-i) and
-  the last two rows of the resumable Kummer sweep of each derivative order
-  l <= 4, at most 17 arrays.  A walk up the tower runs each sweep once;
+  for the last (sector, grid): 2x, e^(-x), the powers x^e it has handed out
+  (up to five x^(J+1-i) for the derivatives and the x^p, p in {-2, -1, 1,
+  2}, of the generators' terms) and the last two rows of the resumable
+  Kummer sweep of each derivative order l <= 4, at most 21 arrays.  A walk
+  up the tower runs each sweep once;
 - `_level(sector, n, grid)` is an LRU of SAMPLE_CACHE_LEVELS = 4 `_Level`s,
   enough for the n-1, n, n+1 window of `verify_states_suite`.  A `_Level`
-  holds the state, chi on the nodes and, from the first `apply`, the images
-  of chi under the nine `generator_table()` operators at its (J, K): at most
-  40 arrays.  The images are built together: one `TowerSampler.derivatives`
-  pass gives orders 1-4, each of the 15 distinct products x^p chi^(q) behind
-  the 69 terms is formed once, and each image sums c x^p chi^(q) over its
-  operator's terms in canonical order (`_sum_terms`).  Each image is checked
-  for non-finite entries once, as it is built, so a bad image raises
-  ValueError from the build; `apply(name)` hands out the checked
-  `GridFunction` as it is.
+  holds the state, chi on the nodes and, from the first read of `images`,
+  the images of chi under the nine `generator_table()` operators at its
+  (J, K): at most 40 arrays.  The images are built together: one
+  `TowerSampler.derivatives` pass gives orders 1-4, each of the 15 distinct
+  products x^p chi^(q) behind the 69 terms is formed once, and each image
+  sums c x^p chi^(q) over its operator's terms in canonical order
+  (`_sum_terms`).  Each image is checked for non-finite entries once, as it
+  is built, so a bad image raises ValueError from the build.
 
-Together that is at most 63 arrays of npoints x 8 B (2.0 MB at the default
+Together that is at most 61 arrays of npoints x 8 B (2.0 MB at the default
 4000 points), plus, while one level builds its images, 4 derivative samples,
-12 products with p != 0 and 2 scratch arrays.  Every cached array is read-only.
+12 products with p != 0 and 2 scratch arrays.  Every array a `_Level` hands
+out is read-only.
 
 The caches are not thread-safe.  The cached sampler's sweeps advance in
 place, so two threads that sample one (sector, grid) at once can mix their
@@ -61,8 +61,6 @@ from .quantum_numbers import (  # noqa: F401  (ConvergenceFailure re-exported)
 )
 
 SAMPLE_CACHE_LEVELS = 4
-# x^xp per (grid, xp): the generators use xp in {-2, -1, 1, 2}
-NODE_POWER_CACHE = 6
 # the x range on which `radial_equation_check` takes its max-norm residual
 RADIAL_EQUATION_WINDOW = (0.01, 40.0)
 
@@ -100,21 +98,9 @@ def _sum_terms(numop: NumericOperator, product) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=NODE_POWER_CACHE)
-def _node_power(grid: RadialGrid, xp: int) -> np.ndarray:
-    """Read-only x^xp on the grid nodes."""
-    out = grid.nodes ** float(xp)
-    out.flags.writeable = False
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Verification pipelines
 # ---------------------------------------------------------------------------
-
-def _as_halfint(n) -> HalfInt:
-    return n if isinstance(n, HalfInt) else HalfInt.from_int(n)
-
 
 @cache
 def _top_order() -> int:
@@ -159,12 +145,13 @@ class _Level:
         All nine are built at once (see the module docstring).  ValueError if one is not finite.
         """
         J, K = self.state.sector.bigJ, self.state.level.K
-        samples = [self.f.values, *self._sampler().derivatives(self.state, _top_order())]
+        sampler = self._sampler()
+        samples = [self.f.values, *sampler.derivatives(self.state, _top_order())]
 
         @cache
         def product(xp: int, dq: int) -> np.ndarray:
             """x^xp chi^(dq) on the nodes."""
-            return samples[dq] if xp == 0 else samples[dq] * _node_power(self.grid, xp)
+            return samples[dq] if xp == 0 else samples[dq] * sampler.power(float(xp))
 
         images = {}
         for name, op in generator_table().items():
@@ -172,10 +159,6 @@ class _Level:
             image.flags.writeable = False
             images[name] = GridFunction(self.grid, image)
         return MappingProxyType(images)
-
-    def apply(self, name: str) -> GridFunction:
-        """The image of chi under `generator_table()[name]` at this level's (J, K)."""
-        return self.images[name]
 
 
 # _level(sector, n, grid): the `_Level`, from an LRU cache of SAMPLE_CACHE_LEVELS entries
@@ -191,9 +174,8 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     t0 = time.perf_counter()
-    n = _as_halfint(n)
     level = _level(sector, n, grid)
-    y = level.apply("T+" if sign == 1 else "T-")
+    y = level.images["T+" if sign == 1 else "T-"]
     bottom = n - sector.j == 1
     inputs = sector_inputs(sector, grid, n)
     if sign == -1 and bottom:
@@ -211,19 +193,18 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
 def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
     """||T3 chi - K chi||/||chi|| plus the shifted eigenvalues of T3 on T_pm chi."""
     t0 = time.perf_counter()
-    n = _as_halfint(n)
     level = _level(sector, n, grid)
     f = level.f
     K = level.state.level.K
-    y = level.apply("T3")
+    y = level.images["T3"]
     residual = GridFunction(grid, y.values - K * f.values).norm() / math.sqrt(level.norm2)
     details = {"measured_eigenvalue": y.inner(f) / level.norm2}
     bottom = n - sector.j == 1
     for sign, tag, tpm in ((1, "raised", "T+"), (-1, "lowered", "T-")):
         if sign == -1 and bottom:
             continue
-        z = level.apply(tpm)
-        w = level.apply("T3 " + tpm)
+        z = level.images[tpm]
+        w = level.images["T3 " + tpm]
         r_shift = GridFunction(grid, w.values - (K + sign) * z.values).norm() / z.norm()
         details[f"{tag}_eigenvalue"] = w.inner(z) / z.inner(z)
         residual = max(residual, r_shift)
@@ -233,11 +214,10 @@ def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None 
 def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
     """Measured T3 eigenvalue difference between levels n+1 and n, against 1."""
     t0 = time.perf_counter()
-    n = _as_halfint(n)
     measured = []
     for level_n in (n, n + 1):
         level = _level(sector, level_n, grid)
-        y = level.apply("T3")
+        y = level.images["T3"]
         measured.append(y.inner(level.f) / level.norm2)
     spacing = measured[1] - measured[0]
     return _report("t3_spacing", sector_inputs(sector, grid, n), abs(spacing - 1.0), tol, t0, {"spacing": spacing})
@@ -251,11 +231,10 @@ def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None =
     constant happens numerically on the grid.
     """
     t0 = time.perf_counter()
-    n = _as_halfint(n)
     level = _level(sector, n, grid)
     fnorm = math.sqrt(level.norm2)
     target = sector.sep_const * level.f.values
-    t3f, t3sq, pm, mp = (level.apply(name).values for name in ("T3", "T3 T3", "T+ T-", "T- T+"))
+    t3f, t3sq, pm, mp = (level.images[name].values for name in ("T3", "T3 T3", "T+ T-", "T- T+"))
     res_direct = GridFunction(grid, -pm + t3sq - t3f - target).norm() / fnorm
     res_mirror = GridFunction(grid, -mp + t3sq + t3f - target).norm() / fnorm
     details = {"direct": float(res_direct), "mirror": float(res_mirror)}
@@ -265,10 +244,9 @@ def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None =
 def radial_equation_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
     """Max-norm residual of (-x^2 D^2 - 2Kx + x^2) chi = -J(J+1) chi on RADIAL_EQUATION_WINDOW."""
     t0 = time.perf_counter()
-    n = _as_halfint(n)
     level = _level(sector, n, grid)
     f = level.f
-    resid = level.apply("Ln").values + sector.sep_const * f.values
+    resid = level.images["Ln"].values + sector.sep_const * f.values
     x = grid.nodes
     mask = (x >= RADIAL_EQUATION_WINDOW[0]) & (x <= RADIAL_EQUATION_WINDOW[1])
     if not np.any(mask):

@@ -68,9 +68,6 @@ class HalfInt:
         """0 for integers, 1 for half-odd integers."""
         return self.twice_value & 1
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice_value, 2)
-
     def __float__(self) -> float:
         return self.twice_value / 2.0
 
@@ -94,8 +91,8 @@ class HalfInt:
         return self.twice_value == o.twice_value
 
     def __hash__(self) -> int:
-        # equal to hash(self.as_fraction()), by Python's rule for rationals,
-        # without building the Fraction
+        # equal to hash(Fraction(self.twice_value, 2)), by Python's rule for
+        # rationals, without building the Fraction
         t = self.twice_value
         if not t & 1:
             return hash(t >> 1)

@@ -335,6 +335,16 @@ def fd_derivatives(f):
 # P given by its rational coefficients, summed exactly at the float nodes.
 # ---------------------------------------------------------------------------
 
+def poly_coeffs(state: RadialState) -> tuple[Fraction, ...]:
+    """Exact coefficients of F(-k, 2J+2; 2x) in powers of x at the state's J."""
+    k = state.kummer.k
+    b = 2 * Fraction(state.sector.bigJ) + 2
+    coeffs = [Fraction(1)]
+    for i in range(k):
+        coeffs.append(coeffs[-1] * 2 * (i - k) / ((b + i) * (i + 1)))
+    return tuple(coeffs)
+
+
 def chi_dn_reference(coeffs, alpha: float, max_order: int, nodes) -> list[np.ndarray]:
     """d^l/dx^l of (2x)^alpha e^(-x) P(x) at the nodes for l = 0..max_order.
 
@@ -395,7 +405,7 @@ def chi_dn_per_call(state: RadialState, x, order: int):
     if order == 0:
         return chi(state, x)
     arr, scalar = _as_array(x, "x")
-    alpha = state.exponent
+    alpha = state.sector.bigJ + 1.0
     pref = 2.0**alpha
     expf = np.exp(-arr)
     z = 2.0 * arr

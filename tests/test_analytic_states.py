@@ -19,7 +19,7 @@ from micz_su11.analytic_states import (
     radial_state,
 )
 from micz_su11.quantum_numbers import HalfInt, MonopoleParams, make_sector
-from oracles import chi_dn_per_call, chi_dn_reference, kummer_rational
+from oracles import chi_dn_per_call, chi_dn_reference, kummer_rational, poly_coeffs
 
 H = HalfInt.parse
 
@@ -42,14 +42,14 @@ def shifted():
 class TestRadialState:
     def test_tower_bottom_is_pure_power_exponential(self, shifted):
         st = radial_state(shifted, H("3/2"))
-        assert st.poly_coeffs == (Fraction(1),)
+        assert poly_coeffs(st) == (Fraction(1),)
         x = np.linspace(0.2, 8.0, 17)
         expected = (2.0 * x) ** 2.5 * np.exp(-x)
         assert np.max(np.abs(chi(st, x) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_hydrogen_first_excited_closed_form(self, hydrogen):
         st = radial_state(hydrogen, H("2"))
-        assert st.poly_coeffs == (Fraction(1), Fraction(-1))
+        assert poly_coeffs(st) == (Fraction(1), Fraction(-1))
         x = np.linspace(0.1, 10.0, 23)
         expected = 2.0 * x * np.exp(-x) * (1.0 - x)
         assert np.max(np.abs(chi(st, x) - expected)) == 0.0
@@ -82,9 +82,11 @@ class TestRadialState:
                 chi_dn(st, np.array([1.0, bad]), 2)
 
     def test_exponent_is_level_independent(self, shifted):
-        # the stored representation carries no K: all levels share the x axis
-        exps = {radial_state(shifted, shifted.j + i).exponent for i in (1, 2, 3, 4)}
-        assert exps == {shifted.bigJ + 1.0}
+        # the stored representation carries no K: all levels share the x axis,
+        # the Kummer parameter b = 2J+2 and the sampler's leading exponent J+1
+        bparams = {radial_state(shifted, shifted.j + i).kummer.bparam for i in (1, 2, 3, 4)}
+        assert bparams == {2.0 * shifted.bigJ + 2.0}
+        assert TowerSampler(shifted, 1.0).alpha == shifted.bigJ + 1.0
 
     def test_polynomial_matches_kummer(self, shifted):
         # dual route: the float recurrence inside chi vs the exact rational series
@@ -93,7 +95,7 @@ class TestRadialState:
             st = radial_state(shifted, shifted.j + i)
             k = i - 1
             x = np.linspace(0.05, 9.0, 31)
-            poly = chi(st, x) / ((2.0 * x) ** st.exponent * np.exp(-x))
+            poly = chi(st, x) / ((2.0 * x) ** (shifted.bigJ + 1.0) * np.exp(-x))
             ref = np.array([float(kummer_rational(k, b, 2 * Fraction(xi))) for xi in x])
             assert np.max(np.abs(poly - ref)) <= 1e-12 * np.max(np.abs(ref) + 1.0)
 
@@ -162,7 +164,7 @@ class TestHighLevels:
             st = radial_state(sec, sec.j + i)
             step = math.ceil((10.0 + 4.0 * st.level.K) / self.NODES * 16) / 16
             x = step * np.arange(1, self.NODES + 1)
-            refs = chi_dn_reference(st.poly_coeffs, st.exponent, 4, x)
+            refs = chi_dn_reference(poly_coeffs(st), sec.bigJ + 1.0, 4, x)
             for order, ref in enumerate(refs):
                 got = chi_dn(st, x, order)
                 err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
@@ -215,6 +217,14 @@ class TestTowerSampler:
     def test_negative_order_rejected(self, hydrogen):
         with pytest.raises(ValueError, match="non-negative"):
             chi_dn(radial_state(hydrogen, H("2")), np.linspace(0.1, 5.0, 8), -1)
+
+    @pytest.mark.parametrize("e", [2.5, -2.0, 1.0])
+    def test_power_is_cached_per_exponent(self, shifted, e):
+        x = np.linspace(0.1, 5.0, 8)
+        sampler = TowerSampler(shifted, x)
+        first = sampler.power(e)
+        assert sampler.power(e) is first
+        assert np.array_equal(first, x ** e)
 
 
 class TestRadialOde:

@@ -505,6 +505,30 @@ class TestOracle:
         assert (code, out, built) == (2, "", [])
         assert err == f"error: --nmax must not exceed --npoints ({npoints}), got {npoints + 1}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--bigJ", "1e154", "--nmax", "2"],
+            ["--bigJ", "1e155", "--nmax", "2"],
+            ["--s", "0", "--m", "0", "--j", "0", "--c1", "4e307", "--nmax", "1"],
+        ],
+        ids=["bigJ-1e154", "bigJ-1e155", "sector-c1-4e307"],
+    )
+    def test_overflowing_default_box_names_k_top_and_rmax(self, capsys, argv):
+        code, out, err = run(capsys, ["oracle", *argv])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: the default box 12 k_top\^2 overflows at k_top=\S+; give --rmax\n", err)
+
+    def test_infinite_rmax_keeps_the_grid_message(self, capsys):
+        code, out, err = run(capsys, ["oracle", "--bigJ", "0", "--nmax", "1", "--rmax", "inf"])
+        assert (code, out, err) == (2, "", "error: rmax must be positive and finite, got inf\n")
+
+    @pytest.mark.parametrize("extra", [[], ["--rmax", "100", "--npoints", "120"]], ids=["default-grid", "given-grid"])
+    def test_nmax_beyond_the_float_range_exit_2(self, capsys, extra):
+        code, out, err = run(capsys, ["oracle", "--bigJ", "0", "--nmax", str(10**400), *extra])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: --nmax is too large")
+
     def test_too_coarse_grid_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, ["oracle", "--bigJ", "0", "--nmax", "1",
                                     "--rmax", "500", "--npoints", "16"])

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import time
@@ -25,7 +26,7 @@ from oracles import (
 
 from micz_su11 import cli, fd_oracle, numeric_verify, operator_algebra
 from micz_su11.analytic_states import TowerSampler, chi, chi_dn, radial_state
-from micz_su11.fd_oracle import _bisect_eigenvalue, _sturm_count, _suffix_min
+from micz_su11.fd_oracle import _bisect_eigenvalue, _sturm_count, _suffix_min, oracle_grid
 from micz_su11.numeric_verify import (
     ConvergenceFailure,
     GridFunction,
@@ -91,6 +92,7 @@ class PerCallLevel(_Level):
         return SimpleNamespace(
             chi=lambda state: chi(state, nodes),
             derivatives=lambda state, top: [chi_dn_per_call(state, nodes, o) for o in range(1, top + 1)],
+            power=lambda e: nodes ** e,
         )
 
 
@@ -747,6 +749,50 @@ class TestOracleReports:
             oracle_reports(1e150, [(1e150 + 1.0, {})], RadialGrid(100.0, 100))
 
 
+class TestOracleGrid:
+    @pytest.mark.parametrize("k_top", [3.0, 6.0, 39.707106781186546 + 1.0 + 9, 3.449489742783178 + 10, 1e150])
+    def test_default_box_is_twelve_k_top_squared(self, k_top):
+        # the expression bit for bit: 12.0 * k * k rounds differently for some k
+        grid = oracle_grid(k_top, None, None)
+        assert float.hex(grid.rmax) == float.hex(12.0 * k_top ** 2)
+        assert grid.npoints == 6000
+
+    def test_given_values_override_the_defaults(self):
+        assert oracle_grid(3.0, 60.0, None) == RadialGrid(60.0, 6000)
+        assert oracle_grid(3.0, None, 120) == RadialGrid(108.0, 120)
+        assert oracle_grid(1e200, 60.0, 120) == RadialGrid(60.0, 120)
+
+    @pytest.mark.parametrize("k_top", [1e154 + 1.0, 1e155, math.sqrt(4e307) + 1.0])
+    def test_overflowing_default_box_names_k_top(self, k_top):
+        with pytest.raises(ValueError, match=r"^the default box 12 k_top\^2 overflows at k_top=.*; give --rmax$"):
+            oracle_grid(k_top, None, None)
+
+    def test_explicit_infinite_rmax_keeps_the_grid_message(self):
+        with pytest.raises(ValueError, match="^rmax must be positive and finite, got inf$"):
+            oracle_grid(3.0, math.inf, None)
+
+    def test_default_tolerance_is_the_table_entry(self):
+        params = MonopoleParams(H("0"), 0.0, 0.0)
+        reports = spectrum_cross_check(params, H("0"), H("0"), 1, RadialGrid(60.0, 200))
+        assert reports[0].tolerance == fd_oracle.DEFAULT_TOLERANCES["spectrum_level"]
+
+    def test_cross_check_on_it_gives_the_cli_default_document(self, tmp_path):
+        params = MonopoleParams(H("1/2"), 1.0, 0.0)
+        sector = make_sector(params, H("1/2"), H("1/2"))
+        nmax = 4
+        k_top = sector.bigJ + nmax
+        reports = spectrum_cross_check(params, sector.m, sector.j, nmax, oracle_grid(k_top, None, None))
+        path = tmp_path / "oracle.json"
+        code = cli.main(["oracle", "--s", "1/2", "--c1", "1", "--m", "1/2", "--j", "1/2", "--nmax", str(nmax),
+                         "--format", "json", "--out", str(path)])
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert code == (0 if all(r.passed for r in reports) else 1)
+        assert doc["config"]["rmax"] == 12.0 * k_top ** 2 and doc["config"]["npoints"] == 6000
+        assert doc["config"]["tol"] == 1e-4
+        strip = [{k: v for k, v in r.to_dict().items() if k != "runtime_ms"} for r in reports]
+        assert strip == [{k: v for k, v in r.items() if k != "runtime_ms"} for r in doc["reports"]]
+
+
 class TestReports:
     def test_bitwise_reproducibility(self, shifted, xgrid):
         a = ladder_check(shifted, H("3/2"), +1, xgrid)
@@ -860,15 +906,15 @@ class TestSampleCache:
         # each image is checked once, when the level builds its images; a NaN
         # in one input of the sums must surface there, and the CLI must turn
         # it into exit 2 with one stderr line
-        node_power = numeric_verify._node_power
+        power = TowerSampler.power
 
-        def poisoned(grid, xp):
-            out = node_power(grid, xp).copy()
-            if xp == 2:
-                out[grid.npoints // 2] = math.nan
+        def poisoned(sampler, e):
+            out = power(sampler, e).copy()
+            if e == 2:
+                out[out.size // 2] = math.nan
             return out
 
-        monkeypatch.setattr(numeric_verify, "_node_power", poisoned)
+        monkeypatch.setattr(TowerSampler, "power", poisoned)
         _level.cache_clear()
         try:
             level = _Level(hydrogen, H("2"), RadialGrid(40.0, 1500))
@@ -898,10 +944,7 @@ class TestSampleCache:
 
     def test_cached_arrays_are_read_only(self, hydrogen, xgrid):
         level = _level(hydrogen, H("2"), xgrid)
-        t3 = level.apply("T3").values
-        assert level.images["T3"].values is t3
-        # `apply` hands out the image checked when it was built, without re-wrapping it
-        assert all(level.apply(name) is image for name, image in level.images.items())
+        t3 = level.images["T3"].values
         # the level keeps chi and its nine images, no derivative samples
         assert not hasattr(level, "derivative") and not hasattr(level, "_derivatives")
         for arr in (level.f.values, t3, xgrid.nodes):

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -61,7 +62,7 @@ class TestHalfInt:
     @example(-(3**301))
     def test_hash_is_that_of_the_fraction(self, twice):
         x = HalfInt(twice)
-        assert hash(x) == hash(x.as_fraction())
+        assert hash(x) == hash(Fraction(twice, 2))
         if twice % 2 == 0:
             assert hash(x) == hash(twice // 2)
 
