@@ -364,6 +364,10 @@ def main(argv=None) -> int:
         # an --out that cannot be written (a BrokenPipeError is caught above)
         print(f"error: cannot write {exc.filename or 'the output'}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy refuses an --npoints array beyond the address space with a one-line message
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
     except GridUnderflow as exc:
         print(f"error: {exc}; choose another --rmax", file=sys.stderr)
         return EXIT_USAGE

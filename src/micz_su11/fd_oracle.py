@@ -19,15 +19,18 @@ once sweeps certify count(a) <= k < count(b), a midpoint <= a answers "no"
 and one >= b "yes", as its own sweep would.  `eig_oracle` keeps that bracket
 per eigenvalue from every sweep of the call and sweeps only inside it.
 
-Each eigenvalue gets one `_locate` guess, and sweeps on either side of it
-try to certify a bracket about as narrow as the stopping rule.  Its secant
-starts next to `_predict`'s extrapolation of the call's lower eigenvalues,
-so no coarse sweep runs; for the first eigenvalue, and after a prediction
-fails to certify (box states), once sweeps narrow a bound state's bracket.
-The guess only chooses where sweeps run, and the walk keeps the steps,
-midpoints and stopping rule of the full-sweep bisection, so a wrong or
-non-finite guess costs sweeps and never changes an eigenvalue: every
-eigenvalue is bit-for-bit the full-sweep bisection's.
+Each eigenvalue gets one `_locate` guess theta.  Its secant starts next to
+`_predict`'s extrapolation of the call's lower eigenvalues, so no coarse
+sweep runs; for the first eigenvalue, and after a prediction fails to
+certify (box states), once sweeps narrow a bound state's bracket.  The first
+two sweeps run at the ends of the final cell that the walk reaches when
+theta decides each midpoint: when they certify it, every midpoint of the
+walk is decided without a sweep.  Otherwise sweeps at theta -+ delta, widened
+while a count disagrees, try to certify a bracket about as narrow as the
+stopping rule.  The guess only chooses where sweeps run, and the walk keeps
+the steps, midpoints and stopping rule of the full-sweep bisection, so a
+wrong or non-finite guess costs sweeps and never changes an eigenvalue:
+every eigenvalue is bit-for-bit the full-sweep bisection's.
 
 The module imports only the standard library and `quantum_numbers`, so the
 `oracle` subcommand starts without numpy.  `RadialGrid.nodes`, the one numpy
@@ -56,6 +59,7 @@ STURM_TAIL_MARGIN = 1e-12
 LOCATE_WIDTH = 1e-2  # it runs once a bound state's bracket is narrower than this times |b|
 LOCATE_TWIST = 0.85  # the twist node as a fraction of the tail start
 LOCATE_EFOLDS = 20.0  # e-folds of decay from the tail start to the backward pivots' Dirichlet end
+LOCATE_STRIDE = 32  # nodes per sample of that decay (see `_dirichlet_end`)
 LOCATE_STEPS = 12  # secant steps at most, until one is below LOCATE_FLOOR max(1, |lam|)
 LOCATE_FLOOR = 1e-15
 LOCATE_ROUNDS = 6  # widenings by 8 of the certification window
@@ -152,10 +156,23 @@ def _report(name, inputs, residual, tolerance, t0, details=None) -> Verification
 
 
 def _suffix_min(diag: list[float]) -> list[float]:
-    """suffix_min[i] = min(diag[i:]); nondecreasing in i."""
-    out = list(itertools.accumulate(reversed(diag), min))
-    out.reverse()
-    return out
+    """suffix_min[i] = min(diag[i:]); nondecreasing in i.
+
+    Up to the first minimum p of the diagonal every entry is diag[p].  Past
+    p, where the diagonal of `_fd_matrix` rises, a nondecreasing diag[p:] is
+    its own suffix minimum; only a tail that still descends somewhere takes
+    the running minimum.  `min` is exact, so this is bit for bit the running
+    minimum of the whole list.
+    """
+    if not diag:
+        return []
+    low = min(diag)
+    p = diag.index(low)
+    tail = diag[p:]
+    if tail != sorted(tail):
+        tail = list(itertools.accumulate(reversed(tail), min))
+        tail.reverse()
+    return [low] * p + tail
 
 
 def _tail_start(suffix_min: list[float], b: float, lam: float) -> int:
@@ -219,23 +236,32 @@ def _sturm_count(diag: list[float], suffix_min: list[float], off: float, lam: fl
     return count
 
 
+def _bisect_cell(exceeds, k: int, lo: float, hi: float) -> tuple[float, float, float]:
+    """The bisection walk of [lo, hi] for eigenvalue k: its final cell (lo, hi) and the value it returns.
+
+    `exceeds(lam, k)` decides each midpoint; every midpoint the walk visits
+    ends up <= the final lo or >= the final hi.
+    """
+    for _ in range(256):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo, hi, mid
+        if exceeds(mid, k):
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
+            return lo, hi, 0.5 * (lo + hi)
+    raise ConvergenceFailure(f"bisection stalled for eigenvalue {k} in [{lo}, {hi}]")
+
+
 def _bisect_eigenvalue(exceeds, k: int, lo: float, hi: float) -> float:
     """Eigenvalue k (from 0) by bisection of [lo, hi].
 
     `exceeds(lam, k)` tells whether more than k eigenvalues lie strictly
     below lam, the one decision a step needs; it need not compute the count.
     """
-    for _ in range(256):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if exceeds(mid, k):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
-    raise ConvergenceFailure(f"bisection stalled for eigenvalue {k} in [{lo}, {hi}]")
+    return _bisect_cell(exceeds, k, lo, hi)[2]
 
 
 def _fd_matrix(J: float, grid: RadialGrid) -> tuple[list[float], float, float, float]:
@@ -261,6 +287,27 @@ def _fd_matrix(J: float, grid: RadialGrid) -> tuple[list[float], float, float, f
     return diag, off, lo, hi
 
 
+def _dirichlet_end(diag: list[float], t: int, b: float, theta: float) -> int:
+    """`_locate`'s backward Dirichlet end M: LOCATE_EFOLDS e-folds past the tail start t, or the last node.
+
+    Past t the decaying solution falls by kappa_i = acosh((d_i - theta) / 2b)
+    e-folds per node.  A tail start t >= 1 lies past the diagonal's minimum,
+    where the diagonal of `_fd_matrix` rises, so kappa never decreases.  The
+    walk samples kappa every LOCATE_STRIDE nodes, credits each sample to the
+    nodes up to the next one, and ends in the stride that completes the sum
+    at its sample's rate.  Each credit under-counts, so M lands at or past
+    the node-by-node end, never closer.
+    """
+    n, M, efolds = len(diag), t, 0.0
+    while M < n:
+        kappa = math.acosh((diag[M] - theta) / (2.0 * b))
+        if efolds + LOCATE_STRIDE * kappa >= LOCATE_EFOLDS:
+            return min(M + math.ceil((LOCATE_EFOLDS - efolds) / kappa), n)
+        efolds += LOCATE_STRIDE * kappa
+        M += LOCATE_STRIDE
+    return n
+
+
 def _locate(diag: list[float], suffix_min: list[float], off: float, a: float, b: float) -> tuple[float, float]:
     """A guess at a bound state's eigenvalue near a < b, and the last secant step.
 
@@ -270,17 +317,14 @@ def _locate(diag: list[float], suffix_min: list[float], off: float, a: float, b:
     is an eigenvalue: q+ are the forward pivots from node 0, q- the backward
     ones from a Dirichlet end at node M.  The twist m, short of the tail start
     t at the midpoint of (a, b), sits where the eigenvector is large; M lies
-    far enough past t that the truncation is far below rounding.  (nan, nan)
-    when an evaluation fails.
+    far enough past t that the truncation is far below rounding, placed by a
+    walk that evaluates acosh once per LOCATE_STRIDE nodes (`_dirichlet_end`).
+    (nan, nan) when an evaluation fails.
     """
     theta, e2 = 0.5 * (a + b), off * off
     t = _tail_start(suffix_min, abs(off), theta)
     m = int(LOCATE_TWIST * t)
-    # past t the decaying solution falls by acosh((d_i - theta) / 2|off|) e-folds per node
-    M, efolds = t, 0.0
-    while efolds < LOCATE_EFOLDS and M < len(diag):
-        efolds += math.acosh((diag[M] - theta) / (2.0 * abs(off)))
-        M += 1
+    M = _dirichlet_end(diag, t, abs(off), theta)
     if m < 1 or M < m + 2:
         return math.nan, math.nan
     head, back, d_m = diag[1:m], diag[M - 2:m:-1], diag[m]
@@ -330,8 +374,10 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
     that sweeps only inside certified brackets (see the module docstring).
     The one `_locate` of each eigenvalue starts from `_predict` +- LOCATE_PREDICT
     relative while predictions certify, else from the bracket once it is
-    narrow; its guess theta is tried with delta = max(2 |step|, 2 LOCATE_FLOOR
-    max(1, |theta|)), widened while a count disagrees.
+    narrow.  Its guess theta is tried first at the two ends of the walk's
+    final cell when theta decides every midpoint (`_bisect_cell`), then with
+    delta = max(2 |step|, 2 LOCATE_FLOOR max(1, |theta|)), widened while a
+    count disagrees.
 
     J must be finite and non-negative, and the matrix must not overflow;
     otherwise ValueError.  A spacing h whose square underflows to zero
@@ -372,8 +418,18 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
             nonlocal located
             located = True
             theta, step = _locate(diag, suffix_min, off, x0, x1)
+            if not math.isfinite(theta):
+                return False
+            # the final cell of the walk that theta decides: certified, it
+            # leaves the walk no sweep to do
+            cell = _bisect_cell(lambda lam, _k: lam > theta, k, lo, hi)[:2]
+            for guess in cell:
+                if a < guess < b:
+                    sweep(guess)
+            if a >= cell[0] and b <= cell[1]:
+                return True
             delta = max(2.0 * step, 2.0 * LOCATE_FLOOR * max(1.0, abs(theta)))
-            for _ in range(LOCATE_ROUNDS + 1 if math.isfinite(theta) else 0):
+            for _ in range(LOCATE_ROUNDS + 1):
                 for guess in (theta - delta, theta + delta):
                     if a < guess < b:
                         sweep(guess)

@@ -649,6 +649,20 @@ def test_unwritable_out_exit_2_with_one_line(capsys, tmp_path, command, target):
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["eigenfunction", "--n", "2"], ["eigenfunction", "--kind", "angular"], ["verify-states", "--nmax", "2"]],
+    ids=["radial", "angular", "verify-states"],
+)
+def test_npoints_numpy_cannot_allocate_exit_2_with_one_line(capsys, command):
+    # 7.11 PiB, past the address space: numpy raises MemoryError without allocating
+    code, out, err = run(capsys, command + ["--s", "0", "--m", "0", "--j", "0", "--npoints", "1000000000000000"])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "allocate" in err and err.count("\n") == 1
+
+
 class TestParser:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

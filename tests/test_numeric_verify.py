@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -423,6 +424,51 @@ class TestSturmEarlyStop:
             eig_oracle(bad, RadialGrid(100.0, 6000), 2)
 
 
+def _suffix_min_by_definition(diag: list[float]) -> list[float]:
+    return list(itertools.accumulate(reversed(diag), min))[::-1]
+
+
+class TestSuffixMin:
+    """`_suffix_min` against its definition, the running minimum of the reversed list."""
+
+    def test_hydrogen_diagonal_is_one_nondecreasing_run(self):
+        diag, _ = fd_matrix(0.0, RadialGrid(1200.0, 6000))
+        assert diag == sorted(diag)
+        assert _suffix_min(diag) == _suffix_min_by_definition(diag) == diag
+
+    def test_diagonal_with_its_dip(self):
+        # J = 39.7: the centrifugal term makes the diagonal fall to the well's floor, then rise
+        diag, _ = fd_matrix(39.707106781186546, RadialGrid(12.0 * 49.7 ** 2, 6000))
+        p = diag.index(min(diag))
+        assert 0 < p < len(diag) - 1 and diag[:p + 1] == sorted(diag[:p + 1], reverse=True)
+        assert _suffix_min(diag) == _suffix_min_by_definition(diag)
+
+    @pytest.mark.parametrize(
+        "diag",
+        [
+            # ties at the minimum and in the rising tail, then an ulp-sized descent inside it
+            [5.0, 3.0, 1.0, 1.0, 2.0, 2.0, 3.0, math.nextafter(3.0, 0.0), 3.0, 4.0],
+            # the descent at the very end
+            [1.0, 2.0, 3.0, math.nextafter(3.0, 0.0)],
+            [2.0, 1.0, 1.0, 0.5, 0.5],
+            [7.0],
+            [2.0, 1.0],
+            [1.0, 2.0],
+            [1.0, 1.0],
+            [],
+        ],
+        ids=["ties-and-ulp-descent", "ulp-descent-at-the-end", "descending-ties", "one", "two-down", "two-up",
+             "two-equal", "empty"],
+    )
+    def test_synthetic_lists(self, diag):
+        assert _suffix_min(diag) == _suffix_min_by_definition(diag)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-1.5, 0.0, 1.0, math.nextafter(1.0, 0.0), 2.0, 3.0]), max_size=12))
+    def test_any_list(self, diag):
+        assert _suffix_min(diag) == _suffix_min_by_definition(diag)
+
+
 def _near(ev: float):
     """lam within a few ulps, or within 1e-12 relative, of ev."""
     def ulps(n):
@@ -512,6 +558,47 @@ class TestCertifiedBracket:
         grid = RadialGrid(rmax, npoints)
         assert eig_oracle(J, grid, npoints) == eig_oracle_full_sweep(J, grid, npoints)
 
+    @pytest.mark.parametrize("J, nmax, npoints", CASES[:3], ids=["hydrogen", "shifted", "J39.7"])
+    def test_strided_walk_ends_just_past_the_node_by_node_end(self, J, nmax, npoints):
+        grid = self._grid(J, nmax, npoints)
+        diag, off, _, _ = fd_oracle._fd_matrix(J, grid)
+        suffix_min, b = _suffix_min(diag), abs(off)
+        for theta in eig_oracle_full_sweep(J, grid, nmax):
+            t = fd_oracle._tail_start(suffix_min, b, theta)
+            kappa = [math.acosh((d - theta) / (2.0 * b)) for d in diag[t:]]
+            M = fd_oracle._dirichlet_end(diag, t, b, theta)
+            sums = list(itertools.accumulate(kappa))
+            node_end = t + 1 + next(i for i, e in enumerate(sums) if e >= fd_oracle.LOCATE_EFOLDS)
+            assert sums[M - t - 1] >= fd_oracle.LOCATE_EFOLDS or M == len(diag), theta
+            assert node_end <= M < node_end + fd_oracle.LOCATE_STRIDE, theta
+
+    @pytest.mark.parametrize("J, nmax, npoints", CASES, ids=["hydrogen", "shifted", "J39.7", "coarse"])
+    def test_guess_in_the_final_cell_takes_two_sweeps(self, monkeypatch, J, nmax, npoints):
+        grid = self._grid(J, nmax, npoints)
+        diag, off, lo, hi = fd_oracle._fd_matrix(J, grid)
+        suffix_min = _suffix_min(diag)
+        cells = [fd_oracle._bisect_cell(lambda lam, k: _sturm_count(diag, suffix_min, off, lam, k) > k, k, lo, hi)
+                 for k in range(nmax)]
+        sweeps, at_locate = Counter(), []
+
+        def counted(*args):
+            sweeps[args[4]] += 1
+            return _sturm_count(*args)
+
+        def locate(*args):
+            # the i-th call belongs to eigenvalue i; the cell's lower end
+            # decides every midpoint of the walk as its count does
+            k = len(at_locate)
+            at_locate.append(sweeps[k])
+            return cells[k][0], 0.0
+
+        monkeypatch.setattr(fd_oracle, "_sturm_count", counted)
+        monkeypatch.setattr(fd_oracle, "_locate", locate)
+        assert eig_oracle(J, grid, nmax) == [cell[2] for cell in cells]
+        # the predicted levels take no sweep before the guess, and none after the cell's two
+        assert at_locate[1:] == [0] * (nmax - 1)
+        assert [sweeps[k] - at_locate[k] for k in range(nmax)] == [2] * nmax
+
     @staticmethod
     def _count_sweeps(monkeypatch) -> Counter:
         """A Counter whose "sweeps" counts the `_sturm_count` calls made from now on."""
@@ -570,7 +657,7 @@ class TestCertifiedBracket:
     def test_predicted_levels_take_few_sweeps(self, monkeypatch, J):
         made = self._count_sweeps(monkeypatch)
         eig_oracle(J, self._grid(J, 10, 6000), 10)
-        assert made["sweeps"] <= 6 * 10
+        assert made["sweeps"] <= 44
 
     def test_prediction_costs_no_sweeps_in_a_box(self, monkeypatch):
         # high levels feel the box and break the quantum-defect law
