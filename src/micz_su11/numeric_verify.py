@@ -6,9 +6,10 @@ grid, report and oracle names are imported here, each defined once there.
 The grid checks reuse work in process-wide caches:
 
 - `operator_algebra.generator_table()` composes the su(1,1) generators and
-  their products once per process; each keeps the float image of its exact
-  coefficients, built by its first `substitute`, and a level substitutes
-  (J, K) into each of the nine once;
+  their products once per process, and `_image_plan()` reads their float
+  coefficients (`_float_terms()`) once into F: for each of the 6 monomials
+  J^a K^b in them (1, K, J, J^2, J^3, J^4), a 9 x 15 matrix over the 9
+  operators and the 15 distinct products x^p chi^(q) behind their 69 terms;
 - `_tower_sampler(sector, grid)` keeps one `analytic_states.TowerSampler`
   for the last (sector, grid): 2x, e^(-x), the powers x^e it has handed out
   (up to five x^(J+1-i) for the derivatives and the x^p, p in {-2, -1, 1,
@@ -19,17 +20,22 @@ The grid checks reuse work in process-wide caches:
   enough for the n-1, n, n+1 window of `verify_states_suite`.  A `_Level`
   holds the state, chi on the nodes and, from the first read of `images`,
   the images of chi under the nine `generator_table()` operators at its
-  (J, K): at most 40 arrays.  The images are built together: one
-  `TowerSampler.derivatives` pass gives orders 1-4, each of the 15 distinct
-  products x^p chi^(q) behind the 69 terms is formed once, and each image
-  sums c x^p chi^(q) over its operator's terms in canonical order
-  (`_sum_terms`).  Each image is checked for non-finite entries once, as it
-  is built, so a bad image raises ValueError from the build.
+  (J, K): 10 arrays, the images as the rows of one 9 x npoints block.  The
+  images are built together: one `TowerSampler.derivatives` pass gives
+  orders 1-4, the 15 products are stacked as the rows of P (15 x npoints),
+  ordered by (-q, p) as `canonical_terms` orders terms, and the images are
+  one matrix product C(J, K) @ P, with C(J, K) = sum F_ab J^a K^b
+  (`_coefficients`).  The block is checked for non-finite entries once, as
+  it is built, so a bad image raises ValueError from the build.  The sums
+  run in BLAS order, not in term order, so an image differs from the
+  per-term sum of `substitute` in the last bits, by at most
+  gamma_n sum |c J^a K^b x^p chi^(q)| on each node, n being the operator's
+  terms plus the 6 monomials.
 
-Together that is at most 61 arrays of npoints x 8 B (2.0 MB at the default
-4000 points), plus, while one level builds its images, 4 derivative samples,
-12 products with p != 0 and 2 scratch arrays.  Every array a `_Level` hands
-out is read-only.
+Together that is at most 21 + 4 x 10 = 61 arrays of npoints x 8 B (2.0 MB at
+the default 4000 points), plus, while one level builds its images, its 4
+derivative samples and P, 19 arrays more.  Every array a `_Level` hands out
+is read-only.
 
 The caches are not thread-safe.  The cached sampler's sweeps advance in
 place, so two threads that sample one (sector, grid) at once can mix their
@@ -55,14 +61,14 @@ from .fd_oracle import (  # noqa: F401
     DEFAULT_TOLERANCES, GridTooCoarse, RadialGrid, VerificationReport, _report, eig_oracle, oracle_reports,
     spectrum_cross_check,
 )
-from .operator_algebra import NumericOperator, generator_table, substitute
+from .operator_algebra import generator_table
 from .quantum_numbers import (  # noqa: F401  (ConvergenceFailure re-exported)
     ConvergenceFailure, GridUnderflow, HalfInt, MonopoleParams, SectorLabels, make_sector, sector_inputs,
 )
 
 SAMPLE_CACHE_LEVELS = 4
-# the x range on which `radial_equation_check` takes its max-norm residual
-RADIAL_EQUATION_WINDOW = (0.01, 40.0)
+# `radial_equation_check` takes its max-norm residual from this x to the end of the grid
+RADIAL_EQUATION_START = 0.01
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +84,19 @@ class GridFunction:
             raise ValueError("grid function contains non-finite entries")
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _rows(cls, grid: RadialGrid, block: np.ndarray) -> list["GridFunction"]:
+        """One grid function per row of a (rows, npoints) float array, all checked in one pass."""
+        if not np.isfinite(block).all():
+            raise ValueError("grid function contains non-finite entries")
+        out = []
+        for row in block:
+            gf = object.__new__(cls)
+            object.__setattr__(gf, "grid", grid)
+            object.__setattr__(gf, "values", row)
+            out.append(gf)
+        return out
+
     def inner(self, other: "GridFunction") -> float:
         return float(self.grid.h * np.dot(self.values, other.values))
 
@@ -86,26 +105,41 @@ class GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# Operator application on grid functions
-# ---------------------------------------------------------------------------
-
-def _sum_terms(numop: NumericOperator, product) -> np.ndarray:
-    """The one body of operator application: sum of c * product(xp, dq) in term order."""
-    out = np.zeros_like(product(0, 0))
-    tmp = np.empty_like(out)
-    for xp, dq, c in numop.terms:
-        out += np.multiply(c, product(xp, dq), out=tmp)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Verification pipelines
 # ---------------------------------------------------------------------------
 
 @cache
-def _top_order() -> int:
-    """The highest derivative order among the `generator_table()` operators."""
-    return max(dq for op in generator_table().values() for (_, dq), _ in op.items())
+def _image_plan() -> tuple[tuple[str, ...], tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], np.ndarray]:
+    """How a level forms its images: (names, products, monomials, F), built once per process.
+
+    `names` are the `generator_table()` keys; `products` the distinct (p, q)
+    of the products x^p chi^(q) behind their terms, ordered by (-q, p) as
+    `canonical_terms` orders terms; `monomials` the distinct (a, b) of the
+    J^a K^b in their coefficients.  F[m] is the (operators, products) matrix
+    of the float coefficients of monomial m, read from each operator's
+    `_float_terms()`, flattened to one row per monomial for `_coefficients`.
+    """
+    table = generator_table()
+    terms = [op._float_terms() for op in table.values()]
+    products = sorted({(xp, dq) for op_terms in terms for xp, dq, _ in op_terms}, key=lambda key: (-key[1], key[0]))
+    monomials = sorted({(jp, kp) for op_terms in terms for _, _, coeffs in op_terms for _, jp, kp in coeffs})
+    column = {key: i for i, key in enumerate(products)}
+    row = {key: i for i, key in enumerate(monomials)}
+    F = np.zeros((len(monomials), len(table), len(products)))
+    for i, op_terms in enumerate(terms):
+        for xp, dq, coeffs in op_terms:
+            for c, jp, kp in coeffs:
+                F[row[jp, kp], i, column[xp, dq]] = c
+    F = F.reshape(len(monomials), -1)
+    F.flags.writeable = False
+    return tuple(table), tuple(products), tuple(monomials), F
+
+
+def _coefficients(J: float, K: float) -> np.ndarray:
+    """C(J, K) = sum_m F[m] J^a K^b: row i holds operator i's coefficient on each product of `_image_plan`."""
+    names, products, monomials, F = _image_plan()
+    weights = np.array([J**jp * K**kp for jp, kp in monomials])
+    return (weights @ F).reshape(len(names), len(products))
 
 
 @lru_cache(maxsize=1)
@@ -142,23 +176,21 @@ class _Level:
     def images(self) -> Mapping[str, GridFunction]:
         """Read-only image of chi under each `generator_table()` operator at this level's (J, K).
 
-        All nine are built at once (see the module docstring).  ValueError if one is not finite.
+        All nine are rows of one product C(J, K) @ P (see the module docstring).  ValueError if
+        one is not finite.
         """
-        J, K = self.state.sector.bigJ, self.state.level.K
+        names, products, _, _ = _image_plan()
         sampler = self._sampler()
-        samples = [self.f.values, *sampler.derivatives(self.state, _top_order())]
-
-        @cache
-        def product(xp: int, dq: int) -> np.ndarray:
-            """x^xp chi^(dq) on the nodes."""
-            return samples[dq] if xp == 0 else samples[dq] * sampler.power(float(xp))
-
-        images = {}
-        for name, op in generator_table().items():
-            image = _sum_terms(substitute(op, J, K), product)
-            image.flags.writeable = False
-            images[name] = GridFunction(self.grid, image)
-        return MappingProxyType(images)
+        samples = [self.f.values, *sampler.derivatives(self.state, max(dq for _, dq in products))]
+        stacked = np.empty((len(products), self.grid.npoints))
+        for row, (xp, dq) in zip(stacked, products):
+            if xp == 0:
+                row[:] = samples[dq]
+            else:
+                np.multiply(samples[dq], sampler.power(float(xp)), out=row)
+        images = _coefficients(self.state.sector.bigJ, self.state.level.K) @ stacked
+        images.flags.writeable = False
+        return MappingProxyType(dict(zip(names, GridFunction._rows(self.grid, images))))
 
 
 # _level(sector, n, grid): the `_Level`, from an LRU cache of SAMPLE_CACHE_LEVELS entries
@@ -166,27 +198,31 @@ _level = lru_cache(maxsize=SAMPLE_CACHE_LEVELS)(_Level)
 
 
 def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
-    """Similarity of T_pm chi_n against chi_{n+-1}; annihilation at the bottom.
+    """T_pm chi_n against the exact multiple c chi_(n+-1); annihilation at the bottom.
 
-    The proportionality constant is never asserted, only measured and
-    reported; the sign of the overlap is discarded.
+    With k = n - j - 1, T+ chi_k = -(k + 2J + 2) chi_(k+1) and T- chi_k =
+    -k chi_(k-1) for the unnormalized chi of `analytic_states`.  The
+    residual ||y - c t||/||y||, with y = T_pm chi_n and t = chi_(n+-1), is
+    linear in an error of y.  `details` gives the expected c and the fitted
+    <y, t>/<t, t> (`proportionality_ratio`).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     t0 = time.perf_counter()
     level = _level(sector, n, grid)
     y = level.images["T+" if sign == 1 else "T-"]
-    bottom = n - sector.j == 1
+    k = level.state.kummer.k
     inputs = sector_inputs(sector, grid, n)
-    if sign == -1 and bottom:
+    if sign == -1 and k == 0:
         residual = y.norm() / math.sqrt(level.norm2)
         return _report("ladder_annihilation", inputs, residual, tol, t0)
     target = _level(sector, n + sign, grid)
-    overlap = y.inner(target.f)
-    sim = abs(overlap) / (y.norm() * math.sqrt(target.norm2))
-    residual = max(0.0, 1.0 - sim)
+    expected = -(k + 2.0 * sector.bigJ + 2.0) if sign == 1 else -float(k)
+    # scaled by max|y|, as ||y|| itself can pass the float range at large J
+    scale = np.max(np.abs(y.values))
+    residual = np.linalg.norm((y.values - expected * target.f.values) / scale) / np.linalg.norm(y.values / scale)
     name = "ladder_raise" if sign == 1 else "ladder_lower"
-    details = {"proportionality_ratio": overlap / target.norm2}
+    details = {"expected_ratio": expected, "proportionality_ratio": y.inner(target.f) / target.norm2}
     return _report(name, inputs, residual, tol, t0, details)
 
 
@@ -241,17 +277,21 @@ def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None =
     return _report("casimir_action", sector_inputs(sector, grid, n), max(res_direct, res_mirror), tol, t0, details)
 
 
+@lru_cache(maxsize=1)
+def _radial_equation_start(grid: RadialGrid) -> int:
+    """The first node at or past RADIAL_EQUATION_START, or 0 when the grid ends before it."""
+    start = int(np.searchsorted(grid.nodes, RADIAL_EQUATION_START))
+    return 0 if start == grid.npoints else start
+
+
 def radial_equation_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
-    """Max-norm residual of (-x^2 D^2 - 2Kx + x^2) chi = -J(J+1) chi on RADIAL_EQUATION_WINDOW."""
+    """Max-norm residual of (-x^2 D^2 - 2Kx + x^2) chi = -J(J+1) chi from x = RADIAL_EQUATION_START to rmax."""
     t0 = time.perf_counter()
     level = _level(sector, n, grid)
     f = level.f
-    resid = level.images["Ln"].values + sector.sep_const * f.values
-    x = grid.nodes
-    mask = (x >= RADIAL_EQUATION_WINDOW[0]) & (x <= RADIAL_EQUATION_WINDOW[1])
-    if not np.any(mask):
-        mask = np.ones_like(x, dtype=bool)
-    residual = float(np.max(np.abs(resid[mask])) / np.max(np.abs(f.values[mask])))
+    start = _radial_equation_start(grid)
+    resid = level.images["Ln"].values[start:] + sector.sep_const * f.values[start:]
+    residual = float(np.max(np.abs(resid)) / np.max(np.abs(f.values[start:])))
     return _report("radial_equation", sector_inputs(sector, grid, n), residual, tol, t0)
 
 

@@ -291,7 +291,11 @@ class NormalOrderedOperator:
         return sorted(self._terms.items(), key=lambda kv: (-kv[0][1], kv[0][0]))
 
     def _float_terms(self) -> tuple[tuple[int, int, tuple[tuple[float, int, int], ...]], ...]:
-        """(xpow, dorder, ((float(c), jpow, kpow), ...)) in canonical order, built by the first `substitute`."""
+        """(xpow, dorder, ((float(c), jpow, kpow), ...)) in canonical order, built on first use.
+
+        The one place exact coefficients become floats: `substitute` and the
+        grid checks' `numeric_verify._image_plan` both read it.
+        """
         if not hasattr(self, "_floats"):
             self._floats = tuple((xp, dq, tuple((float(c), jp, kp) for (jp, kp), c in poly.items()))
                                  for (xp, dq), poly in self.canonical_terms())

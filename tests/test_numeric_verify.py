@@ -4,7 +4,7 @@ import math
 import sys
 import time
 from collections import Counter
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,7 +47,7 @@ from micz_su11.numeric_verify import (
     t3_spacing_check,
     verify_states_suite,
 )
-from micz_su11.operator_algebra import build_Ln, generator_table, substitute
+from micz_su11.operator_algebra import NumericOperator, build_Ln, generator_table, substitute
 from micz_su11.special_functions import KummerSweep
 from micz_su11.quantum_numbers import (
     HalfInt,
@@ -679,6 +679,13 @@ class TestCertifiedBracket:
         assert math.isnan(fd_oracle._predict([levels[0], 1e-3]))
 
 
+def replace_image(level, name, values):
+    """Put `values` in place of one image of a built level, as if its build had made them."""
+    images = dict(level.images)
+    images[name] = GridFunction(level.grid, values)
+    level.__dict__["images"] = MappingProxyType(images)
+
+
 class TestLadder:
     def test_hydrogen_raise_closed_form(self, hydrogen, xgrid):
         # T+ chi_{1,0} = 4 x (x-1) e^{-x} with the stored normalization
@@ -708,6 +715,57 @@ class TestLadder:
         rep = ladder_check(shifted, H("5/2"), -1, xgrid)
         assert rep.check_name == "ladder_lower"
         assert rep.residual <= 1e-7 and rep.passed
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("name", ["hydrogen", "shifted"])
+    def test_against_the_exact_ladder_constant(self, name, sign, xgrid, request):
+        # T+ chi_k = -(k + 2J + 2) chi_(k+1) and T- chi_k = -k chi_(k-1), k = n - j - 1
+        sector = request.getfixturevalue(name)
+        k = 2
+        rep = ladder_check(sector, sector.j + 1 + k, sign, xgrid)
+        expected = -(k + 2.0 * sector.bigJ + 2.0) if sign == 1 else -float(k)
+        assert rep.details["expected_ratio"] == expected
+        assert rep.details["proportionality_ratio"] == pytest.approx(expected, rel=1e-13)
+        assert rep.residual <= 1e-13 and rep.passed
+
+    def test_image_norm_past_the_float_range(self):
+        # at j = 84 ||T+ chi_85|| overflows; the residual is still measured
+        # (it read 1.0 through an overflowed overlap, and 0.0 from ||y|| = inf)
+        sector = make_sector(MonopoleParams(H("0"), 0.0, 0.0), H("0"), H("84"))
+        grid = numeric_verify.states_grid(sector, 3, None, None)
+        with np.errstate(over="ignore"):
+            assert math.isinf(_level(sector, H("85"), grid).images["T+"].norm())
+            rep = ladder_check(sector, H("85"), +1, grid)
+        assert 0.0 < rep.residual <= 1e-13 and rep.passed
+
+    def test_scaled_raise_image_fails(self, shifted, xgrid):
+        # ||y - c t||/||y|| is linear in the error: a T+ image 1e-6 too large
+        # reads 1e-6, ten times the tolerance (1 - |cos| read 0 here)
+        n = shifted.j + 2
+        level = _level(shifted, n, xgrid)
+        try:
+            replace_image(level, "T+", level.images["T+"].values * (1.0 + 1e-6))
+            rep = ladder_check(shifted, n, +1, xgrid)
+        finally:
+            _level.cache_clear()
+        assert rep.residual == pytest.approx(1e-6, rel=1e-3)
+        assert not rep.passed
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_injected_error_fails(self, shifted, xgrid, sign):
+        # an error of 1e-5 relative along another level's state
+        n = shifted.j + 3
+        level = _level(shifted, n, xgrid)
+        name = "T+" if sign == 1 else "T-"
+        y = level.images[name]
+        g = _level(shifted, n + 3, xgrid).f
+        try:
+            replace_image(level, name, y.values + 1e-5 * y.norm() / g.norm() * g.values)
+            rep = ladder_check(shifted, n, sign, xgrid)
+        finally:
+            _level.cache_clear()
+        assert rep.residual == pytest.approx(1e-5, rel=1e-3)
+        assert not rep.passed
 
     def test_below_bottom_rejected(self, shifted, xgrid):
         with pytest.raises(InvalidLevel):
@@ -765,6 +823,32 @@ class TestT3AndCasimir:
         for sec in (hydrogen, shifted):
             rep = radial_equation_check(sec, sec.j + i, xgrid)
             assert rep.residual <= 1e-9 and rep.passed
+
+    def test_radial_equation_read_to_the_end_of_the_grid(self, hydrogen):
+        # a defect past x = 40, where high levels still hold much of their
+        # norm, fails the check; one below x = 0.01 does not count
+        grid = RadialGrid(60.0, 15000)  # h = 0.004
+        n = H("20")
+        level = _level(hydrogen, n, grid)
+        assert radial_equation_check(hydrogen, n, grid).passed
+        x = grid.nodes
+        fmax = np.max(np.abs(level.f.values))
+        ln = level.images["Ln"].values
+        try:
+            for where, fails in ((50.0, True), (0.005, False)):
+                bumped = ln.copy()
+                bumped[np.searchsorted(x, where)] += 1e-6 * fmax
+                replace_image(level, "Ln", bumped)
+                assert radial_equation_check(hydrogen, n, grid).passed is not fails, where
+        finally:
+            _level.cache_clear()
+
+    def test_radial_equation_start_node(self):
+        x = RadialGrid(1.0, 999).nodes  # h = 0.001
+        start = numeric_verify._radial_equation_start(RadialGrid(1.0, 999))
+        assert x[start] >= 0.01 > x[start - 1]
+        # a grid that ends before x = 0.01 is read whole
+        assert numeric_verify._radial_equation_start(RadialGrid(0.005, 100)) == 0
 
 
 class TestSpectrumCrossCheck:
@@ -1038,11 +1122,11 @@ class TestSampleCache:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
-    @pytest.mark.parametrize("spec", [("0", 0.0, 0.0, "0", "0"), ("1/2", 1.0, 0.0, "1/2", "1/2"),
-                                      ("1", 0.5, 2.0, "-1", "2")],
-                             ids=["hydrogen", "half-odd", "shifted-J"])
-    @pytest.mark.parametrize("step", [0, 2, 4], ids=["bottom", "middle", "top"])
-    def test_images_equal_apply_operator(self, spec, step):
+    IMAGE_SECTORS = [("0", 0.0, 0.0, "0", "0"), ("1/2", 1.0, 0.0, "1/2", "1/2"), ("1", 0.5, 2.0, "-1", "2")]
+
+    @staticmethod
+    def _reference_case(spec, step):
+        """A cold level of one sector at the suite's default grid, with the inputs of `apply_operator`."""
         s, c1, c2, m, j = spec
         sector = make_sector(MonopoleParams(H(s), c1, c2), H(m), H(j))
         # the grid `verify_states_suite` picks at its default nlevels = 5
@@ -1053,45 +1137,106 @@ class TestSampleCache:
         level = _level(sector, n, grid)
         _, f, derivs = sampled(sector, n, grid)
         assert np.array_equal(level.f.values, f.values)
+        return level, f, derivs
+
+    @staticmethod
+    def _forward_error_bound(op, level, f, derivs):
+        """gamma_n sum |c J^a K^b| |x^p chi^(q)| on each node, n = terms + monomials.
+
+        Both the per-term sum of `apply_operator` and the product C(J, K) @ P
+        approximate one exact sum of these pieces, each within that bound
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1);
+        each coefficient counts as the sum of its monomials, whose evaluation
+        can cancel.
+        """
+        J, K = level.state.sector.bigJ, level.state.level.K
+        x = level.grid.nodes
+        samples = [f.values, *(derivs(order) for order in range(1, 5))]
+        terms = op._float_terms()
+        nu = (len(terms) + len(numeric_verify._image_plan()[2])) * 2.0**-53
+        pieces = np.zeros_like(x)
+        for xp, dq, coeffs in terms:
+            pieces += sum(abs(c * J**jp * K**kp) for c, jp, kp in coeffs) * np.abs(samples[dq] * x ** float(xp))
+        return nu / (1.0 - nu) * pieces
+
+    @pytest.mark.parametrize("spec", IMAGE_SECTORS, ids=["hydrogen", "half-odd", "shifted-J"])
+    @pytest.mark.parametrize("step", [0, 2, 4], ids=["bottom", "middle", "top"])
+    def test_images_equal_apply_operator(self, spec, step):
+        # equal to the per-term sum of the reference up to rounding: element by
+        # element within the forward-error bound of the two summation orders
+        level, f, derivs = self._reference_case(spec, step)
         table = operator_algebra.generator_table()
         assert set(level.images) == set(table) and len(table) == 9
+        J, K = level.state.sector.bigJ, level.state.level.K
         for name, op in table.items():
-            expected = apply_operator(substitute(op, sector.bigJ, level.state.level.K), f, derivs).values
+            expected = apply_operator(substitute(op, J, K), f, derivs).values
             image = level.images[name].values
-            assert np.array_equal(image, expected), name
+            bound = self._forward_error_bound(op, level, f, derivs)
+            assert np.all(np.abs(image - expected) <= bound), name
             with pytest.raises(ValueError, match="read-only"):
                 image[0] = 1.0
 
-    def test_each_image_built_once(self, hydrogen, monkeypatch):
-        names = {id(op): name for name, op in operator_algebra.generator_table().items()}
-        substituted = Counter()
-        sampled_orders = Counter()
-        sums = []
-        substitute_ = numeric_verify.substitute
-        derivatives = TowerSampler.derivatives
-        sum_terms = numeric_verify._sum_terms
+    @pytest.mark.parametrize("spec", IMAGE_SECTORS, ids=["hydrogen", "half-odd", "shifted-J"])
+    def test_one_coefficient_off_by_1e_12_breaks_the_bound(self, spec):
+        # the bound is tight enough to see any one coefficient of any of the
+        # nine operators off by 1e-12 relative
+        level, f, derivs = self._reference_case(spec, 2)
+        J, K = level.state.sector.bigJ, level.state.level.K
+        for name, op in operator_algebra.generator_table().items():
+            image = level.images[name].values
+            bound = self._forward_error_bound(op, level, f, derivs)
+            numop = substitute(op, J, K)
+            for i, (xp, dq, c) in enumerate(numop.terms):
+                terms = list(numop.terms)
+                terms[i] = (xp, dq, c * (1.0 + 1e-12))
+                off = apply_operator(NumericOperator(tuple(terms), J, K), f, derivs).values
+                assert not np.all(np.abs(image - off) <= bound), (name, xp, dq)
 
-        def counting_substitute(op, jval, kval):
-            substituted[names[id(op)], kval] += 1
-            return substitute_(op, jval, kval)
+    def test_coefficients_equal_substitute_up_to_rounding(self, shifted):
+        # row i of C(J, K) holds generator i's substituted coefficients, zero
+        # where it has no term on that product
+        names, products, monomials, _ = numeric_verify._image_plan()
+        assert list(names) == list(operator_algebra.generator_table())
+        assert len(products) == 15 and list(products) == sorted(products, key=lambda key: (-key[1], key[0]))
+        assert monomials == ((0, 0), (0, 1), (1, 0), (2, 0), (3, 0), (4, 0))
+        J, K = shifted.bigJ, shifted.bigJ + 3.0
+        C = numeric_verify._coefficients(J, K)
+        for i, (name, op) in enumerate(operator_algebra.generator_table().items()):
+            terms = {(xp, dq): c for xp, dq, c in substitute(op, J, K).terms}
+            scale = {(xp, dq): sum(abs(c * J**jp * K**kp) for c, jp, kp in coeffs)
+                     for xp, dq, coeffs in op._float_terms()}
+            for col, key in enumerate(products):
+                assert abs(C[i, col] - terms.get(key, 0.0)) <= 16 * 2.0**-53 * scale.get(key, 0.0), (name, key)
+
+    def test_each_image_built_once(self, hydrogen, monkeypatch):
+        coefficients = []
+        blocks = []
+        sampled_orders = Counter()
+        coefficients_ = numeric_verify._coefficients
+        rows = GridFunction._rows.__func__
+        derivatives = TowerSampler.derivatives
+
+        def counting_coefficients(J, K):
+            coefficients.append((J, K))
+            return coefficients_(J, K)
+
+        def counting_rows(cls, grid, block):
+            blocks.append(block.shape)
+            return rows(cls, grid, block)
 
         def counting_derivatives(sampler, state, top):
             sampled_orders.update((state.level.n, order) for order in range(1, top + 1))
             return derivatives(sampler, state, top)
 
-        def counting_sum(numop, product):
-            sums.append((numop.kval, numop.terms))
-            return sum_terms(numop, product)
-
         _level.cache_clear()
         _tower_sampler.cache_clear()
-        monkeypatch.setattr(numeric_verify, "substitute", counting_substitute)
+        monkeypatch.setattr(numeric_verify, "_coefficients", counting_coefficients)
+        monkeypatch.setattr(GridFunction, "_rows", classmethod(counting_rows))
         monkeypatch.setattr(TowerSampler, "derivatives", counting_derivatives)
-        monkeypatch.setattr(numeric_verify, "_sum_terms", counting_sum)
         self._suite(hydrogen)
-        # ten levels, nine generators each: 90 substitutions and 90 images
-        assert sum(substituted.values()) == 90 and len(substituted) == 90
-        assert len(sums) == 90 and len(set(sums)) == 90
+        # ten levels: one coefficient matrix and one block of nine images each
+        assert len(coefficients) == 10 and len(set(coefficients)) == 10
+        assert blocks == [(9, 4000)] * 10
         # four derivative orders per level, each sampled once
         assert sum(sampled_orders.values()) == 40 and max(sampled_orders.values()) == 1
 
