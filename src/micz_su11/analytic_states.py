@@ -11,16 +11,18 @@ exact rational coefficients as a reference.
 `TowerSampler` samples chi and its derivatives for every level of one tower
 on one fixed x, resuming its Kummer sweeps from level to level; its
 `derivatives` gives all orders up to a top one from one list of Kummer rows,
-and its `power` is the one cache of the powers x^e on that x.
-`chi` and `chi_dn` read a sampler of their own (its `chi`, or the last of its
-`derivatives`), so there is one float evaluation of chi and one product-rule
-body for its derivatives.
+its `row` hands out those rows, its `w` is the factor (2x)^(J+1) e^(-x) that
+chi shares with them, and its `power` is the one cache of the powers x^e on
+that x.  `chi` and `chi_dn` read a sampler of their own (its `chi`, or the
+last of its `derivatives`), so there is one float evaluation of chi, and
+`product_rule` is the one body of the product rule behind its derivatives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +80,26 @@ def radial_state(sector: SectorLabels, n: HalfInt | int) -> RadialState:
     )
 
 
+def product_rule(order: int, alpha: float) -> list[tuple[int, int, float]]:
+    """The terms (i, l, c) of d^order/dx^order [x^alpha e^(-x) P(x)] = sum c x^(alpha-i) e^(-x) P^(l)(x).
+
+    With i + t + l = order, c = C(order, i) C(order-i, t) alpha (alpha-1) ... (alpha-i+1) (-1)^t.
+    Terms whose falling factorial vanishes are left out; the rest come in
+    the order `TowerSampler.derivatives` sums them, i ascending, then t.
+    """
+    out = []
+    for i in range(order + 1):
+        fall = 1.0
+        for t in range(i):
+            fall *= alpha - t
+        if fall == 0.0:
+            continue
+        for t in range(order - i + 1):
+            sgn = -1.0 if t % 2 else 1.0
+            out.append((i, order - i - t, math.comb(order, i) * math.comb(order - i, t) * fall * sgn))
+    return out
+
+
 class TowerSampler:
     """chi and its derivatives for every level of one j tower on one fixed x.
 
@@ -85,9 +107,10 @@ class TowerSampler:
     recurrence in the order does not depend on k.  So the sampler keeps one
     `KummerSweep` per shift l, which resumes when a higher level is asked
     for and restarts when a lower one is: an ascending walk over the tower
-    runs each sweep once.  It also keeps 2x, e^(-x) and every power x^e it
-    has been asked for (`power`).  A sweep's rows do not depend on where it
-    resumed from, so a value does not depend on the levels asked for before.
+    runs each sweep once.  It also keeps 2x, e^(-x), w = (2x)^alpha e^(-x)
+    with alpha = J+1 (from its first read) and every power x^e it has been
+    asked for (`power`).  A sweep's rows do not depend on where it resumed
+    from, so a value does not depend on the levels asked for before.
     """
 
     def __init__(self, sector: SectorLabels, x):
@@ -106,8 +129,13 @@ class TowerSampler:
             out = self._powers[e] = self.x ** e
         return out
 
-    def _row(self, p: KummerParams, l: int):
-        """F(-(k-l), b+l; 2x), from the sweep of shift l."""
+    @cached_property
+    def w(self):
+        """(2x)^alpha e^(-x), the factor chi = w F(-k, b; 2x) shares with every level of the tower."""
+        return self.z**self.alpha * self.expf
+
+    def row(self, p: KummerParams, l: int):
+        """F(-(k-l), b+l; 2x) for l <= k, from the sweep of shift l."""
         while len(self._sweeps) <= l:
             self._sweeps.append(KummerSweep(p.bparam + len(self._sweeps), self.z))
         return self._sweeps[l].row(p.k - l)
@@ -119,40 +147,29 @@ class TowerSampler:
     def chi(self, state: RadialState):
         """chi of `state` on the sampler's x."""
         self._check(state)
-        return self.z**self.alpha * self.expf * self._row(state.kummer, 0)
+        return self.w * self.row(state.kummer, 0)
 
     def derivatives(self, state: RadialState, top: int) -> list:
         """Exact chi', chi'', ..., chi^(top) via the three-factor product rule.
 
         chi = 2^alpha * x^alpha * e^(-x) * P(x) with alpha = J+1, so each
-        derivative is a finite multinomial sum; no finite differences
-        anywhere.  Each P^(l)(x) = 2^l F^(l)(-k, b; 2x) that does not vanish
+        derivative is the finite multinomial sum of `product_rule`; no
+        finite differences anywhere.  Each P^(l)(x) = 2^l F^(l)(-k, b; 2x) that does not vanish
         identically (l <= k) is taken once, for all orders, from the sweep of
         shift l; the terms are formed in one scratch array.
         """
         self._check(state)
         p = state.kummer
-        dpoly = [2.0**l * (_kummer_deriv_scale(p, l) * self._row(p, l))
+        dpoly = [2.0**l * (_kummer_deriv_scale(p, l) * self.row(p, l))
                  for l in range(min(top, p.k) + 1)]
-        alpha = self.alpha
-        pref = 2.0**alpha
+        pref = 2.0**self.alpha
         tmp = np.empty_like(self.x)
         out = []
         for order in range(1, top + 1):
             total = np.zeros_like(self.x)
-            for i in range(order + 1):
-                fall = 1.0
-                for t in range(i):
-                    fall *= alpha - t
-                if fall == 0.0:
-                    continue
-                xp = self.power(alpha - i)
-                for jj in range(order - i + 1):
-                    l = order - i - jj
-                    if l >= len(dpoly):
-                        continue
-                    sgn = -1.0 if jj % 2 else 1.0
-                    np.multiply(math.comb(order, i) * math.comb(order - i, jj) * fall * sgn, xp, out=tmp)
+            for i, l, c in product_rule(order, self.alpha):
+                if l < len(dpoly):
+                    np.multiply(c, self.power(self.alpha - i), out=tmp)
                     total += np.multiply(tmp, dpoly[l], out=tmp)
             out.append(pref * self.expf * total)
         return out

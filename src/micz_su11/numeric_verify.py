@@ -11,31 +11,42 @@ The grid checks reuse work in process-wide caches:
   J^a K^b in them (1, K, J, J^2, J^3, J^4), a 9 x 15 matrix over the 9
   operators and the 15 distinct products x^p chi^(q) behind their 69 terms;
 - `_tower_sampler(sector, grid)` keeps one `analytic_states.TowerSampler`
-  for the last (sector, grid): 2x, e^(-x), the powers x^e it has handed out
-  (up to five x^(J+1-i) for the derivatives and the x^p, p in {-2, -1, 1,
-  2}, of the generators' terms) and the last two rows of the resumable
-  Kummer sweep of each derivative order l <= 4, at most 21 arrays.  A walk
-  up the tower runs each sweep once;
+  for the last (sector, grid): 2x, e^(-x), w = (2x)^(J+1) e^(-x), the
+  powers x^e it has handed out (e in {-2, -1, 1, 2}) and the last two rows
+  of the resumable Kummer sweep of each shift l <= 4, F_l = F(-(k-l), b+l;
+  2x), at most 17 arrays.  A walk up the tower runs each sweep once;
+  `_product_rule_matrix(alpha)` keeps M(alpha) for the last tower (below);
 - `_level(sector, n, grid)` is an LRU of SAMPLE_CACHE_LEVELS = 4 `_Level`s,
   enough for the n-1, n, n+1 window of `verify_states_suite`.  A `_Level`
-  holds the state, chi on the nodes and, from the first read of `images`,
-  the images of chi under the nine `generator_table()` operators at its
-  (J, K): 10 arrays, the images as the rows of one 9 x npoints block.  The
-  images are built together: one `TowerSampler.derivatives` pass gives
-  orders 1-4, the 15 products are stacked as the rows of P (15 x npoints),
-  ordered by (-q, p) as `canonical_terms` orders terms, and the images are
-  one matrix product C(J, K) @ P, with C(J, K) = sum F_ab J^a K^b
-  (`_coefficients`).  The block is checked for non-finite entries once, as
-  it is built, so a bad image raises ValueError from the build.  The sums
-  run in BLAS order, not in term order, so an image differs from the
-  per-term sum of `substitute` in the last bits, by at most
-  gamma_n sum |c J^a K^b x^p chi^(q)| on each node, n being the operator's
-  terms plus the 6 monomials.
+  holds the state, chi = w F_0 on the nodes and, from the first read of
+  `images`, the images of chi under the nine `generator_table()` operators
+  at its (J, K): 10 arrays, the images as the rows of one 9 x npoints
+  block.  No derivative of chi is sampled.  By the product rule
+  (`analytic_states.product_rule`), x^p chi^(q) = w sum c x^(p-i) P^(l)
+  with P^(l) = 2^l (-k)_l/(b)_l F_l, and for every product x^p chi^(q)
+  behind the generators' terms the rows x^e F_l it expands into have keys
+  (e, l) among the same 15 keys.  So the images are one matrix product
+  w (C(J, K) M(alpha) S_k) @ B: B stacks the rows x^e F_l with l <= k (at
+  most 15 x npoints, each one multiply of a cached power by a Kummer row),
+  M(alpha) (15 x 15) holds the product-rule coefficients, which depend only
+  on alpha = J+1, S_k = diag(2^l (-k)_l/(b)_l) is zero past l = k, and
+  C(J, K) = sum F_ab J^a K^b (`_coefficients`).  Terms that cancel in
+  closed form cancel in the coefficients, so some residuals read exactly 0
+  (at k = 0 the rows are plain powers of x).  The block is checked for
+  non-finite entries once, as it is built, so a bad image raises ValueError
+  from the build.  An image differs from the per-term sum of `substitute`
+  over derivative samples by rounding only: at most
+  gamma_n sum |c| |x^p chi^(q)| + gamma_N sum |c| |M S| |w x^e F_l| on each
+  node, n being the operator's terms plus the 6 monomials and N its
+  expanded terms plus 15 + 6 (the bound `tests/` asserts).
 
-Together that is at most 21 + 4 x 10 = 61 arrays of npoints x 8 B (2.0 MB at
-the default 4000 points), plus, while one level builds its images, its 4
-derivative samples and P, 19 arrays more.  Every array a `_Level` hands out
-is read-only.
+Together that is at most 17 + 4 x 10 = 57 arrays of npoints x 8 B (1.8 MB at
+the default 4000 points), plus, while one level builds its images, the rows
+of B, 15 arrays more.  Every array a `_Level` hands out is read-only.
+
+Inner products and norms are sums in one fixed order (`_dot`), not BLAS
+ddot, which splits long sums over threads: a report does not depend on the
+BLAS thread count.
 
 The caches are not thread-safe.  The cached sampler's sweeps advance in
 place, so two threads that sample one (sector, grid) at once can mix their
@@ -55,7 +66,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .analytic_states import TowerSampler, angular_residual, angular_state, default_angular_mesh, radial_state
+from .analytic_states import (
+    TowerSampler, angular_residual, angular_state, default_angular_mesh, product_rule, radial_state,
+)
 # the oracle's public names, defined once in fd_oracle and re-exported here
 from .fd_oracle import (  # noqa: F401
     DEFAULT_TOLERANCES, GridTooCoarse, RadialGrid, VerificationReport, _report, eig_oracle, oracle_reports,
@@ -65,10 +78,16 @@ from .operator_algebra import generator_table
 from .quantum_numbers import (  # noqa: F401  (ConvergenceFailure re-exported)
     ConvergenceFailure, GridUnderflow, HalfInt, MonopoleParams, SectorLabels, make_sector, sector_inputs,
 )
+from .special_functions import _kummer_deriv_scale
 
 SAMPLE_CACHE_LEVELS = 4
 # `radial_equation_check` takes its max-norm residual from this x to the end of the grid
 RADIAL_EQUATION_START = 0.01
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum a_i b_i in one fixed order: `np.dot` is a BLAS ddot, which splits long sums over threads."""
+    return float(np.einsum("i,i->", a, b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +117,7 @@ class GridFunction:
         return out
 
     def inner(self, other: "GridFunction") -> float:
-        return float(self.grid.h * np.dot(self.values, other.values))
+        return self.grid.h * _dot(self.values, other.values)
 
     def norm(self) -> float:
         return math.sqrt(self.inner(self))
@@ -133,6 +152,25 @@ def _image_plan() -> tuple[tuple[str, ...], tuple[tuple[int, int], ...], tuple[t
     F = F.reshape(len(monomials), -1)
     F.flags.writeable = False
     return tuple(table), tuple(products), tuple(monomials), F
+
+
+@lru_cache(maxsize=1)
+def _product_rule_matrix(alpha: float) -> np.ndarray:
+    """M(alpha): row (p, q) holds x^p chi^(q) on the rows x^e F_l of the tower's sampler.
+
+    The rows and the columns both follow `_image_plan`'s products, read as
+    (p, q) and as (e, l): by `product_rule`, x^p chi^(q) = w sum c x^(p-i)
+    P^(l), and P^(l) = 2^l (-k)_l/(b)_l F_l.  M holds the c, which depend
+    only on alpha = J+1; the level's S_k = diag(2^l (-k)_l/(b)_l) stays out.
+    """
+    _, products, _, _ = _image_plan()
+    column = {key: i for i, key in enumerate(products)}
+    M = np.zeros((len(products), len(products)))
+    for row, (xp, dq) in zip(M, products):
+        for i, l, c in product_rule(dq, alpha):
+            row[column[xp - i, l]] = c
+    M.flags.writeable = False
+    return M
 
 
 def _coefficients(J: float, K: float) -> np.ndarray:
@@ -176,19 +214,27 @@ class _Level:
     def images(self) -> Mapping[str, GridFunction]:
         """Read-only image of chi under each `generator_table()` operator at this level's (J, K).
 
-        All nine are rows of one product C(J, K) @ P (see the module docstring).  ValueError if
-        one is not finite.
+        All nine are rows of one product w (C(J, K) M(alpha) S_k) @ B (see the module
+        docstring).  ValueError if one is not finite.
         """
         names, products, _, _ = _image_plan()
         sampler = self._sampler()
-        samples = [self.f.values, *sampler.derivatives(self.state, max(dq for _, dq in products))]
-        stacked = np.empty((len(products), self.grid.npoints))
-        for row, (xp, dq) in zip(stacked, products):
-            if xp == 0:
-                row[:] = samples[dq]
+        p = self.state.kummer
+        # S_k is zero past l = k, so B leaves out the rows x^e F_l with l > k
+        basis = [i for i, (_, l) in enumerate(products) if l <= p.k]
+        shifts = range(max(products[i][1] for i in basis) + 1)
+        kummer = [sampler.row(p, l) for l in shifts]
+        diag = [2.0**l * _kummer_deriv_scale(p, l) for l in shifts]
+        B = np.empty((len(basis), self.grid.npoints))
+        for row, i in zip(B, basis):
+            xe, l = products[i]
+            if xe == 0:
+                row[:] = kummer[l]
             else:
-                np.multiply(samples[dq], sampler.power(float(xp)), out=row)
-        images = _coefficients(self.state.sector.bigJ, self.state.level.K) @ stacked
+                np.multiply(sampler.power(float(xe)), kummer[l], out=row)
+        CM = _coefficients(self.state.sector.bigJ, self.state.level.K) @ _product_rule_matrix(sampler.alpha)
+        images = (CM[:, basis] * [diag[products[i][1]] for i in basis]) @ B
+        images *= sampler.w
         images.flags.writeable = False
         return MappingProxyType(dict(zip(names, GridFunction._rows(self.grid, images))))
 
@@ -220,7 +266,9 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
     expected = -(k + 2.0 * sector.bigJ + 2.0) if sign == 1 else -float(k)
     # scaled by max|y|, as ||y|| itself can pass the float range at large J
     scale = np.max(np.abs(y.values))
-    residual = np.linalg.norm((y.values - expected * target.f.values) / scale) / np.linalg.norm(y.values / scale)
+    diff = (y.values - expected * target.f.values) / scale
+    scaled = y.values / scale
+    residual = math.sqrt(_dot(diff, diff)) / math.sqrt(_dot(scaled, scaled))
     name = "ladder_raise" if sign == 1 else "ladder_lower"
     details = {"expected_ratio": expected, "proportionality_ratio": y.inner(target.f) / target.norm2}
     return _report(name, inputs, residual, tol, t0, details)

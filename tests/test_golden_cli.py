@@ -6,11 +6,14 @@ Each case runs `main(argv)` and compares the exit code, stdout, stderr and
 after replacing every `"runtime_ms": <value>` with
 `"runtime_ms": null` (the one non-reproducible value).
 
-Only `spectrum`, `verify-algebra` and `oracle` have golden files: their
-floats come from correctly rounded operations (sqrt, + - * /) or exact
-rationals, so they are the same on every platform.  `eigenfunction` and
+`spectrum`, `verify-algebra` and `oracle` have golden files: their floats
+come from correctly rounded operations (sqrt, + - * /) or exact rationals,
+so they are the same on every platform.  `eigenfunction` and
 `verify-states` go through `np.exp` and `**`, whose last bit can differ
-between CPUs.
+between CPUs.  One `eigenfunction` case is kept all the same: chi, chi' and
+chi'' of a high level of a shifted sector pin the operation order of
+`TowerSampler.derivatives` bit for bit; on a platform whose exp or pow
+rounds differently, regenerate that file from a commit known to be right.
 """
 
 import re
@@ -56,6 +59,9 @@ CASES = [
     ("oracle-hydrogen-nmax10-csv", 1,
      ["oracle", "--s", "0", "--m", "0", "--j", "0", "--nmax", "10", "--rmax", "1452", "--npoints", "20000"]),
     ("oracle-bigJ39.7-nmax10-csv", 0, ["oracle", "--bigJ", "39.707106781186546", "--nmax", "10"]),
+    # chi, chi' and chi'' from one derivative pass at k = 30, J = 4.64
+    ("eigenfunction-shifted-n34", 0,
+     ["eigenfunction", "--s", "1", "--c1", "2", "--c2", "0.5", "--m", "1", "--j", "3", "--n", "34"]),
     ("oracle-failing-tol", 1,
      ["oracle", "--s", "0", "--m", "0", "--j", "0", "--nmax", "1", "--rmax", "60", "--npoints", "120",
       "--tol", "1e-9"]),
