@@ -22,7 +22,10 @@ per eigenvalue from every sweep of the call and sweeps only inside it.
 Each eigenvalue gets one `_locate` guess theta.  Its secant starts next to
 `_predict`'s extrapolation of the call's lower eigenvalues, so no coarse
 sweep runs; for the first eigenvalue, and after a prediction fails to
-certify (box states), once sweeps narrow a bound state's bracket.  The first
+certify (box states), once sweeps narrow a bound state's bracket.  The
+secant's backward pivots start LOCATE_EFOLDS e-folds into the forbidden
+tail, on the decaying solution's own pivot, and it stops once its error,
+superlinear in the last two steps, is below the floor.  The first
 two sweeps run at the ends of the final cell that the walk reaches when
 theta decides each midpoint: when they certify it, every midpoint of the
 walk is decided without a sweep.  Otherwise sweeps at theta -+ delta, widened
@@ -48,7 +51,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-from .quantum_numbers import ConvergenceFailure, GridUnderflow, HalfInt, MonopoleParams, make_sector, sector_inputs
+from .quantum_numbers import (ConvergenceFailure, GridUnderflow, HalfInt, MonopoleParams, cached_hash, make_sector,
+                              sector_inputs)
 from .quantum_numbers import levels as sector_levels
 
 MIN_NODES_PER_WAVELENGTH = 8
@@ -58,9 +62,9 @@ STURM_TAIL_MARGIN = 1e-12
 # the locator of `eig_oracle` (see `_locate`); no value can change an eigenvalue
 LOCATE_WIDTH = 1e-2  # it runs once a bound state's bracket is narrower than this times |b|
 LOCATE_TWIST = 0.85  # the twist node as a fraction of the tail start
-LOCATE_EFOLDS = 20.0  # e-folds of decay from the tail start to the backward pivots' Dirichlet end
+LOCATE_EFOLDS = 12.0  # e-folds of decay from the tail start to the backward pivots' start on the decaying tail
 LOCATE_STRIDE = 32  # nodes per sample of that decay (see `_dirichlet_end`)
-LOCATE_STEPS = 12  # secant steps at most, until one is below LOCATE_FLOOR max(1, |lam|)
+LOCATE_STEPS = 12  # secant steps at most, until one is below LOCATE_FLOOR max(1, |lam|) (see `_locate`)
 LOCATE_FLOOR = 1e-15
 LOCATE_ROUNDS = 6  # widenings by 8 of the certification window
 LOCATE_PREDICT = 5e-8  # the secant's first two points lie this far, relative, on either side of `_predict`
@@ -82,6 +86,7 @@ class GridTooCoarse(ValueError):
     """Fewer than the required nodes per expected wavelength."""
 
 
+@cached_hash
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform interior nodes r_i = i h, h = rmax/(npoints+1); Dirichlet ends.
@@ -288,7 +293,7 @@ def _fd_matrix(J: float, grid: RadialGrid) -> tuple[list[float], float, float, f
 
 
 def _dirichlet_end(diag: list[float], t: int, b: float, theta: float) -> int:
-    """`_locate`'s backward Dirichlet end M: LOCATE_EFOLDS e-folds past the tail start t, or the last node.
+    """`_locate`'s backward end M: LOCATE_EFOLDS e-folds past the tail start t, or the last node.
 
     Past t the decaying solution falls by kappa_i = acosh((d_i - theta) / 2b)
     e-folds per node.  A tail start t >= 1 lies past the diagonal's minimum,
@@ -315,22 +320,43 @@ def _locate(diag: list[float], suffix_min: list[float], off: float, a: float, b:
     eigenvalue.  Secant from a and b on the twisted factorization's
     gamma_m(lam) = q+_m + q-_m - (d_m - lam) = 1 / [(T - lam)^-1]_mm, whose root
     is an eigenvalue: q+ are the forward pivots from node 0, q- the backward
-    ones from a Dirichlet end at node M.  The twist m, short of the tail start
-    t at the midpoint of (a, b), sits where the eigenvector is large; M lies
-    far enough past t that the truncation is far below rounding, placed by a
-    walk that evaluates acosh once per LOCATE_STRIDE nodes (`_dirichlet_end`).
-    (nan, nan) when an evaluation fails.
+    ones from node M - 1.  The twist m, short of the tail start t at the
+    midpoint of (a, b), sits where the eigenvector is large.  M lies
+    LOCATE_EFOLDS e-folds of decay past t, placed by a walk that evaluates
+    acosh once per LOCATE_STRIDE nodes (`_dirichlet_end`).
+
+    Before the last node, q-_(M-1) is the stable fixed point of the backward
+    step p -> (d - lam) - off^2/p at d = d_(M-1): p = g + sqrt(g^2 - off^2)
+    with g = (d_(M-1) - lam)/2, the pivot of the solution that keeps
+    decaying past M.  A Dirichlet start there would put an O(1) relative
+    error on q-_(M-1), damped by about e^(-2 LOCATE_EFOLDS) at m; the
+    fixed point leaves only the drift of d past M, so 12 e-folds put the
+    guess within a final bisection cell of the untruncated one (the
+    Dirichlet start took 20).  When M is the last node, its Dirichlet
+    condition is the matrix's own and stays; so does it when g < |off|,
+    which a secant point far above the eigenvalue can reach.
+
+    The secant's error after a step s_n is about |s_n| |s_n / s_(n-1)|
+    (superlinear convergence), so it stops once s_n^2 <= c LOCATE_FLOOR
+    max(1, |x|) |s_(n-1)|, with c = 1e-3 a safety factor on that estimate,
+    or once |s_n| itself is below LOCATE_FLOOR max(1, |x|); either way
+    without evaluating gamma at the new point.  (nan, nan) when an
+    evaluation fails.
     """
-    theta, e2 = 0.5 * (a + b), off * off
-    t = _tail_start(suffix_min, abs(off), theta)
+    theta, e2, coupling = 0.5 * (a + b), off * off, abs(off)
+    t = _tail_start(suffix_min, coupling, theta)
     m = int(LOCATE_TWIST * t)
-    M = _dirichlet_end(diag, t, abs(off), theta)
+    M = _dirichlet_end(diag, t, coupling, theta)
+    truncated = M < len(diag)
     if m < 1 or M < m + 2:
         return math.nan, math.nan
     head, back, d_m = diag[1:m], diag[M - 2:m:-1], diag[m]
 
     def gamma(lam):
         q, p = diag[0] - lam, diag[M - 1] - lam
+        if truncated and 0.5 * p >= coupling:
+            # the decaying tail's stable fixed point p = g + sqrt(g^2 - off^2), g = (d - lam)/2
+            p = 0.5 * p + math.sqrt(0.25 * p * p - e2)
         for d in head:
             q = d - lam - e2 / q
         for d in back:
@@ -343,9 +369,11 @@ def _locate(diag: list[float], suffix_min: list[float], off: float, a: float, b:
         for _ in range(LOCATE_STEPS):
             if not (math.isfinite(g1) and g1 != g0):
                 break
-            step = g1 * (x1 - x0) / (g1 - g0)
+            last, step = step, g1 * (x1 - x0) / (g1 - g0)
             x0, g0, x1 = x1, g1, x1 - step
-            if abs(step) <= LOCATE_FLOOR * max(1.0, abs(x1)):
+            floor = LOCATE_FLOOR * max(1.0, abs(x1))
+            # 1e-3: the safety factor c on the superlinear error estimate
+            if abs(step) <= floor or step * step <= 1e-3 * floor * abs(last):
                 break
             g1 = gamma(x1)
     except ZeroDivisionError:  # a pivot that is exactly zero

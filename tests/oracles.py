@@ -176,6 +176,39 @@ def sturm_count(diag: list[float], suffix_min: list[float], off: float, lam: flo
     return _sturm_count(diag, suffix_min, off, lam, len(diag))
 
 
+def locate_untruncated(diag: list[float], off: float, m: int, a: float, b: float) -> float:
+    """The root near a < b of gamma_m(lam) = 1 / [(T - lam)^-1]_mm, every backward pivot from the last node.
+
+    The twisted factorization of the whole matrix: forward pivots from node
+    0, backward ones from the matrix's own end (its Dirichlet condition),
+    so nothing is truncated.  Plain secant from a and b until a step falls
+    below 1e-15 max(1, |lam|); nan when an evaluation fails.
+    """
+    e2 = off * off
+
+    def gamma(lam):
+        q, p = diag[0] - lam, diag[-1] - lam
+        for d in diag[1:m]:
+            q = d - lam - e2 / q
+        for d in reversed(diag[m + 1:-1]):
+            p = d - lam - e2 / p
+        return diag[m] - lam - e2 / q - e2 / p
+
+    try:
+        x0, g0, x1, g1 = a, gamma(a), b, gamma(b)
+        for _ in range(50):
+            if not (math.isfinite(g1) and g1 != g0):
+                break
+            step = g1 * (x1 - x0) / (g1 - g0)
+            x0, g0, x1 = x1, g1, x1 - step
+            if abs(step) <= 1e-15 * max(1.0, abs(x1)):
+                break
+            g1 = gamma(x1)
+    except ZeroDivisionError:
+        return math.nan
+    return x1
+
+
 # ---------------------------------------------------------------------------
 # The exact kernel as it accumulated before it built results in canonical
 # form: every partial sum is a fresh ParamPoly from the validating public

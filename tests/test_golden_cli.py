@@ -59,6 +59,10 @@ CASES = [
     ("oracle-hydrogen-nmax10-csv", 1,
      ["oracle", "--s", "0", "--m", "0", "--j", "0", "--nmax", "10", "--rmax", "1452", "--npoints", "20000"]),
     ("oracle-bigJ39.7-nmax10-csv", 0, ["oracle", "--bigJ", "39.707106781186546", "--nmax", "10"]),
+    # a box whose high levels break the quantum-defect law: a prediction
+    # fails to certify, and every later level is located from its bracket
+    ("oracle-box-nmax60-csv", 1,
+     ["oracle", "--s", "0", "--m", "0", "--j", "0", "--nmax", "60", "--rmax", "200", "--npoints", "2000"]),
     # chi, chi' and chi'' from one derivative pass at k = 30, J = 4.64
     ("eigenfunction-shifted-n34", 0,
      ["eigenfunction", "--s", "1", "--c1", "2", "--c2", "0.5", "--m", "1", "--j", "3", "--n", "34"]),

@@ -20,6 +20,7 @@ from oracles import (
     fd_matrix_checked,
     fd_weights,
     gershgorin,
+    locate_untruncated,
     sturm_count,
     sturm_count_full,
 )
@@ -573,6 +574,59 @@ class TestCertifiedBracket:
             node_end = t + 1 + next(i for i, e in enumerate(sums) if e >= fd_oracle.LOCATE_EFOLDS)
             assert sums[M - t - 1] >= fd_oracle.LOCATE_EFOLDS or M == len(diag), theta
             assert node_end <= M < node_end + fd_oracle.LOCATE_STRIDE, theta
+
+    @staticmethod
+    def _guess_and_reference(diag, suffix_min, off, lo, hi, k, a, b):
+        """`_locate`'s guess, the untruncated twisted factorization's, and the walk's final cell width."""
+        theta, _ = fd_oracle._locate(diag, suffix_min, off, a, b)
+        m = int(fd_oracle.LOCATE_TWIST * fd_oracle._tail_start(suffix_min, abs(off), 0.5 * (a + b)))
+        cell = fd_oracle._bisect_cell(lambda lam, k: sturm_count(diag, suffix_min, off, lam) > k, k, lo, hi)
+        return theta, locate_untruncated(diag, off, m, a, b), cell[1] - cell[0]
+
+    @pytest.mark.parametrize("J, nmax, npoints", [*CASES[:3], (0.0, 10, 20000)],
+                             ids=["hydrogen", "shifted", "J39.7", "hydrogen-20000"])
+    def test_decaying_tail_start_matches_the_untruncated_guess(self, J, nmax, npoints):
+        # the backward pivots start on the decaying tail LOCATE_EFOLDS e-folds
+        # past the tail start, not at the last node; at 20000 points 11 e-folds
+        # put the guess up to 4 cell widths off
+        grid = self._grid(J, nmax, npoints)
+        diag, off, lo, hi = fd_oracle._fd_matrix(J, grid)
+        suffix_min = _suffix_min(diag)
+        for k, ev in enumerate(eig_oracle_full_sweep(J, grid, nmax)):
+            t = fd_oracle._tail_start(suffix_min, abs(off), ev)
+            assert fd_oracle._dirichlet_end(diag, t, abs(off), ev) < len(diag), ev
+            a, b = ev * (1.0 + 4e-3), ev * (1.0 - 4e-3)
+            theta, untruncated, width = self._guess_and_reference(diag, suffix_min, off, lo, hi, k, a, b)
+            assert abs(theta - untruncated) <= width, ev
+
+    def test_walk_to_the_last_node_keeps_the_dirichlet_start(self):
+        # levels 6 to 8 of a box of radius 200 decay too slowly to reach
+        # LOCATE_EFOLDS before the wall, whose Dirichlet condition is the
+        # matrix's own; a decaying-tail start there would move the guess
+        grid = RadialGrid(200.0, 2000)
+        diag, off, lo, hi = fd_oracle._fd_matrix(0.0, grid)
+        suffix_min = _suffix_min(diag)
+        evs = eig_oracle_full_sweep(0.0, grid, 9)
+        for k in (6, 7, 8):
+            t = fd_oracle._tail_start(suffix_min, abs(off), evs[k])
+            assert t < len(diag) and fd_oracle._dirichlet_end(diag, t, abs(off), evs[k]) == len(diag)
+            a, b = evs[k] * (1.0 + 1e-4), evs[k] * (1.0 - 1e-4)
+            theta, untruncated, width = self._guess_and_reference(diag, suffix_min, off, lo, hi, k, a, b)
+            assert abs(theta - untruncated) <= width, evs[k]
+
+    def test_tail_start_below_the_coupling_falls_back(self):
+        # the secant's second point lies so far above the level that
+        # d_(M-1) - lam < 2 |off|: the decaying tail has no fixed point there
+        grid = self._grid(0.0, 10, 6000)
+        diag, off, _, _ = fd_oracle._fd_matrix(0.0, grid)
+        suffix_min = _suffix_min(diag)
+        ev = eig_oracle_full_sweep(0.0, grid, 3)[2]
+        a, b = ev - 1.0, ev + 1.0
+        M = fd_oracle._dirichlet_end(diag, fd_oracle._tail_start(suffix_min, abs(off), ev), abs(off), ev)
+        assert M < len(diag) and diag[M - 1] - b < 2.0 * abs(off)
+        theta, step = fd_oracle._locate(diag, suffix_min, off, a, b)
+        assert isinstance(theta, float) and isinstance(step, float)
+        assert math.isfinite(theta) or math.isnan(theta)
 
     @pytest.mark.parametrize("J, nmax, npoints", CASES, ids=["hydrogen", "shifted", "J39.7", "coarse"])
     def test_guess_in_the_final_cell_takes_two_sweeps(self, monkeypatch, J, nmax, npoints):

@@ -1,12 +1,16 @@
+import copy
 import math
+import pickle
 import re
 import sys
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from micz_su11.fd_oracle import RadialGrid
 from micz_su11.quantum_numbers import (
     HalfInt,
     InvalidLevel,
@@ -264,3 +268,33 @@ class TestEnumeration:
             sec = make_sector(params, m, j)
             for lv in levels(sec, 6):
                 assert lv.n.parity == sv.parity
+
+
+class TestCachedHash:
+    """Labels and grids hash once per instance; the cached value stays out of ==, repr, asdict and pickles."""
+
+    BUILDERS = [
+        lambda: H("-3/2"),
+        lambda: MonopoleParams(H("1/2"), 1.0, 0.0),
+        lambda: sector("1", 2.0, 0.5, "-1", "2"),
+        lambda: RadialGrid(150.0, 6000),
+    ]
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=["HalfInt", "MonopoleParams", "SectorLabels", "RadialGrid"])
+    def test_cached_hash_is_invisible(self, build):
+        x, fresh = build(), build()
+        by_fields = hash(tuple(getattr(x, f.name) for f in fields(x)))
+        before = pickle.dumps(x)
+        assert hash(x) == hash(x) == hash(fresh)
+        assert "_hash" in vars(x) and "_hash" not in vars(build())
+        if not isinstance(x, HalfInt):  # HalfInt hashes like the Fraction of its value
+            assert hash(x) == by_fields
+        assert x == fresh and repr(x) == repr(fresh) and asdict(x) == asdict(fresh)
+        assert pickle.dumps(x) == before == pickle.dumps(fresh)
+        for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert twin == x and "_hash" not in vars(twin) and hash(twin) == hash(x)
+
+    def test_hash_of_minus_one_is_reported_as_minus_two(self):
+        # the rational rule gives -1 at t = -(P + 2), both when computed and when read from the cache
+        x = HalfInt(-(sys.hash_info.modulus + 2))
+        assert hash(x) == hash(x) == hash(Fraction(x.twice_value, 2)) == -2
