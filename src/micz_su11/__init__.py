@@ -45,7 +45,6 @@ _EXPORTS = {
         "FactorizationSolution",
         "NoFactorization",
         "NormalOrderedOperator",
-        "NumericOperator",
         "ParamPoly",
         "build_Ln",
         "casimir",
@@ -57,7 +56,6 @@ _EXPORTS = {
         "monomial_action",
         "replace_K",
         "solve_schrodinger_ansatz",
-        "substitute",
     ),
     "analytic_states": (
         "AngularState",
@@ -68,7 +66,6 @@ _EXPORTS = {
         "angular_state",
         "chi",
         "chi_dn",
-        "default_angular_mesh",
         "radial_state",
     ),
     "fd_oracle": (

@@ -38,7 +38,7 @@ from .special_functions import (
 
 
 class DomainError(ValueError):
-    """Evaluation outside the coordinate domain or on an empty angular mesh.
+    """Evaluation outside the coordinate domain.
 
     x must lie in (0, inf) and theta in (0, pi), phi must be finite, and NaN lies in no domain.
     """
@@ -50,14 +50,6 @@ def _as_array(x, what: str, upper: float = math.inf):
     if not np.all((arr > 0.0) & (arr < upper)):
         raise DomainError(f"{what} must lie in (0, {upper})")
     return arr, np.isscalar(x) or arr.ndim == 0
-
-
-def _as_phi(phi) -> np.ndarray:
-    """phi as a float array; DomainError unless every entry is finite."""
-    arr = np.asarray(phi, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("phi must be finite")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -189,6 +181,11 @@ def chi_dn(state: RadialState, x, order: int):
     return float(val) if sampler.scalar else val
 
 
+# the angular check's mesh: the 200 interior theta nodes pi i/201, read-only
+ANGULAR_THETAS = math.pi * np.arange(1, 201) / 201.0
+ANGULAR_THETAS.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class AngularState:
     """Angular eigenfunction of one (m, j) sector in the Jacobi form."""
@@ -218,7 +215,10 @@ def angular_Z(state: AngularState, theta, phi):
         * np.sin(half) ** sec.m2
         * jacobi(state.jacobi, np.cos(arr))
     )
-    val = w * np.exp(1j * state.phase_rate * _as_phi(phi))
+    phis = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phis)):
+        raise DomainError("phi must be finite")
+    val = w * np.exp(1j * state.phase_rate * phis)
     return complex(val) if scalar and np.isscalar(phi) else val
 
 
@@ -263,28 +263,23 @@ def _theta_profile(state: AngularState, thetas: np.ndarray):
     return w, w1, w2
 
 
-def angular_residual(state: AngularState, thetas, phis) -> float:
-    """Max-norm residual of the angular equation over the (theta, phi) mesh.
+def angular_residual(state: AngularState) -> float:
+    """Max-norm residual of the angular equation on `ANGULAR_THETAS`, relative to max |w|.
 
-    The phi action is analytic: the second phi derivative contributes
-    -(m-s)^2 and the gauged derivative -(m+s)^2, which combine with the 4c_i
-    into -m1^2/(4 cos^2(t/2)) and -m2^2/(4 sin^2(t/2)).  The separation
-    constant is the sector's `sep_const`.  An empty theta or phi mesh raises
-    DomainError.
+    Z = w(theta) e^(i(m-s)phi) and the phase has modulus 1, so the residual
+    depends on theta alone.  The phi action is analytic: the second phi
+    derivative contributes -(m-s)^2 and the gauged derivative -(m+s)^2,
+    which combine with the 4c_i into -m1^2/(4 cos^2(t/2)) and
+    -m2^2/(4 sin^2(t/2)).  The separation constant is the sector's
+    `sep_const`.
     """
-    thetas, _ = _as_array(thetas, "theta", upper=math.pi)
-    thetas = np.atleast_1d(thetas)
-    phis = np.atleast_1d(_as_phi(phis))
-    for name, mesh in (("theta", thetas), ("phi", phis)):
-        if mesh.size == 0:
-            raise DomainError(f"the {name} mesh is empty")
     sec = state.sector
-
+    thetas = ANGULAR_THETAS
     w, w1, w2 = _theta_profile(state, thetas)
     half = 0.5 * thetas
     C2 = np.cos(half) ** 2
     S2 = np.sin(half) ** 2
-    radial_part = (
+    residual = (
         w2
         + (np.cos(thetas) / np.sin(thetas)) * w1
         - (sec.m1**2 / (4.0 * C2) + sec.m2**2 / (4.0 * S2)) * w
@@ -293,15 +288,4 @@ def angular_residual(state: AngularState, thetas, phis) -> float:
     scale = float(np.max(np.abs(w)))
     if scale == 0.0:
         raise DomainError("angular profile vanishes identically on the mesh")
-    worst = 0.0
-    for phi in phis:
-        field = radial_part * np.exp(1j * state.phase_rate * phi)
-        worst = max(worst, float(np.max(np.abs(field))))
-    return worst / scale
-
-
-def default_angular_mesh():
-    """200 interior theta nodes pi i/201 and 8 phi nodes 2 pi i/8 on the circle."""
-    thetas = math.pi * np.arange(1, 201) / 201.0
-    phis = 2.0 * math.pi * np.arange(8) / 8
-    return thetas, phis
+    return float(np.max(np.abs(residual))) / scale

@@ -34,11 +34,12 @@ The grid checks reuse work in process-wide caches:
   closed form cancel in the coefficients, so some residuals read exactly 0
   (at k = 0 the rows are plain powers of x).  The block is checked for
   non-finite entries once, as it is built, so a bad image raises ValueError
-  from the build.  An image differs from the per-term sum of `substitute`
-  over derivative samples by rounding only: at most
-  gamma_n sum |c| |x^p chi^(q)| + gamma_N sum |c| |M S| |w x^e F_l| on each
-  node, n being the operator's terms plus the 6 monomials and N its
-  expanded terms plus 15 + 6 (the bound `tests/` asserts).
+  from the build.  An image differs from the per-term sum over derivative
+  samples, each coefficient evaluated at (J, K) on its own, by rounding
+  only: at most gamma_n sum |c| |x^p chi^(q)| + gamma_N sum |c| |M S|
+  |w x^e F_l| on each node, n being the operator's terms plus the 6
+  monomials and N its expanded terms plus 15 + 6 (the bound `tests/`
+  asserts).
 
 Together that is at most 17 + 4 x 10 = 57 arrays of npoints x 8 B (1.8 MB at
 the default 4000 points), plus, while one level builds its images, the rows
@@ -67,7 +68,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .analytic_states import (
-    TowerSampler, angular_residual, angular_state, default_angular_mesh, product_rule, radial_state,
+    ANGULAR_THETAS, TowerSampler, angular_residual, angular_state, product_rule, radial_state,
 )
 # the oracle's public names, defined once in fd_oracle and re-exported here
 from .fd_oracle import (  # noqa: F401
@@ -344,13 +345,11 @@ def radial_equation_check(sector: SectorLabels, n, grid: RadialGrid, tol: float 
 
 
 def angular_residual_check(sector: SectorLabels, tol: float | None = None) -> VerificationReport:
-    """Angular equation residual on `default_angular_mesh()`, whose size the inputs echo."""
+    """Angular equation residual on `ANGULAR_THETAS`, whose size the inputs echo as `ntheta`."""
     t0 = time.perf_counter()
-    thetas, phis = default_angular_mesh()
-    residual = angular_residual(angular_state(sector), thetas, phis)
+    residual = angular_residual(angular_state(sector))
     inputs = sector_inputs(sector)
-    inputs["ntheta"] = len(thetas)
-    inputs["nphi"] = len(phis)
+    inputs["ntheta"] = len(ANGULAR_THETAS)
     return _report("angular_residual", inputs, residual, tol, t0)
 
 

@@ -4,7 +4,7 @@ Operators are kept in normal-ordered canonical form: sums of
 coeff(J, K) * x^p * D^q with every D moved to the right through the rewrite
 D x^k = x^k D + k x^(k-1) (valid for any integer k, negative included).
 Coefficients are polynomials in the two indeterminates J and K over exact
-rationals; floats only appear after an explicit `substitute`.
+rationals; floats only appear in `NormalOrderedOperator._float_terms`.
 
 Canonical form, which `==`, `hash` and `is_zero` rely on: a `ParamPoly`
 stores one `int` denominator `_den` >= 1 and maps (jpow, kpow) to nonzero
@@ -293,8 +293,9 @@ class NormalOrderedOperator:
     def _float_terms(self) -> tuple[tuple[int, int, tuple[tuple[float, int, int], ...]], ...]:
         """(xpow, dorder, ((float(c), jpow, kpow), ...)) in canonical order, built on first use.
 
-        The one place exact coefficients become floats: `substitute` and the
-        grid checks' `numeric_verify._image_plan` both read it.
+        The one place exact coefficients become floats: the grid checks'
+        `numeric_verify._image_plan` reads it, and so does the per-term
+        reference `substitute` in `tests/oracles.py`.
         """
         if not hasattr(self, "_floats"):
             self._floats = tuple((xp, dq, tuple((float(c), jp, kp) for (jp, kp), c in poly.items()))
@@ -493,29 +494,6 @@ def replace_K(op: NormalOrderedOperator, replacement: NormalOrderedOperator) -> 
         if c1 is not None:
             out = out + compose(NormalOrderedOperator({(xp, dq): c1}), replacement)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Numeric bridge
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NumericOperator:
-    """Operator with coefficients evaluated at fixed (J, K): (xpow, dorder, coeff)."""
-
-    terms: tuple[tuple[int, int, float], ...]
-    jval: float
-    kval: float
-
-
-def substitute(op: NormalOrderedOperator, jval: float, kval: float) -> NumericOperator:
-    """Each coefficient as sum(float(c) J^jpow K^kpow) in stored term order; zero terms are dropped."""
-    terms = []
-    for xp, dq, coeffs in op._float_terms():
-        c = float(sum(fc * jval**jp * kval**kp for fc, jp, kp in coeffs))
-        if c != 0.0:
-            terms.append((xp, dq, c))
-    return NumericOperator(terms=tuple(terms), jval=jval, kval=kval)
 
 
 # ---------------------------------------------------------------------------

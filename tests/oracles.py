@@ -8,12 +8,13 @@ at the very end.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from micz_su11 import operator_algebra
-from micz_su11.analytic_states import RadialState, _as_array, chi
+from micz_su11.analytic_states import ANGULAR_THETAS, AngularState, RadialState, _as_array, _theta_profile, chi
 from micz_su11.fd_oracle import _sturm_count
 from micz_su11.numeric_verify import GridFunction
 from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly, replace_K
@@ -278,9 +279,30 @@ def monomial_action_reference(op: NormalOrderedOperator, k: int) -> list[tuple[i
 
 
 # ---------------------------------------------------------------------------
-# Operator application from a derivative callback: the reference for the
-# images `numeric_verify._Level` builds from one sampler pass, bit for bit.
+# Operator application from a derivative callback: each generator's
+# coefficients evaluated at one (J, K) (`substitute`), then summed term by
+# term over derivative samples.  The reference for the images
+# `numeric_verify._Level` builds from one sampler pass.
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NumericOperator:
+    """Operator with coefficients evaluated at fixed (J, K): (xpow, dorder, coeff)."""
+
+    terms: tuple[tuple[int, int, float], ...]
+    jval: float
+    kval: float
+
+
+def substitute(op: NormalOrderedOperator, jval: float, kval: float) -> NumericOperator:
+    """Each coefficient as sum(float(c) J^jpow K^kpow) in stored term order; zero terms are dropped."""
+    terms = []
+    for xp, dq, coeffs in op._float_terms():
+        c = float(sum(fc * jval**jp * kval**kp for fc, jp, kp in coeffs))
+        if c != 0.0:
+            terms.append((xp, dq, c))
+    return NumericOperator(terms=tuple(terms), jval=jval, kval=kval)
+
 
 def apply_operator(numop, f: GridFunction, derivatives) -> GridFunction:
     """Sum of c x^xp f^(dq) over the terms of `numop`, in their order, on the nodes of f.
@@ -296,6 +318,30 @@ def apply_operator(numop, f: GridFunction, derivatives) -> GridFunction:
             samples[dq] = np.asarray(derivatives(dq), dtype=float)
         out += c * (samples[dq] if xp == 0 else samples[dq] * f.grid.nodes ** float(xp))
     return GridFunction(f.grid, out)
+
+
+# ---------------------------------------------------------------------------
+# The angular residual over a (theta, phi) mesh: the form `angular_residual`
+# had before it dropped the phase e^(i(m-s)phi), whose modulus is 1.
+# ---------------------------------------------------------------------------
+
+def angular_residual_phi_mesh(state: AngularState) -> float:
+    """max over ANGULAR_THETAS x {2 pi i/8} of |residual(theta) e^(i(m-s)phi)|, over max |w|."""
+    sec = state.sector
+    thetas = ANGULAR_THETAS
+    w, w1, w2 = _theta_profile(state, thetas)
+    half = 0.5 * thetas
+    radial_part = (
+        w2
+        + (np.cos(thetas) / np.sin(thetas)) * w1
+        - (sec.m1**2 / (4.0 * np.cos(half) ** 2) + sec.m2**2 / (4.0 * np.sin(half) ** 2)) * w
+        + sec.sep_const * w
+    )
+    worst = 0.0
+    for phi in 2.0 * math.pi * np.arange(8) / 8:
+        field = radial_part * np.exp(1j * state.phase_rate * phi)
+        worst = max(worst, float(np.max(np.abs(field))))
+    return worst / float(np.max(np.abs(w)))
 
 
 # ---------------------------------------------------------------------------

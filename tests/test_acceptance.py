@@ -18,7 +18,6 @@ from micz_su11.analytic_states import (
     angular_state,
     chi,
     chi_dn,
-    default_angular_mesh,
     radial_state,
 )
 from micz_su11.numeric_verify import (
@@ -39,11 +38,10 @@ from micz_su11.operator_algebra import (
     generator_table,
     monomial_action,
     solve_schrodinger_ansatz,
-    substitute,
 )
 from micz_su11.quantum_numbers import HalfInt, MonopoleParams, make_sector
 from micz_su11.special_functions import JacobiParams, jacobi
-from oracles import apply_operator, build_Tpm_n, jacobi_series
+from oracles import apply_operator, build_Tpm_n, jacobi_series, substitute
 
 H = HalfInt.parse
 
@@ -202,21 +200,20 @@ def test_criterion_6_casimir_action():
 
 
 def test_criterion_7_angular_residual():
-    thetas, phis = default_angular_mesh()
     worst = 0.0
     params0 = MonopoleParams(H("0"), 0.0, 0.0)
     for j in range(4):
         for m in range(-j, j + 1):
             sec = make_sector(params0, HalfInt.from_int(m), HalfInt.from_int(j))
-            worst = max(worst, angular_residual(angular_state(sec), thetas, phis))
-    worst = max(worst, angular_residual(angular_state(SHIFTED), thetas, phis))
+            worst = max(worst, angular_residual(angular_state(sec)))
+    worst = max(worst, angular_residual(angular_state(SHIFTED)))
     perturbed = dataclasses.replace(SHIFTED, sep_const=SHIFTED.sep_const + 1.0)
-    anti = angular_residual(angular_state(perturbed), thetas, phis)
+    anti = angular_residual(angular_state(perturbed))
     ok = worst <= 1e-9 and anti >= 0.1
     criterion(
         7,
         ok,
-        f"angular equation residual {worst:.2e} <= 1e-9 on the 200x8 mesh "
+        f"angular equation residual {worst:.2e} <= 1e-9 on the 200-node theta mesh "
         f"(s=0 c=0 with j <= 3, and the shifted sector); perturbed separation "
         f"constant gives {anti:.2f} >= 0.1",
     )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from micz_su11.analytic_states import (
+    ANGULAR_THETAS,
     DomainError,
     TowerSampler,
     angular_Z,
@@ -15,11 +16,10 @@ from micz_su11.analytic_states import (
     angular_state,
     chi,
     chi_dn,
-    default_angular_mesh,
     radial_state,
 )
 from micz_su11.quantum_numbers import HalfInt, MonopoleParams, make_sector
-from oracles import chi_dn_per_call, chi_dn_reference, kummer_rational, poly_coeffs
+from oracles import angular_residual_phi_mesh, chi_dn_per_call, chi_dn_reference, kummer_rational, poly_coeffs
 
 H = HalfInt.parse
 
@@ -308,47 +308,46 @@ class TestAngular:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_phi_rejected(self, shifted, bad):
-        # unchecked, an infinite phi makes the field nan, which max(0.0, nan) drops: a residual of 0.0
+        # unchecked, a non-finite phi makes Z nan with no error
         ast = angular_state(shifted)
         with pytest.raises(DomainError, match="phi must be finite"):
             angular_Z(ast, 1.0, bad)
         with pytest.raises(DomainError, match="phi must be finite"):
             angular_Z(ast, np.array([0.5, 1.0]), np.array([0.0, bad]))
-        with pytest.raises(DomainError, match="phi must be finite"):
-            angular_residual(ast, [1.0], [bad])
-        thetas, _ = default_angular_mesh()
-        with pytest.raises(DomainError, match="phi must be finite"):
-            angular_residual(ast, thetas, [0.0, bad])
 
     def test_trivial_residual_is_exactly_zero(self, hydrogen):
-        thetas, phis = default_angular_mesh()
-        assert angular_residual(angular_state(hydrogen), thetas, phis) == 0.0
+        assert angular_residual(angular_state(hydrogen)) == 0.0
 
     def test_shifted_sector_residual(self, shifted):
-        thetas, phis = default_angular_mesh()
-        assert angular_residual(angular_state(shifted), thetas, phis) <= 1e-9
+        assert angular_residual(angular_state(shifted)) <= 1e-9
 
     @pytest.mark.parametrize("j, m", [(1, 0), (1, 1), (2, -1), (3, 2)])
     def test_pure_monopole_free_sectors(self, j, m):
         sec = make_sector(MonopoleParams(H("0"), 0.0, 0.0), HalfInt.from_int(m), HalfInt.from_int(j))
-        thetas, phis = default_angular_mesh()
-        assert angular_residual(angular_state(sec), thetas, phis) <= 1e-9
+        assert angular_residual(angular_state(sec)) <= 1e-9
 
     def test_perturbed_separation_constant_fails_loudly(self, shifted):
         # anti-test: the residual must actually measure the equation
-        thetas, phis = default_angular_mesh()
         perturbed = dataclasses.replace(shifted, sep_const=shifted.sep_const + 1.0)
-        bad = angular_residual(angular_state(perturbed), thetas, phis)
+        bad = angular_residual(angular_state(perturbed))
         assert bad >= 0.1
 
-    def test_default_mesh_nodes(self):
-        thetas, phis = default_angular_mesh()
-        assert np.array_equal(thetas, math.pi * np.arange(1, 201) / 201.0)
-        assert np.array_equal(phis, 2.0 * math.pi * np.arange(8) / 8)
+    def test_angular_mesh_nodes(self):
+        assert np.array_equal(ANGULAR_THETAS, math.pi * np.arange(1, 201) / 201.0)
+        with pytest.raises(ValueError, match="read-only"):
+            ANGULAR_THETAS[0] = 0.5
 
-    @pytest.mark.parametrize("thetas, phis, empty", [([1.0], [], "phi"), ([], [0.0], "theta"), ([], [], "theta")],
-                             ids=["phi", "theta", "both"])
-    def test_empty_mesh_rejected(self, shifted, thetas, phis, empty):
-        # an empty phi mesh used to give a residual of 0.0 whatever the equation
-        with pytest.raises(DomainError, match=f"^the {empty} mesh is empty$"):
-            angular_residual(angular_state(shifted), thetas, phis)
+    @pytest.mark.parametrize(
+        "s, c1, m, j",
+        [("0", 0.0, "0", "2"), ("0", 0.0, "0", "20"), ("0", 0.0, "0", "60"), ("0", 0.0, "0", "120"),
+         ("1/2", 1.0, "1/2", "1/2")],
+        ids=["hydrogen-j2", "hydrogen-j20", "hydrogen-j60", "hydrogen-j120", "shifted"],
+    )
+    def test_residual_matches_the_phi_mesh_reference(self, s, c1, m, j):
+        # the phase e^(i(m-s)phi) has modulus 1, so the theta-only residual is the
+        # 8-node phi mesh's up to the rounding of |e^(i(m-s)phi)|; phi = 0 is a node
+        # of that mesh, where the phase is exactly 1, so the mesh is never lower
+        ast = angular_state(make_sector(MonopoleParams(H(s), c1, 0.0), H(m), H(j)))
+        got, ref = angular_residual(ast), angular_residual_phi_mesh(ast)
+        assert got <= ref
+        assert ref - got <= 4e-16 * ref

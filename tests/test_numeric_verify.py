@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    NumericOperator,
     StencilUnsupported,
     apply_operator,
     eig_oracle_full_sweep,
@@ -23,6 +24,7 @@ from oracles import (
     locate_untruncated,
     sturm_count,
     sturm_count_full,
+    substitute,
 )
 
 from micz_su11 import cli, fd_oracle, numeric_verify, operator_algebra
@@ -37,6 +39,7 @@ from micz_su11.numeric_verify import (
     _Level,
     _level,
     _tower_sampler,
+    angular_residual_check,
     casimir_check,
     eig_oracle,
     ladder_check,
@@ -47,7 +50,7 @@ from micz_su11.numeric_verify import (
     t3_spacing_check,
     verify_states_suite,
 )
-from micz_su11.operator_algebra import NumericOperator, build_Ln, generator_table, substitute
+from micz_su11.operator_algebra import build_Ln, generator_table
 from micz_su11.special_functions import KummerParams, KummerSweep, _kummer_deriv_scale, kummer_terminating
 from micz_su11.quantum_numbers import (
     HalfInt,
@@ -55,6 +58,7 @@ from micz_su11.quantum_numbers import (
     InvalidQuantumNumbers,
     MonopoleParams,
     make_sector,
+    sector_inputs,
 )
 
 H = HalfInt.parse
@@ -1145,6 +1149,10 @@ class TestReports:
         assert {"angular_residual", "radial_equation", "t3_eigen", "casimir_action",
                 "ladder_raise", "ladder_annihilation", "ladder_lower", "t3_spacing"} <= names
         assert all(r.passed for r in reports)
+
+    def test_angular_inputs_echo_the_theta_mesh_only(self, shifted):
+        rep = angular_residual_check(shifted)
+        assert rep.inputs == {**sector_inputs(shifted), "ntheta": 200}
 
     @pytest.mark.parametrize("nlevels", [0, -3])
     def test_suite_without_levels_rejected(self, nlevels):

@@ -20,9 +20,8 @@ from micz_su11.operator_algebra import (
     monomial_action,
     replace_K,
     solve_schrodinger_ansatz,
-    substitute,
 )
-from oracles import build_T3, build_Tpm, build_Tpm_n, corrupted_generators
+from oracles import build_T3, build_Tpm, build_Tpm_n, corrupted_generators, substitute
 
 J = ParamPoly.J()
 K = ParamPoly.K()

@@ -22,18 +22,19 @@ GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # every name `micz_su11` exported when its __init__ imported all five modules, less
-# IrrepLabels, irrep_labels, iter_valid_j, radial_R, chi_d1 and chi_d2 (removed) and
-# kummer_deriv, build_T3, build_Tpm, build_Tpm_n and apply_operator (moved to tests/oracles.py)
+# IrrepLabels, irrep_labels, iter_valid_j, radial_R, chi_d1, chi_d2 and default_angular_mesh
+# (removed) and kummer_deriv, build_T3, build_Tpm, build_Tpm_n, apply_operator, substitute and
+# NumericOperator (moved to tests/oracles.py)
 EXPORTED = """
     HalfInt InvalidLevel InvalidQuantumNumbers LevelLabels MonopoleParams SectorLabels energy
     levels m_plus make_sector
     DegreeCapExceeded JacobiParams KummerParams ParamOutOfRange jacobi jacobi_deriv
     kummer_terminating
-    FactorizationSolution NoFactorization NormalOrderedOperator NumericOperator ParamPoly build_Ln
+    FactorizationSolution NoFactorization NormalOrderedOperator ParamPoly build_Ln
     casimir commutator compose extra_identity_checks generator_table identity_suite
-    monomial_action replace_K solve_schrodinger_ansatz substitute
+    monomial_action replace_K solve_schrodinger_ansatz
     AngularState DomainError RadialState angular_Z angular_residual angular_state chi chi_dn
-    default_angular_mesh radial_state
+    radial_state
     ConvergenceFailure GridFunction GridTooCoarse GridUnderflow RadialGrid VerificationReport
     eig_oracle ladder_check casimir_check radial_equation_check angular_residual_check oracle_reports
     spectrum_cross_check t3_eigen_check t3_spacing_check verify_states_suite
