@@ -77,7 +77,6 @@ _EXPORTS = {
         "spectrum_cross_check",
     ),
     "numeric_verify": (
-        "GridFunction",
         "ladder_check",
         "casimir_check",
         "radial_equation_check",

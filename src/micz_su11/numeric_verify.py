@@ -1,4 +1,4 @@
-"""Grid-based verification: operator action on grid functions and the su(1,1) state checks.
+"""Grid-based verification: the su(1,1) state checks on samples at the grid nodes.
 
 The FD eigensolver oracle lives in `fd_oracle`, which needs no numpy; its
 grid, report and oracle names are imported here, each defined once there.
@@ -45,9 +45,11 @@ Together that is at most 17 + 4 x 10 = 57 arrays of npoints x 8 B (1.8 MB at
 the default 4000 points), plus, while one level builds its images, the rows
 of B, 15 arrays more.  Every array a `_Level` hands out is read-only.
 
-Inner products and norms are sums in one fixed order (`_dot`), not BLAS
-ddot, which splits long sums over threads: a report does not depend on the
-BLAS thread count.
+A grid function is a plain float array of its samples on `grid.nodes`.
+Inner products h <a, b> and norms (`_norm`) are sums in one fixed order
+(`_dot`), not BLAS ddot, which splits long sums over threads: a report does
+not depend on the BLAS thread count.  A non-finite entry in chi, in the
+image block or in a vector a check takes the norm of raises ValueError.
 
 The caches are not thread-safe.  The cached sampler's sweeps advance in
 place, so two threads that sample one (sector, grid) at once can mix their
@@ -61,7 +63,6 @@ import math
 import sys
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from types import MappingProxyType
 
@@ -91,37 +92,22 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    grid: RadialGrid
-    values: np.ndarray
+def _finite(v: np.ndarray) -> np.ndarray:
+    """v, or ValueError when v has a NaN or infinite entry."""
+    if not np.isfinite(v).all():
+        raise ValueError("grid function contains non-finite entries")
+    return v
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.npoints,):
-            raise ValueError(f"expected {self.grid.npoints} values, got shape {vals.shape}")
-        if not np.isfinite(vals).all():
-            raise ValueError("grid function contains non-finite entries")
-        object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def _rows(cls, grid: RadialGrid, block: np.ndarray) -> list["GridFunction"]:
-        """One grid function per row of a (rows, npoints) float array, all checked in one pass."""
-        if not np.isfinite(block).all():
-            raise ValueError("grid function contains non-finite entries")
-        out = []
-        for row in block:
-            gf = object.__new__(cls)
-            object.__setattr__(gf, "grid", grid)
-            object.__setattr__(gf, "values", row)
-            out.append(gf)
-        return out
+def _norm(grid: RadialGrid, v: np.ndarray) -> float:
+    """sqrt(h <v, v>), inf when finite squares overflow; ValueError if v has a non-finite entry.
 
-    def inner(self, other: "GridFunction") -> float:
-        return self.grid.h * _dot(self.values, other.values)
-
-    def norm(self) -> float:
-        return math.sqrt(self.inner(self))
+    Such an entry always makes the sum non-finite, so v is scanned only then.
+    """
+    norm2 = grid.h * _dot(v, v)
+    if not math.isfinite(norm2):
+        _finite(v)
+    return math.sqrt(norm2)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +175,9 @@ def _tower_sampler(sector: SectorLabels, grid: RadialGrid) -> TowerSampler:
 class _Level:
     """Level n of a tower on one grid: its state, read-only chi on the nodes and its images.
 
-    `norm2` is the squared grid norm of chi, `f.inner(f)`, which the checks read.
+    `chi` and each image are read-only arrays on `grid.nodes`; `norm2` is the
+    squared grid norm h <chi, chi> of chi, which the checks read.  ValueError
+    if chi is not finite.
 
     Raises GridUnderflow when the squared norm of chi on the grid is zero or
     subnormal: below `sys.float_info.min` the norm has lost precision to
@@ -199,10 +187,9 @@ class _Level:
     def __init__(self, sector: SectorLabels, n: HalfInt, grid: RadialGrid):
         self.state = radial_state(sector, n)
         self.grid = grid
-        values = self._sampler().chi(self.state)
-        values.flags.writeable = False
-        self.f = GridFunction(grid, values)
-        self.norm2 = norm2 = self.f.inner(self.f)
+        self.chi = chi = _finite(self._sampler().chi(self.state))
+        chi.flags.writeable = False
+        self.norm2 = norm2 = grid.h * _dot(chi, chi)
         if norm2 < sys.float_info.min:
             what = "zero norm" if norm2 == 0.0 else f"a subnormal squared norm {norm2:.3g}"
             raise GridUnderflow(f"chi at n={n} has {what} on the grid with rmax={grid.rmax!r} "
@@ -212,7 +199,7 @@ class _Level:
         return _tower_sampler(self.state.sector, self.grid)
 
     @cached_property
-    def images(self) -> Mapping[str, GridFunction]:
+    def images(self) -> Mapping[str, np.ndarray]:
         """Read-only image of chi under each `generator_table()` operator at this level's (J, K).
 
         All nine are rows of one product w (C(J, K) M(alpha) S_k) @ B (see the module
@@ -237,7 +224,7 @@ class _Level:
         images = (CM[:, basis] * [diag[products[i][1]] for i in basis]) @ B
         images *= sampler.w
         images.flags.writeable = False
-        return MappingProxyType(dict(zip(names, GridFunction._rows(self.grid, images))))
+        return MappingProxyType(dict(zip(names, _finite(images))))
 
 
 # _level(sector, n, grid): the `_Level`, from an LRU cache of SAMPLE_CACHE_LEVELS entries
@@ -261,17 +248,17 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
     k = level.state.kummer.k
     inputs = sector_inputs(sector, grid, n)
     if sign == -1 and k == 0:
-        residual = y.norm() / math.sqrt(level.norm2)
+        residual = _norm(grid, y) / math.sqrt(level.norm2)
         return _report("ladder_annihilation", inputs, residual, tol, t0)
     target = _level(sector, n + sign, grid)
     expected = -(k + 2.0 * sector.bigJ + 2.0) if sign == 1 else -float(k)
     # scaled by max|y|, as ||y|| itself can pass the float range at large J
-    scale = np.max(np.abs(y.values))
-    diff = (y.values - expected * target.f.values) / scale
-    scaled = y.values / scale
+    scale = np.max(np.abs(y))
+    diff = (y - expected * target.chi) / scale
+    scaled = y / scale
     residual = math.sqrt(_dot(diff, diff)) / math.sqrt(_dot(scaled, scaled))
     name = "ladder_raise" if sign == 1 else "ladder_lower"
-    details = {"expected_ratio": expected, "proportionality_ratio": y.inner(target.f) / target.norm2}
+    details = {"expected_ratio": expected, "proportionality_ratio": grid.h * _dot(y, target.chi) / target.norm2}
     return _report(name, inputs, residual, tol, t0, details)
 
 
@@ -279,19 +266,19 @@ def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None 
     """||T3 chi - K chi||/||chi|| plus the shifted eigenvalues of T3 on T_pm chi."""
     t0 = time.perf_counter()
     level = _level(sector, n, grid)
-    f = level.f
+    chi = level.chi
     K = level.state.level.K
     y = level.images["T3"]
-    residual = GridFunction(grid, y.values - K * f.values).norm() / math.sqrt(level.norm2)
-    details = {"measured_eigenvalue": y.inner(f) / level.norm2}
+    residual = _norm(grid, y - K * chi) / math.sqrt(level.norm2)
+    details = {"measured_eigenvalue": grid.h * _dot(y, chi) / level.norm2}
     bottom = n - sector.j == 1
     for sign, tag, tpm in ((1, "raised", "T+"), (-1, "lowered", "T-")):
         if sign == -1 and bottom:
             continue
         z = level.images[tpm]
         w = level.images["T3 " + tpm]
-        r_shift = GridFunction(grid, w.values - (K + sign) * z.values).norm() / z.norm()
-        details[f"{tag}_eigenvalue"] = w.inner(z) / z.inner(z)
+        r_shift = _norm(grid, w - (K + sign) * z) / _norm(grid, z)
+        details[f"{tag}_eigenvalue"] = grid.h * _dot(w, z) / (grid.h * _dot(z, z))
         residual = max(residual, r_shift)
     return _report("t3_eigen", sector_inputs(sector, grid, n), residual, tol, t0, details)
 
@@ -302,8 +289,7 @@ def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | Non
     measured = []
     for level_n in (n, n + 1):
         level = _level(sector, level_n, grid)
-        y = level.images["T3"]
-        measured.append(y.inner(level.f) / level.norm2)
+        measured.append(grid.h * _dot(level.images["T3"], level.chi) / level.norm2)
     spacing = measured[1] - measured[0]
     return _report("t3_spacing", sector_inputs(sector, grid, n), abs(spacing - 1.0), tol, t0, {"spacing": spacing})
 
@@ -318,11 +304,11 @@ def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None =
     t0 = time.perf_counter()
     level = _level(sector, n, grid)
     fnorm = math.sqrt(level.norm2)
-    target = sector.sep_const * level.f.values
-    t3f, t3sq, pm, mp = (level.images[name].values for name in ("T3", "T3 T3", "T+ T-", "T- T+"))
-    res_direct = GridFunction(grid, -pm + t3sq - t3f - target).norm() / fnorm
-    res_mirror = GridFunction(grid, -mp + t3sq + t3f - target).norm() / fnorm
-    details = {"direct": float(res_direct), "mirror": float(res_mirror)}
+    target = sector.sep_const * level.chi
+    t3f, t3sq, pm, mp = (level.images[name] for name in ("T3", "T3 T3", "T+ T-", "T- T+"))
+    res_direct = _norm(grid, -pm + t3sq - t3f - target) / fnorm
+    res_mirror = _norm(grid, -mp + t3sq + t3f - target) / fnorm
+    details = {"direct": res_direct, "mirror": res_mirror}
     return _report("casimir_action", sector_inputs(sector, grid, n), max(res_direct, res_mirror), tol, t0, details)
 
 
@@ -337,10 +323,10 @@ def radial_equation_check(sector: SectorLabels, n, grid: RadialGrid, tol: float 
     """Max-norm residual of (-x^2 D^2 - 2Kx + x^2) chi = -J(J+1) chi from x = RADIAL_EQUATION_START to rmax."""
     t0 = time.perf_counter()
     level = _level(sector, n, grid)
-    f = level.f
     start = _radial_equation_start(grid)
-    resid = level.images["Ln"].values[start:] + sector.sep_const * f.values[start:]
-    residual = float(np.max(np.abs(resid)) / np.max(np.abs(f.values[start:])))
+    chi = level.chi[start:]
+    resid = level.images["Ln"][start:] + sector.sep_const * chi
+    residual = float(np.max(np.abs(resid)) / np.max(np.abs(chi)))
     return _report("radial_equation", sector_inputs(sector, grid, n), residual, tol, t0)
 
 

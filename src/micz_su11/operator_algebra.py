@@ -244,7 +244,7 @@ def _poly_jj1() -> ParamPoly:
 class NormalOrderedOperator:
     """Canonical normal-ordered operator: (xpow, dorder) -> ParamPoly coefficient."""
 
-    __slots__ = ("_terms", "_floats")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], ParamPoly | Scalar] | None = None):
         clean: dict[tuple[int, int], ParamPoly] = {}
@@ -291,16 +291,14 @@ class NormalOrderedOperator:
         return sorted(self._terms.items(), key=lambda kv: (-kv[0][1], kv[0][0]))
 
     def _float_terms(self) -> tuple[tuple[int, int, tuple[tuple[float, int, int], ...]], ...]:
-        """(xpow, dorder, ((float(c), jpow, kpow), ...)) in canonical order, built on first use.
+        """(xpow, dorder, ((float(c), jpow, kpow), ...)) in canonical order, built on each call.
 
         The one place exact coefficients become floats: the grid checks'
-        `numeric_verify._image_plan` reads it, and so does the per-term
-        reference `substitute` in `tests/oracles.py`.
+        `numeric_verify._image_plan` reads it once per process, and so does
+        the per-term reference `substitute` in `tests/oracles.py`.
         """
-        if not hasattr(self, "_floats"):
-            self._floats = tuple((xp, dq, tuple((float(c), jp, kp) for (jp, kp), c in poly.items()))
-                                 for (xp, dq), poly in self.canonical_terms())
-        return self._floats
+        return tuple((xp, dq, tuple((float(c), jp, kp) for (jp, kp), c in poly.items()))
+                     for (xp, dq), poly in self.canonical_terms())
 
     def __add__(self, other):
         if not isinstance(other, NormalOrderedOperator):

@@ -306,7 +306,7 @@ def energy(sector: SectorLabels, n: HalfInt) -> LevelLabels:
     return level
 
 
-def levels(sector: SectorLabels, count: int = 32) -> list[LevelLabels]:
+def levels(sector: SectorLabels, count: int) -> list[LevelLabels]:
     """The lowest `count` bound levels n = j+1, ..., j+count of the sector."""
     return [energy(sector, sector.j + (i + 1)) for i in range(count)]
 

@@ -16,7 +16,6 @@ import numpy as np
 from micz_su11 import operator_algebra
 from micz_su11.analytic_states import ANGULAR_THETAS, AngularState, RadialState, _as_array, _theta_profile, chi
 from micz_su11.fd_oracle import _sturm_count
-from micz_su11.numeric_verify import GridFunction
 from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly, replace_K
 from micz_su11.quantum_numbers import GridUnderflow
 from micz_su11.special_functions import KummerParams, _kummer_deriv_scale, kummer_terminating
@@ -304,20 +303,20 @@ def substitute(op: NormalOrderedOperator, jval: float, kval: float) -> NumericOp
     return NumericOperator(terms=tuple(terms), jval=jval, kval=kval)
 
 
-def apply_operator(numop, f: GridFunction, derivatives) -> GridFunction:
-    """Sum of c x^xp f^(dq) over the terms of `numop`, in their order, on the nodes of f.
+def apply_operator(numop, grid, f: np.ndarray, derivatives) -> np.ndarray:
+    """Sum of c x^xp f^(dq) over the terms of `numop`, in their order, on `grid.nodes`.
 
-    `derivatives(order)` supplies the samples of the order-th derivative of
-    f on `f.grid.nodes`; it is called once for each order >= 1 that the
-    operator needs.
+    `f` holds the samples of f on `grid.nodes`, and `derivatives(order)`
+    those of its order-th derivative; it is called once for each order >= 1
+    that the operator needs.
     """
-    samples = {0: f.values}
-    out = np.zeros_like(f.values)
+    samples = {0: f}
+    out = np.zeros_like(f)
     for xp, dq, c in numop.terms:
         if dq not in samples:
             samples[dq] = np.asarray(derivatives(dq), dtype=float)
-        out += c * (samples[dq] if xp == 0 else samples[dq] * f.grid.nodes ** float(xp))
-    return GridFunction(f.grid, out)
+        out += c * (samples[dq] if xp == 0 else samples[dq] * grid.nodes ** float(xp))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +397,13 @@ def fd_derivative(vals: np.ndarray, h: float, m: int) -> np.ndarray:
     return out / h**m
 
 
-def fd_derivatives(f):
-    """Derivative callback for `apply_operator` from the samples of f alone."""
+def fd_derivatives(grid, f):
+    """Derivative callback for `apply_operator` from the samples of f on `grid.nodes` alone."""
 
     def derivs(order):
         if order > 4:
             raise StencilUnsupported(f"finite differences stop at D^4, asked for D^{order}")
-        return fd_derivative(f.values, f.grid.h, order)
+        return fd_derivative(f, grid.h, order)
 
     return derivs
 

@@ -21,7 +21,6 @@ from micz_su11.analytic_states import (
     radial_state,
 )
 from micz_su11.numeric_verify import (
-    GridFunction,
     RadialGrid,
     casimir_check,
     eig_oracle,
@@ -168,15 +167,15 @@ def test_criterion_5_ladder_action():
     # makes T+ chi = 4 x (x-1) e^-x
     grid = GRIDS["hydrogen"]
     state = radial_state(HYDROGEN, H("1"))
-    f = GridFunction(grid, chi(state, grid.nodes))
     y = apply_operator(
         substitute(generator_table()["T+"], 0.0, 1.0),
-        f,
+        grid,
+        chi(state, grid.nodes),
         derivatives=lambda order: chi_dn(state, grid.nodes, order),
     )
     x = grid.nodes
     image = x * (x - 1.0) * np.exp(-x)
-    pointwise = float(np.max(np.abs(y.values - 4.0 * image)))
+    pointwise = float(np.max(np.abs(y - 4.0 * image)))
     scale = max(1.0, float(np.max(np.abs(4.0 * image))))
     ok = worst_raise <= 1e-7 and worst_bottom <= 1e-8 and pointwise <= 1e-10 * scale
     criterion(

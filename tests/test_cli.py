@@ -495,7 +495,7 @@ class TestOracle:
     def test_nmax_above_npoints_refused_before_any_level(self, capsys, monkeypatch, argv, npoints):
         built = []
 
-        def levels(sector, count=32):
+        def levels(sector, count):
             built.append(count)
             return quantum_numbers.levels(sector, count)
 

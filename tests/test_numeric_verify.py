@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -32,12 +33,13 @@ from micz_su11.analytic_states import TowerSampler, chi, chi_dn, product_rule, r
 from micz_su11.fd_oracle import _bisect_eigenvalue, _sturm_count, _suffix_min, oracle_grid
 from micz_su11.numeric_verify import (
     ConvergenceFailure,
-    GridFunction,
     GridTooCoarse,
     GridUnderflow,
     RadialGrid,
     _Level,
+    _dot,
     _level,
+    _norm,
     _tower_sampler,
     angular_residual_check,
     casimir_check,
@@ -81,7 +83,7 @@ def xgrid():
 
 def sampled(sector, n, grid):
     state = radial_state(sector, n)
-    f = GridFunction(grid, chi(state, grid.nodes))
+    f = chi(state, grid.nodes)
 
     def derivs(order):
         return chi_dn(state, grid.nodes, order)
@@ -132,17 +134,54 @@ class TestGridTypes:
         assert type(g.npoints) is int and g == RadialGrid(60.0, 6000)
         assert eig_oracle(0.0, g, 2) == eig_oracle(0.0, RadialGrid(60.0, 6000), 2)
 
-    def test_grid_function_validation(self):
-        g = RadialGrid(10.0, 20)
-        with pytest.raises(ValueError):
-            GridFunction(g, np.ones(7))
-        with pytest.raises(ValueError):
-            GridFunction(g, np.full(20, np.nan))
 
-    def test_inner_product_weighting(self):
+class TestNorm:
+    def test_weighting(self):
         g = RadialGrid(10.0, 99)
-        one = GridFunction(g, np.ones(99))
-        assert one.inner(one) == pytest.approx(g.h * 99, rel=1e-15)
+        assert _norm(g, np.ones(99)) == pytest.approx(math.sqrt(g.h * 99), rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        v = np.ones(20)
+        v[7] = bad
+        with pytest.raises(ValueError, match="^grid function contains non-finite entries$"):
+            _norm(RadialGrid(10.0, 20), v)
+
+    def test_squares_past_the_float_range_read_inf(self):
+        # finite entries whose squares overflow: the norm reads inf and does
+        # not raise (hydrogen j = 84 takes this path)
+        v = np.full(20, 1e200)
+        assert math.isinf(_norm(RadialGrid(10.0, 20), v))
+
+    def test_overflowing_difference_raises_at_check_time(self, hydrogen, monkeypatch, capsys):
+        # a finite T+ image whose (K + 1) T+ chi overflows: t3_eigen_check's
+        # difference holds -inf, so its norm raises, and the CLI turns that
+        # into exit 2 with one stderr line
+        build = _Level.images.func
+
+        def patched(level):
+            images = dict(build(level))
+            images["T+"] = images["T+"].copy()
+            images["T+"][images["T+"].size // 2] = 1e308
+            return MappingProxyType(images)
+
+        prop = functools.cached_property(patched)
+        prop.__set_name__(_Level, "images")
+        monkeypatch.setattr(_Level, "images", prop)
+        grid = RadialGrid(40.0, 1500)
+        _level.cache_clear()
+        try:
+            with np.errstate(over="ignore"):
+                # the patched image alone is finite: its norm reads inf
+                assert math.isinf(_norm(grid, _level(hydrogen, H("2"), grid).images["T+"]))
+                with pytest.raises(ValueError, match="^grid function contains non-finite entries$"):
+                    t3_eigen_check(hydrogen, H("2"), grid)
+                code = cli.main(["verify-states", "--s", "0", "--m", "0", "--j", "0", "--nmax", "3"])
+        finally:
+            _level.cache_clear()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: grid function contains non-finite entries\n"
 
 
 class TestFdWeights:
@@ -168,26 +207,26 @@ class TestApplyOperator:
 
         _, f, derivs = sampled(hydrogen, H("1"), xgrid)
         numop = substitute(NormalOrderedOperator.identity(), 0.0, 1.0)
-        out = apply_operator(numop, f, derivatives=derivs)
-        assert np.array_equal(out.values, f.values)
+        out = apply_operator(numop, xgrid, f, derivatives=derivs)
+        assert np.array_equal(out, f)
 
     def test_t3_eigen_action_analytic(self, hydrogen, xgrid):
         # T3 chi_{1,0} = 1 * chi_{1,0}
         _, f, derivs = sampled(hydrogen, H("1"), xgrid)
-        y = apply_operator(substitute(generator_table()["T3"], 0.0, 1.0), f, derivatives=derivs)
-        assert np.max(np.abs(y.values - f.values)) <= 1e-8 * np.max(np.abs(f.values))
+        y = apply_operator(substitute(generator_table()["T3"], 0.0, 1.0), xgrid, f, derivatives=derivs)
+        assert np.max(np.abs(y - f)) <= 1e-8 * np.max(np.abs(f))
 
     def test_Ln_annihilates_hydrogen_ground_state(self, hydrogen, xgrid):
         _, f, derivs = sampled(hydrogen, H("1"), xgrid)
-        y = apply_operator(substitute(build_Ln(), 0.0, 1.0), f, derivatives=derivs)
-        assert np.max(np.abs(y.values)) <= 1e-8 * np.max(np.abs(f.values))
+        y = apply_operator(substitute(build_Ln(), 0.0, 1.0), xgrid, f, derivatives=derivs)
+        assert np.max(np.abs(y)) <= 1e-8 * np.max(np.abs(f))
 
     def test_fd_matches_analytic_for_second_order(self, shifted, xgrid):
         _, f, derivs = sampled(shifted, H("5/2"), xgrid)
         for op in (generator_table()["T3"], build_Ln(), generator_table()["T+"]):
             numop = substitute(op, shifted.bigJ, 2.5)
-            exact = apply_operator(numop, f, derivatives=derivs).values
-            fd = apply_operator(numop, f, derivatives=fd_derivatives(f)).values
+            exact = apply_operator(numop, xgrid, f, derivatives=derivs)
+            fd = apply_operator(numop, xgrid, f, derivatives=fd_derivatives(xgrid, f))
             x = xgrid.nodes
             mask = (x >= 5 * xgrid.h) & (np.arange(len(x)) >= 2) & (np.arange(len(x)) < len(x) - 2)
             assert np.max(np.abs((exact - fd)[mask])) <= 1e-5
@@ -198,10 +237,10 @@ class TestApplyOperator:
         _, f, derivs = sampled(hydrogen, H("1"), xgrid)
         numop = substitute(NormalOrderedOperator({(0, 5): 1}), 0.0, 1.0)
         with pytest.raises(TypeError):
-            apply_operator(numop, f)  # the derivative callback is required
+            apply_operator(numop, xgrid, f)  # the derivative callback is required
         with pytest.raises(StencilUnsupported):
-            apply_operator(numop, f, derivatives=fd_derivatives(f))
-        apply_operator(numop, f, derivatives=derivs)  # analytic path is fine
+            apply_operator(numop, xgrid, f, derivatives=fd_derivatives(xgrid, f))
+        apply_operator(numop, xgrid, f, derivatives=derivs)  # analytic path is fine
 
     def test_callback_asked_once_per_distinct_order(self, hydrogen, xgrid):
         from micz_su11.operator_algebra import NormalOrderedOperator
@@ -214,10 +253,10 @@ class TestApplyOperator:
             return derivs(order)
 
         terms = {(0, 0): 1, (1, 0): 2, (0, 2): 1, (2, 2): -1, (-1, 1): 3, (1, 4): 1, (2, 4): 1}
-        apply_operator(substitute(NormalOrderedOperator(terms), 0.0, 1.0), f, derivatives=counting)
+        apply_operator(substitute(NormalOrderedOperator(terms), 0.0, 1.0), xgrid, f, derivatives=counting)
         assert sorted(asked) == [1, 2, 4]
         asked.clear()
-        apply_operator(substitute(NormalOrderedOperator({(0, 0): 1, (2, 0): 1}), 0.0, 1.0), f,
+        apply_operator(substitute(NormalOrderedOperator({(0, 0): 1, (2, 0): 1}), 0.0, 1.0), xgrid, f,
                        derivatives=counting)
         assert asked == []
 
@@ -742,7 +781,7 @@ class TestCertifiedBracket:
 def replace_image(level, name, values):
     """Put `values` in place of one image of a built level, as if its build had made them."""
     images = dict(level.images)
-    images[name] = GridFunction(level.grid, values)
+    images[name] = values
     level.__dict__["images"] = MappingProxyType(images)
 
 
@@ -750,10 +789,10 @@ class TestLadder:
     def test_hydrogen_raise_closed_form(self, hydrogen, xgrid):
         # T+ chi_{1,0} = 4 x (x-1) e^{-x} with the stored normalization
         state, f, derivs = sampled(hydrogen, H("1"), xgrid)
-        y = apply_operator(substitute(generator_table()["T+"], 0.0, 1.0), f, derivatives=derivs)
+        y = apply_operator(substitute(generator_table()["T+"], 0.0, 1.0), xgrid, f, derivatives=derivs)
         x = xgrid.nodes
         image = 4.0 * x * (x - 1.0) * np.exp(-x)
-        assert np.max(np.abs(y.values - image)) <= 1e-10 * max(1.0, np.max(np.abs(image)))
+        assert np.max(np.abs(y - image)) <= 1e-10 * max(1.0, np.max(np.abs(image)))
         rep = ladder_check(hydrogen, H("1"), +1, xgrid)
         assert rep.check_name == "ladder_raise"
         assert rep.residual <= 1e-8
@@ -794,7 +833,7 @@ class TestLadder:
         sector = make_sector(MonopoleParams(H("0"), 0.0, 0.0), H("0"), H("84"))
         grid = numeric_verify.states_grid(sector, 3, None, None)
         with np.errstate(over="ignore"):
-            assert math.isinf(_level(sector, H("85"), grid).images["T+"].norm())
+            assert math.isinf(_norm(grid, _level(sector, H("85"), grid).images["T+"]))
             rep = ladder_check(sector, H("85"), +1, grid)
         assert 0.0 < rep.residual <= 1e-13 and rep.passed
 
@@ -804,7 +843,7 @@ class TestLadder:
         n = shifted.j + 2
         level = _level(shifted, n, xgrid)
         try:
-            replace_image(level, "T+", level.images["T+"].values * (1.0 + 1e-6))
+            replace_image(level, "T+", level.images["T+"] * (1.0 + 1e-6))
             rep = ladder_check(shifted, n, +1, xgrid)
         finally:
             _level.cache_clear()
@@ -818,9 +857,9 @@ class TestLadder:
         level = _level(shifted, n, xgrid)
         name = "T+" if sign == 1 else "T-"
         y = level.images[name]
-        g = _level(shifted, n + 3, xgrid).f
+        g = _level(shifted, n + 3, xgrid).chi
         try:
-            replace_image(level, name, y.values + 1e-5 * y.norm() / g.norm() * g.values)
+            replace_image(level, name, y + 1e-5 * _norm(xgrid, y) / _norm(xgrid, g) * g)
             rep = ladder_check(shifted, n, sign, xgrid)
         finally:
             _level.cache_clear()
@@ -840,12 +879,13 @@ class TestLadder:
             grid = RadialGrid(rmax, npoints)
             state, f, _ = sampled(hydrogen, H("1"), grid)
             tstate = radial_state(hydrogen, H("2"))
-            t = GridFunction(grid, chi(tstate, grid.nodes))
-            y = apply_operator(substitute(generator_table()["T+"], 0.0, 1.0), f, derivatives=fd_derivatives(f))
-            sim = abs(y.inner(t)) / (y.norm() * t.norm())
+            t = chi(tstate, grid.nodes)
+            derivs = fd_derivatives(grid, f)
+            y = apply_operator(substitute(generator_table()["T+"], 0.0, 1.0), grid, f, derivatives=derivs)
+            sim = abs(grid.h * _dot(y, t)) / (_norm(grid, y) * _norm(grid, t))
             raise_defects.append(1.0 - sim)
-            ym = apply_operator(substitute(generator_table()["T-"], 0.0, 1.0), f, derivatives=fd_derivatives(f))
-            annihilation.append(ym.norm() / f.norm())
+            ym = apply_operator(substitute(generator_table()["T-"], 0.0, 1.0), grid, f, derivatives=derivs)
+            annihilation.append(_norm(grid, ym) / _norm(grid, f))
         assert raise_defects[0] > raise_defects[1] > raise_defects[2]
         assert annihilation[0] > annihilation[1] > annihilation[2]
 
@@ -892,8 +932,8 @@ class TestT3AndCasimir:
         level = _level(hydrogen, n, grid)
         assert radial_equation_check(hydrogen, n, grid).passed
         x = grid.nodes
-        fmax = np.max(np.abs(level.f.values))
-        ln = level.images["Ln"].values
+        fmax = np.max(np.abs(level.chi))
+        ln = level.images["Ln"]
         try:
             for where, fails in ((50.0, True), (0.005, False)):
                 bumped = ln.copy()
@@ -1253,7 +1293,7 @@ class TestSampleCache:
         _level.cache_clear()
         try:
             level = _Level(hydrogen, H("2"), RadialGrid(40.0, 1500))
-            assert np.all(np.isfinite(level.f.values))
+            assert np.all(np.isfinite(level.chi))
             with pytest.raises(ValueError, match="^grid function contains non-finite entries$"):
                 level.images
             code = cli.main(["verify-states", "--s", "0", "--m", "0", "--j", "0", "--nmax", "3"])
@@ -1279,10 +1319,10 @@ class TestSampleCache:
 
     def test_cached_arrays_are_read_only(self, hydrogen, xgrid):
         level = _level(hydrogen, H("2"), xgrid)
-        t3 = level.images["T3"].values
+        t3 = level.images["T3"]
         # the level keeps chi and its nine images, no derivative samples
         assert not hasattr(level, "derivative") and not hasattr(level, "_derivatives")
-        for arr in (level.f.values, t3, xgrid.nodes):
+        for arr in (level.chi, t3, xgrid.nodes):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
@@ -1300,7 +1340,7 @@ class TestSampleCache:
         _tower_sampler.cache_clear()
         level = _level(sector, n, grid)
         _, f, derivs = sampled(sector, n, grid)
-        assert np.array_equal(level.f.values, f.values)
+        assert np.array_equal(level.chi, f)
         return level, f, derivs
 
     @staticmethod
@@ -1322,7 +1362,7 @@ class TestSampleCache:
         p = level.state.kummer
         x = level.grid.nodes
         sampler = TowerSampler(level.state.sector, x)
-        samples = [f.values, *(derivs(order) for order in range(1, 5))]
+        samples = [f, *(derivs(order) for order in range(1, 5))]
         terms = op._float_terms()
         pieces = np.zeros_like(x)
         expanded = np.zeros_like(x)
@@ -1350,8 +1390,8 @@ class TestSampleCache:
         assert set(level.images) == set(table) and len(table) == 9
         J, K = level.state.sector.bigJ, level.state.level.K
         for name, op in table.items():
-            expected = apply_operator(substitute(op, J, K), f, derivs).values
-            image = level.images[name].values
+            expected = apply_operator(substitute(op, J, K), level.grid, f, derivs)
+            image = level.images[name]
             bound = self._forward_error_bound(op, level, f, derivs)
             assert np.all(np.abs(image - expected) <= bound), name
             with pytest.raises(ValueError, match="read-only"):
@@ -1365,13 +1405,13 @@ class TestSampleCache:
         level, f, derivs = self._reference_case(spec, 2)
         J, K = level.state.sector.bigJ, level.state.level.K
         for name, op in operator_algebra.generator_table().items():
-            image = level.images[name].values
+            image = level.images[name]
             bound = self._forward_error_bound(op, level, f, derivs)
             numop = substitute(op, J, K)
             for i, (xp, dq, c) in enumerate(numop.terms):
                 terms = list(numop.terms)
                 terms[i] = (xp, dq, c * (1.0 + 1e-11))
-                off = apply_operator(NumericOperator(tuple(terms), J, K), f, derivs).values
+                off = apply_operator(NumericOperator(tuple(terms), J, K), level.grid, f, derivs)
                 assert not np.all(np.abs(image - off) <= bound), (name, xp, dq)
 
     def test_coefficients_equal_substitute_up_to_rounding(self, shifted):
@@ -1395,15 +1435,15 @@ class TestSampleCache:
         blocks = []
         derivative_calls = []
         coefficients_ = numeric_verify._coefficients
-        rows = GridFunction._rows.__func__
 
         def counting_coefficients(J, K):
             coefficients.append((J, K))
             return coefficients_(J, K)
 
-        def counting_rows(cls, grid, block):
-            blocks.append(block.shape)
-            return rows(cls, grid, block)
+        def counting_blocks(images):
+            # every image is a row of one block: count the distinct blocks
+            blocks.extend({id(row.base): row.base.shape for row in images.values()}.values())
+            return MappingProxyType(images)
 
         def counting_derivatives(sampler, state, top):
             derivative_calls.append((state.level.n, top))
@@ -1411,7 +1451,7 @@ class TestSampleCache:
         _level.cache_clear()
         _tower_sampler.cache_clear()
         monkeypatch.setattr(numeric_verify, "_coefficients", counting_coefficients)
-        monkeypatch.setattr(GridFunction, "_rows", classmethod(counting_rows))
+        monkeypatch.setattr(numeric_verify, "MappingProxyType", counting_blocks)
         monkeypatch.setattr(TowerSampler, "derivatives", counting_derivatives)
         self._suite(hydrogen)
         # ten levels: one coefficient matrix and one block of nine images each

@@ -289,18 +289,6 @@ class TestBuilders:
             got = substitute(op, jval, kval).terms
             assert [(xp, dq, c.hex()) for xp, dq, c in got] == [(xp, dq, c.hex()) for xp, dq, c in expected]
 
-    def test_float_table_is_built_by_substitute_only(self):
-        op = compose(build_Ln(), X)
-        # the exact kernel (compare, hash, render) never builds it
-        assert op == compose(build_Ln(), X)
-        hash(op)
-        op.render()
-        assert not hasattr(op, "_floats")
-        substitute(op, 1.5, 2.5)
-        table = op._floats
-        substitute(op, 0.5, 3.5)
-        assert op._floats is table
-
     def test_sign_validation(self):
         with pytest.raises(ValueError):
             build_Tpm(0)

@@ -22,8 +22,8 @@ GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # every name `micz_su11` exported when its __init__ imported all five modules, less
-# IrrepLabels, irrep_labels, iter_valid_j, radial_R, chi_d1, chi_d2 and default_angular_mesh
-# (removed) and kummer_deriv, build_T3, build_Tpm, build_Tpm_n, apply_operator, substitute and
+# IrrepLabels, irrep_labels, iter_valid_j, radial_R, chi_d1, chi_d2, default_angular_mesh and
+# GridFunction (removed) and kummer_deriv, build_T3, build_Tpm, build_Tpm_n, apply_operator, substitute and
 # NumericOperator (moved to tests/oracles.py)
 EXPORTED = """
     HalfInt InvalidLevel InvalidQuantumNumbers LevelLabels MonopoleParams SectorLabels energy
@@ -35,7 +35,7 @@ EXPORTED = """
     monomial_action replace_K solve_schrodinger_ansatz
     AngularState DomainError RadialState angular_Z angular_residual angular_state chi chi_dn
     radial_state
-    ConvergenceFailure GridFunction GridTooCoarse GridUnderflow RadialGrid VerificationReport
+    ConvergenceFailure GridTooCoarse GridUnderflow RadialGrid VerificationReport
     eig_oracle ladder_check casimir_check radial_equation_check angular_residual_check oracle_reports
     spectrum_cross_check t3_eigen_check t3_spacing_check verify_states_suite
 """.split()
