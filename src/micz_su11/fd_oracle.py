@@ -35,6 +35,29 @@ the steps, midpoints and stopping rule of the full-sweep bisection, so a
 wrong or non-finite guess costs sweeps and never changes an eigenvalue:
 every eigenvalue is bit-for-bit the full-sweep bisection's.
 
+The diagonal is built only as far as the sweeps and `_locate` reach (0.4
+of the grid on the `oracle` benchmark): `_FdMatrix` keeps a prefix of it
+that grows on demand.  Each entry is d_i = fl(u_i + t_i) with u_i =
+fl(1/h^2 - fl(1/r_i)) nondecreasing in i and t_i = fl(J(J+1) / fl(fl(2 r_i)
+r_i)) nonincreasing, and rounding is monotone, so for every i in [p, q]
+
+    fl(u_p + t_q) <= d_i <= fl(u_q + t_p).
+
+`_FdMatrix` samples u and t at every 32nd node and the last, which bounds
+each 32-node block from both sides.  That makes three facts about the
+whole diagonal cheap and exact:
+
+- its min and max: a branch and bound over the blocks builds the inner
+  entries of only those blocks whose bound passes the least (greatest)
+  entry seen, so the Gershgorin bounds lo and hi are bit for bit those of
+  the full list;
+- that every entry is finite: u and t finite at both ends are finite in
+  between, so finite lo and hi leave no entry infinite or nan;
+- where the tail starts: the running minimum of the block floors from the
+  end is a nondecreasing lower bound of the suffix minimum of the
+  diagonal, so it certifies where a sweep may stop (`_sturm_count`), and
+  from it `_locate` finds the tail start node for node.
+
 The module imports only the standard library and `quantum_numbers`, so the
 `oracle` subcommand starts without numpy.  `RadialGrid.nodes`, the one numpy
 array here, is built on first access for the grid checks of `numeric_verify`.
@@ -59,6 +82,9 @@ MIN_NODES_PER_WAVELENGTH = 8
 # relative margin of the early-stop bound in `_sturm_count`; any value far
 # above machine epsilon keeps the stop exact
 STURM_TAIL_MARGIN = 1e-12
+STURM_CHUNK = 32  # nodes a sweep runs past the tail start between tests for its finish
+DIAGONAL_BLOCK = 32  # nodes per block of `_FdMatrix`'s sampled bounds
+DIAGONAL_GROWTH = 256  # entries `_FdMatrix.upto` adds at least, when it adds any
 # the locator of `eig_oracle` (see `_locate`); no value can change an eigenvalue
 LOCATE_WIDTH = 1e-2  # it runs once a bound state's bracket is narrower than this times |b|
 LOCATE_TWIST = 0.85  # the twist node as a fraction of the tail start
@@ -160,37 +186,120 @@ def _report(name, inputs, residual, tolerance, t0, details=None) -> Verification
                               runtime_ms, details or {})
 
 
-def _suffix_min(diag: list[float]) -> list[float]:
-    """suffix_min[i] = min(diag[i:]); nondecreasing in i.
+class _FdMatrix:
+    """The FD matrix: its diagonal, built on demand, constant off-diagonal `off` and Gershgorin bounds lo, hi.
 
-    Up to the first minimum p of the diagonal every entry is diag[p].  Past
-    p, where the diagonal of `_fd_matrix` rises, a nondecreasing diag[p:] is
-    its own suffix minimum; only a tail that still descends somewhere takes
-    the running minimum.  `min` is exact, so this is bit for bit the running
-    minimum of the whole list.
+    d_i = 1/h^2 - 1/r_i + J(J+1)/(2 r_i^2) with r_i = h (i + 1), off =
+    -1/(2 h^2).  Each d_i takes the operations of the elementwise array
+    expression in the same order, so it is bit for bit that expression's
+    value.  `values` holds the entries built so far, a prefix of the
+    diagonal that `upto` extends.  lo and hi are min and max of the whole
+    diagonal -+ 2|off|, found exactly without building it (see the module
+    docstring).  GridUnderflow when h^2 underflows to zero; ValueError when
+    an entry or a bound is not finite (J(J+1) overflows above J of about
+    1.3e154).
     """
-    if not diag:
-        return []
-    low = min(diag)
-    p = diag.index(low)
-    tail = diag[p:]
-    if tail != sorted(tail):
-        tail = list(itertools.accumulate(reversed(tail), min))
-        tail.reverse()
-    return [low] * p + tail
+
+    def __init__(self, J: float, grid: RadialGrid):
+        h = grid.h
+        if h * h == 0.0:
+            raise GridUnderflow(f"the grid spacing h={h:.4g} of rmax={grid.rmax!r} over "
+                                f"{grid.npoints} points squares to zero")
+        self.npoints = n = grid.npoints
+        self.off = -1.0 / (2.0 * h * h)
+        # the early-stop bound of `_sturm_count` on fl(d - lam)
+        self._tail_bound = 2.0 * abs(self.off) * (1.0 + STURM_TAIL_MARGIN)
+        inv_h2, jj = 1.0 / (h * h), J * (J + 1.0)
+        self._h, self._inv_h2, self._jj = h, inv_h2, jj
+        # u = 1/h^2 - 1/r and t = J(J+1)/(2 r^2) at every DIAGONAL_BLOCK-th node
+        # and the last; block k runs from sample k to sample k + 1
+        samples = [*range(1, n, DIAGONAL_BLOCK), n]
+        u = [inv_h2 - 1.0 / r for r in map(h.__mul__, samples)]
+        t = [jj / (2.0 * r * r) for r in map(h.__mul__, samples)]
+        lo = hi = math.nan
+        # u and t finite at both ends are finite everywhere between them, and
+        # d = u + t is then finite unless it overflows to +inf, which max(d) shows
+        if all(map(math.isfinite, (u[0], t[0], u[-1], t[-1]))):
+            floors = list(map(operator.add, u, t[1:]))  # <= every entry of the block
+            ceilings = list(map(operator.add, u[1:], t))  # >= every entry of the block
+            # branch and bound over the blocks: the sampled entries, exact, then
+            # the inner entries of each block whose bound passes the best seen
+            sampled = list(map(operator.add, u, t))
+            low, high = min(sampled), max(sampled)
+            for k, (floor, ceiling) in enumerate(zip(floors, ceilings)):
+                if floor < low or ceiling > high:
+                    inner = self._entries(k * DIAGONAL_BLOCK + 1, min((k + 1) * DIAGONAL_BLOCK, n - 1))
+                    low, high = min([low, *inner]), max([high, *inner])
+            lo, hi = low - 2.0 * abs(self.off), high + 2.0 * abs(self.off)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"J={J} on a grid with h={h:.4g} overflows the finite-difference matrix")
+        self.lo, self.hi = lo, hi
+        # _floors[k] <= min(d_j for j >= k DIAGONAL_BLOCK), nondecreasing in k
+        self._floors = list(itertools.accumulate(reversed(floors), min))[::-1]
+        self.values = self._entries(0, min(DIAGONAL_GROWTH, n))
+
+    def _entries(self, s: int, e: int) -> list[float]:
+        """Entries s to e - 1 of the diagonal."""
+        h, inv_h2, jj = self._h, self._inv_h2, self._jj
+        return [inv_h2 - 1.0 / r + jj / (2.0 * r * r) for r in map(h.__mul__, range(s + 1, e + 1))]
+
+    def upto(self, end: int) -> list[float]:
+        """`values`, extended to hold at least the first min(end, npoints) entries.
+
+        The prefix grows by at least a quarter of itself, and at least
+        DIAGONAL_GROWTH entries, so a sweep that creeps forward extends it
+        a few times per call, not once per chunk.
+        """
+        values = self.values
+        if end > len(values):
+            s = len(values)
+            values.extend(self._entries(s, min(self.npoints, max(end, s + s // 4, s + DIAGONAL_GROWTH))))
+        return values
+
+    def certified_tail(self, lam: float) -> int:
+        """A multiple of DIAGONAL_BLOCK, or npoints, from which every entry meets the early-stop bound at lam.
+
+        The bound fl(d_j - lam) >= 2|off|(1 + STURM_TAIL_MARGIN) of
+        `_sturm_count` holds for every j from the first block whose floor
+        meets it on, since fl(d - lam) is monotone in d.  So the node is
+        never before `tail_start`, and needs no entry of the diagonal.
+        """
+        k = bisect.bisect_left(self._floors, self._tail_bound, key=lambda d: d - lam)
+        return k * DIAGONAL_BLOCK if k < len(self._floors) else self.npoints
+
+    def tail_start(self, lam: float) -> int:
+        """The first node i with fl(d_j - lam) >= 2|off|(1 + STURM_TAIL_MARGIN) for every j >= i.
+
+        That is the first i with fl(min(d[i:]) - lam) above the bound, node
+        for node: every node from `certified_tail` on meets it, so the
+        first is one past the last node before it that does not.
+        """
+        t = self.certified_tail(lam)
+        values = self.upto(t)
+        while t > 0 and values[t - 1] - lam >= self._tail_bound:
+            t -= 1
+        return t
 
 
-def _tail_start(suffix_min: list[float], b: float, lam: float) -> int:
-    """The first node i with fl(suffix_min[i] - lam) >= 2b(1 + STURM_TAIL_MARGIN) (see `_sturm_count`)."""
-    return bisect.bisect_left(suffix_min, 2.0 * b * (1.0 + STURM_TAIL_MARGIN), key=lambda d: d - lam)
+def _guarded_steps(chunk: list[float], q: float, count: int, lam: float, e2: float, k: int) -> tuple[float, int]:
+    """The steps of `_sturm_count` over chunk from pivot q, a pivot that is exactly zero taken as 1e-300."""
+    for d in chunk:
+        if q == 0.0:
+            q = 1e-300
+        q = d - lam - e2 / q
+        if q < 0.0:
+            count += 1
+            if count > k:
+                break
+    return q, count
 
 
-def _sturm_count(diag: list[float], suffix_min: list[float], off: float, lam: float, k: int) -> int:
+def _sturm_count(matrix: _FdMatrix, lam: float, k: int) -> int:
     """The negative pivots of the LDL^T sweep at lam, counted until the count passes k.
 
-    The matrix has diagonal `diag` and constant off-diagonal `off`; the
-    pivots are q_0 = d_0 - lam, q_i = d_i - lam - off^2 / q_{i-1}, and the
-    number of negative ones is the number of eigenvalues strictly below lam.
+    The matrix has diagonal d and constant off-diagonal off; the pivots
+    are q_0 = d_0 - lam, q_i = d_i - lam - off^2 / q_{i-1}, and the number
+    of negative ones is the number of eigenvalues strictly below lam.
     Counts only grow along the sweep, so the result is > k exactly when the
     full count is, and equals the full count otherwise.
 
@@ -204,40 +313,43 @@ def _sturm_count(diag: list[float], suffix_min: list[float], off: float, lam: fl
       relative), far below eta, so fl(q_i) >= b still holds.  This needs
       off^2 to be a normal float; otherwise the early stop is off.
 
-    Since fl(d - lam) is monotone in d, the tail where the bound holds for
-    every later node starts at the first i with fl(suffix_min[i] - lam) >=
-    2b(1 + eta), found by binary search.  For lam < 0 that is just past the
-    outer turning point V(r) = lam.  The recurrence runs unchanged up to
-    that node; past it, the sweep finishes at the first pivot >= b.
-
-    The head loop (nodes before the tail) and the tail loop take the same
-    step; only the tail tests for the finish, which keeps that test off the
-    nodes that make up most of a sweep.
+    `_FdMatrix.certified_tail` gives a node from which the bound holds, at
+    or a little past the turning point V(r) = lam for lam < 0.  The sweep
+    runs in chunks: the head up to that node as far as the diagonal is
+    built (built further when the sweep gets there), then STURM_CHUNK nodes
+    at a time, and it finishes at the end of the first chunk whose last
+    pivot is >= b.  Past that pivot every pivot stays >= b, so running to
+    the chunk's end changes no count.  An exactly zero pivot would divide
+    by zero; its chunk runs again with the pivot taken as 1e-300.
     """
-    e2, b = off * off, abs(off)
-    tail = _tail_start(suffix_min, b, lam) if e2 >= sys.float_info.min else len(diag)
-    q = diag[0] - lam
+    off = matrix.off
+    e2, b, n = off * off, abs(off), matrix.npoints
+    tail = matrix.certified_tail(lam) if e2 >= sys.float_info.min else n
+    values = matrix.values
+    q = values[0] - lam
     count = 1 if q < 0.0 else 0
     if count > k:
         return count
-    for d in itertools.islice(diag, 1, tail):
-        if q == 0.0:
-            q = 1e-300
-        q = d - lam - e2 / q
-        if q < 0.0:
-            count += 1
+    start = 1
+    while start < n:
+        if start >= len(values):
+            matrix.upto(start + 1)
+        end = min(len(values), tail if start < tail else start + STURM_CHUNK)
+        chunk, q0, count0 = values[start:end], q, count
+        try:
+            for d in chunk:
+                q = d - lam - e2 / q
+                if q < 0.0:
+                    count += 1
+                    if count > k:
+                        return count
+        except ZeroDivisionError:  # a pivot that is exactly zero
+            q, count = _guarded_steps(chunk, q0, count0, lam, e2, k)
             if count > k:
                 return count
-    for d in itertools.islice(diag, max(tail, 1), None):
-        if q >= b:
+        start = end
+        if end >= tail and q >= b:
             break
-        if q == 0.0:
-            q = 1e-300
-        q = d - lam - e2 / q
-        if q < 0.0:
-            count += 1
-            if count > k:
-                return count
     return count
 
 
@@ -269,43 +381,20 @@ def _bisect_eigenvalue(exceeds, k: int, lo: float, hi: float) -> float:
     return _bisect_cell(exceeds, k, lo, hi)[2]
 
 
-def _fd_matrix(J: float, grid: RadialGrid) -> tuple[list[float], float, float, float]:
-    """Diagonal, constant off-diagonal and Gershgorin bounds lo, hi of the FD matrix.
-
-    d_i = 1/h^2 - 1/r_i + J(J+1)/(2 r_i^2) with r_i = h i, off = -1/(2 h^2).
-    Each d_i takes the operations of the elementwise array expression in the
-    same order, so it is bit for bit that expression's value.  GridUnderflow
-    when h^2 underflows to zero; ValueError when an entry or a bound is not
-    finite (J(J+1) overflows above J of about 1.3e154).
-    """
-    h = grid.h
-    if h * h == 0.0:
-        raise GridUnderflow(f"the grid spacing h={h:.4g} of rmax={grid.rmax!r} over "
-                            f"{grid.npoints} points squares to zero")
-    off = -1.0 / (2.0 * h * h)
-    inv_h2, jj = 1.0 / (h * h), J * (J + 1.0)
-    diag = [inv_h2 - 1.0 / r + jj / (2.0 * r * r) for i in range(1, grid.npoints + 1) for r in (h * i,)]
-    lo = min(diag) - 2.0 * abs(off)
-    hi = max(diag) + 2.0 * abs(off)
-    if not (math.isfinite(lo) and math.isfinite(hi) and all(map(math.isfinite, diag))):
-        raise ValueError(f"J={J} on a grid with h={h:.4g} overflows the finite-difference matrix")
-    return diag, off, lo, hi
-
-
-def _dirichlet_end(diag: list[float], t: int, b: float, theta: float) -> int:
+def _dirichlet_end(matrix: _FdMatrix, t: int, theta: float) -> int:
     """`_locate`'s backward end M: LOCATE_EFOLDS e-folds past the tail start t, or the last node.
 
     Past t the decaying solution falls by kappa_i = acosh((d_i - theta) / 2b)
-    e-folds per node.  A tail start t >= 1 lies past the diagonal's minimum,
-    where the diagonal of `_fd_matrix` rises, so kappa never decreases.  The
-    walk samples kappa every LOCATE_STRIDE nodes, credits each sample to the
-    nodes up to the next one, and ends in the stride that completes the sum
-    at its sample's rate.  Each credit under-counts, so M lands at or past
-    the node-by-node end, never closer.
+    e-folds per node, b = |off|.  A tail start t >= 1 lies past the
+    diagonal's minimum, where the FD diagonal rises, so kappa never
+    decreases.  The walk samples kappa every LOCATE_STRIDE nodes, credits
+    each sample to the nodes up to the next one, and ends in the stride
+    that completes the sum at its sample's rate.  Each credit under-counts,
+    so M lands at or past the node-by-node end, never closer.
     """
-    n, M, efolds = len(diag), t, 0.0
+    n, M, efolds, b = matrix.npoints, t, 0.0, abs(matrix.off)
     while M < n:
-        kappa = math.acosh((diag[M] - theta) / (2.0 * b))
+        kappa = math.acosh((matrix.upto(M + 1)[M] - theta) / (2.0 * b))
         if efolds + LOCATE_STRIDE * kappa >= LOCATE_EFOLDS:
             return min(M + math.ceil((LOCATE_EFOLDS - efolds) / kappa), n)
         efolds += LOCATE_STRIDE * kappa
@@ -313,7 +402,7 @@ def _dirichlet_end(diag: list[float], t: int, b: float, theta: float) -> int:
     return n
 
 
-def _locate(diag: list[float], suffix_min: list[float], off: float, a: float, b: float) -> tuple[float, float]:
+def _locate(matrix: _FdMatrix, a: float, b: float) -> tuple[float, float]:
     """A guess at a bound state's eigenvalue near a < b, and the last secant step.
 
     (a, b) is a narrow certified bracket or a window around a predicted
@@ -343,13 +432,15 @@ def _locate(diag: list[float], suffix_min: list[float], off: float, a: float, b:
     without evaluating gamma at the new point.  (nan, nan) when an
     evaluation fails.
     """
+    off = matrix.off
     theta, e2, coupling = 0.5 * (a + b), off * off, abs(off)
-    t = _tail_start(suffix_min, coupling, theta)
+    t = matrix.tail_start(theta)
     m = int(LOCATE_TWIST * t)
-    M = _dirichlet_end(diag, t, coupling, theta)
-    truncated = M < len(diag)
+    M = _dirichlet_end(matrix, t, theta)
+    truncated = M < matrix.npoints
     if m < 1 or M < m + 2:
         return math.nan, math.nan
+    diag = matrix.upto(M)
     head, back, d_m = diag[1:m], diag[M - 2:m:-1], diag[m]
 
     def gamma(lam):
@@ -398,7 +489,7 @@ def _predict(found: list[float]) -> float:
 def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
     """Lowest `count` eigenvalues of the radial problem at angular label J, ascending.
 
-    Sturm-sequence bisection of `_fd_matrix` between its Gershgorin bounds
+    Sturm-sequence bisection of `_FdMatrix` between its Gershgorin bounds
     that sweeps only inside certified brackets (see the module docstring).
     The one `_locate` of each eigenvalue starts from `_predict` +- LOCATE_PREDICT
     relative while predictions certify, else from the bracket once it is
@@ -425,8 +516,8 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
             f"h={grid.h:.4g} gives fewer than {MIN_NODES_PER_WAVELENGTH} nodes "
             f"per expected wavelength {wavelength:.4g}"
         )
-    diag, off, lo, hi = _fd_matrix(J, grid)
-    suffix_min = _suffix_min(diag)
+    matrix = _FdMatrix(J, grid)
+    lo, hi = matrix.lo, matrix.hi
     a, out, predicting = -math.inf, [], True
     for k in range(count):
         # the certified bracket count(a) <= k < count(b): a carries over, and
@@ -436,7 +527,7 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
 
         def sweep(lam: float) -> None:
             nonlocal a, b
-            if _sturm_count(diag, suffix_min, off, lam, k) > k:
+            if _sturm_count(matrix, lam, k) > k:
                 b = lam
             else:
                 a = lam
@@ -445,7 +536,7 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
             """The one `_locate` of eigenvalue k, from x0 and x1; whether sweeps certify its guess."""
             nonlocal located
             located = True
-            theta, step = _locate(diag, suffix_min, off, x0, x1)
+            theta, step = _locate(matrix, x0, x1)
             if not math.isfinite(theta):
                 return False
             # the final cell of the walk that theta decides: certified, it

@@ -7,6 +7,8 @@ the explicit finite series, both evaluated in exact rational arithmetic
 at the very end.
 """
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +17,7 @@ import numpy as np
 
 from micz_su11 import operator_algebra
 from micz_su11.analytic_states import ANGULAR_THETAS, AngularState, RadialState, _as_array, _theta_profile, chi
-from micz_su11.fd_oracle import _sturm_count
+from micz_su11.fd_oracle import STURM_TAIL_MARGIN, _sturm_count
 from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly, replace_K
 from micz_su11.quantum_numbers import GridUnderflow
 from micz_su11.special_functions import KummerParams, _kummer_deriv_scale, kummer_terminating
@@ -171,9 +173,37 @@ def eig_oracle_full_sweep(J: float, grid, count: int) -> list[float]:
     return [bisect_eigenvalue_full(diag, off * off, k, lo, hi) for k in range(count)]
 
 
-def sturm_count(diag: list[float], suffix_min: list[float], off: float, lam: float) -> int:
+def sturm_count(matrix, lam: float) -> int:
     """The early-stopping count of `eig_oracle`, run to its end: no count exceeds the number of nodes."""
-    return _sturm_count(diag, suffix_min, off, lam, len(diag))
+    return _sturm_count(matrix, lam, matrix.npoints)
+
+
+def suffix_min(diag: list[float]) -> list[float]:
+    """suffix_min[i] = min(diag[i:]), the running minimum of the reversed list."""
+    return list(itertools.accumulate(reversed(diag), min))[::-1]
+
+
+def tail_start(diag: list[float], off: float, lam: float) -> int:
+    """The first node i with fl(min(diag[i:]) - lam) >= 2|off|(1 + STURM_TAIL_MARGIN), by binary search."""
+    bound = 2.0 * abs(off) * (1.0 + STURM_TAIL_MARGIN)
+    return bisect.bisect_left(suffix_min(diag), bound, key=lambda d: d - lam)
+
+
+class ListMatrix:
+    """A whole diagonal list and an off-diagonal, read as `_sturm_count` reads `fd_oracle._FdMatrix`.
+
+    Its tail start is the exact one of the full suffix minimum, so the sweep
+    can run on a diagonal no grid gives (a pivot that is exactly zero).
+    """
+
+    def __init__(self, diag: list[float], off: float):
+        self.values, self.off, self.npoints = diag, off, len(diag)
+
+    def upto(self, end: int) -> list[float]:
+        return self.values
+
+    def certified_tail(self, lam: float) -> int:
+        return tail_start(self.values, self.off, lam)
 
 
 def locate_untruncated(diag: list[float], off: float, m: int, a: float, b: float) -> float:

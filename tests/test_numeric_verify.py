@@ -5,6 +5,7 @@ import math
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    ListMatrix,
     NumericOperator,
     StencilUnsupported,
     apply_operator,
@@ -26,11 +28,13 @@ from oracles import (
     sturm_count,
     sturm_count_full,
     substitute,
+    suffix_min,
+    tail_start,
 )
 
 from micz_su11 import cli, fd_oracle, numeric_verify, operator_algebra
 from micz_su11.analytic_states import TowerSampler, chi, chi_dn, product_rule, radial_state
-from micz_su11.fd_oracle import _bisect_eigenvalue, _sturm_count, _suffix_min, oracle_grid
+from micz_su11.fd_oracle import _FdMatrix, _bisect_eigenvalue, _sturm_count, oracle_grid
 from micz_su11.numeric_verify import (
     ConvergenceFailure,
     GridTooCoarse,
@@ -323,13 +327,35 @@ def _matrix_or_error(build, J, grid):
     return [v.hex() for v in diag], off.hex(), lo.hex(), hi.hex()
 
 
+def _whole_matrix(J, grid):
+    """`_FdMatrix` with every entry built: its diagonal, off-diagonal and bounds."""
+    matrix = _FdMatrix(J, grid)
+    return matrix.upto(grid.npoints), matrix.off, matrix.lo, matrix.hi
+
+
+def _extremes_or_error(J, grid):
+    """The float.hex of `_FdMatrix`'s bounds lo, hi, found with only the first entries built; or the error."""
+    try:
+        matrix = _FdMatrix(J, grid)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    assert len(matrix.values) == min(fd_oracle.DIAGONAL_GROWTH, grid.npoints)
+    return matrix.lo.hex(), matrix.hi.hex()
+
+
+def _full_scan_extremes_or_error(J, grid):
+    """The float.hex of the bounds of the full list, `gershgorin` behind `fd_matrix_checked`; or the error."""
+    result = _matrix_or_error(fd_matrix_checked, J, grid)
+    return result[2:] if isinstance(result[0], list) else result
+
+
 # a float spread over all binary exponents in [lo, hi]: mantissa in [0.5, 1)
 def _log_floats(lo: int, hi: int):
     return st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(lo, hi))
 
 
 class TestFdMatrixPlainFloats:
-    """`fd_oracle._fd_matrix` builds the diagonal without numpy, bit for bit the array expression."""
+    """`fd_oracle._FdMatrix` builds the diagonal without numpy, bit for bit the array expression."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -340,7 +366,7 @@ class TestFdMatrixPlainFloats:
     )
     def test_matches_numpy_expression(self, J, rmax, npoints):
         grid = RadialGrid(rmax, npoints)
-        assert _matrix_or_error(fd_oracle._fd_matrix, J, grid) == _matrix_or_error(fd_matrix_checked, J, grid)
+        assert _matrix_or_error(_whole_matrix, J, grid) == _matrix_or_error(fd_matrix_checked, J, grid)
 
     @pytest.mark.parametrize(
         "J, rmax, error",
@@ -349,9 +375,26 @@ class TestFdMatrixPlainFloats:
     )
     def test_edge_grids_agree(self, J, rmax, error):
         grid = RadialGrid(rmax, 6000)
-        got = _matrix_or_error(fd_oracle._fd_matrix, J, grid)
+        got = _matrix_or_error(_whole_matrix, J, grid)
         assert got == _matrix_or_error(fd_matrix_checked, J, grid)
         assert got[0] is error if error else isinstance(got[0], list)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        J=st.sampled_from([0.0, 1e-300, 1.5, 39.7, 1e4, 1e150, 1e160]),
+        rmax=st.one_of(st.floats(1e-100, 1e80), _log_floats(-332, 266)),
+        npoints=st.integers(16, 20000),
+    )
+    def test_exact_extremes_without_the_list(self, J, rmax, npoints):
+        grid = RadialGrid(rmax, npoints)
+        assert _extremes_or_error(J, grid) == _full_scan_extremes_or_error(J, grid)
+
+    @pytest.mark.parametrize("J", [0.0, 1e-300, 1.5, 39.7, 1e4, 1e150, 1e160])
+    @pytest.mark.parametrize("rmax, npoints", [(1e80, 16), (1e-100, 16), (1e-100, 20000), (1e80, 20000), (60.0, 2000)],
+                             ids=["subnormal-off-squared", "tiny-16", "tiny-20000", "huge-20000", "box"])
+    def test_exact_extremes_on_edge_grids(self, J, rmax, npoints):
+        grid = RadialGrid(rmax, npoints)
+        assert _extremes_or_error(J, grid) == _full_scan_extremes_or_error(J, grid)
 
 
 class TestSturmEarlyStop:
@@ -365,12 +408,13 @@ class TestSturmEarlyStop:
         data=st.data(),
     )
     def test_count_equals_full_sweep(self, J, npoints, rmax, data):
-        diag, off = fd_matrix(J, RadialGrid(rmax, npoints))
-        suffix_min = _suffix_min(diag)
+        grid = RadialGrid(rmax, npoints)
+        diag, off = fd_matrix(J, grid)
+        matrix = _FdMatrix(J, grid)
         lo, hi = gershgorin(diag, off)
 
         def count(lam):
-            return sturm_count(diag, suffix_min, off, lam)
+            return sturm_count(matrix, lam)
 
         def exceeds(lam, k):
             return count(lam) > k
@@ -418,51 +462,81 @@ class TestSturmEarlyStop:
         ids=["ascending", "descending", "repeated"],
     )
     def test_exceeds_matches_full_sweep_in_any_order(self, order):
-        diag, off = fd_matrix(1.5, RadialGrid(600.0, 3000))
-        suffix_min = _suffix_min(diag)
-        lo, hi = gershgorin(diag, off)
+        grid = RadialGrid(600.0, 3000)
+        diag, off = fd_matrix(1.5, grid)
+        matrix = _FdMatrix(1.5, grid)
         # below the spectrum, between bound levels, near zero and above it
-        for lam in (lo, -0.1, -0.02, -0.0105, -1e-4, 0.0, 0.05, hi):
+        for lam in (matrix.lo, -0.1, -0.02, -0.0105, -1e-4, 0.0, 0.05, matrix.hi):
             full = sturm_count_full(diag, off * off, lam)
             for k in [*order, *range(full + 2)]:
                 # the count passes k as the full one does, and stops right there
-                assert _sturm_count(diag, suffix_min, off, lam, k) == (k + 1 if full > k else full), (lam, k)
+                assert _sturm_count(matrix, lam, k) == (k + 1 if full > k else full), (lam, k)
 
     def test_exceeds_stops_once_the_count_passes_k(self):
-        diag, off = fd_matrix(0.0, RadialGrid(1200.0, 6000))
-        suffix_min = _suffix_min(diag)
+        matrix = _FdMatrix(0.0, RadialGrid(1200.0, 6000))
         lam = -0.5 / 16.0 + 1e-3  # between levels 3 and 4: four eigenvalues below
-        assert [_sturm_count(diag, suffix_min, off, lam, k) for k in (0, 2, 4)] == [1, 3, 4]
+        assert [_sturm_count(matrix, lam, k) for k in (0, 2, 4)] == [1, 3, 4]
 
     def test_zero_first_pivot_takes_the_guard(self):
-        diag, off = fd_matrix(0.0, RadialGrid(60.0, 2000))
-        suffix_min = _suffix_min(diag)
+        grid = RadialGrid(60.0, 2000)
+        diag, off = fd_matrix(0.0, grid)
+        matrix = _FdMatrix(0.0, grid)
         lam = diag[0]
         assert diag[0] - lam == 0.0
         full = sturm_count_full(diag, off * off, lam)
         for k in range(full + 2):
-            assert (_sturm_count(diag, suffix_min, off, lam, k) > k) == (full > k), k
-        assert sturm_count(diag, suffix_min, off, lam) == full
+            assert (_sturm_count(matrix, lam, k) > k) == (full > k), k
+        assert sturm_count(matrix, lam) == full
+
+    @pytest.mark.parametrize(
+        "diag, off, zero_at, tail",
+        [
+            # b = 4 and lam = 0: q_0 = 1 and q_1 = 16 - 16/1 = 0, before the tail start
+            ([1.0, 16.0, 3.0, 7.0, *[9.0] * 60], -4.0, 1, 4),
+            # b = 1: q_0 = 1/4 and q_1 = 4 - 1/(1/4) = 0, at the tail start
+            ([0.25, 4.0, *[3.0] * 60], -1.0, 1, 1),
+            # b = 1: the pivot stays at the fixed point 1/4 = 17/4 - 1/(1/4) < b, so
+            # the sweep runs on from the tail start into its second chunk, where
+            # d = 4 makes the pivot zero
+            ([0.25, *[4.25] * 44, 4.0, *[4.25] * 40], -1.0, 1 + fd_oracle.STURM_CHUNK + 12, 1),
+        ],
+        ids=["head", "at-the-tail-start", "past-the-first-tail-chunk"],
+    )
+    def test_zero_pivot_past_node_zero_takes_the_guard(self, diag, off, zero_at, tail):
+        q, pivots = diag[0], [diag[0]]
+        for d in diag[1:]:
+            q = d - off * off / (q if q != 0.0 else 1e-300)
+            pivots.append(q)
+        assert pivots.index(0.0) == zero_at
+        matrix = ListMatrix(diag, off)
+        assert matrix.certified_tail(0.0) == tail
+        full = sturm_count_full(diag, off * off, 0.0)
+        assert full == 1  # the pivot after the zero one, -1e300 and below
+        for k in range(full + 2):
+            assert _sturm_count(matrix, 0.0, k) == (k + 1 if full > k else full), k
+        assert sturm_count(matrix, 0.0) == full
 
     def test_sweep_skips_the_forbidden_tail(self):
         # a negative diagonal entry deep in the tail adds a negative pivot to
         # the full sweep; the early stop never reaches it
-        diag, off = fd_matrix(0.0, RadialGrid(1200.0, 6000))
-        suffix_min = _suffix_min(diag)
+        grid = RadialGrid(1200.0, 6000)
+        diag, off = fd_matrix(0.0, grid)
+        matrix = _FdMatrix(0.0, grid)
         lam = -0.5 / 9.0 - 1e-3  # between levels 2 and 3, turning point near r = 17.7
-        diag[3000] = -1e6
+        diag[3000] = matrix.upto(grid.npoints)[3000] = -1e6
         assert sturm_count_full(diag, off * off, lam) == 3
-        assert sturm_count(diag, suffix_min, off, lam) == 2
+        assert sturm_count(matrix, lam) == 2
 
     def test_subnormal_off_diagonal_keeps_the_full_sweep(self):
         # h = 6e78 makes off^2 subnormal; the early-stop bound needs it normal
-        diag, off = fd_matrix(1e150, RadialGrid(1e80, 16))
+        grid = RadialGrid(1e80, 16)
+        diag, off = fd_matrix(1e150, grid)
+        matrix = _FdMatrix(1e150, grid)
         assert 0.0 < off * off < sys.float_info.min
-        suffix_min = _suffix_min(diag)
-        lo, hi = gershgorin(diag, off)
+        lo, hi = matrix.lo, matrix.hi
         lams = [lo + (hi - lo) * i / 64.0 for i in range(65)] + [-1e-158, 0.0, 1e-158]
         for lam in lams:
-            assert sturm_count(diag, suffix_min, off, lam) == sturm_count_full(diag, off * off, lam)
+            assert sturm_count(matrix, lam) == sturm_count_full(diag, off * off, lam)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
     def test_non_finite_or_overflowing_J_rejected(self, bad):
@@ -470,49 +544,50 @@ class TestSturmEarlyStop:
             eig_oracle(bad, RadialGrid(100.0, 6000), 2)
 
 
-def _suffix_min_by_definition(diag: list[float]) -> list[float]:
-    return list(itertools.accumulate(reversed(diag), min))[::-1]
-
-
-class TestSuffixMin:
-    """`_suffix_min` against its definition, the running minimum of the reversed list."""
+class TestTailStart:
+    """`_FdMatrix`'s suffix-minimum floors and tail starts against the full list's (`tail_start` in oracles)."""
 
     def test_hydrogen_diagonal_is_one_nondecreasing_run(self):
-        diag, _ = fd_matrix(0.0, RadialGrid(1200.0, 6000))
+        grid = RadialGrid(1200.0, 6000)
+        diag, off = fd_matrix(0.0, grid)
+        matrix = _FdMatrix(0.0, grid)
         assert diag == sorted(diag)
-        assert _suffix_min(diag) == _suffix_min_by_definition(diag) == diag
+        self._assert_floors_bound(matrix, diag)
+        for lam in (matrix.lo, -0.5, -0.125, -0.5 / 81.0, -1e-6, 0.0, matrix.hi):
+            assert matrix.tail_start(lam) == tail_start(diag, off, lam) <= matrix.certified_tail(lam), lam
 
     def test_diagonal_with_its_dip(self):
         # J = 39.7: the centrifugal term makes the diagonal fall to the well's floor, then rise
-        diag, _ = fd_matrix(39.707106781186546, RadialGrid(12.0 * 49.7 ** 2, 6000))
+        grid = RadialGrid(12.0 * 49.7 ** 2, 6000)
+        diag, off = fd_matrix(39.707106781186546, grid)
         p = diag.index(min(diag))
         assert 0 < p < len(diag) - 1 and diag[:p + 1] == sorted(diag[:p + 1], reverse=True)
-        assert _suffix_min(diag) == _suffix_min_by_definition(diag)
+        matrix = _FdMatrix(39.707106781186546, grid)
+        self._assert_floors_bound(matrix, diag)
+        # below the floor of the well, at it and above it
+        for lam in (matrix.lo, diag[p] - 2.0 * abs(off), -5e-4, -3e-4, -1e-5, 0.0, matrix.hi):
+            assert matrix.tail_start(lam) == tail_start(diag, off, lam) <= matrix.certified_tail(lam), lam
 
-    @pytest.mark.parametrize(
-        "diag",
-        [
-            # ties at the minimum and in the rising tail, then an ulp-sized descent inside it
-            [5.0, 3.0, 1.0, 1.0, 2.0, 2.0, 3.0, math.nextafter(3.0, 0.0), 3.0, 4.0],
-            # the descent at the very end
-            [1.0, 2.0, 3.0, math.nextafter(3.0, 0.0)],
-            [2.0, 1.0, 1.0, 0.5, 0.5],
-            [7.0],
-            [2.0, 1.0],
-            [1.0, 2.0],
-            [1.0, 1.0],
-            [],
-        ],
-        ids=["ties-and-ulp-descent", "ulp-descent-at-the-end", "descending-ties", "one", "two-down", "two-up",
-             "two-equal", "empty"],
+    @staticmethod
+    def _assert_floors_bound(matrix, diag):
+        floors, least = matrix._floors, suffix_min(diag)
+        assert len(floors) == math.ceil((len(diag) - 1) / fd_oracle.DIAGONAL_BLOCK) and floors == sorted(floors)
+        assert all(f <= least[k * fd_oracle.DIAGONAL_BLOCK] for k, f in enumerate(floors))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        J=st.sampled_from([0.0, 1.5, 7.3, 39.707106781186546, 1e4]),
+        npoints=st.integers(16, 6000),
+        stretch=st.floats(0.01, 4.0),
+        data=st.data(),
     )
-    def test_synthetic_lists(self, diag):
-        assert _suffix_min(diag) == _suffix_min_by_definition(diag)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.sampled_from([-1.5, 0.0, 1.0, math.nextafter(1.0, 0.0), 2.0, 3.0]), max_size=12))
-    def test_any_list(self, diag):
-        assert _suffix_min(diag) == _suffix_min_by_definition(diag)
+    def test_tail_start_node_for_node(self, J, npoints, stretch, data):
+        grid = RadialGrid(stretch * 12.0 * (J + 10.0) ** 2, npoints)
+        diag, off = fd_matrix(J, grid)
+        matrix = _FdMatrix(J, grid)
+        lam = data.draw(st.one_of(st.floats(matrix.lo, matrix.hi), st.floats(-0.5 / (J + 1.0) ** 2, 0.0)),
+                        label="lam")
+        assert matrix.tail_start(lam) == tail_start(diag, off, lam) <= matrix.certified_tail(lam)
 
 
 def _near(ev: float):
@@ -548,11 +623,43 @@ class TestSturmMonotone:
         ev = eig_oracle(J, grid, nmax)[data.draw(st.integers(0, nmax - 1), label="k")]
         lams = sorted(set(data.draw(st.lists(_near(ev), min_size=2, max_size=10), label="lams")))
         diag, off = fd_matrix(J, grid)
-        suffix_min = _suffix_min(diag)
+        matrix = _FdMatrix(J, grid)
         full = [sturm_count_full(diag, off * off, lam) for lam in lams]
-        early = [sturm_count(diag, suffix_min, off, lam) for lam in lams]
+        early = [sturm_count(matrix, lam) for lam in lams]
         assert full == sorted(full), lams
         assert early == sorted(early), lams
+
+
+ORACLE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "eig-oracle-float-hex.json").read_text())
+
+
+class TestOnDemandDiagonal:
+    """`eig_oracle` keeps every eigenvalue bit for bit and builds only the part of the diagonal it reaches."""
+
+    @pytest.mark.parametrize("call", ORACLE_GOLDEN, ids=[call["id"] for call in ORACLE_GOLDEN])
+    def test_eigenvalues_match_the_golden_float_hex(self, call):
+        # one sector per J stratum of the benchmark's pool at nmax 10 on
+        # oracle_grid, two 20000-point solves, a box and J = 39.7; the golden
+        # was written by the full-list diagonal that `_FdMatrix` replaced
+        grid = RadialGrid(float.fromhex(call["rmax"]), call["npoints"])
+        evs = eig_oracle(float.fromhex(call["J"]), grid, call["count"])
+        assert [ev.hex() for ev in evs] == call["eigenvalues"]
+
+    @pytest.mark.parametrize("J", [0.0, 1.5, 39.707106781186546], ids=["hydrogen", "shifted", "J39.7"])
+    def test_builds_well_under_the_whole_diagonal(self, monkeypatch, J):
+        # measured: 2516, 2532 and 1600 entries of 6000 (block refinement
+        # included); the bound leaves about 18% above the largest
+        built = Counter()
+
+        def entries(matrix, s, e):
+            built["entries"] += e - s
+            return real_entries(matrix, s, e)
+
+        real_entries = _FdMatrix._entries
+        monkeypatch.setattr(_FdMatrix, "_entries", entries)
+        grid = oracle_grid(J + 10.0, None, None)
+        eig_oracle(J, grid, 10)
+        assert 0 < built["entries"] <= grid.npoints // 2
 
 
 class TestCertifiedBracket:
@@ -571,7 +678,7 @@ class TestCertifiedBracket:
         ref = eig_oracle_full_sweep(J, grid, nmax + 1)
         brackets = []
 
-        def locate(diag, suffix_min, off, a, b):
+        def locate(matrix, a, b):
             brackets.append((a, b))
             k = min(range(nmax), key=lambda i: abs(ref[i] - 0.5 * (a + b)))
             return {
@@ -589,11 +696,10 @@ class TestCertifiedBracket:
     @pytest.mark.parametrize("J, nmax, npoints", CASES, ids=["hydrogen", "shifted", "J39.7", "coarse"])
     def test_guess_lies_within_the_certified_window(self, J, nmax, npoints):
         grid = self._grid(J, nmax, npoints)
-        diag, off, _, _ = fd_oracle._fd_matrix(J, grid)
-        suffix_min = _suffix_min(diag)
+        matrix = _FdMatrix(J, grid)
         for ev in eig_oracle_full_sweep(J, grid, nmax):
             a, b = ev * (1.0 + 4e-3), ev * (1.0 - 4e-3)
-            theta, step = fd_oracle._locate(diag, suffix_min, off, a, b)
+            theta, step = fd_oracle._locate(matrix, a, b)
             # the window, plus the resolution of the bisection that gave ev
             window = max(2.0 * step, 2.0 * fd_oracle.LOCATE_FLOOR * max(1.0, abs(theta)))
             assert abs(theta - ev) <= window + 1e-14 * max(1.0, abs(ev)), ev
@@ -607,24 +713,27 @@ class TestCertifiedBracket:
     @pytest.mark.parametrize("J, nmax, npoints", CASES[:3], ids=["hydrogen", "shifted", "J39.7"])
     def test_strided_walk_ends_just_past_the_node_by_node_end(self, J, nmax, npoints):
         grid = self._grid(J, nmax, npoints)
-        diag, off, _, _ = fd_oracle._fd_matrix(J, grid)
-        suffix_min, b = _suffix_min(diag), abs(off)
+        diag, off = fd_matrix(J, grid)
+        matrix, b = _FdMatrix(J, grid), abs(off)
         for theta in eig_oracle_full_sweep(J, grid, nmax):
-            t = fd_oracle._tail_start(suffix_min, b, theta)
+            t = tail_start(diag, off, theta)
             kappa = [math.acosh((d - theta) / (2.0 * b)) for d in diag[t:]]
-            M = fd_oracle._dirichlet_end(diag, t, b, theta)
+            M = fd_oracle._dirichlet_end(matrix, t, theta)
             sums = list(itertools.accumulate(kappa))
             node_end = t + 1 + next(i for i, e in enumerate(sums) if e >= fd_oracle.LOCATE_EFOLDS)
             assert sums[M - t - 1] >= fd_oracle.LOCATE_EFOLDS or M == len(diag), theta
             assert node_end <= M < node_end + fd_oracle.LOCATE_STRIDE, theta
 
     @staticmethod
-    def _guess_and_reference(diag, suffix_min, off, lo, hi, k, a, b):
-        """`_locate`'s guess, the untruncated twisted factorization's, and the walk's final cell width."""
-        theta, _ = fd_oracle._locate(diag, suffix_min, off, a, b)
-        m = int(fd_oracle.LOCATE_TWIST * fd_oracle._tail_start(suffix_min, abs(off), 0.5 * (a + b)))
-        cell = fd_oracle._bisect_cell(lambda lam, k: sturm_count(diag, suffix_min, off, lam) > k, k, lo, hi)
-        return theta, locate_untruncated(diag, off, m, a, b), cell[1] - cell[0]
+    def _guess_and_reference(matrix, diag, k, a, b):
+        """`_locate`'s guess, the untruncated twisted factorization's, and the walk's final cell width.
+
+        The twist is the one `_locate` takes, from the tail start of the whole list.
+        """
+        theta, _ = fd_oracle._locate(matrix, a, b)
+        m = int(fd_oracle.LOCATE_TWIST * tail_start(diag, matrix.off, 0.5 * (a + b)))
+        cell = fd_oracle._bisect_cell(lambda lam, k: sturm_count(matrix, lam) > k, k, matrix.lo, matrix.hi)
+        return theta, locate_untruncated(diag, matrix.off, m, a, b), cell[1] - cell[0]
 
     @pytest.mark.parametrize("J, nmax, npoints", [*CASES[:3], (0.0, 10, 20000)],
                              ids=["hydrogen", "shifted", "J39.7", "hydrogen-20000"])
@@ -633,13 +742,13 @@ class TestCertifiedBracket:
         # past the tail start, not at the last node; at 20000 points 11 e-folds
         # put the guess up to 4 cell widths off
         grid = self._grid(J, nmax, npoints)
-        diag, off, lo, hi = fd_oracle._fd_matrix(J, grid)
-        suffix_min = _suffix_min(diag)
+        diag, off = fd_matrix(J, grid)
+        matrix = _FdMatrix(J, grid)
         for k, ev in enumerate(eig_oracle_full_sweep(J, grid, nmax)):
-            t = fd_oracle._tail_start(suffix_min, abs(off), ev)
-            assert fd_oracle._dirichlet_end(diag, t, abs(off), ev) < len(diag), ev
+            t = tail_start(diag, off, ev)
+            assert fd_oracle._dirichlet_end(matrix, t, ev) < len(diag), ev
             a, b = ev * (1.0 + 4e-3), ev * (1.0 - 4e-3)
-            theta, untruncated, width = self._guess_and_reference(diag, suffix_min, off, lo, hi, k, a, b)
+            theta, untruncated, width = self._guess_and_reference(matrix, diag, k, a, b)
             assert abs(theta - untruncated) <= width, ev
 
     def test_walk_to_the_last_node_keeps_the_dirichlet_start(self):
@@ -647,42 +756,41 @@ class TestCertifiedBracket:
         # LOCATE_EFOLDS before the wall, whose Dirichlet condition is the
         # matrix's own; a decaying-tail start there would move the guess
         grid = RadialGrid(200.0, 2000)
-        diag, off, lo, hi = fd_oracle._fd_matrix(0.0, grid)
-        suffix_min = _suffix_min(diag)
+        diag, off = fd_matrix(0.0, grid)
+        matrix = _FdMatrix(0.0, grid)
         evs = eig_oracle_full_sweep(0.0, grid, 9)
         for k in (6, 7, 8):
-            t = fd_oracle._tail_start(suffix_min, abs(off), evs[k])
-            assert t < len(diag) and fd_oracle._dirichlet_end(diag, t, abs(off), evs[k]) == len(diag)
+            t = tail_start(diag, off, evs[k])
+            assert t < len(diag) and fd_oracle._dirichlet_end(matrix, t, evs[k]) == len(diag)
             a, b = evs[k] * (1.0 + 1e-4), evs[k] * (1.0 - 1e-4)
-            theta, untruncated, width = self._guess_and_reference(diag, suffix_min, off, lo, hi, k, a, b)
+            theta, untruncated, width = self._guess_and_reference(matrix, diag, k, a, b)
             assert abs(theta - untruncated) <= width, evs[k]
 
     def test_tail_start_below_the_coupling_falls_back(self):
         # the secant's second point lies so far above the level that
         # d_(M-1) - lam < 2 |off|: the decaying tail has no fixed point there
         grid = self._grid(0.0, 10, 6000)
-        diag, off, _, _ = fd_oracle._fd_matrix(0.0, grid)
-        suffix_min = _suffix_min(diag)
+        diag, off = fd_matrix(0.0, grid)
+        matrix = _FdMatrix(0.0, grid)
         ev = eig_oracle_full_sweep(0.0, grid, 3)[2]
         a, b = ev - 1.0, ev + 1.0
-        M = fd_oracle._dirichlet_end(diag, fd_oracle._tail_start(suffix_min, abs(off), ev), abs(off), ev)
+        M = fd_oracle._dirichlet_end(matrix, tail_start(diag, off, ev), ev)
         assert M < len(diag) and diag[M - 1] - b < 2.0 * abs(off)
-        theta, step = fd_oracle._locate(diag, suffix_min, off, a, b)
+        theta, step = fd_oracle._locate(matrix, a, b)
         assert isinstance(theta, float) and isinstance(step, float)
         assert math.isfinite(theta) or math.isnan(theta)
 
     @pytest.mark.parametrize("J, nmax, npoints", CASES, ids=["hydrogen", "shifted", "J39.7", "coarse"])
     def test_guess_in_the_final_cell_takes_two_sweeps(self, monkeypatch, J, nmax, npoints):
         grid = self._grid(J, nmax, npoints)
-        diag, off, lo, hi = fd_oracle._fd_matrix(J, grid)
-        suffix_min = _suffix_min(diag)
-        cells = [fd_oracle._bisect_cell(lambda lam, k: _sturm_count(diag, suffix_min, off, lam, k) > k, k, lo, hi)
+        matrix = _FdMatrix(J, grid)
+        cells = [fd_oracle._bisect_cell(lambda lam, k: _sturm_count(matrix, lam, k) > k, k, matrix.lo, matrix.hi)
                  for k in range(nmax)]
         sweeps, at_locate = Counter(), []
 
-        def counted(*args):
-            sweeps[args[4]] += 1
-            return _sturm_count(*args)
+        def counted(matrix, lam, k):
+            sweeps[k] += 1
+            return _sturm_count(matrix, lam, k)
 
         def locate(*args):
             # the i-th call belongs to eigenvalue i; the cell's lower end
