@@ -74,16 +74,14 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-from .quantum_numbers import (ConvergenceFailure, GridUnderflow, HalfInt, MonopoleParams, cached_hash, make_sector,
-                              sector_inputs)
+from .quantum_numbers import ConvergenceFailure, GridUnderflow, HalfInt, MonopoleParams, make_sector, sector_inputs
 from .quantum_numbers import levels as sector_levels
 
 MIN_NODES_PER_WAVELENGTH = 8
 # relative margin of the early-stop bound in `_sturm_count`; any value far
 # above machine epsilon keeps the stop exact
 STURM_TAIL_MARGIN = 1e-12
-STURM_CHUNK = 32  # nodes a sweep runs past the tail start between tests for its finish
-DIAGONAL_BLOCK = 32  # nodes per block of `_FdMatrix`'s sampled bounds
+DIAGONAL_BLOCK = 32  # nodes per block of `_FdMatrix`'s sampled bounds and per finish test of a tail sweep
 DIAGONAL_GROWTH = 256  # entries `_FdMatrix.upto` adds at least, when it adds any
 # the locator of `eig_oracle` (see `_locate`); no value can change an eigenvalue
 LOCATE_WIDTH = 1e-2  # it runs once a bound state's bracket is narrower than this times |b|
@@ -112,7 +110,14 @@ class GridTooCoarse(ValueError):
     """Fewer than the required nodes per expected wavelength."""
 
 
-@cached_hash
+def _integer(name: str, value) -> int:
+    """value as an int (`operator.index`), or ValueError naming `name` when it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform interior nodes r_i = i h, h = rmax/(npoints+1); Dirichlet ends.
@@ -126,10 +131,7 @@ class RadialGrid:
     def __post_init__(self):
         if not math.isfinite(self.rmax) or self.rmax <= 0.0:
             raise ValueError(f"rmax must be positive and finite, got {self.rmax}")
-        try:
-            object.__setattr__(self, "npoints", operator.index(self.npoints))
-        except TypeError:
-            raise ValueError(f"npoints must be an integer, got {self.npoints!r}") from None
+        object.__setattr__(self, "npoints", _integer("npoints", self.npoints))
         if self.npoints < 16:
             raise ValueError(f"need at least 16 grid points, got {self.npoints}")
 
@@ -316,8 +318,8 @@ def _sturm_count(matrix: _FdMatrix, lam: float, k: int) -> int:
     `_FdMatrix.certified_tail` gives a node from which the bound holds, at
     or a little past the turning point V(r) = lam for lam < 0.  The sweep
     runs in chunks: the head up to that node as far as the diagonal is
-    built (built further when the sweep gets there), then STURM_CHUNK nodes
-    at a time, and it finishes at the end of the first chunk whose last
+    built (built further when the sweep gets there), then DIAGONAL_BLOCK
+    nodes at a time, and it finishes at the end of the first chunk whose last
     pivot is >= b.  Past that pivot every pivot stays >= b, so running to
     the chunk's end changes no count.  An exactly zero pivot would divide
     by zero; its chunk runs again with the pivot taken as 1e-300.
@@ -334,7 +336,7 @@ def _sturm_count(matrix: _FdMatrix, lam: float, k: int) -> int:
     while start < n:
         if start >= len(values):
             matrix.upto(start + 1)
-        end = min(len(values), tail if start < tail else start + STURM_CHUNK)
+        end = min(len(values), tail if start < tail else start + DIAGONAL_BLOCK)
         chunk, q0, count0 = values[start:end], q, count
         try:
             for d in chunk:
@@ -498,12 +500,13 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
     delta = max(2 |step|, 2 LOCATE_FLOOR max(1, |theta|)), widened while a
     count disagrees.
 
-    J must be finite and non-negative, and the matrix must not overflow;
-    otherwise ValueError.  A spacing h whose square underflows to zero
+    J must be finite and non-negative, count an integer in [0, npoints] and
+    the matrix must not overflow; otherwise ValueError.  A spacing h whose square underflows to zero
     raises GridUnderflow.
     """
     if not (math.isfinite(J) and J >= 0.0):
         raise ValueError(f"J must be non-negative and finite, got {J}")
+    count = _integer("count", count)
     if count < 0 or count > grid.npoints:
         raise ValueError(f"count must lie in [0, {grid.npoints}], got {count}")
     if count == 0:
@@ -607,6 +610,7 @@ def spectrum_cross_check(params: MonopoleParams, m: HalfInt, j: HalfInt, levels:
 
     `oracle_grid` gives the grid `micz-su11 oracle` uses by default.
     """
+    levels = _integer("levels", levels)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     sector = make_sector(params, m, j)

@@ -16,12 +16,11 @@ The grid checks reuse work in process-wide caches:
   of the resumable Kummer sweep of each shift l <= 4, F_l = F(-(k-l), b+l;
   2x), at most 17 arrays.  A walk up the tower runs each sweep once;
   `_product_rule_matrix(alpha)` keeps M(alpha) for the last tower (below);
-- `_level(sector, n, grid)` is an LRU of SAMPLE_CACHE_LEVELS = 4 `_Level`s,
-  enough for the n-1, n, n+1 window of `verify_states_suite`.  A `_Level`
-  holds the state, chi = w F_0 on the nodes and, from the first read of
-  `images`, the images of chi under the nine `generator_table()` operators
-  at its (J, K): 10 arrays, the images as the rows of one 9 x npoints
-  block.  No derivative of chi is sampled.  By the product rule
+- `_level(sector, n, grid)` is an LRU of SAMPLE_CACHE_LEVELS = 4 `_Level`s.
+  A `_Level` holds the state, chi = w F_0 on the nodes and, from the first
+  read of `images`, the images of chi under the nine `generator_table()`
+  operators at its (J, K): 10 arrays, the images as the rows of one
+  9 x npoints block.  No derivative of chi is sampled.  By the product rule
   (`analytic_states.product_rule`), x^p chi^(q) = w sum c x^(p-i) P^(l)
   with P^(l) = 2^l (-k)_l/(b)_l F_l, and for every product x^p chi^(q)
   behind the generators' terms the rows x^e F_l it expands into have keys
@@ -44,6 +43,13 @@ The grid checks reuse work in process-wide caches:
 Together that is at most 17 + 4 x 10 = 57 arrays of npoints x 8 B (1.8 MB at
 the default 4000 points), plus, while one level builds its images, the rows
 of B, 15 arrays more.  Every array a `_Level` hands out is read-only.
+
+Each public level check runs a private body on the `_Level`s it fetches;
+`verify_states_suite` runs the bodies on one walk up the tower, holding the
+levels below, at and above n: nlevels + 1 fetches, level n's images built
+before level n+1's chi.  `_level` and `_tower_sampler` stay process-wide
+though the walk needs no cache: the next suite reuses the heap their arrays
+hold mapped (freed after each suite, 63 ten-level suites ran 9% slower).
 
 A grid function is a plain float array of its samples on `grid.nodes`.
 Inner products h <a, b> and norms (`_norm`) are sums in one fixed order
@@ -73,7 +79,7 @@ from .analytic_states import (
 )
 # the oracle's public names, defined once in fd_oracle and re-exported here
 from .fd_oracle import (  # noqa: F401
-    DEFAULT_TOLERANCES, GridTooCoarse, RadialGrid, VerificationReport, _report, eig_oracle, oracle_reports,
+    DEFAULT_TOLERANCES, GridTooCoarse, RadialGrid, VerificationReport, _integer, _report, eig_oracle, oracle_reports,
     spectrum_cross_check,
 )
 from .operator_algebra import generator_table
@@ -227,8 +233,11 @@ class _Level:
         return MappingProxyType(dict(zip(names, _finite(images))))
 
 
-# _level(sector, n, grid): the `_Level`, from an LRU cache of SAMPLE_CACHE_LEVELS entries
 _level = lru_cache(maxsize=SAMPLE_CACHE_LEVELS)(_Level)
+
+
+def _inputs(level: _Level) -> dict:
+    return sector_inputs(level.state.sector, level.grid, level.state.level.n)
 
 
 def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
@@ -242,15 +251,21 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    t0 = time.perf_counter()
     level = _level(sector, n, grid)
+    bottom = sign == -1 and level.state.kummer.k == 0
+    return _ladder(level, None if bottom else _level(sector, n + sign, grid), sign, tol)
+
+
+def _ladder(level: _Level, target: _Level | None, sign: int, tol: float | None) -> VerificationReport:
+    """`ladder_check` of `level` against `target`, level n+-1; the annihilation at the bottom takes None."""
+    t0 = time.perf_counter()
+    sector, grid = level.state.sector, level.grid
     y = level.images["T+" if sign == 1 else "T-"]
     k = level.state.kummer.k
-    inputs = sector_inputs(sector, grid, n)
+    inputs = _inputs(level)
     if sign == -1 and k == 0:
         residual = _norm(grid, y) / math.sqrt(level.norm2)
         return _report("ladder_annihilation", inputs, residual, tol, t0)
-    target = _level(sector, n + sign, grid)
     expected = -(k + 2.0 * sector.bigJ + 2.0) if sign == 1 else -float(k)
     # scaled by max|y|, as ||y|| itself can pass the float range at large J
     scale = np.max(np.abs(y))
@@ -264,34 +279,37 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
 
 def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
     """||T3 chi - K chi||/||chi|| plus the shifted eigenvalues of T3 on T_pm chi."""
+    return _t3_eigen(_level(sector, n, grid), tol)
+
+
+def _t3_eigen(level: _Level, tol: float | None) -> VerificationReport:
     t0 = time.perf_counter()
-    level = _level(sector, n, grid)
-    chi = level.chi
+    grid, chi = level.grid, level.chi
     K = level.state.level.K
     y = level.images["T3"]
     residual = _norm(grid, y - K * chi) / math.sqrt(level.norm2)
     details = {"measured_eigenvalue": grid.h * _dot(y, chi) / level.norm2}
-    bottom = n - sector.j == 1
     for sign, tag, tpm in ((1, "raised", "T+"), (-1, "lowered", "T-")):
-        if sign == -1 and bottom:
+        if sign == -1 and level.state.kummer.k == 0:
             continue
         z = level.images[tpm]
         w = level.images["T3 " + tpm]
         r_shift = _norm(grid, w - (K + sign) * z) / _norm(grid, z)
         details[f"{tag}_eigenvalue"] = grid.h * _dot(w, z) / (grid.h * _dot(z, z))
         residual = max(residual, r_shift)
-    return _report("t3_eigen", sector_inputs(sector, grid, n), residual, tol, t0, details)
+    return _report("t3_eigen", _inputs(level), residual, tol, t0, details)
 
 
 def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
     """Measured T3 eigenvalue difference between levels n+1 and n, against 1."""
+    return _t3_spacing(_level(sector, n, grid), _level(sector, n + 1, grid), tol)
+
+
+def _t3_spacing(level: _Level, above: _Level, tol: float | None) -> VerificationReport:
     t0 = time.perf_counter()
-    measured = []
-    for level_n in (n, n + 1):
-        level = _level(sector, level_n, grid)
-        measured.append(grid.h * _dot(level.images["T3"], level.chi) / level.norm2)
+    measured = [lv.grid.h * _dot(lv.images["T3"], lv.chi) / lv.norm2 for lv in (level, above)]
     spacing = measured[1] - measured[0]
-    return _report("t3_spacing", sector_inputs(sector, grid, n), abs(spacing - 1.0), tol, t0, {"spacing": spacing})
+    return _report("t3_spacing", _inputs(level), abs(spacing - 1.0), tol, t0, {"spacing": spacing})
 
 
 def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
@@ -301,18 +319,20 @@ def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None =
     three separate composed operators so the cancellation down to the
     constant happens numerically on the grid.
     """
+    return _casimir(_level(sector, n, grid), tol)
+
+
+def _casimir(level: _Level, tol: float | None) -> VerificationReport:
     t0 = time.perf_counter()
-    level = _level(sector, n, grid)
     fnorm = math.sqrt(level.norm2)
-    target = sector.sep_const * level.chi
+    target = level.state.sector.sep_const * level.chi
     t3f, t3sq, pm, mp = (level.images[name] for name in ("T3", "T3 T3", "T+ T-", "T- T+"))
-    res_direct = _norm(grid, -pm + t3sq - t3f - target) / fnorm
-    res_mirror = _norm(grid, -mp + t3sq + t3f - target) / fnorm
+    res_direct = _norm(level.grid, -pm + t3sq - t3f - target) / fnorm
+    res_mirror = _norm(level.grid, -mp + t3sq + t3f - target) / fnorm
     details = {"direct": res_direct, "mirror": res_mirror}
-    return _report("casimir_action", sector_inputs(sector, grid, n), max(res_direct, res_mirror), tol, t0, details)
+    return _report("casimir_action", _inputs(level), max(res_direct, res_mirror), tol, t0, details)
 
 
-@lru_cache(maxsize=1)
 def _radial_equation_start(grid: RadialGrid) -> int:
     """The first node at or past RADIAL_EQUATION_START, or 0 when the grid ends before it."""
     start = int(np.searchsorted(grid.nodes, RADIAL_EQUATION_START))
@@ -321,13 +341,16 @@ def _radial_equation_start(grid: RadialGrid) -> int:
 
 def radial_equation_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
     """Max-norm residual of (-x^2 D^2 - 2Kx + x^2) chi = -J(J+1) chi from x = RADIAL_EQUATION_START to rmax."""
+    return _radial_equation(_level(sector, n, grid), tol)
+
+
+def _radial_equation(level: _Level, tol: float | None) -> VerificationReport:
     t0 = time.perf_counter()
-    level = _level(sector, n, grid)
-    start = _radial_equation_start(grid)
+    start = _radial_equation_start(level.grid)
     chi = level.chi[start:]
-    resid = level.images["Ln"][start:] + sector.sep_const * chi
+    resid = level.images["Ln"][start:] + level.state.sector.sep_const * chi
     residual = float(np.max(np.abs(resid)) / np.max(np.abs(chi)))
-    return _report("radial_equation", sector_inputs(sector, grid, n), residual, tol, t0)
+    return _report("radial_equation", _inputs(level), residual, tol, t0)
 
 
 def angular_residual_check(sector: SectorLabels, tol: float | None = None) -> VerificationReport:
@@ -355,21 +378,22 @@ def verify_states_suite(params: MonopoleParams, m: HalfInt, j: HalfInt, nlevels:
     raising similarity, the in-tower lowering similarity and the bottom
     annihilation, plus the T3 spacing between consecutive levels.
     """
+    nlevels = _integer("nlevels", nlevels)
     if nlevels < 1:
         raise ValueError(f"nlevels must be >= 1, got {nlevels}")
     sector = make_sector(params, m, j)
     if grid is None:
         grid = states_grid(sector, nlevels, None, None)
     reports = [angular_residual_check(sector, tol=tol)]
-    bottom = sector.j + 1
+    below, level = None, _level(sector, sector.j + 1, grid)
     for i in range(nlevels):
-        n = bottom + i
-        reports.append(radial_equation_check(sector, n, grid, tol=tol))
-        reports.append(t3_eigen_check(sector, n, grid, tol=tol))
-        reports.append(casimir_check(sector, n, grid, tol=tol))
-        reports.append(ladder_check(sector, n, +1, grid, tol=tol))
+        # level n's images are built, at the latest by its radial check, before level n+1's chi: no sweep restarts
+        reports += [_radial_equation(level, tol), _t3_eigen(level, tol), _casimir(level, tol)]
+        above = _level(sector, level.state.level.n + 1, grid)
+        reports.append(_ladder(level, above, +1, tol))
         # at i == 0 the lowering check is the bottom annihilation
-        reports.append(ladder_check(sector, n, -1, grid, tol=tol))
+        reports.append(_ladder(level, below, -1, tol))
         if i + 1 < nlevels:
-            reports.append(t3_spacing_check(sector, n, grid, tol=tol))
+            reports.append(_t3_spacing(level, above, tol))
+        below, level = level, above
     return reports

@@ -38,34 +38,6 @@ class GridUnderflow(ValueError):
 _HASH_HALF = pow(2, -1, sys.hash_info.modulus)
 
 
-def cached_hash(cls):
-    """Class decorator for an immutable class: each instance computes its hash once.
-
-    The grid checks key their LRU caches on frozen labels and grids, so the
-    same instances are hashed on every check call.  The value is an instance
-    attribute "_hash", not a dataclass field, so `==`, `repr` and `asdict`
-    never read it, and `__getstate__` leaves it out of pickles and copies.
-    It is set as an attribute, not through `__dict__`: reading `__dict__`
-    would give the instance a dict of its own, and every later attribute
-    read would take a slower path.
-    """
-    compute = cls.__hash__
-
-    def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = compute(self)
-            object.__setattr__(self, "_hash", value)
-        return value
-
-    def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k != "_hash"}
-
-    cls.__hash__, cls.__getstate__, cls._hash = __hash__, __getstate__, None
-    return cls
-
-
-@cached_hash
 @dataclass(frozen=True)
 class HalfInt:
     """Exact integer or half-integer, stored as twice its value."""
@@ -164,7 +136,6 @@ class HalfInt:
         return HalfInt(abs(self.twice_value))
 
 
-@cached_hash
 @dataclass(frozen=True)
 class MonopoleParams:
     """External couplings: monopole charge s and the axial strengths c1, c2 >= 0."""
@@ -186,7 +157,6 @@ class MonopoleParams:
             )
 
 
-@cached_hash
 @dataclass(frozen=True)
 class SectorLabels:
     """Derived quantities of one (m, j) angular sector."""

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 import time
 from collections import Counter
@@ -498,7 +499,7 @@ class TestSturmEarlyStop:
             # b = 1: the pivot stays at the fixed point 1/4 = 17/4 - 1/(1/4) < b, so
             # the sweep runs on from the tail start into its second chunk, where
             # d = 4 makes the pivot zero
-            ([0.25, *[4.25] * 44, 4.0, *[4.25] * 40], -1.0, 1 + fd_oracle.STURM_CHUNK + 12, 1),
+            ([0.25, *[4.25] * 44, 4.0, *[4.25] * 40], -1.0, 1 + fd_oracle.DIAGONAL_BLOCK + 12, 1),
         ],
         ids=["head", "at-the-tail-start", "past-the-first-tail-chunk"],
     )
@@ -1310,6 +1311,33 @@ class TestReports:
             verify_states_suite(params, H("0"), H("0"), nlevels=nlevels)
 
 
+class TestIntegerCounts:
+    """A count that is not an integer is refused with a ValueError that names it; bools and numpy integers count."""
+
+    @staticmethod
+    def _call(name, count):
+        params, grid = MonopoleParams(H("0"), 0.0, 0.0), RadialGrid(60.0, 600)
+        if name == "nlevels":
+            return verify_states_suite(params, H("0"), H("0"), nlevels=count, grid=grid)
+        if name == "levels":
+            return spectrum_cross_check(params, H("0"), H("0"), count, grid)
+        return eig_oracle(0.0, grid, count)
+
+    @pytest.mark.parametrize("name", ["nlevels", "levels", "count"])
+    @pytest.mark.parametrize("bad", [2.5, "3"], ids=["float", "str"])
+    def test_non_integral_count_rejected(self, name, bad):
+        # 2.5 used to pass the range check and raise TypeError from range()
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            self._call(name, bad)
+
+    @pytest.mark.parametrize("name", ["nlevels", "levels", "count"])
+    @pytest.mark.parametrize("good", [True, np.int64(2)], ids=["bool", "numpy"])
+    def test_bool_and_numpy_integer_counts_accepted(self, name, good):
+        # the suite gives six reports per level (the last level has no spacing check, plus the angular one)
+        per_level = 6 if name == "nlevels" else 1
+        assert len(self._call(name, good)) == per_level * int(good)
+
+
 class TestSampleCache:
     """The suite samples each level once and composes no generator product per call."""
 
@@ -1379,6 +1407,22 @@ class TestSampleCache:
             verify_states_suite(sector.params, sector.m, sector.j, nlevels=10)
         b = [2.0 * sector.bigJ + 2.0 + l for sector in (hydrogen, shifted) for l in range(5)]
         assert starts == Counter(b)
+
+    def test_suite_fetches_each_level_once_ascending(self, hydrogen, shifted, monkeypatch):
+        # the walk holds level n-1, n and n+1 itself: nlevels + 1 fetches, the
+        # last one the top raise's target
+        fetched = []
+        level = numeric_verify._level
+
+        def counting(sector, n, grid):
+            fetched.append(n)
+            return level(sector, n, grid)
+
+        monkeypatch.setattr(numeric_verify, "_level", counting)
+        for sector in (hydrogen, shifted):
+            fetched.clear()
+            verify_states_suite(sector.params, sector.m, sector.j, nlevels=10)
+            assert fetched == [sector.j + i for i in range(1, 12)]
 
     def test_chi_that_underflows_on_the_grid_rejected(self, hydrogen):
         with pytest.raises(GridUnderflow, match="n=1 has zero norm"):

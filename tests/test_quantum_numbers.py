@@ -270,8 +270,8 @@ class TestEnumeration:
                 assert lv.n.parity == sv.parity
 
 
-class TestCachedHash:
-    """Labels and grids hash once per instance; the cached value stays out of ==, repr, asdict and pickles."""
+class TestHashAndCopies:
+    """Labels and grids hash by their values, and ==, repr, asdict, pickles and copies agree on equal instances."""
 
     BUILDERS = [
         lambda: H("-3/2"),
@@ -281,20 +281,19 @@ class TestCachedHash:
     ]
 
     @pytest.mark.parametrize("build", BUILDERS, ids=["HalfInt", "MonopoleParams", "SectorLabels", "RadialGrid"])
-    def test_cached_hash_is_invisible(self, build):
+    def test_hash_follows_the_fields_and_copies_round_trip(self, build):
         x, fresh = build(), build()
         by_fields = hash(tuple(getattr(x, f.name) for f in fields(x)))
         before = pickle.dumps(x)
         assert hash(x) == hash(x) == hash(fresh)
-        assert "_hash" in vars(x) and "_hash" not in vars(build())
         if not isinstance(x, HalfInt):  # HalfInt hashes like the Fraction of its value
             assert hash(x) == by_fields
         assert x == fresh and repr(x) == repr(fresh) and asdict(x) == asdict(fresh)
         assert pickle.dumps(x) == before == pickle.dumps(fresh)
         for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
-            assert twin == x and "_hash" not in vars(twin) and hash(twin) == hash(x)
+            assert twin == x and hash(twin) == hash(x)
 
     def test_hash_of_minus_one_is_reported_as_minus_two(self):
-        # the rational rule gives -1 at t = -(P + 2), both when computed and when read from the cache
+        # the rational rule gives -1 at t = -(P + 2)
         x = HalfInt(-(sys.hash_info.modulus + 2))
         assert hash(x) == hash(x) == hash(Fraction(x.twice_value, 2)) == -2
