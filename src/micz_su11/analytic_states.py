@@ -72,6 +72,11 @@ def radial_state(sector: SectorLabels, n: HalfInt | int) -> RadialState:
     )
 
 
+def radial_window(K: float) -> float:
+    """The default sampling window 0 < x <= 10 + 4K of a level with scale K."""
+    return 10.0 + 4.0 * K
+
+
 def product_rule(order: int, alpha: float) -> list[tuple[int, int, float]]:
     """The terms (i, l, c) of d^order/dx^order [x^alpha e^(-x) P(x)] = sum c x^(alpha-i) e^(-x) P^(l)(x).
 

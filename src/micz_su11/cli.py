@@ -53,8 +53,6 @@ def _json_render(obj) -> str:
         return "false"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, HalfInt):
-        return json.dumps(str(obj))
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -117,7 +115,7 @@ def cmd_spectrum(args) -> int:
 def cmd_eigenfunction(args) -> int:
     import numpy as np
 
-    from .analytic_states import TowerSampler, angular_Z, angular_state, radial_state
+    from .analytic_states import TowerSampler, angular_Z, angular_state, radial_state, radial_window
     from .special_functions import kummer_terminating
 
     if args.npoints < 1:
@@ -129,7 +127,7 @@ def cmd_eigenfunction(args) -> int:
         if args.rmax is not None:
             _check_positive("--rmax", args.rmax)
         state = radial_state(sector, args.n)
-        xmax = args.rmax if args.rmax is not None else 10.0 + 4.0 * state.level.K
+        xmax = args.rmax if args.rmax is not None else radial_window(state.level.K)
         with np.errstate(over="ignore", invalid="ignore"):
             xs = xmax * np.arange(1, args.npoints + 1) / args.npoints
             if not math.isfinite(2.0 * xs[-1]):  # the largest x; the sampler works on 2x
@@ -278,14 +276,22 @@ def cmd_oracle(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _half_int(text: str) -> HalfInt:
+    """`HalfInt.parse` for argparse, which then names the flag and the reason."""
+    try:
+        return HalfInt.parse(text)
+    except InvalidQuantumNumbers as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _add_sector_args(sp, required: bool = True) -> None:
-    sp.add_argument("--s", type=HalfInt.parse, required=required,
+    sp.add_argument("--s", type=_half_int, required=required,
                     help="monopole charge, e.g. 1/2 or 0.5")
     sp.add_argument("--c1", type=float, default=0.0, help="axial coupling c1 >= 0")
     sp.add_argument("--c2", type=float, default=0.0, help="axial coupling c2 >= 0")
-    sp.add_argument("--m", type=HalfInt.parse, required=required,
+    sp.add_argument("--m", type=_half_int, required=required,
                     help="z-projection quantum number")
-    sp.add_argument("--j", type=HalfInt.parse, required=required,
+    sp.add_argument("--j", type=_half_int, required=required,
                     help="total angular momentum quantum number")
 
 
@@ -311,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eigenfunction", help="sampled radial chi or angular Z tables")
     _add_sector_args(sp)
     sp.add_argument("--kind", choices=("radial", "angular"), default="radial")
-    sp.add_argument("--n", type=HalfInt.parse, default=None, help="principal quantum number (radial)")
+    sp.add_argument("--n", type=_half_int, default=None, help="principal quantum number (radial)")
     sp.add_argument("--rmax", type=float, default=None,
                     help="radial window in the scaled variable (default 10 + 4K)")
     sp.add_argument("--npoints", type=int, default=512, help="number of sample points")

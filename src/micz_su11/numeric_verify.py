@@ -75,7 +75,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .analytic_states import (
-    ANGULAR_THETAS, TowerSampler, angular_residual, angular_state, product_rule, radial_state,
+    ANGULAR_THETAS, TowerSampler, angular_residual, angular_state, product_rule, radial_state, radial_window,
 )
 # the oracle's public names, defined once in fd_oracle and re-exported here
 from .fd_oracle import (  # noqa: F401
@@ -363,13 +363,13 @@ def angular_residual_check(sector: SectorLabels, tol: float | None = None) -> Ve
 
 
 def states_grid(sector: SectorLabels, nlevels: int, rmax: float | None, npoints: int | None) -> RadialGrid:
-    """The suite's grid: rmax 10 + 4(J + nlevels) and 4000 points, each unless given."""
+    """The suite's grid: rmax `radial_window` at the top level's K = J + nlevels and 4000 points, each unless given."""
     if rmax is None:
-        rmax = 10.0 + 4.0 * (sector.bigJ + nlevels)
+        rmax = radial_window(sector.bigJ + nlevels)
     return RadialGrid(rmax=rmax, npoints=4000 if npoints is None else npoints)
 
 
-def verify_states_suite(params: MonopoleParams, m: HalfInt, j: HalfInt, nlevels: int = 5,
+def verify_states_suite(params: MonopoleParams, m: HalfInt, j: HalfInt, nlevels: int,
                         grid: RadialGrid | None = None, tol: float | None = None) -> list[VerificationReport]:
     """The full per-sector state-level suite used by the CLI.
 

@@ -323,11 +323,6 @@ class NormalOrderedOperator:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        if not isinstance(other, NormalOrderedOperator):
-            return NotImplemented
-        return compose(self, other)
-
     def __eq__(self, other):
         if not isinstance(other, NormalOrderedOperator):
             return NotImplemented

@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 
 class InvalidQuantumNumbers(ValueError):
@@ -38,6 +39,7 @@ class GridUnderflow(ValueError):
 _HASH_HALF = pow(2, -1, sys.hash_info.modulus)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class HalfInt:
     """Exact integer or half-integer, stored as twice its value."""
@@ -60,10 +62,6 @@ class HalfInt:
         return cls(q.numerator * (2 // q.denominator))
 
     @property
-    def is_integer(self) -> bool:
-        return self.twice_value % 2 == 0
-
-    @property
     def parity(self) -> int:
         """0 for integers, 1 for half-odd integers."""
         return self.twice_value & 1
@@ -72,7 +70,7 @@ class HalfInt:
         return self.twice_value / 2.0
 
     def __str__(self) -> str:
-        if self.is_integer:
+        if not self.parity:
             return str(self.twice_value // 2)
         return f"{self.twice_value}/2"
 
@@ -103,18 +101,6 @@ class HalfInt:
         o = self._coerce(other)
         return NotImplemented if o is NotImplemented else self.twice_value < o.twice_value
 
-    def __le__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self.twice_value <= o.twice_value
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self.twice_value > o.twice_value
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self.twice_value >= o.twice_value
-
     def __add__(self, other):
         o = self._coerce(other)
         return NotImplemented if o is NotImplemented else HalfInt(self.twice_value + o.twice_value)
@@ -124,13 +110,6 @@ class HalfInt:
     def __sub__(self, other):
         o = self._coerce(other)
         return NotImplemented if o is NotImplemented else HalfInt(self.twice_value - o.twice_value)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else HalfInt(o.twice_value - self.twice_value)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice_value)
 
     def __abs__(self) -> "HalfInt":
         return HalfInt(abs(self.twice_value))
@@ -213,13 +192,11 @@ def make_sector(params: MonopoleParams, m: HalfInt, j: HalfInt) -> SectorLabels:
         )
     if abs(m) > j:
         raise InvalidQuantumNumbers(f"m={m} violates -j <= m <= j for j={j}")
-    mp = m_plus(s, m)
+    mp = m_plus(s, m)  # shares the parity of m, hence of j: j - m_plus is an integer
     if j < mp:
         raise InvalidQuantumNumbers(
             f"j={j} is invalid: the sector requires j >= m_plus = {mp}"
         )
-    if (j.twice_value - mp.twice_value) % 2 != 0:
-        raise InvalidQuantumNumbers(f"j - m_plus must be a non-negative integer, got j={j}, m_plus={mp}")
 
     dm = float(m - s)
     dp = float(m + s)

@@ -73,6 +73,18 @@ class TestSpectrum:
             main(["spectrum", "--s", "0.3", "--m", "0", "--j", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, tail", [
+        (["spectrum", "--s", "1/3", "--m", "0", "--j", "0"],
+         "argument --s: '1/3' is not an exact integer or half-integer"),
+        (["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "x"],
+         "argument --n: cannot parse half-integer from 'x'"),
+    ])
+    def test_bad_half_integer_names_the_reason(self, capsys, argv, tail):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.rstrip("\n").endswith(tail)
+
     def test_json_document(self, capsys):
         code, out, _ = run(capsys, ["spectrum", "--s", "0", "--m", "0", "--j", "0",
                                     "--nmax", "2", "--format", "json"])
@@ -668,6 +680,17 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--s", "0", "--m", "0", "--j", "0", "--bogus", "1"])
         assert exc.value.code == 2
+
+
+class TestJsonRender:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_refused(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._json_render({"rows": [1.0, bad]})
+
+    def test_unsupported_object_refused(self):
+        with pytest.raises(TypeError, match="cannot serialize set"):
+            cli._json_render({"x": {1, 2}})
 
 
 @pytest.mark.parametrize(

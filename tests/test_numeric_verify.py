@@ -979,6 +979,10 @@ class TestLadder:
         with pytest.raises(InvalidLevel):
             ladder_check(shifted, H("1/2"), -1, xgrid)
 
+    def test_zero_sign_rejected(self, shifted, xgrid):
+        with pytest.raises(ValueError, match="sign must be"):
+            ladder_check(shifted, H("3/2"), 0, xgrid)
+
     def test_fd_path_defects_shrink_under_refinement(self, hydrogen):
         # with FD derivative callbacks the defect is FD truncation, which must
         # fall as the grid refines and the window grows
@@ -1079,6 +1083,11 @@ class TestSpectrumCrossCheck:
         params = MonopoleParams(H("1"), 0.0, 0.0)
         with pytest.raises(InvalidQuantumNumbers):
             spectrum_cross_check(params, H("0"), H("0"), 1, RadialGrid(60.0, 1000))
+
+    def test_zero_levels_rejected(self):
+        params = MonopoleParams(H("0"), 0.0, 0.0)
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            spectrum_cross_check(params, H("0"), H("0"), 0, RadialGrid(60.0, 1000))
 
     def test_spacing_that_squares_to_zero_rejected(self):
         params = MonopoleParams(H("0"), 0.0, 0.0)

@@ -414,6 +414,21 @@ class TestSchrodingerAnsatz:
         with pytest.raises(NoFactorization):
             solve_schrodinger_ansatz(bad)
 
+    @pytest.mark.parametrize("key", [(2, 1), (1, 1)], ids=["x^2 D", "x D"])
+    def test_first_derivative_term_rejected(self, key):
+        with pytest.raises(NoFactorization, match="x\\^2 D or x D terms"):
+            solve_schrodinger_ansatz(build_Ln() + NormalOrderedOperator({key: 1}))
+
+    def test_parameter_dependent_quadratic_rejected(self):
+        bad = NormalOrderedOperator({(2, 2): -1, (2, 0): K, (1, 0): K * (-2)})
+        with pytest.raises(NoFactorization, match="x\\^2 coefficient must be a constant"):
+            solve_schrodinger_ansatz(bad)
+
+    def test_negative_quadratic_is_not_a_rational_square(self):
+        bad = NormalOrderedOperator({(2, 2): -1, (2, 0): -1, (1, 0): K * (-2)})
+        with pytest.raises(NoFactorization, match="-1 is not a rational square"):
+            solve_schrodinger_ansatz(bad)
+
 
 class TestCanonicalInput:
     """Every stored power is an int, so the kernel's integer arithmetic stays exact."""

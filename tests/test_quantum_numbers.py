@@ -47,12 +47,15 @@ class TestHalfInt:
         assert str(H("2")) == "2"
         assert str(H("-1/2")) == "-1/2"
 
-    @given(st.integers(-50, 50), st.integers(-50, 50))
-    def test_arithmetic_is_exact(self, a, b):
+    @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-25, 25))
+    def test_arithmetic_is_exact(self, a, b, k):
         x, y = HalfInt(a), HalfInt(b)
         assert float(x + y) == float(x) + float(y)
         assert float(x - y) == float(x) - float(y)
-        assert (x < y) == (a < b)
+        assert ((x < y), (x <= y), (x > y), (x >= y)) == ((a < b), (a <= b), (a > b), (a >= b))
+        # against a plain int on either side, which counts as the label 2k/2
+        assert ((x < k), (x <= k), (x > k), (x >= k)) == ((a < 2 * k), (a <= 2 * k), (a > 2 * k), (a >= 2 * k))
+        assert ((k < x), (k <= x), (k > x), (k >= x)) == ((2 * k < a), (2 * k <= a), (2 * k > a), (2 * k >= a))
         assert abs(x).twice_value == abs(a)
 
     # half-odd labels around the hash modulus P, where the hash wraps; for
@@ -104,6 +107,21 @@ class TestMakeSector:
             sector("1/2", 0.0, 0.0, "0", "1/2")
         with pytest.raises(InvalidQuantumNumbers):
             sector("1/2", 0.0, 0.0, "1/2", "1")
+
+    def test_accepted_sectors_have_integer_j_minus_m_plus(self):
+        # every (s, m, j) with |2s|, |2m| <= 8 and j <= m_plus + 4 that make_sector accepts
+        accepted = 0
+        for ts in range(-8, 9):
+            for tm in range(-8, 9):
+                s, m = HalfInt(ts), HalfInt(tm)
+                for tj in range(0, m_plus(s, m).twice_value + 9):
+                    try:
+                        sec = make_sector(MonopoleParams(s, 0.0, 0.0), m, HalfInt(tj))
+                    except InvalidQuantumNumbers:
+                        continue
+                    accepted += 1
+                    assert (sec.j - sec.mplus).parity == 0
+        assert accepted > 0
 
     def test_m_outside_j_rejected(self):
         with pytest.raises(InvalidQuantumNumbers):
