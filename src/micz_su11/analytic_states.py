@@ -8,14 +8,14 @@ derivatives are evaluated in float only through the Kummer recurrence
 (`KummerSweep`, which `kummer_terminating` runs once); the tests keep the
 exact rational coefficients as a reference.
 
-`TowerSampler` samples chi and its derivatives for every level of one tower
-on one fixed x, resuming its Kummer sweeps from level to level; its
-`derivatives` gives all orders up to a top one from one list of Kummer rows,
-its `row` hands out those rows, its `w` is the factor (2x)^(J+1) e^(-x) that
-chi shares with them, and its `power` is the one cache of the powers x^e on
-that x.  `chi` and `chi_dn` read a sampler of their own (its `chi`, or the
-last of its `derivatives`), so there is one float evaluation of chi, and
-`product_rule` is the one body of the product rule behind its derivatives.
+`TowerSampler` samples chi for every level of one tower on one fixed x,
+resuming its Kummer sweeps from level to level: its `derivatives` gives
+every order up to a top one and its `images` the images of chi under a
+table of operators, each from one list of Kummer rows (`row`), the factor
+w = (2x)^(J+1) e^(-x) that chi shares with them and the one cache of the
+powers x^e on that x (`power`).  `chi` and `chi_dn` read a sampler of their
+own (its `chi`, or the last of its `derivatives`), so there is one float
+evaluation of chi, and `product_rule` is the one body of the product rule.
 """
 
 from __future__ import annotations
@@ -105,8 +105,9 @@ class TowerSampler:
     `KummerSweep` per shift l, which resumes when a higher level is asked
     for and restarts when a lower one is: an ascending walk over the tower
     runs each sweep once.  It also keeps 2x, e^(-x), w = (2x)^alpha e^(-x)
-    with alpha = J+1 (from its first read) and every power x^e it has been
-    asked for (`power`).  A sweep's rows do not depend on where it resumed
+    with alpha = J+1 (from its first read), every power x^e it has been
+    asked for (`power`) and the read-only matrix M(alpha) of each product
+    list `images` gets.  A sweep's rows do not depend on where it resumed
     from, so a value does not depend on the levels asked for before.
     """
 
@@ -118,6 +119,7 @@ class TowerSampler:
         self.expf = np.exp(-self.x)
         self._powers: dict[float, np.ndarray] = {}
         self._sweeps: list[KummerSweep] = []
+        self._matrices: dict[tuple, np.ndarray] = {}
 
     def power(self, e: float):
         """x^e on the sampler's x, computed on the first call for e and kept."""
@@ -170,6 +172,42 @@ class TowerSampler:
                     total += np.multiply(tmp, dpoly[l], out=tmp)
             out.append(pref * self.expf * total)
         return out
+
+    def images(self, state: RadialState, products: tuple[tuple[int, int], ...], C: np.ndarray):
+        """The block w (C M(alpha) S_k) @ B on a 1-d x: row r is sum_j C[r, j] x^p chi^(q), (p, q) = products[j].
+
+        By `product_rule`, x^p chi^(q) = w sum c x^(p-i) P^(l), with
+        P^(l) = 2^l (-k)_l/(b)_l F_l and F_l = F(-(k-l), b+l; 2x).  Every
+        key (p-i, l) a product expands into must itself be in `products`,
+        read as (e, l) (KeyError otherwise), so the products are one matrix
+        product over the rows x^e F_l.  M(alpha) holds the coefficients c,
+        which depend only on alpha = J+1 and are built once per `products`.
+        S_k = diag(2^l (-k)_l/(b)_l) is zero past l = k, so B stacks only
+        the rows with l <= k, each one multiply of a cached power by a Kummer
+        row.  Terms that cancel in closed form cancel in C M, so some images
+        are exact (at k = 0 the rows are plain powers of x).
+        """
+        self._check(state)
+        p = state.kummer
+        M = self._matrices.get(products)
+        if M is None:
+            column = {key: i for i, key in enumerate(products)}
+            M = np.zeros((len(products), len(products)))
+            for row, (xp, dq) in zip(M, products):
+                for i, l, c in product_rule(dq, self.alpha):
+                    row[column[xp - i, l]] = c
+            M.flags.writeable = False
+            self._matrices[products] = M
+        basis = [i for i, (_, l) in enumerate(products) if l <= p.k]
+        kummer = [self.row(p, l) for l in range(max(products[i][1] for i in basis) + 1)]
+        B = np.empty((len(basis), self.x.size))
+        for row, i in zip(B, basis):
+            xe, l = products[i]
+            np.multiply(self.power(float(xe)), kummer[l], out=row)
+        S = [2.0**l * _kummer_deriv_scale(p, l) for _, l in (products[i] for i in basis)]
+        images = ((C @ M)[:, basis] * S) @ B
+        images *= self.w
+        return images
 
 
 def chi(state: RadialState, x):
@@ -290,7 +328,12 @@ def angular_residual(state: AngularState) -> float:
         - (sec.m1**2 / (4.0 * C2) + sec.m2**2 / (4.0 * S2)) * w
         + sec.sep_const * w
     )
+    return float(np.max(np.abs(residual))) / _peak(w)
+
+
+def _peak(w) -> float:
+    """max |w| of an angular profile or table; DomainError when it underflows to 0 on every node."""
     scale = float(np.max(np.abs(w)))
     if scale == 0.0:
         raise DomainError("angular profile vanishes identically on the mesh")
-    return float(np.max(np.abs(residual))) / scale
+    return scale

@@ -115,8 +115,7 @@ def cmd_spectrum(args) -> int:
 def cmd_eigenfunction(args) -> int:
     import numpy as np
 
-    from .analytic_states import TowerSampler, angular_Z, angular_state, radial_state, radial_window
-    from .special_functions import kummer_terminating
+    from .analytic_states import TowerSampler, _peak, angular_Z, angular_state, radial_state, radial_window
 
     if args.npoints < 1:
         raise ValueError(f"--npoints must be positive, got {args.npoints}")
@@ -137,7 +136,7 @@ def cmd_eigenfunction(args) -> int:
             cols = (sampler.chi(state), *sampler.derivatives(state, 2))
             if not all(np.all(np.isfinite(c)) for c in cols):
                 what = "chi or its derivatives are not finite"
-                if not np.all(np.isfinite(kummer_terminating(state.kummer, 2.0 * xs))):
+                if not np.all(np.isfinite(sampler.row(state.kummer, 0))):  # the row chi read
                     what = (f"F(-k, b; 2x) with k={state.kummer.k}, b={state.kummer.bparam:g} "
                             "overflows")
                 raise ValueError(f"at n={args.n} {what} on the window 0 < x <= {xmax:g}")
@@ -152,6 +151,7 @@ def cmd_eigenfunction(args) -> int:
         state = angular_state(sector)
         thetas = math.pi * np.arange(1, args.npoints + 1) / (args.npoints + 1.0)
         z = angular_Z(state, thetas, phi)
+        _peak(z)  # a table that is 0 on every node is refused, as `verify-states` refuses such a profile
         header = ["theta", "re_z", "im_z"]
         rows = list(zip(thetas, z.real, z.imag))
         config = {"command": "eigenfunction", "kind": "angular", **sector_inputs(sector),

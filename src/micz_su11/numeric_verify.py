@@ -12,35 +12,26 @@ The grid checks reuse work in process-wide caches:
   operators and the 15 distinct products x^p chi^(q) behind their 69 terms;
 - `_tower_sampler(sector, grid)` keeps one `analytic_states.TowerSampler`
   for the last (sector, grid): 2x, e^(-x), w = (2x)^(J+1) e^(-x), the
-  powers x^e it has handed out (e in {-2, -1, 1, 2}) and the last two rows
-  of the resumable Kummer sweep of each shift l <= 4, F_l = F(-(k-l), b+l;
-  2x), at most 17 arrays.  A walk up the tower runs each sweep once;
-  `_product_rule_matrix(alpha)` keeps M(alpha) for the last tower (below);
+  powers x^e it has handed out (e = -2 ... 2), the last two rows of the
+  resumable Kummer sweep of each shift l <= 4, F_l = F(-(k-l), b+l; 2x),
+  and the 15 x 15 product-rule matrix M(alpha): at most 18 arrays.  A walk
+  up the tower runs each sweep once;
 - `_level(sector, n, grid)` is an LRU of SAMPLE_CACHE_LEVELS = 4 `_Level`s.
   A `_Level` holds the state, chi = w F_0 on the nodes and, from the first
   read of `images`, the images of chi under the nine `generator_table()`
-  operators at its (J, K): 10 arrays, the images as the rows of one
-  9 x npoints block.  No derivative of chi is sampled.  By the product rule
-  (`analytic_states.product_rule`), x^p chi^(q) = w sum c x^(p-i) P^(l)
-  with P^(l) = 2^l (-k)_l/(b)_l F_l, and for every product x^p chi^(q)
-  behind the generators' terms the rows x^e F_l it expands into have keys
-  (e, l) among the same 15 keys.  So the images are one matrix product
-  w (C(J, K) M(alpha) S_k) @ B: B stacks the rows x^e F_l with l <= k (at
-  most 15 x npoints, each one multiply of a cached power by a Kummer row),
-  M(alpha) (15 x 15) holds the product-rule coefficients, which depend only
-  on alpha = J+1, S_k = diag(2^l (-k)_l/(b)_l) is zero past l = k, and
-  C(J, K) = sum F_ab J^a K^b (`_coefficients`).  Terms that cancel in
-  closed form cancel in the coefficients, so some residuals read exactly 0
-  (at k = 0 the rows are plain powers of x).  The block is checked for
-  non-finite entries once, as it is built, so a bad image raises ValueError
-  from the build.  An image differs from the per-term sum over derivative
-  samples, each coefficient evaluated at (J, K) on its own, by rounding
-  only: at most gamma_n sum |c| |x^p chi^(q)| + gamma_N sum |c| |M S|
-  |w x^e F_l| on each node, n being the operator's terms plus the 6
-  monomials and N its expanded terms plus 15 + 6 (the bound `tests/`
-  asserts).
+  operators at its (J, K): 10 arrays.  The images are the rows of one
+  9 x npoints block, the sampler's `images` over the 15 products and
+  C(J, K) = sum F_ab J^a K^b (`_coefficients`), w (C M(alpha) S_k) @ B by
+  the product rule that `TowerSampler.images` states; no derivative of chi
+  is sampled.  The block is checked for non-finite entries as it is built,
+  so a bad image raises ValueError from the build.  An image differs from
+  the per-term sum over derivative samples, each coefficient evaluated at
+  (J, K) on its own, by rounding only: at most gamma_n sum |c|
+  |x^p chi^(q)| + gamma_N sum |c| |M S| |w x^e F_l| on each node, n being
+  the operator's terms plus the 6 monomials and N its expanded terms plus
+  15 + 6 (the bound `tests/` asserts).
 
-Together that is at most 17 + 4 x 10 = 57 arrays of npoints x 8 B (1.8 MB at
+Together that is at most 18 + 4 x 10 = 58 arrays of npoints x 8 B (1.9 MB at
 the default 4000 points), plus, while one level builds its images, the rows
 of B, 15 arrays more.  Every array a `_Level` hands out is read-only.
 
@@ -75,7 +66,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .analytic_states import (
-    ANGULAR_THETAS, TowerSampler, angular_residual, angular_state, product_rule, radial_state, radial_window,
+    ANGULAR_THETAS, TowerSampler, angular_residual, angular_state, radial_state, radial_window,
 )
 # the oracle's public names, defined once in fd_oracle and re-exported here
 from .fd_oracle import (  # noqa: F401
@@ -86,7 +77,6 @@ from .operator_algebra import generator_table
 from .quantum_numbers import (  # noqa: F401  (ConvergenceFailure re-exported)
     ConvergenceFailure, GridUnderflow, HalfInt, MonopoleParams, SectorLabels, make_sector, sector_inputs,
 )
-from .special_functions import _kummer_deriv_scale
 
 SAMPLE_CACHE_LEVELS = 4
 # `radial_equation_check` takes its max-norm residual from this x to the end of the grid
@@ -147,25 +137,6 @@ def _image_plan() -> tuple[tuple[str, ...], tuple[tuple[int, int], ...], tuple[t
     return tuple(table), tuple(products), tuple(monomials), F
 
 
-@lru_cache(maxsize=1)
-def _product_rule_matrix(alpha: float) -> np.ndarray:
-    """M(alpha): row (p, q) holds x^p chi^(q) on the rows x^e F_l of the tower's sampler.
-
-    The rows and the columns both follow `_image_plan`'s products, read as
-    (p, q) and as (e, l): by `product_rule`, x^p chi^(q) = w sum c x^(p-i)
-    P^(l), and P^(l) = 2^l (-k)_l/(b)_l F_l.  M holds the c, which depend
-    only on alpha = J+1; the level's S_k = diag(2^l (-k)_l/(b)_l) stays out.
-    """
-    _, products, _, _ = _image_plan()
-    column = {key: i for i, key in enumerate(products)}
-    M = np.zeros((len(products), len(products)))
-    for row, (xp, dq) in zip(M, products):
-        for i, l, c in product_rule(dq, alpha):
-            row[column[xp - i, l]] = c
-    M.flags.writeable = False
-    return M
-
-
 def _coefficients(J: float, K: float) -> np.ndarray:
     """C(J, K) = sum_m F[m] J^a K^b: row i holds operator i's coefficient on each product of `_image_plan`."""
     names, products, monomials, F = _image_plan()
@@ -208,29 +179,14 @@ class _Level:
     def images(self) -> Mapping[str, np.ndarray]:
         """Read-only image of chi under each `generator_table()` operator at this level's (J, K).
 
-        All nine are rows of one product w (C(J, K) M(alpha) S_k) @ B (see the module
-        docstring).  ValueError if one is not finite.
+        All nine are rows of one `TowerSampler.images` block over C(J, K)
+        (see the module docstring).  ValueError if one is not finite.
         """
         names, products, _, _ = _image_plan()
-        sampler = self._sampler()
-        p = self.state.kummer
-        # S_k is zero past l = k, so B leaves out the rows x^e F_l with l > k
-        basis = [i for i, (_, l) in enumerate(products) if l <= p.k]
-        shifts = range(max(products[i][1] for i in basis) + 1)
-        kummer = [sampler.row(p, l) for l in shifts]
-        diag = [2.0**l * _kummer_deriv_scale(p, l) for l in shifts]
-        B = np.empty((len(basis), self.grid.npoints))
-        for row, i in zip(B, basis):
-            xe, l = products[i]
-            if xe == 0:
-                row[:] = kummer[l]
-            else:
-                np.multiply(sampler.power(float(xe)), kummer[l], out=row)
-        CM = _coefficients(self.state.sector.bigJ, self.state.level.K) @ _product_rule_matrix(sampler.alpha)
-        images = (CM[:, basis] * [diag[products[i][1]] for i in basis]) @ B
-        images *= sampler.w
+        C = _coefficients(self.state.sector.bigJ, self.state.level.K)
+        images = _finite(self._sampler().images(self.state, products, C))
         images.flags.writeable = False
-        return MappingProxyType(dict(zip(names, _finite(images))))
+        return MappingProxyType(dict(zip(names, images)))
 
 
 _level = lru_cache(maxsize=SAMPLE_CACHE_LEVELS)(_Level)

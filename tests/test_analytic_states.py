@@ -214,6 +214,30 @@ class TestTowerSampler:
         with pytest.raises(ValueError, match="another sector"):
             sampler.derivatives(radial_state(shifted, H("3/2")), 1)
 
+    @pytest.mark.parametrize("k", range(4))
+    def test_identity_image_is_chi(self, shifted, k):
+        # the one product x^0 chi^(0) with coefficient 1: the block's one row is chi, bit for bit
+        st = radial_state(shifted, shifted.j + 1 + k)
+        x = np.linspace(0.1, 12.0, 64)
+        block = TowerSampler(shifted, x).images(st, ((0, 0),), np.ones((1, 1)))
+        assert block.shape == (1, 64)
+        assert np.array_equal(block[0], chi(st, x))
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_images_match_the_derivatives(self, shifted, k):
+        # x^0 chi' expands into the rows x^0 F_1, x^0 F_0 and x^-1 F_0
+        st = radial_state(shifted, shifted.j + 1 + k)
+        x = np.linspace(0.1, 12.0, 64)
+        block = TowerSampler(shifted, x).images(st, ((0, 1), (0, 0), (-1, 0)), np.eye(3))
+        expected = [chi_dn(st, x, 1), chi(st, x), chi(st, x) / x]
+        for got, want in zip(block, expected):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_images_reject_state_of_another_sector(self, hydrogen, shifted):
+        sampler = TowerSampler(hydrogen, np.linspace(0.1, 5.0, 8))
+        with pytest.raises(ValueError, match="another sector"):
+            sampler.images(radial_state(shifted, H("3/2")), ((0, 0),), np.ones((1, 1)))
+
     def test_negative_order_rejected(self, hydrogen):
         with pytest.raises(ValueError, match="non-negative"):
             chi_dn(radial_state(hydrogen, H("2")), np.linspace(0.1, 5.0, 8), -1)

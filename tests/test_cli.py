@@ -127,6 +127,26 @@ class TestEigenfunction:
         assert len(rows) == 64
         assert all(float(r[2]) == 0.0 for r in rows)  # m = s: no azimuthal phase
 
+    @pytest.mark.parametrize("couplings", [["--c1", "1e8", "--c2", "1e8"], ["--c1", "1e300"]],
+                             ids=["c1-c2-1e8", "c1-1e300"])
+    def test_angular_table_of_zeros_exit_2(self, capsys, couplings):
+        # Z underflows on every node (its peak is about 2^-20000 at c1 = c2 = 1e8),
+        # which `verify-states` refuses with the same line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["eigenfunction", "--kind", "angular", "--s", "0", *couplings,
+                                          "--m", "0", "--j", "0"])
+        assert (code, out, err) == (2, "", "error: angular profile vanishes identically on the mesh\n")
+
+    @pytest.mark.parametrize("c1, nonzero", [("1e8", 88), ("1e6", 264)])
+    def test_narrow_angular_peak_printed(self, capsys, c1, nonzero):
+        code, out, _ = run(capsys, ["eigenfunction", "--kind", "angular", "--s", "0", "--c1", c1,
+                                    "--m", "0", "--j", "0"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 512
+        assert sum(float(r[1]) != 0.0 for r in rows) == nonzero
+
     @pytest.mark.parametrize("npoints", ["0", "-3"])
     def test_non_positive_npoints_exit_2(self, capsys, npoints):
         code, out, err = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "1",

@@ -7,7 +7,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -96,19 +96,28 @@ def sampled(sector, n, grid):
     return state, f, derivs
 
 
+class PerCallSampler(TowerSampler):
+    """An uncached sampler: chi from a per-call `chi`, Kummer rows from fresh sweeps, w and x^e recomputed."""
+
+    def chi(self, state):
+        return chi(state, self.x)
+
+    def row(self, p, l):
+        return kummer_terminating(KummerParams(p.k - l, p.bparam + l), 2.0 * self.x)
+
+    def power(self, e):
+        return self.x ** e
+
+    @property
+    def w(self):
+        return (2.0 * self.x) ** self.alpha * np.exp(-self.x)
+
+
 class PerCallLevel(_Level):
-    """An uncached level: chi from a per-call `chi`, Kummer rows from fresh sweeps, w and x^e recomputed."""
+    """An uncached level: each use reads a fresh `PerCallSampler`, whose own `images` runs on its pieces."""
 
     def _sampler(self):
-        nodes = self.grid.nodes
-        alpha = self.state.sector.bigJ + 1.0
-        return SimpleNamespace(
-            chi=lambda state: chi(state, nodes),
-            row=lambda p, l: kummer_terminating(KummerParams(p.k - l, p.bparam + l), 2.0 * nodes),
-            power=lambda e: nodes ** e,
-            alpha=alpha,
-            w=(2.0 * nodes) ** alpha * np.exp(-nodes),
-        )
+        return PerCallSampler(self.state.sector, self.grid.nodes)
 
 
 class TestGridTypes:
@@ -1182,20 +1191,20 @@ class TestOracleGrid:
         assert strip == [{k: v for k, v in r.items() if k != "runtime_ms"} for r in doc["reports"]]
 
 
-class FaultyImageSampler:
-    """A level's sampler with the Kummer rows F_1 or the factor w off by a factor; chi stays exact."""
+class FaultyImageSampler(TowerSampler):
+    """A level's sampler with the Kummer rows F_1 or the factor w off by a factor; chi stays exact.
+
+    Its own `images` runs on the faulty rows and w.
+    """
 
     def __init__(self, sampler, row_scale=1.0, w_scale=1.0):
+        super().__init__(sampler.sector, sampler.x)
         self.sampler = sampler
-        self.alpha = sampler.alpha
         self.row_scale = row_scale
         self.w = sampler.w * w_scale
 
     def chi(self, state):
         return self.sampler.chi(state)
-
-    def power(self, e):
-        return self.sampler.power(e)
 
     def row(self, p, l):
         out = self.sampler.row(p, l)
