@@ -140,6 +140,8 @@ def cmd_eigenfunction(args) -> int:
                     what = (f"F(-k, b; 2x) with k={state.kummer.k}, b={state.kummer.bparam:g} "
                             "overflows")
                 raise ValueError(f"at n={args.n} {what} on the window 0 < x <= {xmax:g}")
+        if not cols[0].any():  # refused as `verify-states` refuses chi with zero norm on its grid
+            raise GridUnderflow(f"chi at n={args.n} is 0 on every node of the window 0 < x <= {xmax:g}")
         header = ["x", "chi", "chi_d1", "chi_d2"]
         rows = list(zip(xs, *cols))
         config = {"command": "eigenfunction", "kind": "radial", **sector_inputs(sector),

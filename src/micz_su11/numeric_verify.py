@@ -43,10 +43,12 @@ though the walk needs no cache: the next suite reuses the heap their arrays
 hold mapped (freed after each suite, 63 ten-level suites ran 9% slower).
 
 A grid function is a plain float array of its samples on `grid.nodes`.
-Inner products h <a, b> and norms (`_norm`) are sums in one fixed order
-(`_dot`), not BLAS ddot, which splits long sums over threads: a report does
-not depend on the BLAS thread count.  A non-finite entry in chi, in the
-image block or in a vector a check takes the norm of raises ValueError.
+Inner products h <a, b> are sums in one fixed order (`_dot`), not BLAS ddot,
+which splits long sums over threads: a report does not depend on the BLAS
+thread count.  Each check reduces its residual rows at once (`_row_dots`),
+bit for bit `_dot` on each row, and a level takes its report labels and
+h <T3 chi, chi> once.  A non-finite entry in chi, in the image block or in a
+residual row whose norm a check takes raises ValueError.
 
 The caches are not thread-safe.  The cached sampler's sweeps advance in
 place, so two threads that sample one (sector, grid) at once can mix their
@@ -95,15 +97,25 @@ def _finite(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _norm(grid: RadialGrid, v: np.ndarray) -> float:
-    """sqrt(h <v, v>), inf when finite squares overflow; ValueError if v has a non-finite entry.
+def _row_dots(rows: np.ndarray) -> list[float]:
+    """<r, r> of each row r of a C-contiguous 2-D array, one reduction that sums each row as `_dot` does."""
+    return np.einsum("ij,ij->i", rows, rows).tolist()
+
+
+def _root(grid: RadialGrid, dot: float, v: np.ndarray) -> float:
+    """sqrt(h dot) for dot = <v, v>, inf when finite squares overflow; ValueError if v has a non-finite entry.
 
     Such an entry always makes the sum non-finite, so v is scanned only then.
     """
-    norm2 = grid.h * _dot(v, v)
+    norm2 = grid.h * dot
     if not math.isfinite(norm2):
         _finite(v)
     return math.sqrt(norm2)
+
+
+def _norm(grid: RadialGrid, v: np.ndarray) -> float:
+    """sqrt(h <v, v>), by `_root`'s rules."""
+    return _root(grid, _dot(v, v), v)
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +164,10 @@ def _tower_sampler(sector: SectorLabels, grid: RadialGrid) -> TowerSampler:
 class _Level:
     """Level n of a tower on one grid: its state, read-only chi on the nodes and its images.
 
-    `chi` and each image are read-only arrays on `grid.nodes`; `norm2` is the
-    squared grid norm h <chi, chi> of chi, which the checks read.  ValueError
-    if chi is not finite.
+    `chi` and each image are read-only arrays on `grid.nodes`; `norm2` is
+    h <chi, chi>, `inputs` the labels each report copies, and `t3_eigenvalue`,
+    set by the build of `images`, h <T3 chi, chi> / norm2.  ValueError if chi
+    is not finite.
 
     Raises GridUnderflow when the squared norm of chi on the grid is zero or
     subnormal: below `sys.float_info.min` the norm has lost precision to
@@ -171,6 +184,7 @@ class _Level:
             what = "zero norm" if norm2 == 0.0 else f"a subnormal squared norm {norm2:.3g}"
             raise GridUnderflow(f"chi at n={n} has {what} on the grid with rmax={grid.rmax!r} "
                                 f"and {grid.npoints} points")
+        self.inputs = sector_inputs(sector, grid, self.state.level.n)
 
     def _sampler(self):
         return _tower_sampler(self.state.sector, self.grid)
@@ -184,16 +198,14 @@ class _Level:
         """
         names, products, _, _ = _image_plan()
         C = _coefficients(self.state.sector.bigJ, self.state.level.K)
-        images = _finite(self._sampler().images(self.state, products, C))
-        images.flags.writeable = False
-        return MappingProxyType(dict(zip(names, images)))
+        block = _finite(self._sampler().images(self.state, products, C))
+        block.flags.writeable = False
+        images = dict(zip(names, block))
+        self.t3_eigenvalue = self.grid.h * _dot(images["T3"], self.chi) / self.norm2
+        return MappingProxyType(images)
 
 
 _level = lru_cache(maxsize=SAMPLE_CACHE_LEVELS)(_Level)
-
-
-def _inputs(level: _Level) -> dict:
-    return sector_inputs(level.state.sector, level.grid, level.state.level.n)
 
 
 def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
@@ -218,19 +230,21 @@ def _ladder(level: _Level, target: _Level | None, sign: int, tol: float | None) 
     sector, grid = level.state.sector, level.grid
     y = level.images["T+" if sign == 1 else "T-"]
     k = level.state.kummer.k
-    inputs = _inputs(level)
     if sign == -1 and k == 0:
         residual = _norm(grid, y) / math.sqrt(level.norm2)
-        return _report("ladder_annihilation", inputs, residual, tol, t0)
+        return _report("ladder_annihilation", dict(level.inputs), residual, tol, t0)
     expected = -(k + 2.0 * sector.bigJ + 2.0) if sign == 1 else -float(k)
     # scaled by max|y|, as ||y|| itself can pass the float range at large J
-    scale = np.max(np.abs(y))
-    diff = (y - expected * target.chi) / scale
-    scaled = y / scale
-    residual = math.sqrt(_dot(diff, diff)) / math.sqrt(_dot(scaled, scaled))
+    scale = np.abs(y).max()
+    diff, scaled = rows = np.empty((2, y.size))
+    np.subtract(y, np.multiply(expected, target.chi, out=diff), out=diff)
+    diff /= scale
+    np.divide(y, scale, out=scaled)
+    diff2, scaled2 = _row_dots(rows)
+    residual = math.sqrt(diff2) / math.sqrt(scaled2)
     name = "ladder_raise" if sign == 1 else "ladder_lower"
     details = {"expected_ratio": expected, "proportionality_ratio": grid.h * _dot(y, target.chi) / target.norm2}
-    return _report(name, inputs, residual, tol, t0, details)
+    return _report(name, dict(level.inputs), residual, tol, t0, details)
 
 
 def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
@@ -240,20 +254,23 @@ def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None 
 
 def _t3_eigen(level: _Level, tol: float | None) -> VerificationReport:
     t0 = time.perf_counter()
-    grid, chi = level.grid, level.chi
+    grid, chi, images = level.grid, level.chi, level.images
     K = level.state.level.K
-    y = level.images["T3"]
-    residual = _norm(grid, y - K * chi) / math.sqrt(level.norm2)
-    details = {"measured_eigenvalue": grid.h * _dot(y, chi) / level.norm2}
-    for sign, tag, tpm in ((1, "raised", "T+"), (-1, "lowered", "T-")):
-        if sign == -1 and level.state.kummer.k == 0:
-            continue
-        z = level.images[tpm]
-        w = level.images["T3 " + tpm]
-        r_shift = _norm(grid, w - (K + sign) * z) / _norm(grid, z)
-        details[f"{tag}_eigenvalue"] = grid.h * _dot(w, z) / (grid.h * _dot(z, z))
-        residual = max(residual, r_shift)
-    return _report("t3_eigen", _inputs(level), residual, tol, t0, details)
+    shifts = ((1, "raised", "T+"), (-1, "lowered", "T-"))[:1 if level.state.kummer.k == 0 else 2]
+    # row 0 is T3 chi - K chi, then one row T3 T_pm chi - (K +- 1) T_pm chi per shift
+    rows = np.empty((1 + len(shifts), chi.size))
+    np.subtract(images["T3"], np.multiply(K, chi, out=rows[0]), out=rows[0])
+    for row, (sign, _, tpm) in zip(rows[1:], shifts):
+        np.subtract(images["T3 " + tpm], np.multiply(K + sign, images[tpm], out=row), out=row)
+    norms = [_root(grid, dot, row) for row, dot in zip(rows, _row_dots(rows))]
+    residual = norms[0] / math.sqrt(level.norm2)
+    details = {"measured_eigenvalue": level.t3_eigenvalue}
+    for norm, (_, tag, tpm) in zip(norms[1:], shifts):
+        z = images[tpm]
+        zz = _dot(z, z)
+        residual = max(residual, norm / _root(grid, zz, z))
+        details[f"{tag}_eigenvalue"] = grid.h * _dot(images["T3 " + tpm], z) / (grid.h * zz)
+    return _report("t3_eigen", dict(level.inputs), residual, tol, t0, details)
 
 
 def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
@@ -263,9 +280,9 @@ def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | Non
 
 def _t3_spacing(level: _Level, above: _Level, tol: float | None) -> VerificationReport:
     t0 = time.perf_counter()
-    measured = [lv.grid.h * _dot(lv.images["T3"], lv.chi) / lv.norm2 for lv in (level, above)]
-    spacing = measured[1] - measured[0]
-    return _report("t3_spacing", _inputs(level), abs(spacing - 1.0), tol, t0, {"spacing": spacing})
+    level.images, above.images  # each level builds its images once, and the build sets t3_eigenvalue
+    spacing = above.t3_eigenvalue - level.t3_eigenvalue
+    return _report("t3_spacing", dict(level.inputs), abs(spacing - 1.0), tol, t0, {"spacing": spacing})
 
 
 def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
@@ -283,10 +300,16 @@ def _casimir(level: _Level, tol: float | None) -> VerificationReport:
     fnorm = math.sqrt(level.norm2)
     target = level.state.sector.sep_const * level.chi
     t3f, t3sq, pm, mp = (level.images[name] for name in ("T3", "T3 T3", "T+ T-", "T- T+"))
-    res_direct = _norm(level.grid, -pm + t3sq - t3f - target) / fnorm
-    res_mirror = _norm(level.grid, -mp + t3sq + t3f - target) / fnorm
+    # row 0 is -pm + t3sq - t3f - target, row 1 the mirror -mp + t3sq + t3f - target
+    rows = np.empty((2, target.size))
+    for row, lead, t3_term in zip(rows, (pm, mp), (np.subtract, np.add)):
+        np.negative(lead, out=row)
+        row += t3sq
+        t3_term(row, t3f, out=row)
+        row -= target
+    res_direct, res_mirror = (_root(level.grid, dot, row) / fnorm for row, dot in zip(rows, _row_dots(rows)))
     details = {"direct": res_direct, "mirror": res_mirror}
-    return _report("casimir_action", _inputs(level), max(res_direct, res_mirror), tol, t0, details)
+    return _report("casimir_action", dict(level.inputs), max(res_direct, res_mirror), tol, t0, details)
 
 
 def _radial_equation_start(grid: RadialGrid) -> int:
@@ -305,8 +328,8 @@ def _radial_equation(level: _Level, tol: float | None) -> VerificationReport:
     start = _radial_equation_start(level.grid)
     chi = level.chi[start:]
     resid = level.images["Ln"][start:] + level.state.sector.sep_const * chi
-    residual = float(np.max(np.abs(resid)) / np.max(np.abs(chi)))
-    return _report("radial_equation", _inputs(level), residual, tol, t0)
+    residual = float(np.abs(resid).max() / np.abs(chi).max())
+    return _report("radial_equation", dict(level.inputs), residual, tol, t0)
 
 
 def angular_residual_check(sector: SectorLabels, tol: float | None = None) -> VerificationReport:

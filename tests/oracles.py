@@ -10,6 +10,7 @@ at the very end.
 import bisect
 import itertools
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,9 +18,12 @@ import numpy as np
 
 from micz_su11 import operator_algebra
 from micz_su11.analytic_states import ANGULAR_THETAS, AngularState, RadialState, _as_array, _theta_profile, chi
-from micz_su11.fd_oracle import STURM_TAIL_MARGIN, _sturm_count
+from micz_su11.fd_oracle import STURM_TAIL_MARGIN, _report, _sturm_count
+from micz_su11.numeric_verify import (
+    _dot, _level, _norm, _radial_equation_start, angular_residual_check, states_grid,
+)
 from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly, replace_K
-from micz_su11.quantum_numbers import GridUnderflow
+from micz_su11.quantum_numbers import GridUnderflow, make_sector, sector_inputs
 from micz_su11.special_functions import KummerParams, _kummer_deriv_scale, kummer_terminating
 
 
@@ -537,3 +541,97 @@ def chi_dn_per_call(state: RadialState, x, order: int):
             total += mult * fall * sgn * xpow * dpoly[l]
     val = pref * expf * total
     return float(val) if scalar else val
+
+
+# ---------------------------------------------------------------------------
+# Per-vector grid checks: the bodies of the `numeric_verify` checks with one
+# `_dot` per inner product and one `_norm` per vector, each shared product
+# taken again wherever it is read, and a suite that walks a tower with them
+# as `verify_states_suite` does.  The library's checks must give the same
+# reports bit for bit.
+# ---------------------------------------------------------------------------
+
+def _level_inputs(level) -> dict:
+    return sector_inputs(level.state.sector, level.grid, level.state.level.n)
+
+
+def ladder_reference(level, target, sign: int, tol):
+    t0 = time.perf_counter()
+    sector, grid = level.state.sector, level.grid
+    y = level.images["T+" if sign == 1 else "T-"]
+    k = level.state.kummer.k
+    inputs = _level_inputs(level)
+    if sign == -1 and k == 0:
+        residual = _norm(grid, y) / math.sqrt(level.norm2)
+        return _report("ladder_annihilation", inputs, residual, tol, t0)
+    expected = -(k + 2.0 * sector.bigJ + 2.0) if sign == 1 else -float(k)
+    scale = np.max(np.abs(y))
+    diff = (y - expected * target.chi) / scale
+    scaled = y / scale
+    residual = math.sqrt(_dot(diff, diff)) / math.sqrt(_dot(scaled, scaled))
+    name = "ladder_raise" if sign == 1 else "ladder_lower"
+    details = {"expected_ratio": expected, "proportionality_ratio": grid.h * _dot(y, target.chi) / target.norm2}
+    return _report(name, inputs, residual, tol, t0, details)
+
+
+def t3_eigen_reference(level, tol):
+    t0 = time.perf_counter()
+    grid, chi = level.grid, level.chi
+    K = level.state.level.K
+    y = level.images["T3"]
+    residual = _norm(grid, y - K * chi) / math.sqrt(level.norm2)
+    details = {"measured_eigenvalue": grid.h * _dot(y, chi) / level.norm2}
+    for sign, tag, tpm in ((1, "raised", "T+"), (-1, "lowered", "T-")):
+        if sign == -1 and level.state.kummer.k == 0:
+            continue
+        z = level.images[tpm]
+        w = level.images["T3 " + tpm]
+        r_shift = _norm(grid, w - (K + sign) * z) / _norm(grid, z)
+        details[f"{tag}_eigenvalue"] = grid.h * _dot(w, z) / (grid.h * _dot(z, z))
+        residual = max(residual, r_shift)
+    return _report("t3_eigen", _level_inputs(level), residual, tol, t0, details)
+
+
+def t3_spacing_reference(level, above, tol):
+    t0 = time.perf_counter()
+    measured = [lv.grid.h * _dot(lv.images["T3"], lv.chi) / lv.norm2 for lv in (level, above)]
+    spacing = measured[1] - measured[0]
+    return _report("t3_spacing", _level_inputs(level), abs(spacing - 1.0), tol, t0, {"spacing": spacing})
+
+
+def casimir_reference(level, tol):
+    t0 = time.perf_counter()
+    fnorm = math.sqrt(level.norm2)
+    target = level.state.sector.sep_const * level.chi
+    t3f, t3sq, pm, mp = (level.images[name] for name in ("T3", "T3 T3", "T+ T-", "T- T+"))
+    res_direct = _norm(level.grid, -pm + t3sq - t3f - target) / fnorm
+    res_mirror = _norm(level.grid, -mp + t3sq + t3f - target) / fnorm
+    details = {"direct": res_direct, "mirror": res_mirror}
+    return _report("casimir_action", _level_inputs(level), max(res_direct, res_mirror), tol, t0, details)
+
+
+def radial_equation_reference(level, tol):
+    t0 = time.perf_counter()
+    start = _radial_equation_start(level.grid)
+    chi = level.chi[start:]
+    resid = level.images["Ln"][start:] + level.state.sector.sep_const * chi
+    residual = float(np.max(np.abs(resid)) / np.max(np.abs(chi)))
+    return _report("radial_equation", _level_inputs(level), residual, tol, t0)
+
+
+def states_suite_reference(params, m, j, nlevels: int, tol=None):
+    """`verify_states_suite` on its default grid, each check by its per-vector reference body."""
+    sector = make_sector(params, m, j)
+    grid = states_grid(sector, nlevels, None, None)
+    reports = [angular_residual_check(sector, tol=tol)]
+    below, level = None, _level(sector, sector.j + 1, grid)
+    for i in range(nlevels):
+        reports += [radial_equation_reference(level, tol), t3_eigen_reference(level, tol),
+                    casimir_reference(level, tol)]
+        above = _level(sector, level.state.level.n + 1, grid)
+        reports.append(ladder_reference(level, above, +1, tol))
+        reports.append(ladder_reference(level, below, -1, tol))
+        if i + 1 < nlevels:
+            reports.append(t3_spacing_reference(level, above, tol))
+        below, level = level, above
+    return reports

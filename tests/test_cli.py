@@ -138,6 +138,28 @@ class TestEigenfunction:
                                           "--m", "0", "--j", "0"])
         assert (code, out, err) == (2, "", "error: angular profile vanishes identically on the mesh\n")
 
+    def test_radial_table_of_zeros_exit_2(self, capsys):
+        # (2x)^(J+1) with J = 10 underflows on every node of x <= 1e-40, so chi
+        # is 0 there; `verify-states` refuses that window with exit 2 too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "10", "--n", "11",
+                                          "--rmax", "1e-40", "--npoints", "4"])
+        assert (code, out) == (2, "")
+        assert err == "error: chi at n=11 is 0 on every node of the window 0 < x <= 1e-40; choose another --rmax\n"
+
+    def test_partly_subnormal_radial_table_printed(self, capsys):
+        # at x <= 1e-29 chi is subnormal but nonzero on every node: printed, exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "10", "--n", "11",
+                                        "--rmax", "1e-29", "--npoints", "4"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        chis = [float(r[1]) for r in rows]
+        assert len(chis) == 4 and chis == sorted(chis)
+        assert 0.0 < chis[0] < sys.float_info.min and chis[0] == pytest.approx(4.94e-323, rel=1e-2)
+
     @pytest.mark.parametrize("c1, nonzero", [("1e8", 88), ("1e6", 264)])
     def test_narrow_angular_peak_printed(self, capsys, c1, nonzero):
         code, out, _ = run(capsys, ["eigenfunction", "--kind", "angular", "--s", "0", "--c1", c1,

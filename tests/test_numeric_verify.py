@@ -27,6 +27,7 @@ from oracles import (
     gershgorin,
     locate_untruncated,
     sturm_count,
+    states_suite_reference,
     sturm_count_full,
     substitute,
     suffix_min,
@@ -45,6 +46,7 @@ from micz_su11.numeric_verify import (
     _dot,
     _level,
     _norm,
+    _row_dots,
     _tower_sampler,
     angular_residual_check,
     casimir_check,
@@ -1651,3 +1653,108 @@ class TestSampleCache:
                 _tower_sampler.cache_clear()
                 alone.append(check(sector.j + 1 + i))
         assert suite[1:] == self._fields(alone)
+
+
+def _hexed(value):
+    """`value` with every float written as `float.hex`, which tells 0.0 from -0.0 and every last bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _hexed(v) for key, v in value.items()}
+    return value
+
+
+class TestRowWiseReductions:
+    """Each check takes its norms from one row-wise reduction and each shared product once per level."""
+
+    # one sector per J stratum of the benchmark's pool: (s, c1, c2, m, j), J from 1.22 to 4.96
+    STRATA_SECTORS = [
+        ("1", 0.5, 0.0, "-1", "1"), ("1/2", 0.5, 0.0, "-1/2", "3/2"), ("1/2", 2.0, 0.5, "-1/2", "1/2"),
+        ("0", 0.5, 0.5, "-2", "2"), ("0", 2.0, 0.0, "-2", "2"), ("0", 2.0, 2.0, "1", "1"),
+        ("1/2", 0.0, 2.0, "3/2", "5/2"), ("1/2", 0.0, 0.0, "3/2", "7/2"), ("0", 2.0, 2.0, "0", "1"),
+        ("1/2", 0.5, 0.5, "3/2", "7/2"), ("1", 0.5, 2.0, "1", "3"), ("0", 2.0, 0.5, "2", "4"),
+    ]
+
+    @staticmethod
+    def _check_rows(sector, k, grid):
+        """The residual rows of the t3_eigen, casimir and ladder checks of level k, each as the check forms it."""
+        n = sector.j + 1 + k
+        level = _level(sector, n, grid)
+        images, chi, K = level.images, level.chi, level.state.level.K
+        shifts = [(1, "T+"), (-1, "T-")][:1 if k == 0 else 2]
+        t3 = [images["T3"] - K * chi] + [images["T3 " + tpm] - (K + sign) * images[tpm] for sign, tpm in shifts]
+        target = sector.sep_const * chi
+        t3f, t3sq, pm, mp = (images[name] for name in ("T3", "T3 T3", "T+ T-", "T- T+"))
+        casimir = [-pm + t3sq - t3f - target, -mp + t3sq + t3f - target]
+        ladders = []
+        for sign, tpm in shifts:
+            y = images[tpm]
+            expected = -(k + 2.0 * sector.bigJ + 2.0) if sign == 1 else -float(k)
+            scale = np.max(np.abs(y))
+            ladders.append([(y - expected * _level(sector, n + sign, grid).chi) / scale, y / scale])
+        return [t3, casimir, *ladders]
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("name", ["hydrogen", "shifted"])
+    def test_row_wise_sums_are_the_one_dimensional_sums(self, name, k, xgrid, request):
+        # a numpy whose 2-D reduction sums a row in another order than its
+        # 1-D one fails here, before any report changes its last bits
+        sector = request.getfixturevalue(name)
+        for rows in self._check_rows(sector, k, xgrid):
+            R = np.stack(rows)
+            assert R.flags.c_contiguous
+            expected = [_dot(r, r).hex() for r in R]
+            assert [float(v).hex() for v in np.einsum("ij,ij->i", R, R)] == expected
+            assert [v.hex() for v in _row_dots(R)] == expected
+
+    @pytest.mark.parametrize("nlevels", [3, 10])
+    def test_suite_reports_equal_the_per_vector_reference(self, nlevels):
+        for s, c1, c2, m, j in self.STRATA_SECTORS:
+            params = MonopoleParams(H(s), c1, c2)
+            _level.cache_clear()
+            reports = [_hexed(r.to_dict()) for r in verify_states_suite(params, H(m), H(j), nlevels)]
+            _level.cache_clear()
+            reference = [_hexed(r.to_dict()) for r in states_suite_reference(params, H(m), H(j), nlevels)]
+            for report in reports + reference:
+                del report["runtime_ms"]
+            assert reports == reference, (s, c1, c2, m, j)
+
+    def test_reductions_per_level(self, shifted, monkeypatch):
+        # the per-vector bodies make 203 reductions over these 11 levels, 18.5
+        # a level (`_dot` only); the checks make 118, 10.7 a level, with one
+        # label dict per level and one <T3 chi, chi> per level that builds images
+        dots, row_dots, labelled, built = [], [], [], []
+        dot, rows_dot, inputs, init = numeric_verify._dot, numeric_verify._row_dots, sector_inputs, _Level.__init__
+
+        def counting_dot(a, b):
+            dots.append((a, b))
+            return dot(a, b)
+
+        def counting_rows(rows):
+            row_dots.append(rows)
+            return rows_dot(rows)
+
+        def counting_inputs(sector, grid=None, n=None):
+            labelled.append(grid)
+            return inputs(sector, grid, n)
+
+        def recording_init(level, *args):
+            built.append(level)
+            init(level, *args)
+
+        monkeypatch.setattr(numeric_verify, "_dot", counting_dot)
+        monkeypatch.setattr(numeric_verify, "_row_dots", counting_rows)
+        monkeypatch.setattr(numeric_verify, "sector_inputs", counting_inputs)
+        monkeypatch.setattr(_Level, "__init__", recording_init)
+        _level.cache_clear()
+        try:
+            verify_states_suite(shifted.params, shifted.m, shifted.j, nlevels=10)
+        finally:
+            _level.cache_clear()
+        assert len(built) == 11  # the ten levels and the top raise's target
+        assert len(dots) + len(row_dots) <= 11 * len(built)
+        # the angular check's labels carry no grid
+        assert len([grid for grid in labelled if grid is not None]) == len(built)
+        for level in built:
+            t3 = vars(level)["images"]["T3"] if "images" in vars(level) else None
+            assert sum(a is t3 and b is level.chi for a, b in dots) == (t3 is not None), level.state.level.n
