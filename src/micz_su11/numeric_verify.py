@@ -3,44 +3,50 @@
 The FD eigensolver oracle lives in `fd_oracle`, which needs no numpy; its
 grid, report and oracle names are imported here, each defined once there.
 
-The grid checks reuse work in process-wide caches:
+The grid checks reuse work at two scopes:
 
-- `operator_algebra.generator_table()` composes the su(1,1) generators and
-  their products once per process, and `_image_plan()` reads their float
-  coefficients (`_float_terms()`) once into F: for each of the 6 monomials
-  J^a K^b in them (1, K, J, J^2, J^3, J^4), a 9 x 15 matrix over the 9
-  operators and the 15 distinct products x^p chi^(q) behind their 69 terms;
-- `_tower_sampler(sector, grid)` keeps one `analytic_states.TowerSampler`
-  for the last (sector, grid): 2x, e^(-x), w = (2x)^(J+1) e^(-x), the
-  powers x^e it has handed out (e = -2 ... 2), the last two rows of the
-  resumable Kummer sweep of each shift l <= 4, F_l = F(-(k-l), b+l; 2x),
-  and the 15 x 15 product-rule matrix M(alpha): at most 18 arrays.  A walk
-  up the tower runs each sweep once;
-- `_level(sector, n, grid)` is an LRU of SAMPLE_CACHE_LEVELS = 4 `_Level`s.
-  A `_Level` holds the state, chi = w F_0 on the nodes and, from the first
-  read of `images`, the images of chi under the nine `generator_table()`
-  operators at its (J, K): 10 arrays.  The images are the rows of one
-  9 x npoints block, the sampler's `images` over the 15 products and
-  C(J, K) = sum F_ab J^a K^b (`_coefficients`), w (C M(alpha) S_k) @ B by
-  the product rule that `TowerSampler.images` states; no derivative of chi
-  is sampled.  The block is checked for non-finite entries as it is built,
-  so a bad image raises ValueError from the build.  An image differs from
-  the per-term sum over derivative samples, each coefficient evaluated at
-  (J, K) on its own, by rounding only: at most gamma_n sum |c|
-  |x^p chi^(q)| + gamma_N sum |c| |M S| |w x^e F_l| on each node, n being
-  the operator's terms plus the 6 monomials and N its expanded terms plus
-  15 + 6 (the bound `tests/` asserts).
+- per process, `operator_algebra.generator_table()` composes the su(1,1)
+  generators and their products once, and `_image_plan()` reads their
+  float coefficients (`_float_terms()`) once into F: for each of the 6
+  monomials J^a K^b in them (1, K, J, J^2, J^3, J^4), a 9 x 15 matrix over
+  the 9 operators and the 15 distinct products x^p chi^(q) behind their 69
+  terms.  Both are built once and never change;
+- per suite, or per call of a public check, one `analytic_states.TowerSampler`
+  on `grid.nodes` serves every level the suite or check builds: 2x, e^(-x),
+  w = (2x)^(J+1) e^(-x), the powers x^e it has handed out (e = -2 ... 2),
+  the last two rows of the resumable Kummer sweep of each shift l <= 4,
+  F_l = F(-(k-l), b+l; 2x), and the 15 x 15 product-rule matrix M(alpha):
+  at most 18 arrays.  A walk up the tower runs each sweep once.  A
+  `_Level` holds its sampler, the state, chi = w F_0 on the nodes and,
+  from the first read of `images`, the images of chi under the nine
+  `generator_table()` operators at its (J, K): 10 arrays.  The images are
+  the rows of one 9 x npoints block, the sampler's `images` over the 15
+  products and C(J, K) = sum F_ab J^a K^b (`_coefficients`),
+  w (C M(alpha) S_k) @ B by the product rule that `TowerSampler.images`
+  states; no derivative of chi is sampled.  The block is checked for
+  non-finite entries as it is built, so a bad image raises ValueError from
+  the build.  An image differs from the per-term sum over derivative
+  samples, each coefficient evaluated at (J, K) on its own, by rounding
+  only: at most gamma_n sum |c| |x^p chi^(q)| + gamma_N sum |c| |M S|
+  |w x^e F_l| on each node, n being the operator's terms plus the 6
+  monomials and N its expanded terms plus 15 + 6 (the bound `tests/`
+  asserts).
 
-Together that is at most 18 + 4 x 10 = 58 arrays of npoints x 8 B (1.9 MB at
-the default 4000 points), plus, while one level builds its images, the rows
-of B, 15 arrays more.  Every array a `_Level` hands out is read-only.
+Each public level check builds its one or two `_Level`s from a sampler of
+its own and runs a private body on them; a sweep's rows do not depend on
+where it resumed, so a check called alone reports what it reports inside a
+suite.  `verify_states_suite` runs the bodies on one walk up the tower,
+holding the levels below, at and above n: nlevels + 1 levels, level n's
+images built before level n+1's chi.  That is at most 18 + 3 x 10 = 48
+arrays of npoints x 8 B (1.5 MB at the default 4000 points), plus, while
+one level builds its images, the rows of B, 15 arrays more.  Every array a
+`_Level` hands out is read-only.
 
-Each public level check runs a private body on the `_Level`s it fetches;
-`verify_states_suite` runs the bodies on one walk up the tower, holding the
-levels below, at and above n: nlevels + 1 fetches, level n's images built
-before level n+1's chi.  `_level` and `_tower_sampler` stay process-wide
-though the walk needs no cache: the next suite reuses the heap their arrays
-hold mapped (freed after each suite, 63 ten-level suites ran 9% slower).
+At its end a suite puts its top two levels, and through them its sampler,
+in the module slot `_retained`, which nothing reads: 18 + 10 + 1 = 29
+arrays kept until the next suite replaces them.  Freed at once, the heap
+they held is trimmed and the next suite faults it back in (the `states`
+benchmark ran 4% fewer items a second without the slot).
 
 A grid function is a plain float array of its samples on `grid.nodes`.
 Inner products h <a, b> are sums in one fixed order (`_dot`), not BLAS ddot,
@@ -50,10 +56,10 @@ bit for bit `_dot` on each row, and a level takes its report labels and
 h <T3 chi, chi> once.  A non-finite entry in chi, in the image block or in a
 residual row whose norm a check takes raises ValueError.
 
-The caches are not thread-safe.  The cached sampler's sweeps advance in
-place, so two threads that sample one (sector, grid) at once can mix their
-rows and get wrong values with no error.  Run concurrent suites in separate
-processes.
+Concurrent suites and checks share no mutable state: each samples from a
+`TowerSampler` of its own, and what is shared per process is built once
+and never changed.  Suites may run in threads at once, each reporting what
+it reports alone.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ import math
 import sys
 import time
 from collections.abc import Mapping
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -80,7 +86,6 @@ from .quantum_numbers import (  # noqa: F401  (ConvergenceFailure re-exported)
     ConvergenceFailure, GridUnderflow, HalfInt, MonopoleParams, SectorLabels, make_sector, sector_inputs,
 )
 
-SAMPLE_CACHE_LEVELS = 4
 # `radial_equation_check` takes its max-norm residual from this x to the end of the grid
 RADIAL_EQUATION_START = 0.01
 
@@ -156,38 +161,31 @@ def _coefficients(J: float, K: float) -> np.ndarray:
     return (weights @ F).reshape(len(names), len(products))
 
 
-@lru_cache(maxsize=1)
-def _tower_sampler(sector: SectorLabels, grid: RadialGrid) -> TowerSampler:
-    return TowerSampler(sector, grid.nodes)
-
-
 class _Level:
     """Level n of a tower on one grid: its state, read-only chi on the nodes and its images.
 
-    `chi` and each image are read-only arrays on `grid.nodes`; `norm2` is
-    h <chi, chi>, `inputs` the labels each report copies, and `t3_eigenvalue`,
-    set by the build of `images`, h <T3 chi, chi> / norm2.  ValueError if chi
-    is not finite.
+    The level samples from `sampler`, its tower's `TowerSampler` on
+    `grid.nodes`, which it keeps.  `chi` and each image are read-only arrays
+    on `grid.nodes`; `norm2` is h <chi, chi>, `inputs` the labels each
+    report copies.  ValueError if chi is not finite.
 
     Raises GridUnderflow when the squared norm of chi on the grid is zero or
     subnormal: below `sys.float_info.min` the norm has lost precision to
     gradual underflow, and so have the overlaps the checks divide by it.
     """
 
-    def __init__(self, sector: SectorLabels, n: HalfInt, grid: RadialGrid):
-        self.state = radial_state(sector, n)
+    def __init__(self, sampler: TowerSampler, n: HalfInt, grid: RadialGrid):
+        self.sampler = sampler
+        self.state = radial_state(sampler.sector, n)
         self.grid = grid
-        self.chi = chi = _finite(self._sampler().chi(self.state))
+        self.chi = chi = _finite(sampler.chi(self.state))
         chi.flags.writeable = False
         self.norm2 = norm2 = grid.h * _dot(chi, chi)
         if norm2 < sys.float_info.min:
             what = "zero norm" if norm2 == 0.0 else f"a subnormal squared norm {norm2:.3g}"
             raise GridUnderflow(f"chi at n={n} has {what} on the grid with rmax={grid.rmax!r} "
                                 f"and {grid.npoints} points")
-        self.inputs = sector_inputs(sector, grid, self.state.level.n)
-
-    def _sampler(self):
-        return _tower_sampler(self.state.sector, self.grid)
+        self.inputs = sector_inputs(sampler.sector, grid, self.state.level.n)
 
     @cached_property
     def images(self) -> Mapping[str, np.ndarray]:
@@ -198,14 +196,18 @@ class _Level:
         """
         names, products, _, _ = _image_plan()
         C = _coefficients(self.state.sector.bigJ, self.state.level.K)
-        block = _finite(self._sampler().images(self.state, products, C))
+        block = _finite(self.sampler.images(self.state, products, C))
         block.flags.writeable = False
-        images = dict(zip(names, block))
-        self.t3_eigenvalue = self.grid.h * _dot(images["T3"], self.chi) / self.norm2
-        return MappingProxyType(images)
+        return MappingProxyType(dict(zip(names, block)))
+
+    @cached_property
+    def t3_eigenvalue(self) -> float:
+        """The measured T3 eigenvalue h <T3 chi, chi> / norm2."""
+        return self.grid.h * _dot(self.images["T3"], self.chi) / self.norm2
 
 
-_level = lru_cache(maxsize=SAMPLE_CACHE_LEVELS)(_Level)
+# the last suite's top two levels and sampler: freed at once, the heap is trimmed and the next suite faults it back in
+_retained: tuple[_Level, ...] = ()
 
 
 def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
@@ -219,9 +221,10 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    level = _level(sector, n, grid)
+    sampler = TowerSampler(sector, grid.nodes)
+    level = _Level(sampler, n, grid)
     bottom = sign == -1 and level.state.kummer.k == 0
-    return _ladder(level, None if bottom else _level(sector, n + sign, grid), sign, tol)
+    return _ladder(level, None if bottom else _Level(sampler, n + sign, grid), sign, tol)
 
 
 def _ladder(level: _Level, target: _Level | None, sign: int, tol: float | None) -> VerificationReport:
@@ -249,7 +252,7 @@ def _ladder(level: _Level, target: _Level | None, sign: int, tol: float | None) 
 
 def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
     """||T3 chi - K chi||/||chi|| plus the shifted eigenvalues of T3 on T_pm chi."""
-    return _t3_eigen(_level(sector, n, grid), tol)
+    return _t3_eigen(_Level(TowerSampler(sector, grid.nodes), n, grid), tol)
 
 
 def _t3_eigen(level: _Level, tol: float | None) -> VerificationReport:
@@ -275,13 +278,14 @@ def _t3_eigen(level: _Level, tol: float | None) -> VerificationReport:
 
 def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
     """Measured T3 eigenvalue difference between levels n+1 and n, against 1."""
-    return _t3_spacing(_level(sector, n, grid), _level(sector, n + 1, grid), tol)
+    sampler = TowerSampler(sector, grid.nodes)
+    return _t3_spacing(_Level(sampler, n, grid), _Level(sampler, n + 1, grid), tol)
 
 
 def _t3_spacing(level: _Level, above: _Level, tol: float | None) -> VerificationReport:
     t0 = time.perf_counter()
-    level.images, above.images  # each level builds its images once, and the build sets t3_eigenvalue
-    spacing = above.t3_eigenvalue - level.t3_eigenvalue
+    lower = level.t3_eigenvalue  # level n first: a fresh pair builds its images in tower order
+    spacing = above.t3_eigenvalue - lower
     return _report("t3_spacing", dict(level.inputs), abs(spacing - 1.0), tol, t0, {"spacing": spacing})
 
 
@@ -292,7 +296,7 @@ def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None =
     three separate composed operators so the cancellation down to the
     constant happens numerically on the grid.
     """
-    return _casimir(_level(sector, n, grid), tol)
+    return _casimir(_Level(TowerSampler(sector, grid.nodes), n, grid), tol)
 
 
 def _casimir(level: _Level, tol: float | None) -> VerificationReport:
@@ -320,7 +324,7 @@ def _radial_equation_start(grid: RadialGrid) -> int:
 
 def radial_equation_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
     """Max-norm residual of (-x^2 D^2 - 2Kx + x^2) chi = -J(J+1) chi from x = RADIAL_EQUATION_START to rmax."""
-    return _radial_equation(_level(sector, n, grid), tol)
+    return _radial_equation(_Level(TowerSampler(sector, grid.nodes), n, grid), tol)
 
 
 def _radial_equation(level: _Level, tol: float | None) -> VerificationReport:
@@ -364,15 +368,18 @@ def verify_states_suite(params: MonopoleParams, m: HalfInt, j: HalfInt, nlevels:
     if grid is None:
         grid = states_grid(sector, nlevels, None, None)
     reports = [angular_residual_check(sector, tol=tol)]
-    below, level = None, _level(sector, sector.j + 1, grid)
+    sampler = TowerSampler(sector, grid.nodes)
+    below, level = None, _Level(sampler, sector.j + 1, grid)
     for i in range(nlevels):
         # level n's images are built, at the latest by its radial check, before level n+1's chi: no sweep restarts
         reports += [_radial_equation(level, tol), _t3_eigen(level, tol), _casimir(level, tol)]
-        above = _level(sector, level.state.level.n + 1, grid)
+        above = _Level(sampler, level.state.level.n + 1, grid)
         reports.append(_ladder(level, above, +1, tol))
         # at i == 0 the lowering check is the bottom annihilation
         reports.append(_ladder(level, below, -1, tol))
         if i + 1 < nlevels:
             reports.append(_t3_spacing(level, above, tol))
         below, level = level, above
+    global _retained
+    _retained = below, level
     return reports

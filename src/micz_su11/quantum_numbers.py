@@ -35,10 +35,6 @@ class GridUnderflow(ValueError):
     """The grid is too small for floats: h^2 or the norm of a sampled state is zero."""
 
 
-# the inverse of 2 modulo the hash modulus: hash(t/2) = hash(t) * _HASH_HALF
-_HASH_HALF = pow(2, -1, sys.hash_info.modulus)
-
-
 @total_ordering
 @dataclass(frozen=True)
 class HalfInt:
@@ -89,13 +85,7 @@ class HalfInt:
         return self.twice_value == o.twice_value
 
     def __hash__(self) -> int:
-        # equal to hash(Fraction(self.twice_value, 2)), by Python's rule for
-        # rationals, without building the Fraction
-        t = self.twice_value
-        if not t & 1:
-            return hash(t >> 1)
-        h = hash(hash(abs(t)) * _HASH_HALF)
-        return h if t > 0 else -h  # Python turns a returned -1 into -2, as for Fraction
+        return hash(Fraction(self.twice_value, 2))
 
     def __lt__(self, other):
         o = self._coerce(other)

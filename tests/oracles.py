@@ -17,10 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from micz_su11 import operator_algebra
-from micz_su11.analytic_states import ANGULAR_THETAS, AngularState, RadialState, _as_array, _theta_profile, chi
+from micz_su11.analytic_states import (
+    ANGULAR_THETAS, AngularState, RadialState, TowerSampler, _as_array, _theta_profile, chi,
+)
 from micz_su11.fd_oracle import STURM_TAIL_MARGIN, _report, _sturm_count
 from micz_su11.numeric_verify import (
-    _dot, _level, _norm, _radial_equation_start, angular_residual_check, states_grid,
+    _dot, _Level, _norm, _radial_equation_start, angular_residual_check, states_grid,
 )
 from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly, replace_K
 from micz_su11.quantum_numbers import GridUnderflow, make_sector, sector_inputs
@@ -624,11 +626,12 @@ def states_suite_reference(params, m, j, nlevels: int, tol=None):
     sector = make_sector(params, m, j)
     grid = states_grid(sector, nlevels, None, None)
     reports = [angular_residual_check(sector, tol=tol)]
-    below, level = None, _level(sector, sector.j + 1, grid)
+    sampler = TowerSampler(sector, grid.nodes)
+    below, level = None, _Level(sampler, sector.j + 1, grid)
     for i in range(nlevels):
         reports += [radial_equation_reference(level, tol), t3_eigen_reference(level, tol),
                     casimir_reference(level, tol)]
-        above = _level(sector, level.state.level.n + 1, grid)
+        above = _Level(sampler, level.state.level.n + 1, grid)
         reports.append(ladder_reference(level, above, +1, tol))
         reports.append(ladder_reference(level, below, -1, tol))
         if i + 1 < nlevels:

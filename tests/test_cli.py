@@ -717,6 +717,17 @@ def test_npoints_numpy_cannot_allocate_exit_2_with_one_line(capsys, command):
     assert err.startswith("error: ") and "allocate" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["spectrum", "--s", "0", "--m", "0", "--j", "0"], ["verify-states", "--s", "0", "--m", "0", "--j", "0"],
+     ["oracle", "--s", "0", "--m", "0", "--j", "0"], ["oracle", "--bigJ", "1"]],
+    ids=["spectrum", "verify-states", "oracle", "oracle-bigJ"],
+)
+def test_nmax_below_1_exit_2_with_one_line(capsys, command):
+    code, out, err = run(capsys, command + ["--nmax", "0"])
+    assert (code, out, err) == (2, "", "error: --nmax must be at least 1, got 0\n")
+
+
 class TestParser:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ import re
 import sys
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import MappingProxyType
 
@@ -44,10 +45,8 @@ from micz_su11.numeric_verify import (
     RadialGrid,
     _Level,
     _dot,
-    _level,
     _norm,
     _row_dots,
-    _tower_sampler,
     angular_residual_check,
     casimir_check,
     eig_oracle,
@@ -116,10 +115,15 @@ class PerCallSampler(TowerSampler):
 
 
 class PerCallLevel(_Level):
-    """An uncached level: each use reads a fresh `PerCallSampler`, whose own `images` runs on its pieces."""
+    """An uncached level: it samples from a `PerCallSampler` of its own, whose own `images` runs on its pieces."""
 
-    def _sampler(self):
-        return PerCallSampler(self.state.sector, self.grid.nodes)
+    def __init__(self, sampler, n, grid):
+        super().__init__(PerCallSampler(sampler.sector, grid.nodes), n, grid)
+
+
+def level_of(sector, n, grid):
+    """Level n of the tower of `sector` on `grid`, from a sampler of its own, as a check called alone builds it."""
+    return _Level(TowerSampler(sector, grid.nodes), n, grid)
 
 
 class TestGridTypes:
@@ -185,16 +189,12 @@ class TestNorm:
         prop.__set_name__(_Level, "images")
         monkeypatch.setattr(_Level, "images", prop)
         grid = RadialGrid(40.0, 1500)
-        _level.cache_clear()
-        try:
-            with np.errstate(over="ignore"):
-                # the patched image alone is finite: its norm reads inf
-                assert math.isinf(_norm(grid, _level(hydrogen, H("2"), grid).images["T+"]))
-                with pytest.raises(ValueError, match="^grid function contains non-finite entries$"):
-                    t3_eigen_check(hydrogen, H("2"), grid)
-                code = cli.main(["verify-states", "--s", "0", "--m", "0", "--j", "0", "--nmax", "3"])
-        finally:
-            _level.cache_clear()
+        with np.errstate(over="ignore"):
+            # the patched image alone is finite: its norm reads inf
+            assert math.isinf(_norm(grid, level_of(hydrogen, H("2"), grid).images["T+"]))
+            with pytest.raises(ValueError, match="^grid function contains non-finite entries$"):
+                t3_eigen_check(hydrogen, H("2"), grid)
+            code = cli.main(["verify-states", "--s", "0", "--m", "0", "--j", "0", "--nmax", "3"])
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: grid function contains non-finite entries\n"
@@ -898,11 +898,19 @@ class TestCertifiedBracket:
         assert math.isnan(fd_oracle._predict([levels[0], 1e-3]))
 
 
-def replace_image(level, name, values):
-    """Put `values` in place of one image of a built level, as if its build had made them."""
-    images = dict(level.images)
-    images[name] = values
-    level.__dict__["images"] = MappingProxyType(images)
+def inject_image(monkeypatch, n, name, fault):
+    """Make each level n the checks build hold fault(image) as its image `name`, as if its build had made it."""
+    build = _Level.images.func
+
+    class FaultyLevel(_Level):
+        @functools.cached_property
+        def images(self):
+            images = dict(build(self))
+            if self.state.level.n == n:
+                images[name] = fault(images[name])
+            return MappingProxyType(images)
+
+    monkeypatch.setattr(numeric_verify, "_Level", FaultyLevel)
 
 
 class TestLadder:
@@ -953,36 +961,27 @@ class TestLadder:
         sector = make_sector(MonopoleParams(H("0"), 0.0, 0.0), H("0"), H("84"))
         grid = numeric_verify.states_grid(sector, 3, None, None)
         with np.errstate(over="ignore"):
-            assert math.isinf(_norm(grid, _level(sector, H("85"), grid).images["T+"]))
+            assert math.isinf(_norm(grid, level_of(sector, H("85"), grid).images["T+"]))
             rep = ladder_check(sector, H("85"), +1, grid)
         assert 0.0 < rep.residual <= 1e-13 and rep.passed
 
-    def test_scaled_raise_image_fails(self, shifted, xgrid):
+    def test_scaled_raise_image_fails(self, shifted, xgrid, monkeypatch):
         # ||y - c t||/||y|| is linear in the error: a T+ image 1e-6 too large
         # reads 1e-6, ten times the tolerance (1 - |cos| read 0 here)
         n = shifted.j + 2
-        level = _level(shifted, n, xgrid)
-        try:
-            replace_image(level, "T+", level.images["T+"] * (1.0 + 1e-6))
-            rep = ladder_check(shifted, n, +1, xgrid)
-        finally:
-            _level.cache_clear()
+        inject_image(monkeypatch, n, "T+", lambda y: y * (1.0 + 1e-6))
+        rep = ladder_check(shifted, n, +1, xgrid)
         assert rep.residual == pytest.approx(1e-6, rel=1e-3)
         assert not rep.passed
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_injected_error_fails(self, shifted, xgrid, sign):
+    def test_injected_error_fails(self, shifted, xgrid, sign, monkeypatch):
         # an error of 1e-5 relative along another level's state
         n = shifted.j + 3
-        level = _level(shifted, n, xgrid)
         name = "T+" if sign == 1 else "T-"
-        y = level.images[name]
-        g = _level(shifted, n + 3, xgrid).chi
-        try:
-            replace_image(level, name, y + 1e-5 * _norm(xgrid, y) / _norm(xgrid, g) * g)
-            rep = ladder_check(shifted, n, sign, xgrid)
-        finally:
-            _level.cache_clear()
+        g = level_of(shifted, n + 3, xgrid).chi
+        inject_image(monkeypatch, n, name, lambda y: y + 1e-5 * _norm(xgrid, y) / _norm(xgrid, g) * g)
+        rep = ladder_check(shifted, n, sign, xgrid)
         assert rep.residual == pytest.approx(1e-5, rel=1e-3)
         assert not rep.passed
 
@@ -1048,24 +1047,20 @@ class TestT3AndCasimir:
             rep = radial_equation_check(sec, sec.j + i, xgrid)
             assert rep.residual <= 1e-9 and rep.passed
 
-    def test_radial_equation_read_to_the_end_of_the_grid(self, hydrogen):
+    def test_radial_equation_read_to_the_end_of_the_grid(self, hydrogen, monkeypatch):
         # a defect past x = 40, where high levels still hold much of their
         # norm, fails the check; one below x = 0.01 does not count
         grid = RadialGrid(60.0, 15000)  # h = 0.004
         n = H("20")
-        level = _level(hydrogen, n, grid)
+        level = level_of(hydrogen, n, grid)
         assert radial_equation_check(hydrogen, n, grid).passed
         x = grid.nodes
         fmax = np.max(np.abs(level.chi))
-        ln = level.images["Ln"]
-        try:
-            for where, fails in ((50.0, True), (0.005, False)):
-                bumped = ln.copy()
-                bumped[np.searchsorted(x, where)] += 1e-6 * fmax
-                replace_image(level, "Ln", bumped)
-                assert radial_equation_check(hydrogen, n, grid).passed is not fails, where
-        finally:
-            _level.cache_clear()
+        for where, fails in ((50.0, True), (0.005, False)):
+            bumped = level.images["Ln"].copy()
+            bumped[np.searchsorted(x, where)] += 1e-6 * fmax
+            inject_image(monkeypatch, n, "Ln", lambda ln: bumped)
+            assert radial_equation_check(hydrogen, n, grid).passed is not fails, where
 
     def test_radial_equation_start_node(self):
         x = RadialGrid(1.0, 999).nodes  # h = 0.001
@@ -1226,26 +1221,20 @@ class TestExactZeros:
 
     @staticmethod
     def _reports(sector, k):
-        """Level k's checks as `verify_states_suite` runs them, on its default grid, from cold caches."""
+        """Level k's checks as `verify_states_suite` runs them, on its default grid, each on a sampler of its own."""
         grid = numeric_verify.states_grid(sector, 5, None, None)
         n = sector.j + 1 + k
-        _level.cache_clear()
-        _tower_sampler.cache_clear()
-        try:
-            return [radial_equation_check(sector, n, grid), t3_eigen_check(sector, n, grid),
-                    casimir_check(sector, n, grid), ladder_check(sector, n, +1, grid),
-                    ladder_check(sector, n, -1, grid), t3_spacing_check(sector, n, grid)]
-        finally:
-            _level.cache_clear()
-            _tower_sampler.cache_clear()
+        return [radial_equation_check(sector, n, grid), t3_eigen_check(sector, n, grid),
+                casimir_check(sector, n, grid), ladder_check(sector, n, +1, grid),
+                ladder_check(sector, n, -1, grid), t3_spacing_check(sector, n, grid)]
 
     def _faulty_reports(self, sector, k, monkeypatch, **fault):
         class FaultyLevel(_Level):
-            def _sampler(self):
-                return FaultyImageSampler(_tower_sampler(self.state.sector, self.grid), **fault)
+            def __init__(self, sampler, n, grid):
+                super().__init__(FaultyImageSampler(sampler, **fault), n, grid)
 
         with monkeypatch.context() as patch:
-            patch.setattr(numeric_verify, "_level", FaultyLevel)
+            patch.setattr(numeric_verify, "_Level", FaultyLevel)
             return self._reports(sector, k)
 
     @pytest.mark.parametrize("name, k", LEVELS)
@@ -1381,11 +1370,9 @@ class TestSampleCache:
     def test_cached_reports_equal_uncached(self, monkeypatch):
         for (s, c1, c2), m, j, nlevels in self.UNCACHED_SUITES:
             params = MonopoleParams(H(s), c1, c2)
-            _level.cache_clear()
-            _tower_sampler.cache_clear()
             with monkeypatch.context() as patch:
                 cached = self._fields(verify_states_suite(params, H(m), H(j), nlevels=nlevels))
-                patch.setattr(numeric_verify, "_level", PerCallLevel)
+                patch.setattr(numeric_verify, "_Level", PerCallLevel)
                 uncached = self._fields(verify_states_suite(params, H(m), H(j), nlevels=nlevels))
             assert cached == uncached, (s, m, j, nlevels)
             # bit for bit: float.hex tells 0.0 from -0.0, which == does not
@@ -1402,8 +1389,6 @@ class TestSampleCache:
             calls[p.k, l] += 1
             return row(sampler, p, l)
 
-        _level.cache_clear()
-        _tower_sampler.cache_clear()
         monkeypatch.setattr(TowerSampler, "row", counting)
         self._suite(hydrogen)
         # chi reads F_0 of levels k = 0 ... 10 (k = 10 is the top raise's
@@ -1420,8 +1405,6 @@ class TestSampleCache:
             starts[sweep.b] += 1
             restart(sweep)
 
-        _level.cache_clear()
-        _tower_sampler.cache_clear()
         monkeypatch.setattr(KummerSweep, "restart", counting)
         for sector in (hydrogen, shifted):
             verify_states_suite(sector.params, sector.m, sector.j, nlevels=10)
@@ -1429,20 +1412,24 @@ class TestSampleCache:
         assert starts == Counter(b)
 
     def test_suite_fetches_each_level_once_ascending(self, hydrogen, shifted, monkeypatch):
-        # the walk holds level n-1, n and n+1 itself: nlevels + 1 fetches, the
-        # last one the top raise's target
+        # the walk holds level n-1, n and n+1 itself: nlevels + 1 levels built,
+        # the last one the top raise's target, all from the suite's one sampler
         fetched = []
-        level = numeric_verify._level
+        samplers = set()
 
-        def counting(sector, n, grid):
-            fetched.append(n)
-            return level(sector, n, grid)
+        class CountingLevel(_Level):
+            def __init__(self, sampler, n, grid):
+                fetched.append(n)
+                samplers.add(id(sampler))
+                super().__init__(sampler, n, grid)
 
-        monkeypatch.setattr(numeric_verify, "_level", counting)
+        monkeypatch.setattr(numeric_verify, "_Level", CountingLevel)
         for sector in (hydrogen, shifted):
             fetched.clear()
+            samplers.clear()
             verify_states_suite(sector.params, sector.m, sector.j, nlevels=10)
             assert fetched == [sector.j + i for i in range(1, 12)]
+            assert len(samplers) == 1
 
     def test_chi_that_underflows_on_the_grid_rejected(self, hydrogen):
         with pytest.raises(GridUnderflow, match="n=1 has zero norm"):
@@ -1462,18 +1449,30 @@ class TestSampleCache:
             return out
 
         monkeypatch.setattr(TowerSampler, "power", poisoned)
-        _level.cache_clear()
-        try:
-            level = _Level(hydrogen, H("2"), RadialGrid(40.0, 1500))
-            assert np.all(np.isfinite(level.chi))
-            with pytest.raises(ValueError, match="^grid function contains non-finite entries$"):
-                level.images
-            code = cli.main(["verify-states", "--s", "0", "--m", "0", "--j", "0", "--nmax", "3"])
-        finally:
-            _level.cache_clear()
+        level = level_of(hydrogen, H("2"), RadialGrid(40.0, 1500))
+        assert np.all(np.isfinite(level.chi))
+        with pytest.raises(ValueError, match="^grid function contains non-finite entries$"):
+            level.images
+        code = cli.main(["verify-states", "--s", "0", "--m", "0", "--j", "0", "--nmax", "3"])
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: grid function contains non-finite entries\n"
+
+    def test_concurrent_suites_equal_the_sequential_ones(self, shifted):
+        # suites in threads share no sampler: each of 4 threads x 5 ten-level
+        # suites reports bit for bit what the suite run alone reports
+        def suite():
+            return [_hexed(d) for d in self._fields(verify_states_suite(shifted.params, shifted.m, shifted.j, 10))]
+
+        alone = suite()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so shared rows would mix
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threads = list(pool.map(lambda _: [suite() for _ in range(5)], range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [[alone] * 5] * 4 == threads
 
     def test_second_suite_composes_nothing(self, hydrogen, monkeypatch):
         self._suite(hydrogen)
@@ -1490,7 +1489,7 @@ class TestSampleCache:
         assert calls == []
 
     def test_cached_arrays_are_read_only(self, hydrogen, xgrid):
-        level = _level(hydrogen, H("2"), xgrid)
+        level = level_of(hydrogen, H("2"), xgrid)
         t3 = level.images["T3"]
         # the level keeps chi and its nine images, no derivative samples
         assert not hasattr(level, "derivative") and not hasattr(level, "_derivatives")
@@ -1502,15 +1501,13 @@ class TestSampleCache:
 
     @staticmethod
     def _reference_case(spec, step):
-        """A cold level of one sector at the suite's default grid, with the inputs of `apply_operator`."""
+        """A level of one sector on a sampler of its own at the suite's default grid, with the inputs of `apply_operator`."""
         s, c1, c2, m, j = spec
         sector = make_sector(MonopoleParams(H(s), c1, c2), H(m), H(j))
         # the grid `verify_states_suite` picks at its default nlevels = 5
         grid = RadialGrid(10.0 + 4.0 * (sector.bigJ + 5), 4000)
         n = sector.j + 1 + step
-        _level.cache_clear()
-        _tower_sampler.cache_clear()
-        level = _level(sector, n, grid)
+        level = level_of(sector, n, grid)
         _, f, derivs = sampled(sector, n, grid)
         assert np.array_equal(level.chi, f)
         return level, f, derivs
@@ -1620,8 +1617,6 @@ class TestSampleCache:
         def counting_derivatives(sampler, state, top):
             derivative_calls.append((state.level.n, top))
 
-        _level.cache_clear()
-        _tower_sampler.cache_clear()
         monkeypatch.setattr(numeric_verify, "_coefficients", counting_coefficients)
         monkeypatch.setattr(numeric_verify, "MappingProxyType", counting_blocks)
         monkeypatch.setattr(TowerSampler, "derivatives", counting_derivatives)
@@ -1634,8 +1629,8 @@ class TestSampleCache:
 
     @pytest.mark.parametrize("name", ["hydrogen", "shifted"])
     def test_each_check_alone_equals_the_suite(self, name, request):
-        # every grid check reads its level through `_level`; called on its own
-        # with cold caches it must report what it reports inside the suite
+        # every grid check builds its levels from a sampler of its own; called
+        # on its own it must report what it reports inside the suite
         sector = request.getfixturevalue(name)
         grid = RadialGrid(40.0, 1500)
         nlevels = 4
@@ -1649,8 +1644,6 @@ class TestSampleCache:
         alone = []
         for i in range(nlevels):
             for check in checks[:6 if i + 1 < nlevels else 5]:
-                _level.cache_clear()
-                _tower_sampler.cache_clear()
                 alone.append(check(sector.j + 1 + i))
         assert suite[1:] == self._fields(alone)
 
@@ -1679,7 +1672,7 @@ class TestRowWiseReductions:
     def _check_rows(sector, k, grid):
         """The residual rows of the t3_eigen, casimir and ladder checks of level k, each as the check forms it."""
         n = sector.j + 1 + k
-        level = _level(sector, n, grid)
+        level = level_of(sector, n, grid)
         images, chi, K = level.images, level.chi, level.state.level.K
         shifts = [(1, "T+"), (-1, "T-")][:1 if k == 0 else 2]
         t3 = [images["T3"] - K * chi] + [images["T3 " + tpm] - (K + sign) * images[tpm] for sign, tpm in shifts]
@@ -1691,7 +1684,7 @@ class TestRowWiseReductions:
             y = images[tpm]
             expected = -(k + 2.0 * sector.bigJ + 2.0) if sign == 1 else -float(k)
             scale = np.max(np.abs(y))
-            ladders.append([(y - expected * _level(sector, n + sign, grid).chi) / scale, y / scale])
+            ladders.append([(y - expected * level_of(sector, n + sign, grid).chi) / scale, y / scale])
         return [t3, casimir, *ladders]
 
     @pytest.mark.parametrize("k", [0, 2])
@@ -1711,9 +1704,7 @@ class TestRowWiseReductions:
     def test_suite_reports_equal_the_per_vector_reference(self, nlevels):
         for s, c1, c2, m, j in self.STRATA_SECTORS:
             params = MonopoleParams(H(s), c1, c2)
-            _level.cache_clear()
             reports = [_hexed(r.to_dict()) for r in verify_states_suite(params, H(m), H(j), nlevels)]
-            _level.cache_clear()
             reference = [_hexed(r.to_dict()) for r in states_suite_reference(params, H(m), H(j), nlevels)]
             for report in reports + reference:
                 del report["runtime_ms"]
@@ -1746,11 +1737,7 @@ class TestRowWiseReductions:
         monkeypatch.setattr(numeric_verify, "_row_dots", counting_rows)
         monkeypatch.setattr(numeric_verify, "sector_inputs", counting_inputs)
         monkeypatch.setattr(_Level, "__init__", recording_init)
-        _level.cache_clear()
-        try:
-            verify_states_suite(shifted.params, shifted.m, shifted.j, nlevels=10)
-        finally:
-            _level.cache_clear()
+        verify_states_suite(shifted.params, shifted.m, shifted.j, nlevels=10)
         assert len(built) == 11  # the ten levels and the top raise's target
         assert len(dots) + len(row_dots) <= 11 * len(built)
         # the angular check's labels carry no grid
