@@ -16,6 +16,8 @@ w = (2x)^(J+1) e^(-x) that chi shares with them and the one cache of the
 powers x^e on that x (`power`).  `chi` and `chi_dn` read a sampler of their
 own (its `chi`, or the last of its `derivatives`), so there is one float
 evaluation of chi, and `product_rule` is the one body of the product rule.
+Likewise `angular_Z` takes the angular profile w(theta) from
+`_theta_profile`, its one float evaluation.
 """
 
 from __future__ import annotations
@@ -103,11 +105,12 @@ class TowerSampler:
     Derivative order l of level k needs F(-(k-l), b+l; 2x), and the
     recurrence in the order does not depend on k.  So the sampler keeps one
     `KummerSweep` per shift l, which resumes when a higher level is asked
-    for and restarts when a lower one is: an ascending walk over the tower
-    runs each sweep once.  It also keeps 2x, e^(-x), w = (2x)^alpha e^(-x)
-    with alpha = J+1 (from its first read), every power x^e it has been
-    asked for (`power`) and the read-only matrix M(alpha) of each product
-    list `images` gets.  A sweep's rows do not depend on where it resumed
+    for, serves the level just below from the row it holds and restarts
+    when a lower one is: a walk over the tower that steps back at most one
+    level runs each sweep once.  It also keeps 2x, e^(-x),
+    w = (2x)^alpha e^(-x) with alpha = J+1 (from its first read), every
+    power x^e it has been asked for (`power`) and the read-only matrix
+    M(alpha) of each product list `images` gets.  A sweep's rows do not depend on where it resumed
     from, so a value does not depend on the levels asked for before.
     """
 
@@ -251,13 +254,7 @@ def angular_state(sector: SectorLabels) -> AngularState:
 def angular_Z(state: AngularState, theta, phi):
     """Z(theta, phi) = cos(t/2)^m1 sin(t/2)^m2 P^(m2,m1)_deg(cos t) e^(i(m-s)phi)."""
     arr, scalar = _as_array(theta, "theta", upper=math.pi)
-    sec = state.sector
-    half = 0.5 * arr
-    w = (
-        np.cos(half) ** sec.m1
-        * np.sin(half) ** sec.m2
-        * jacobi(state.jacobi, np.cos(arr))
-    )
+    w = _theta_profile(state, arr)[0]
     phis = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phis)):
         raise DomainError("phi must be finite")

@@ -36,11 +36,10 @@ Each public level check builds its one or two `_Level`s from a sampler of
 its own and runs a private body on them; a sweep's rows do not depend on
 where it resumed, so a check called alone reports what it reports inside a
 suite.  `verify_states_suite` runs the bodies on one walk up the tower,
-holding the levels below, at and above n: nlevels + 1 levels, level n's
-images built before level n+1's chi.  That is at most 18 + 3 x 10 = 48
-arrays of npoints x 8 B (1.5 MB at the default 4000 points), plus, while
-one level builds its images, the rows of B, 15 arrays more.  Every array a
-`_Level` hands out is read-only.
+holding the levels below, at and above n: nlevels + 1 levels.  That is at
+most 18 + 3 x 10 = 48 arrays of npoints x 8 B (1.5 MB at the default 4000
+points), plus, while one level builds its images, the rows of B, 15 arrays
+more.  Every array a `_Level` hands out is read-only.
 
 At its end a suite puts its top two levels, and through them its sampler,
 in the module slot `_retained`, which nothing reads: 18 + 10 + 1 = 29
@@ -284,8 +283,7 @@ def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | Non
 
 def _t3_spacing(level: _Level, above: _Level, tol: float | None) -> VerificationReport:
     t0 = time.perf_counter()
-    lower = level.t3_eigenvalue  # level n first: a fresh pair builds its images in tower order
-    spacing = above.t3_eigenvalue - lower
+    spacing = above.t3_eigenvalue - level.t3_eigenvalue
     return _report("t3_spacing", dict(level.inputs), abs(spacing - 1.0), tol, t0, {"spacing": spacing})
 
 
@@ -371,7 +369,6 @@ def verify_states_suite(params: MonopoleParams, m: HalfInt, j: HalfInt, nlevels:
     sampler = TowerSampler(sector, grid.nodes)
     below, level = None, _Level(sampler, sector.j + 1, grid)
     for i in range(nlevels):
-        # level n's images are built, at the latest by its radial check, before level n+1's chi: no sweep restarts
         reports += [_radial_equation(level, tol), _t3_eigen(level, tol), _casimir(level, tol)]
         above = _Level(sampler, level.state.level.n + 1, grid)
         reports.append(_ladder(level, above, +1, tol))

@@ -2,9 +2,11 @@
 
 These are the only special functions the closed-form eigenfunctions need:
 the bound-state first argument of F(a, b; z) is always a non-positive
-integer, so no non-terminating hypergeometric machinery is provided.  Each
-has one float evaluation, a three-term recurrence in the degree, and its
-derivatives are the same function at shifted parameters.
+integer, so no non-terminating hypergeometric machinery is provided.  Both
+are evaluated by one recurrence body, the resumable three-term `Sweep`,
+over two coefficient sets: `jacobi`'s step in the degree and
+`KummerSweep`'s in the order.  The derivatives of each are the same
+function at shifted parameters.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class KummerParams:
 
 
 def jacobi(p: JacobiParams, z):
-    """P^(a,b)_degree(z) by the three-term recurrence in the degree.
+    """P^(a,b)_degree(z) by the three-term recurrence in the degree, run by `Sweep`.
 
     Accepts a scalar or an ndarray for z.  With a, b > -1 none of the
     recurrence denominators can vanish.
@@ -59,19 +61,20 @@ def jacobi(p: JacobiParams, z):
     if p.degree > DEGREE_CAP:
         raise DegreeCapExceeded(f"degree {p.degree} exceeds cap {DEGREE_CAP}")
     a, b = p.a, p.b
-    one = np.ones_like(z, dtype=float) if isinstance(z, np.ndarray) else 1.0
-    if p.degree == 0:
-        return one
-    prev = one
-    cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * z
-    for n in range(2, p.degree + 1):
+
+    def step(i, z):
+        # P_1 is its own row: the general c1 vanishes at n = 1 when a + b = 0
+        if i == 0:
+            return 0.5 * (a - b) + 0.5 * (a + b + 2.0) * z, 0.0, 1.0
+        n = i + 1
         apb = a + b
         c1 = 2.0 * n * (n + apb) * (2.0 * n + apb - 2.0)
         c2 = (2.0 * n + apb - 1.0) * (a * a - b * b)
         c3 = (2.0 * n + apb - 1.0) * (2.0 * n + apb) * (2.0 * n + apb - 2.0)
         c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + apb)
-        prev, cur = cur, ((c2 + c3 * z) * cur - c4 * prev) / c1
-    return cur
+        return c2 + c3 * z, c4, c1
+
+    return Sweep(step, z).row(p.degree)
 
 
 def jacobi_deriv(p: JacobiParams, z):
@@ -96,18 +99,20 @@ def kummer_terminating(p: KummerParams, z):
     return KummerSweep(p.bparam, z).row(p.k)
 
 
-class KummerSweep:
-    """The recurrence of `kummer_terminating` on a fixed z, resumable in the order.
+class Sweep:
+    """A three-term recurrence on a fixed z, resumable in the index.
 
-    `row(k)` returns F(-k, b; z).  The sweep keeps only its last two rows
-    (i, F_(i-1), F_i): a higher k resumes from them and a lower one
-    restarts from i = 0, so every row is computed by the same operations
-    in the same order as a fresh sweep, bit for bit.  Returned rows are
-    never modified afterwards.
+    From P_0 = 1 and P_(-1) = 0 it runs P_(i+1) = (L_i(z) P_i - C_i P_(i-1)) / D_i,
+    with (L_i(z), C_i, D_i) = step(i, z).  `row(k)` returns P_k.  The
+    sweep keeps only its last two rows (i, P_(i-1), P_i): row i - 1 is the
+    one it holds, a higher k resumes from them and a lower one restarts
+    from i = 0, so every row is computed by the same operations in the
+    same order as a fresh sweep, bit for bit, whatever rows were read
+    before.  Returned rows are never modified afterwards.
     """
 
-    def __init__(self, b: float, z):
-        self.b = b
+    def __init__(self, step, z):
+        self.step = step
         self.z = z
         self.restart()
 
@@ -118,13 +123,24 @@ class KummerSweep:
         self.cur = np.ones_like(z, dtype=float) if isinstance(z, np.ndarray) else 1.0
 
     def row(self, k: int):
+        if k == self.i - 1:
+            return self.prev
         if k < self.i:
             self.restart()
-        b, z, i, prev, cur = self.b, self.z, self.i, self.prev, self.cur
+        step, z, i, prev, cur = self.step, self.z, self.i, self.prev, self.cur
         for i in range(i, k):
-            prev, cur = cur, ((2.0 * i + b - z) * cur - i * prev) / (b + i)
+            L, C, D = step(i, z)
+            prev, cur = cur, (L * cur - C * prev) / D
         self.i, self.prev, self.cur = k, prev, cur
         return cur
+
+
+class KummerSweep(Sweep):
+    """The `Sweep` of `kummer_terminating` on a fixed z: `row(k)` returns F(-k, b; z)."""
+
+    def __init__(self, b: float, z):
+        self.b = b
+        super().__init__(lambda i, z: (2.0 * i + b - z, i, b + i), z)
 
 
 def _kummer_deriv_scale(p: KummerParams, order: int) -> float:

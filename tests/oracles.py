@@ -63,6 +63,37 @@ def kummer_rational(k: int, b: Fraction, z: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# The two float recurrences as the separate loops they were before both ran
+# `special_functions.Sweep`: the one sweep must give their bits, overflow,
+# NaN and signed zeros included.
+# ---------------------------------------------------------------------------
+
+def jacobi_reference(degree: int, a: float, b: float, z):
+    """P^(a,b)_degree(z) by its own three-term loop in the degree."""
+    one = np.ones_like(z, dtype=float) if isinstance(z, np.ndarray) else 1.0
+    if degree == 0:
+        return one
+    prev = one
+    cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * z
+    for n in range(2, degree + 1):
+        apb = a + b
+        c1 = 2.0 * n * (n + apb) * (2.0 * n + apb - 2.0)
+        c2 = (2.0 * n + apb - 1.0) * (a * a - b * b)
+        c3 = (2.0 * n + apb - 1.0) * (2.0 * n + apb) * (2.0 * n + apb - 2.0)
+        c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + apb)
+        prev, cur = cur, ((c2 + c3 * z) * cur - c4 * prev) / c1
+    return cur
+
+
+def kummer_row_reference(k: int, b: float, z):
+    """F(-k, b; z) by its own three-term loop in the order, started at F_0 = 1."""
+    prev, cur = 0.0, np.ones_like(z, dtype=float) if isinstance(z, np.ndarray) else 1.0
+    for i in range(k):
+        prev, cur = cur, ((2.0 * i + b - z) * cur - i * prev) / (b + i)
+    return cur
+
+
+# ---------------------------------------------------------------------------
 # The su(1,1) generators as typed-in formulas: the reference that
 # `operator_algebra.generator_table()`, which derives them from the
 # factorization of Ln, must reproduce term for term.
@@ -210,6 +241,8 @@ class ListMatrix:
 
     def certified_tail(self, lam: float) -> int:
         return tail_start(self.values, self.off, lam)
+
+    tail_start = certified_tail
 
 
 def locate_untruncated(diag: list[float], off: float, m: int, a: float, b: float) -> float:

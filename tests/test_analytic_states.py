@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from micz_su11.analytic_states import (
     radial_state,
 )
 from micz_su11.quantum_numbers import HalfInt, MonopoleParams, make_sector
+from micz_su11.special_functions import KummerSweep
 from oracles import angular_residual_phi_mesh, chi_dn_per_call, chi_dn_reference, kummer_rational, poly_coeffs
 
 H = HalfInt.parse
@@ -213,6 +215,27 @@ class TestTowerSampler:
         sampler = TowerSampler(hydrogen, np.linspace(0.1, 5.0, 8))
         with pytest.raises(ValueError, match="another sector"):
             sampler.derivatives(radial_state(shifted, H("3/2")), 1)
+
+    def test_level_below_read_from_the_rows_held(self, shifted, monkeypatch):
+        # level n+1, then level n: each sweep serves level n's row from the one
+        # it holds, starts once, and gives the bits of a fresh sampler
+        starts = Counter()
+        restart = KummerSweep.restart
+
+        def counting(sweep):
+            starts[sweep.b] += 1
+            restart(sweep)
+
+        monkeypatch.setattr(KummerSweep, "restart", counting)
+        x = np.linspace(0.1, 60.0, 64)
+        states = [radial_state(shifted, shifted.j + 1 + k) for k in (11, 10)]
+        sampler = TowerSampler(shifted, x)
+        read = [[sampler.chi(st), *sampler.derivatives(st, 4)] for st in states]
+        assert starts == Counter(2.0 * shifted.bigJ + 2.0 + l for l in range(5))
+        for st, got in zip(states, read):
+            fresh = TowerSampler(shifted, x)
+            for g, want in zip(got, [fresh.chi(st), *fresh.derivatives(st, 4)], strict=True):
+                assert np.array_equal(g, want)
 
     @pytest.mark.parametrize("k", range(4))
     def test_identity_image_is_chi(self, shifted, k):

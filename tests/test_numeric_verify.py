@@ -295,6 +295,11 @@ class TestEigOracle:
     def test_count_zero(self):
         assert eig_oracle(0.0, RadialGrid(20.0, 100), 0) == []
 
+    def test_bisection_that_cannot_close_raises(self):
+        # a bracket that straddles 0 never narrows to 1e-14 of its ends: 256 halvings leave 1e231
+        with pytest.raises(ConvergenceFailure, match="bisection stalled for eigenvalue 0"):
+            fd_oracle._bisect_cell(lambda lam, k: lam > 1e-300, 0, -1e308, 1e308)
+
     def test_input_validation(self):
         grid = RadialGrid(20.0, 100)
         with pytest.raises(ValueError):
@@ -791,6 +796,25 @@ class TestCertifiedBracket:
         theta, step = fd_oracle._locate(matrix, a, b)
         assert isinstance(theta, float) and isinstance(step, float)
         assert math.isfinite(theta) or math.isnan(theta)
+
+    def test_bracket_below_the_spectrum_has_no_twist(self):
+        # below every diagonal entry the tail starts at node 0, so the twist falls before node 1
+        matrix = _FdMatrix(0.0, self._grid(0.0, 3, 600))
+        a, b = matrix.lo - 2.0, matrix.lo - 1.0
+        assert matrix.tail_start(0.5 * (a + b)) == 0
+        theta, step = fd_oracle._locate(matrix, a, b)
+        assert math.isnan(theta) and math.isnan(step)
+
+    def test_zero_pivot_gives_no_guess(self):
+        # at lam = 0 the forward pivots are q_0 = 1 and q_1 = 16 - 16/1 = 0, inside
+        # the twist m = 3 of the tail start 4, whose backward end lies past m + 1
+        matrix = ListMatrix([1.0, 16.0, 3.0, 7.0, *[9.0] * 60], -4.0)
+        a, b = 0.0, 1e-3
+        t = matrix.tail_start(0.5 * (a + b))
+        assert (t, int(fd_oracle.LOCATE_TWIST * t)) == (4, 3)
+        assert fd_oracle._dirichlet_end(matrix, t, 0.5 * (a + b)) >= 5
+        theta, step = fd_oracle._locate(matrix, a, b)
+        assert math.isnan(theta) and math.isnan(step)
 
     @pytest.mark.parametrize("J, nmax, npoints", CASES, ids=["hydrogen", "shifted", "J39.7", "coarse"])
     def test_guess_in_the_final_cell_takes_two_sweeps(self, monkeypatch, J, nmax, npoints):
@@ -1410,6 +1434,25 @@ class TestSampleCache:
             verify_states_suite(sector.params, sector.m, sector.j, nlevels=10)
         b = [2.0 * sector.bigJ + 2.0 + l for sector in (hydrogen, shifted) for l in range(5)]
         assert starts == Counter(b)
+
+    @pytest.mark.parametrize("check", ["raise", "lower", "spacing"])
+    def test_public_pair_check_starts_each_sweep_once(self, shifted, check, monkeypatch):
+        # both levels' chi come before level n's images: the shift-0 sweep
+        # serves the lower row from the one it holds instead of starting again
+        starts = Counter()
+        restart = KummerSweep.restart
+
+        def counting(sweep):
+            starts[sweep.b] += 1
+            restart(sweep)
+
+        monkeypatch.setattr(KummerSweep, "restart", counting)
+        n, grid = shifted.j + 11, RadialGrid(60.0, 400)  # k = 10
+        if check == "spacing":
+            t3_spacing_check(shifted, n, grid)
+        else:
+            ladder_check(shifted, n, 1 if check == "raise" else -1, grid)
+        assert starts == Counter(2.0 * shifted.bigJ + 2.0 + l for l in range(5))
 
     def test_suite_fetches_each_level_once_ascending(self, hydrogen, shifted, monkeypatch):
         # the walk holds level n-1, n and n+1 itself: nlevels + 1 levels built,

@@ -200,6 +200,10 @@ class TestEnergy:
         for lo, hi in zip(ks, ks[1:]):
             assert hi - lo == 1.0
 
+    def test_integer_n_is_the_half_integer(self):
+        sec = sector("0", 0.0, 0.0, "0", "0")
+        assert energy(sec, 3) == energy(sec, HalfInt.from_int(3))
+
     def test_invalid_levels(self):
         sec = sector("0", 0.0, 0.0, "0", "1")
         with pytest.raises(InvalidLevel):

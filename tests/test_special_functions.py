@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from micz_su11.special_functions import (
+    DEGREE_CAP,
     DegreeCapExceeded,
     JacobiParams,
     KummerParams,
+    KummerSweep,
     ParamOutOfRange,
     jacobi,
     jacobi_deriv,
     kummer_terminating,
 )
-from oracles import jacobi_series, kummer_deriv, kummer_rational
+from oracles import jacobi_reference, jacobi_series, kummer_deriv, kummer_rational, kummer_row_reference
 
 
 class TestJacobi:
@@ -156,3 +158,55 @@ class TestKummerDeriv:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             kummer_deriv(KummerParams(2, 1.5), 0.7, -1)
+
+
+class TestOneSweep:
+    """`jacobi` and the Kummer rows against the two separate loops that `Sweep` replaced, bit for bit.
+
+    A scalar must keep its type and its `float.hex`, an array its entries
+    (NaN equal to NaN) and their sign bits.  Overflow is part of the pin:
+    F(-249, 2; 2x) leaves the float range on the window x <= 1010, and the
+    Jacobi recurrence does at |z| = 1e200.  A change that rescales the rows
+    must change these references knowingly.
+    """
+
+    # a + b = 0 twice (hydrogen's a = b = 0 among them), where the general step cannot give P_1
+    JACOBI_PARAMS = [(0.0, 0.0), (0.5, -0.5), (2.3, 1.7), (-0.9, 40.0)]
+    Z_SCALARS = (-1.0, -0.0, 0.3, 1e200, math.nan)
+    Z_ARRAY = np.array([-1.0, -0.7, -0.0, 0.0, 0.3, 1.0, 3.5, -1e200, math.inf, math.nan])
+
+    @staticmethod
+    def _same(got, ref) -> bool:
+        if isinstance(ref, np.ndarray):
+            return (type(got) is np.ndarray and np.array_equal(got, ref, equal_nan=True)
+                    and np.array_equal(np.signbit(got), np.signbit(ref)))
+        return type(got) is type(ref) and float.hex(got) == float.hex(ref)
+
+    @pytest.mark.parametrize("a, b", JACOBI_PARAMS)
+    def test_jacobi_keeps_the_loop_bits(self, a, b):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for degree in range(DEGREE_CAP + 1):
+                for z in (*self.Z_SCALARS, self.Z_ARRAY):
+                    got, ref = jacobi(JacobiParams(degree, a, b), z), jacobi_reference(degree, a, b, z)
+                    assert self._same(got, ref), (degree, z)
+
+    # 2x on the window x <= 1010
+    Z_KUMMER = 2.0 * (1010.0 * np.arange(1, 65) / 64.0)
+
+    def test_kummer_window_overflows(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(kummer_row_reference(249, 2.0, self.Z_KUMMER)))
+
+    @pytest.mark.parametrize("z", [Z_KUMMER, 2020.0, -0.0], ids=["window", "scalar", "negative-zero"])
+    @pytest.mark.parametrize("b", [2.0, 5.5])
+    def test_kummer_rows_keep_the_loop_bits(self, b, z):
+        sweep = KummerSweep(b, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            refs = [kummer_row_reference(k, b, z) for k in range(250)]
+            for k, ref in enumerate(refs):
+                # each row resumed, then the row below it from the one the sweep holds
+                assert self._same(sweep.row(k), ref), k
+                if k:
+                    assert self._same(sweep.row(k - 1), refs[k - 1]), k
+            for k in (0, 1, 2, 100, 249):
+                assert self._same(kummer_terminating(KummerParams(k, b), z), refs[k]), k
