@@ -16,8 +16,6 @@ w = (2x)^(J+1) e^(-x) that chi shares with them and the one cache of the
 powers x^e on that x (`power`).  `chi` and `chi_dn` read a sampler of their
 own (its `chi`, or the last of its `derivatives`), so there is one float
 evaluation of chi, and `product_rule` is the one body of the product rule.
-Likewise `angular_Z` takes the angular profile w(theta) from
-`_theta_profile`, its one float evaluation.
 """
 
 from __future__ import annotations
@@ -110,8 +108,9 @@ class TowerSampler:
     level runs each sweep once.  It also keeps 2x, e^(-x),
     w = (2x)^alpha e^(-x) with alpha = J+1 (from its first read), every
     power x^e it has been asked for (`power`) and the read-only matrix
-    M(alpha) of each product list `images` gets.  A sweep's rows do not depend on where it resumed
-    from, so a value does not depend on the levels asked for before.
+    M(alpha) of each product list `images` gets.  A sweep's rows do not
+    depend on where it resumed from, so a value does not depend on the
+    levels asked for before.
     """
 
     def __init__(self, sector: SectorLabels, x):
@@ -254,7 +253,13 @@ def angular_state(sector: SectorLabels) -> AngularState:
 def angular_Z(state: AngularState, theta, phi):
     """Z(theta, phi) = cos(t/2)^m1 sin(t/2)^m2 P^(m2,m1)_deg(cos t) e^(i(m-s)phi)."""
     arr, scalar = _as_array(theta, "theta", upper=math.pi)
-    w = _theta_profile(state, arr)[0]
+    sec = state.sector
+    half = 0.5 * arr
+    w = (
+        np.cos(half) ** sec.m1
+        * np.sin(half) ** sec.m2
+        * jacobi(state.jacobi, np.cos(arr))
+    )
     phis = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phis)):
         raise DomainError("phi must be finite")

@@ -103,7 +103,8 @@ class Sweep:
     """A three-term recurrence on a fixed z, resumable in the index.
 
     From P_0 = 1 and P_(-1) = 0 it runs P_(i+1) = (L_i(z) P_i - C_i P_(i-1)) / D_i,
-    with (L_i(z), C_i, D_i) = step(i, z).  `row(k)` returns P_k.  The
+    with (L_i(z), C_i, D_i) = step(i, z); an array L_i(z) must be a new
+    one, which the sweep overwrites with P_(i+1).  `row(k)` returns P_k.  The
     sweep keeps only its last two rows (i, P_(i-1), P_i): row i - 1 is the
     one it holds, a higher k resumes from them and a lower one restarts
     from i = 0, so every row is computed by the same operations in the
@@ -130,7 +131,13 @@ class Sweep:
         step, z, i, prev, cur = self.step, self.z, self.i, self.prev, self.cur
         for i in range(i, k):
             L, C, D = step(i, z)
-            prev, cur = cur, (L * cur - C * prev) / D
+            # P_(i+1) is formed in the step's new L where L P_i keeps its dtype:
+            # the operations of (L P_i - C P_(i-1)) / D, one temporary fewer
+            own = isinstance(L, np.ndarray) and L.dtype == np.result_type(L, cur)
+            nxt = np.multiply(L, cur, out=L) if own else L * cur
+            nxt -= C * prev
+            nxt /= D
+            prev, cur = cur, nxt
         self.i, self.prev, self.cur = k, prev, cur
         return cur
 

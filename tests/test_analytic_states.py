@@ -328,6 +328,16 @@ class TestAngular:
             for phi in (0.0, 2.1):
                 assert angular_Z(ast, theta, phi) == 1.0 + 0.0j
 
+    def test_trivial_sector_near_the_poles_is_silent(self, hydrogen):
+        # Z needs no power of cos or sin below m1 or m2, which would overflow here
+        ast = angular_state(hydrogen)
+        thetas = (1e-200, 1e-100, math.pi - 4e-16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for theta in thetas:
+                assert angular_Z(ast, theta, 0.0) == 1.0 + 0.0j
+            assert np.array_equal(angular_Z(ast, np.array(thetas), 0.0), np.ones(3, dtype=complex))
+
     def test_p_wave_reduces_to_cos_theta(self):
         sec = make_sector(MonopoleParams(H("0"), 0.0, 0.0), H("0"), H("1"))
         ast = angular_state(sec)

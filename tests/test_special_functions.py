@@ -178,8 +178,11 @@ class TestOneSweep:
     @staticmethod
     def _same(got, ref) -> bool:
         if isinstance(ref, np.ndarray):
-            return (type(got) is np.ndarray and np.array_equal(got, ref, equal_nan=True)
-                    and np.array_equal(np.signbit(got), np.signbit(ref)))
+            if type(got) is not np.ndarray or got.dtype != ref.dtype:
+                return False
+            if np.iscomplexobj(ref):
+                got, ref = got.view(float), ref.view(float)
+            return np.array_equal(got, ref, equal_nan=True) and np.array_equal(np.signbit(got), np.signbit(ref))
         return type(got) is type(ref) and float.hex(got) == float.hex(ref)
 
     @pytest.mark.parametrize("a, b", JACOBI_PARAMS)
@@ -210,3 +213,23 @@ class TestOneSweep:
                     assert self._same(sweep.row(k - 1), refs[k - 1]), k
             for k in (0, 1, 2, 100, 249):
                 assert self._same(kummer_terminating(KummerParams(k, b), z), refs[k]), k
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.complex128])
+    def test_rows_formed_in_place_keep_the_loop_bits(self, dtype):
+        # a row is formed in the step's own array only where that keeps the
+        # loop's dtype, so a float32 z still gives float64 Kummer rows; a row
+        # read earlier, or z itself, is never written afterwards.  Jacobi is
+        # left out at float32: its loop formed L_1 P_1 in float32, where the
+        # sweep's P_1 = L_0 P_0 is float64 (no caller passes float32)
+        z = np.array([-1.0, -0.3, 0.0, 0.5, 2.0, 7.0]).astype(dtype)
+        z_before = z.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for degree in (0, 1, 2, 30, DEGREE_CAP) if dtype is not np.float32 else ():
+                assert self._same(jacobi(JacobiParams(degree, 0.5, 1.5), z), jacobi_reference(degree, 0.5, 1.5, z))
+            sweep = KummerSweep(2.5, z)
+            rows = [sweep.row(k) for k in range(40)]
+            copies = [r.copy() for r in rows]
+            sweep.row(80)
+            for k, (row, copy) in enumerate(zip(rows, copies)):
+                assert self._same(row, kummer_row_reference(k, 2.5, z)) and self._same(row, copy), k
+        assert self._same(z, z_before)
