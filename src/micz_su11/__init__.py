@@ -39,7 +39,6 @@ _EXPORTS = {
         "ParamOutOfRange",
         "jacobi",
         "jacobi_deriv",
-        "kummer_terminating",
     ),
     "operator_algebra": (
         "FactorizationSolution",
@@ -64,8 +63,6 @@ _EXPORTS = {
         "angular_Z",
         "angular_residual",
         "angular_state",
-        "chi",
-        "chi_dn",
         "radial_state",
     ),
     "fd_oracle": (

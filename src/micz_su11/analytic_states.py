@@ -5,22 +5,22 @@ reads chi(x) = (2x)^(J+1) e^(-x) F(j+1-n, 2J+2; 2x).  That form contains no
 K, so every level of a j tower lives on one common x axis and the ladder
 checks can compare levels pointwise.  The polynomial factor and its
 derivatives are evaluated in float only through the Kummer recurrence
-(`KummerSweep`, which `kummer_terminating` runs once); the tests keep the
-exact rational coefficients as a reference.
+(`KummerSweep`); the tests keep the exact rational coefficients as a
+reference.
 
-`TowerSampler` samples chi for every level of one tower on one fixed x,
-resuming its Kummer sweeps from level to level: its `derivatives` gives
-every order up to a top one and its `images` the images of chi under a
-table of operators, each from one list of Kummer rows (`row`), the factor
-w = (2x)^(J+1) e^(-x) that chi shares with them and the one cache of the
-powers x^e on that x (`power`).  `chi` and `chi_dn` read a sampler of their
-own (its `chi`, or the last of its `derivatives`), so there is one float
-evaluation of chi, and `product_rule` is the one body of the product rule.
+`TowerSampler` is the one float evaluation of chi: it samples chi for every
+level of one tower on one fixed x, resuming its Kummer sweeps from level to
+level.  Its `chi` gives chi, its `derivatives` every order up to a top one
+and its `images` the images of chi under a table of operators, each from
+one list of Kummer rows (`row`), the factor w = (2x)^(J+1) e^(-x) that chi
+shares with them and the one cache of the powers x^e on that x (`power`).
+`product_rule` is the one body of the product rule.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,10 +111,15 @@ class TowerSampler:
     M(alpha) of each product list `images` gets.  A sweep's rows do not
     depend on where it resumed from, so a value does not depend on the
     levels asked for before.
+
+    x is an array or a scalar (which gives 0-d arrays); DomainError unless
+    every x lies in (0, max/2], where 2x is finite.
     """
 
     def __init__(self, sector: SectorLabels, x):
-        self.x, self.scalar = _as_array(x, "x")
+        self.x = _as_array(x, "x")[0]
+        if not np.all(self.x <= 0.5 * sys.float_info.max):
+            raise DomainError("x must not exceed half the largest float: the sampler works on 2x")
         self.sector = sector
         self.alpha = sector.bigJ + 1.0
         self.z = 2.0 * self.x
@@ -210,20 +215,6 @@ class TowerSampler:
         images = ((C @ M)[:, basis] * S) @ B
         images *= self.w
         return images
-
-
-def chi(state: RadialState, x):
-    """chi_{n,j} at x > 0 (scalar or array)."""
-    return chi_dn(state, x, 0)
-
-
-def chi_dn(state: RadialState, x, order: int):
-    """The order-th derivative of chi at x > 0, order 0 being chi itself, from a sampler of its own."""
-    sampler = TowerSampler(state.sector, x)
-    if order < 0:
-        raise ValueError("derivative order must be non-negative")
-    val = sampler.derivatives(state, order)[-1] if order else sampler.chi(state)
-    return float(val) if sampler.scalar else val
 
 
 # the angular check's mesh: the 200 interior theta nodes pi i/201, read-only

@@ -93,6 +93,15 @@ def _check_positive(flag: str, value: float) -> None:
         raise ValueError(f"{flag} must be positive and finite, got {value}")
 
 
+def _check_window(rmax: float, xmax: float, points: str) -> None:
+    """ValueError naming --rmax when the largest sample point xmax (x = `points`) or 2 xmax is not finite.
+
+    chi is sampled on 2x, which `TowerSampler` refuses past the float range.
+    """
+    if not math.isfinite(2.0 * float(xmax)):
+        raise ValueError(f"--rmax {rmax:g} is too large: the sample points x = {points} or 2x overflow")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -129,9 +138,7 @@ def cmd_eigenfunction(args) -> int:
         xmax = args.rmax if args.rmax is not None else radial_window(state.level.K)
         with np.errstate(over="ignore", invalid="ignore"):
             xs = xmax * np.arange(1, args.npoints + 1) / args.npoints
-            if not math.isfinite(2.0 * xs[-1]):  # the largest x; the sampler works on 2x
-                raise ValueError(f"--rmax {xmax:g} is too large: the sample points x = rmax i/npoints "
-                                 "or 2x overflow")
+            _check_window(xmax, xs[-1], "rmax i/npoints")
             sampler = TowerSampler(sector, xs)
             cols = (sampler.chi(state), *sampler.derivatives(state, 2))
             if not all(np.all(np.isfinite(c)) for c in cols):
@@ -217,6 +224,7 @@ def cmd_verify_states(args) -> int:
     grid = None
     if args.rmax is not None or args.npoints is not None:
         grid = states_grid(sector, args.nmax, args.rmax, args.npoints)
+        _check_window(grid.rmax, grid.nodes[-1], "rmax i/(npoints+1)")
     reports = verify_states_suite(params, args.m, args.j, nlevels=args.nmax, grid=grid, tol=args.tol)
     for r in reports:
         label = r.inputs.get("n", "-")

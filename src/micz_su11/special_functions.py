@@ -87,18 +87,6 @@ def jacobi_deriv(p: JacobiParams, z):
     return 0.5 * (p.degree + p.a + p.b + 1.0) * jacobi(shifted, z)
 
 
-def kummer_terminating(p: KummerParams, z):
-    """F(-k, b; z) by the three-term recurrence in the order k.
-
-    The contiguous relation (DLMF 13.3.1; the Laguerre recurrence, DLMF
-    18.9.13, with F(-k, b; z) = k!/(b)_k L_k^(b-1)(z)) is
-    F_(i+1) = ((2i + b - z) F_i - i F_(i-1)) / (b + i) from F_0 = 1, an
-    evaluation without the cancellation of the alternating monomial sum.
-    Accepts a scalar or an ndarray for z.
-    """
-    return KummerSweep(p.bparam, z).row(p.k)
-
-
 class Sweep:
     """A three-term recurrence on a fixed z, resumable in the index.
 
@@ -143,7 +131,14 @@ class Sweep:
 
 
 class KummerSweep(Sweep):
-    """The `Sweep` of `kummer_terminating` on a fixed z: `row(k)` returns F(-k, b; z)."""
+    """F(-k, b; z) by the three-term recurrence in the order k, on a fixed z: `row(k)` returns it.
+
+    The contiguous relation (DLMF 13.3.1; the Laguerre recurrence, DLMF
+    18.9.13, with F(-k, b; z) = k!/(b)_k L_k^(b-1)(z)) is
+    F_(i+1) = ((2i + b - z) F_i - i F_(i-1)) / (b + i) from F_0 = 1, an
+    evaluation without the cancellation of the alternating monomial sum.
+    Accepts a scalar or an ndarray for z.
+    """
 
     def __init__(self, b: float, z):
         self.b = b

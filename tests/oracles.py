@@ -18,7 +18,7 @@ import numpy as np
 
 from micz_su11 import operator_algebra
 from micz_su11.analytic_states import (
-    ANGULAR_THETAS, AngularState, RadialState, TowerSampler, _as_array, _theta_profile, chi,
+    ANGULAR_THETAS, AngularState, RadialState, TowerSampler, _as_array, _theta_profile,
 )
 from micz_su11.fd_oracle import STURM_TAIL_MARGIN, _report, _sturm_count
 from micz_su11.numeric_verify import (
@@ -26,7 +26,7 @@ from micz_su11.numeric_verify import (
 )
 from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly, replace_K
 from micz_su11.quantum_numbers import GridUnderflow, make_sector, sector_inputs
-from micz_su11.special_functions import KummerParams, _kummer_deriv_scale, kummer_terminating
+from micz_su11.special_functions import KummerParams, KummerSweep, _kummer_deriv_scale
 
 
 def _rising(x: Fraction, n: int) -> Fraction:
@@ -523,6 +523,32 @@ def chi_dn_reference(coeffs, alpha: float, max_order: int, nodes) -> list[np.nda
             nxt[m + 1] -= aden * c
         r, den = nxt, den * aden
     return out
+
+
+# ---------------------------------------------------------------------------
+# Scalar-or-array calls into the library's one sampler: `chi` and `chi_dn`
+# each read a `TowerSampler` of their own, `kummer_terminating` a
+# `KummerSweep`.
+# ---------------------------------------------------------------------------
+
+def kummer_terminating(p: KummerParams, z):
+    """F(-k, b; z) from a `KummerSweep` of its own; z is a scalar or an ndarray."""
+    return KummerSweep(p.bparam, z).row(p.k)
+
+
+def chi(state: RadialState, x):
+    """chi_{n,j} at x > 0 (scalar or array)."""
+    return chi_dn(state, x, 0)
+
+
+def chi_dn(state: RadialState, x, order: int):
+    """The order-th derivative of chi at x > 0, order 0 being chi itself, from a sampler of its own."""
+    x, scalar = _as_array(x, "x")
+    sampler = TowerSampler(state.sector, x)
+    if order < 0:
+        raise ValueError("derivative order must be non-negative")
+    val = sampler.derivatives(state, order)[-1] if order else sampler.chi(state)
+    return float(val) if scalar else val
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ import pytest
 from micz_su11.analytic_states import (
     angular_residual,
     angular_state,
-    chi,
-    chi_dn,
     radial_state,
 )
 from micz_su11.numeric_verify import (
@@ -40,7 +38,7 @@ from micz_su11.operator_algebra import (
 )
 from micz_su11.quantum_numbers import HalfInt, MonopoleParams, make_sector
 from micz_su11.special_functions import JacobiParams, jacobi
-from oracles import apply_operator, build_Tpm_n, jacobi_series, substitute
+from oracles import apply_operator, build_Tpm_n, chi, chi_dn, jacobi_series, substitute
 
 H = HalfInt.parse
 

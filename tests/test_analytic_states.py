@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -15,13 +16,13 @@ from micz_su11.analytic_states import (
     angular_Z,
     angular_residual,
     angular_state,
-    chi,
-    chi_dn,
     radial_state,
 )
 from micz_su11.quantum_numbers import HalfInt, MonopoleParams, make_sector
 from micz_su11.special_functions import KummerSweep
-from oracles import angular_residual_phi_mesh, chi_dn_per_call, chi_dn_reference, kummer_rational, poly_coeffs
+from oracles import (
+    angular_residual_phi_mesh, chi, chi_dn, chi_dn_per_call, chi_dn_reference, kummer_rational, poly_coeffs,
+)
 
 H = HalfInt.parse
 
@@ -82,6 +83,18 @@ class TestRadialState:
                 chi(st, bad)
             with pytest.raises(DomainError, match=r"x must lie in \(0, inf\)"):
                 chi_dn(st, np.array([1.0, bad]), 2)
+
+    def test_x_whose_2x_overflows_rejected(self, hydrogen):
+        # the sampler works on 2x, so max/2 is the largest x it takes
+        st = radial_state(hydrogen, H("2"))
+        half = 0.5 * sys.float_info.max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert TowerSampler(hydrogen, np.array([1.0, half])).chi(st)[-1] == 0.0
+            with pytest.raises(DomainError, match="2x"):
+                TowerSampler(hydrogen, np.array([1.0, math.nextafter(half, math.inf)]))
+            with pytest.raises(DomainError, match="2x"):
+                TowerSampler(hydrogen, 1e308)
 
     def test_exponent_is_level_independent(self, shifted):
         # the stored representation carries no K: all levels share the x axis,

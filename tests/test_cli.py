@@ -399,6 +399,22 @@ class TestVerifyStates:
         assert err.count("\n") == 1
         assert err.startswith("error: chi at n=1 has zero norm") and err.endswith("; choose another --rmax\n")
 
+    @pytest.mark.parametrize("rmax, line", [
+        ("8.99e307", "error: chi at n=1 has zero norm"),  # the last node's 2x is still finite
+        ("9e307", "error: --rmax 9e+307 is too large: the sample points"),
+        ("1e308", "error: --rmax 1e+308 is too large: the sample points"),
+    ], ids=["8.99e307", "9e307", "1e308"])
+    def test_huge_window_exit_2_without_warnings(self, capsys, rmax, line):
+        # the sampler works on 2x, which overflows on the last node x = rmax 4000/4001 past 8.988e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["verify-states", "--s", "0", "--m", "0", "--j", "0",
+                                          "--nmax", "2", "--rmax", rmax])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(line)
+
     @pytest.mark.parametrize("grid", [["--rmax", "3e-107"], ["--rmax", "6e-107"],
                                       ["--rmax", "1e-106", "--npoints", "16"]])
     def test_grid_where_chi_norm_is_subnormal_exit_2(self, capsys, grid):

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import time
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -19,6 +20,8 @@ from oracles import (
     NumericOperator,
     StencilUnsupported,
     apply_operator,
+    chi,
+    chi_dn,
     eig_oracle_full_sweep,
     fd_derivative,
     fd_derivatives,
@@ -26,6 +29,7 @@ from oracles import (
     fd_matrix_checked,
     fd_weights,
     gershgorin,
+    kummer_terminating,
     locate_untruncated,
     sturm_count,
     states_suite_reference,
@@ -36,7 +40,7 @@ from oracles import (
 )
 
 from micz_su11 import cli, fd_oracle, numeric_verify, operator_algebra
-from micz_su11.analytic_states import TowerSampler, chi, chi_dn, product_rule, radial_state
+from micz_su11.analytic_states import DomainError, TowerSampler, product_rule, radial_state
 from micz_su11.fd_oracle import _FdMatrix, _bisect_eigenvalue, _sturm_count, oracle_grid
 from micz_su11.numeric_verify import (
     ConvergenceFailure,
@@ -59,7 +63,7 @@ from micz_su11.numeric_verify import (
     verify_states_suite,
 )
 from micz_su11.operator_algebra import build_Ln, generator_table
-from micz_su11.special_functions import KummerParams, KummerSweep, _kummer_deriv_scale, kummer_terminating
+from micz_su11.special_functions import KummerParams, KummerSweep, _kummer_deriv_scale
 from micz_su11.quantum_numbers import (
     HalfInt,
     InvalidLevel,
@@ -1342,6 +1346,14 @@ class TestReports:
         params = MonopoleParams(H("0"), 0.0, 0.0)
         with pytest.raises(ValueError, match=f"^nlevels must be >= 1, got {nlevels}$"):
             verify_states_suite(params, H("0"), H("0"), nlevels=nlevels)
+
+    def test_suite_on_a_window_whose_2x_overflows_rejected(self):
+        # the last node 9e307 * 4000/4001 is finite but its 2x is not: refused before any sample, without a warning
+        params = MonopoleParams(H("0"), 0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="2x"):
+                verify_states_suite(params, H("0"), H("0"), nlevels=2, grid=RadialGrid(9e307, 4000))
 
 
 class TestIntegerCounts:

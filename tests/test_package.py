@@ -23,18 +23,16 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # every name `micz_su11` exported when its __init__ imported all five modules, less
 # IrrepLabels, irrep_labels, iter_valid_j, radial_R, chi_d1, chi_d2, default_angular_mesh and
-# GridFunction (removed) and kummer_deriv, build_T3, build_Tpm, build_Tpm_n, apply_operator, substitute and
-# NumericOperator (moved to tests/oracles.py)
+# GridFunction (removed) and kummer_deriv, build_T3, build_Tpm, build_Tpm_n, apply_operator, substitute,
+# NumericOperator, kummer_terminating, chi and chi_dn (moved to tests/oracles.py)
 EXPORTED = """
     HalfInt InvalidLevel InvalidQuantumNumbers LevelLabels MonopoleParams SectorLabels energy
     levels m_plus make_sector
     DegreeCapExceeded JacobiParams KummerParams ParamOutOfRange jacobi jacobi_deriv
-    kummer_terminating
     FactorizationSolution NoFactorization NormalOrderedOperator ParamPoly build_Ln
     casimir commutator compose extra_identity_checks generator_table identity_suite
     monomial_action replace_K solve_schrodinger_ansatz
-    AngularState DomainError RadialState angular_Z angular_residual angular_state chi chi_dn
-    radial_state
+    AngularState DomainError RadialState angular_Z angular_residual angular_state radial_state
     ConvergenceFailure GridTooCoarse GridUnderflow RadialGrid VerificationReport
     eig_oracle ladder_check casimir_check radial_equation_check angular_residual_check oracle_reports
     spectrum_cross_check t3_eigen_check t3_spacing_check verify_states_suite

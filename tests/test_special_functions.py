@@ -15,9 +15,10 @@ from micz_su11.special_functions import (
     ParamOutOfRange,
     jacobi,
     jacobi_deriv,
-    kummer_terminating,
 )
-from oracles import jacobi_reference, jacobi_series, kummer_deriv, kummer_rational, kummer_row_reference
+from oracles import (
+    jacobi_reference, jacobi_series, kummer_deriv, kummer_rational, kummer_row_reference, kummer_terminating,
+)
 
 
 class TestJacobi:
