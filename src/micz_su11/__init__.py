@@ -74,12 +74,7 @@ _EXPORTS = {
         "spectrum_cross_check",
     ),
     "numeric_verify": (
-        "ladder_check",
-        "casimir_check",
-        "radial_equation_check",
         "angular_residual_check",
-        "t3_eigen_check",
-        "t3_spacing_check",
         "verify_states_suite",
     ),
 }

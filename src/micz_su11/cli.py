@@ -310,8 +310,18 @@ def _add_output_args(sp, default_format: str) -> None:
     sp.add_argument("--out", default=None, help="write the document to this path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusal is one `error:` line on stderr and exit 2, without the usage text.
+
+    `add_subparsers` builds the subcommand parsers from this class too.
+    """
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="micz-su11",
         description="Spectrum tables, eigenfunctions and su(1,1) verification "
                     "suites for the generalized MICZ-Kepler problem.",

@@ -1,7 +1,7 @@
 """Grid-based verification: the su(1,1) state checks on samples at the grid nodes.
 
-The FD eigensolver oracle lives in `fd_oracle`, which needs no numpy; its
-grid, report and oracle names are imported here, each defined once there.
+The FD eigensolver oracle lives in `fd_oracle`, which needs no numpy; the
+grid and report types used here are defined there.
 
 The grid checks reuse work at two scopes:
 
@@ -11,9 +11,9 @@ The grid checks reuse work at two scopes:
   monomials J^a K^b in them (1, K, J, J^2, J^3, J^4), a 9 x 15 matrix over
   the 9 operators and the 15 distinct products x^p chi^(q) behind their 69
   terms.  Both are built once and never change;
-- per suite, or per call of a public check, one `analytic_states.TowerSampler`
-  on `grid.nodes` serves every level the suite or check builds: 2x, e^(-x),
-  w = (2x)^(J+1) e^(-x), the powers x^e it has handed out (e = -2 ... 2),
+- per suite, one `analytic_states.TowerSampler` on `grid.nodes` serves
+  every level the suite builds: 2x, e^(-x), w = (2x)^(J+1) e^(-x), the
+  powers x^e it has handed out (e = -2 ... 2),
   the last two rows of the resumable Kummer sweep of each shift l <= 4,
   F_l = F(-(k-l), b+l; 2x), and the 15 x 15 product-rule matrix M(alpha):
   at most 18 arrays.  A walk up the tower runs each sweep once.  A
@@ -32,14 +32,13 @@ The grid checks reuse work at two scopes:
   monomials and N its expanded terms plus 15 + 6 (the bound `tests/`
   asserts).
 
-Each public level check builds its one or two `_Level`s from a sampler of
-its own and runs a private body on them; a sweep's rows do not depend on
-where it resumed, so a check called alone reports what it reports inside a
-suite.  `verify_states_suite` runs the bodies on one walk up the tower,
-holding the levels below, at and above n: nlevels + 1 levels.  That is at
-most 18 + 3 x 10 = 48 arrays of npoints x 8 B (1.5 MB at the default 4000
-points), plus, while one level builds its images, the rows of B, 15 arrays
-more.  Every array a `_Level` hands out is read-only.
+`verify_states_suite` is the one entry into the level checks: it runs
+their bodies (`_radial_equation`, `_t3_eigen`, `_casimir`, `_ladder` and
+`_t3_spacing`) on one walk up the tower, holding the levels below, at and
+above n: nlevels + 1 levels.  That is at most 18 + 3 x 10 = 48 arrays of
+npoints x 8 B (1.5 MB at the default 4000 points), plus, while one level
+builds its images, the rows of B, 15 arrays more.  Every array a `_Level`
+hands out is read-only.
 
 At its end a suite puts its top two levels, and through them its sampler,
 in the module slot `_retained`, which nothing reads: 18 + 10 + 1 = 29
@@ -53,9 +52,11 @@ which splits long sums over threads: a report does not depend on the BLAS
 thread count.  Each check reduces its residual rows at once (`_row_dots`),
 bit for bit `_dot` on each row, and a level takes its report labels and
 h <T3 chi, chi> once.  A non-finite entry in chi, in the image block or in a
-residual row whose norm a check takes raises ValueError.
+residual row whose norm a check takes raises ValueError; a suite runs under
+`np.errstate(over="ignore", invalid="ignore")`, so an overflow in the
+samples surfaces as that one ValueError and not as a RuntimeWarning.
 
-Concurrent suites and checks share no mutable state: each samples from a
+Concurrent suites share no mutable state: each samples from a
 `TowerSampler` of its own, and what is shared per process is built once
 and never changed.  Suites may run in threads at once, each reporting what
 it reports alone.
@@ -75,17 +76,13 @@ import numpy as np
 from .analytic_states import (
     ANGULAR_THETAS, TowerSampler, angular_residual, angular_state, radial_state, radial_window,
 )
-# the oracle's public names, defined once in fd_oracle and re-exported here
-from .fd_oracle import (  # noqa: F401
-    DEFAULT_TOLERANCES, GridTooCoarse, RadialGrid, VerificationReport, _integer, _report, eig_oracle, oracle_reports,
-    spectrum_cross_check,
-)
+from .fd_oracle import RadialGrid, VerificationReport, _integer, _report
+# not used here: bench/workloads.py calls nv.spectrum_cross_check(..., nv.RadialGrid(...))
+from .fd_oracle import spectrum_cross_check  # noqa: F401
 from .operator_algebra import generator_table
-from .quantum_numbers import (  # noqa: F401  (ConvergenceFailure re-exported)
-    ConvergenceFailure, GridUnderflow, HalfInt, MonopoleParams, SectorLabels, make_sector, sector_inputs,
-)
+from .quantum_numbers import GridUnderflow, HalfInt, MonopoleParams, SectorLabels, make_sector, sector_inputs
 
-# `radial_equation_check` takes its max-norm residual from this x to the end of the grid
+# `_radial_equation` takes its max-norm residual from this x to the end of the grid
 RADIAL_EQUATION_START = 0.01
 
 
@@ -209,8 +206,8 @@ class _Level:
 _retained: tuple[_Level, ...] = ()
 
 
-def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
-    """T_pm chi_n against the exact multiple c chi_(n+-1); annihilation at the bottom.
+def _ladder(level: _Level, target: _Level | None, sign: int, tol: float | None) -> VerificationReport:
+    """T_pm chi_n against the exact multiple c chi_(n+-1) of `target`; annihilation at the bottom, target None.
 
     With k = n - j - 1, T+ chi_k = -(k + 2J + 2) chi_(k+1) and T- chi_k =
     -k chi_(k-1) for the unnormalized chi of `analytic_states`.  The
@@ -218,16 +215,6 @@ def ladder_check(sector: SectorLabels, n, sign: int, grid: RadialGrid, tol: floa
     linear in an error of y.  `details` gives the expected c and the fitted
     <y, t>/<t, t> (`proportionality_ratio`).
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    sampler = TowerSampler(sector, grid.nodes)
-    level = _Level(sampler, n, grid)
-    bottom = sign == -1 and level.state.kummer.k == 0
-    return _ladder(level, None if bottom else _Level(sampler, n + sign, grid), sign, tol)
-
-
-def _ladder(level: _Level, target: _Level | None, sign: int, tol: float | None) -> VerificationReport:
-    """`ladder_check` of `level` against `target`, level n+-1; the annihilation at the bottom takes None."""
     t0 = time.perf_counter()
     sector, grid = level.state.sector, level.grid
     y = level.images["T+" if sign == 1 else "T-"]
@@ -249,12 +236,8 @@ def _ladder(level: _Level, target: _Level | None, sign: int, tol: float | None) 
     return _report(name, dict(level.inputs), residual, tol, t0, details)
 
 
-def t3_eigen_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
-    """||T3 chi - K chi||/||chi|| plus the shifted eigenvalues of T3 on T_pm chi."""
-    return _t3_eigen(_Level(TowerSampler(sector, grid.nodes), n, grid), tol)
-
-
 def _t3_eigen(level: _Level, tol: float | None) -> VerificationReport:
+    """||T3 chi - K chi||/||chi|| plus the shifted eigenvalues of T3 on T_pm chi."""
     t0 = time.perf_counter()
     grid, chi, images = level.grid, level.chi, level.images
     K = level.state.level.K
@@ -275,29 +258,20 @@ def _t3_eigen(level: _Level, tol: float | None) -> VerificationReport:
     return _report("t3_eigen", dict(level.inputs), residual, tol, t0, details)
 
 
-def t3_spacing_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
-    """Measured T3 eigenvalue difference between levels n+1 and n, against 1."""
-    sampler = TowerSampler(sector, grid.nodes)
-    return _t3_spacing(_Level(sampler, n, grid), _Level(sampler, n + 1, grid), tol)
-
-
 def _t3_spacing(level: _Level, above: _Level, tol: float | None) -> VerificationReport:
+    """Measured T3 eigenvalue difference between `above`, level n+1, and `level`, against 1."""
     t0 = time.perf_counter()
     spacing = above.t3_eigenvalue - level.t3_eigenvalue
     return _report("t3_spacing", dict(level.inputs), abs(spacing - 1.0), tol, t0, {"spacing": spacing})
 
 
-def casimir_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
+def _casimir(level: _Level, tol: float | None) -> VerificationReport:
     """Casimir action assembled from uncancelled pieces; target J(J+1) chi.
 
     -T+T- + T3^2 - T3 and the mirror -T-T+ + T3^2 + T3 are each applied as
     three separate composed operators so the cancellation down to the
     constant happens numerically on the grid.
     """
-    return _casimir(_Level(TowerSampler(sector, grid.nodes), n, grid), tol)
-
-
-def _casimir(level: _Level, tol: float | None) -> VerificationReport:
     t0 = time.perf_counter()
     fnorm = math.sqrt(level.norm2)
     target = level.state.sector.sep_const * level.chi
@@ -320,12 +294,8 @@ def _radial_equation_start(grid: RadialGrid) -> int:
     return 0 if start == grid.npoints else start
 
 
-def radial_equation_check(sector: SectorLabels, n, grid: RadialGrid, tol: float | None = None) -> VerificationReport:
-    """Max-norm residual of (-x^2 D^2 - 2Kx + x^2) chi = -J(J+1) chi from x = RADIAL_EQUATION_START to rmax."""
-    return _radial_equation(_Level(TowerSampler(sector, grid.nodes), n, grid), tol)
-
-
 def _radial_equation(level: _Level, tol: float | None) -> VerificationReport:
+    """Max-norm residual of (-x^2 D^2 - 2Kx + x^2) chi = -J(J+1) chi from x = RADIAL_EQUATION_START to rmax."""
     t0 = time.perf_counter()
     start = _radial_equation_start(level.grid)
     chi = level.chi[start:]
@@ -365,18 +335,20 @@ def verify_states_suite(params: MonopoleParams, m: HalfInt, j: HalfInt, nlevels:
     sector = make_sector(params, m, j)
     if grid is None:
         grid = states_grid(sector, nlevels, None, None)
-    reports = [angular_residual_check(sector, tol=tol)]
-    sampler = TowerSampler(sector, grid.nodes)
-    below, level = None, _Level(sampler, sector.j + 1, grid)
-    for i in range(nlevels):
-        reports += [_radial_equation(level, tol), _t3_eigen(level, tol), _casimir(level, tol)]
-        above = _Level(sampler, level.state.level.n + 1, grid)
-        reports.append(_ladder(level, above, +1, tol))
-        # at i == 0 the lowering check is the bottom annihilation
-        reports.append(_ladder(level, below, -1, tol))
-        if i + 1 < nlevels:
-            reports.append(_t3_spacing(level, above, tol))
-        below, level = level, above
+    # an overflow in the samples is refused where chi or an image is built, by one ValueError and no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = [angular_residual_check(sector, tol=tol)]
+        sampler = TowerSampler(sector, grid.nodes)
+        below, level = None, _Level(sampler, sector.j + 1, grid)
+        for i in range(nlevels):
+            reports += [_radial_equation(level, tol), _t3_eigen(level, tol), _casimir(level, tol)]
+            above = _Level(sampler, level.state.level.n + 1, grid)
+            reports.append(_ladder(level, above, +1, tol))
+            # at i == 0 the lowering check is the bottom annihilation
+            reports.append(_ladder(level, below, -1, tol))
+            if i + 1 < nlevels:
+                reports.append(_t3_spacing(level, above, tol))
+            below, level = level, above
     global _retained
     _retained = below, level
     return reports

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from micz_su11 import operator_algebra
+from micz_su11 import numeric_verify, operator_algebra
 from micz_su11.analytic_states import (
     ANGULAR_THETAS, AngularState, RadialState, TowerSampler, _as_array, _theta_profile,
 )
@@ -697,3 +697,48 @@ def states_suite_reference(params, m, j, nlevels: int, tol=None):
             reports.append(t3_spacing_reference(level, above, tol))
         below, level = level, above
     return reports
+
+
+# ---------------------------------------------------------------------------
+# The level checks one at a time: each builds its one or two levels from a
+# sampler of its own and runs the suite's body on them.  A sweep's rows do
+# not depend on where it resumed, so a check called alone reports bit for
+# bit what `verify_states_suite` reports for that level.  Each reads
+# `TowerSampler`, `_Level` and its body through the `numeric_verify` module,
+# so a test that patches one of them there reaches these checks too.
+# ---------------------------------------------------------------------------
+
+def _alone(sector, n, grid):
+    """Level n on `grid` from a `TowerSampler` of its own."""
+    return numeric_verify._Level(numeric_verify.TowerSampler(sector, grid.nodes), n, grid)
+
+
+def ladder_check(sector, n, sign: int, grid, tol=None):
+    """`numeric_verify._ladder` of level n against level n+-1; the annihilation at the bottom."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    level = _alone(sector, n, grid)
+    bottom = sign == -1 and level.state.kummer.k == 0
+    target = None if bottom else numeric_verify._Level(level.sampler, n + sign, grid)
+    return numeric_verify._ladder(level, target, sign, tol)
+
+
+def t3_eigen_check(sector, n, grid, tol=None):
+    """`numeric_verify._t3_eigen` of level n."""
+    return numeric_verify._t3_eigen(_alone(sector, n, grid), tol)
+
+
+def t3_spacing_check(sector, n, grid, tol=None):
+    """`numeric_verify._t3_spacing` between levels n and n+1."""
+    level = _alone(sector, n, grid)
+    return numeric_verify._t3_spacing(level, numeric_verify._Level(level.sampler, n + 1, grid), tol)
+
+
+def casimir_check(sector, n, grid, tol=None):
+    """`numeric_verify._casimir` of level n."""
+    return numeric_verify._casimir(_alone(sector, n, grid), tol)
+
+
+def radial_equation_check(sector, n, grid, tol=None):
+    """`numeric_verify._radial_equation` of level n."""
+    return numeric_verify._radial_equation(_alone(sector, n, grid), tol)

@@ -18,14 +18,7 @@ from micz_su11.analytic_states import (
     angular_state,
     radial_state,
 )
-from micz_su11.numeric_verify import (
-    RadialGrid,
-    casimir_check,
-    eig_oracle,
-    ladder_check,
-    t3_eigen_check,
-    t3_spacing_check,
-)
+from micz_su11.fd_oracle import RadialGrid, eig_oracle
 from micz_su11.operator_algebra import (
     NormalOrderedOperator,
     ParamPoly,
@@ -38,7 +31,18 @@ from micz_su11.operator_algebra import (
 )
 from micz_su11.quantum_numbers import HalfInt, MonopoleParams, make_sector
 from micz_su11.special_functions import JacobiParams, jacobi
-from oracles import apply_operator, build_Tpm_n, chi, chi_dn, jacobi_series, substitute
+from oracles import (
+    apply_operator,
+    build_Tpm_n,
+    casimir_check,
+    chi,
+    chi_dn,
+    jacobi_series,
+    ladder_check,
+    substitute,
+    t3_eigen_check,
+    t3_spacing_check,
+)
 
 H = HalfInt.parse
 

@@ -442,6 +442,18 @@ class TestVerifyStates:
         assert out == ""
         assert err.count("\n") == 1 and "--tol" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--s", "0", "--m", "0", "--j", "110"],
+        ["--s", "1/2", "--c1", "1e6", "--c2", "3", "--m", "1/2", "--j", "1/2"],
+        ["--s", "0", "--m", "1", "--j", "1", "--rmax", "1e160"],
+    ], ids=["hydrogen-j110", "c1-1e6", "rmax-1e160"])
+    def test_overflowing_samples_exit_2_with_one_line(self, capsys, argv):
+        # the samples overflow (ROADMAP item 2); the suite refuses them with one line and no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["verify-states", *argv, "--nmax", "2"])
+        assert (code, out, err) == (2, "", "error: grid function contains non-finite entries\n")
+
 
 class TestOracle:
     def test_sector_table(self, capsys, tmp_path):
@@ -749,6 +761,23 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--s", "0", "--m", "0", "--j", "0", "--bogus", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, line", [
+        (["spectrum", "--s", "1/3", "--m", "0", "--j", "0"],
+         "error: argument --s: '1/3' is not an exact integer or half-integer"),
+        (["spectrum", "--s", "0", "--m", "0", "--j", "0", "--nmax", "x"],
+         "error: argument --nmax: invalid int value: 'x'"),
+        (["spectrum", "--s", "0", "--m", "0", "--j", "0", "--bogus", "1"],
+         "error: unrecognized arguments: --bogus 1"),
+        ([], "error: the following arguments are required: command"),
+    ], ids=["half-integer", "int", "unknown-flag", "no-subcommand"])
+    def test_refusal_is_one_error_line(self, capsys, argv, line):
+        # no usage text before the line
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", line + "\n")
 
 
 class TestJsonRender:

@@ -20,6 +20,7 @@ from oracles import (
     NumericOperator,
     StencilUnsupported,
     apply_operator,
+    casimir_check,
     chi,
     chi_dn,
     eig_oracle_full_sweep,
@@ -30,41 +31,45 @@ from oracles import (
     fd_weights,
     gershgorin,
     kummer_terminating,
+    ladder_check,
     locate_untruncated,
+    radial_equation_check,
     sturm_count,
     states_suite_reference,
     sturm_count_full,
     substitute,
     suffix_min,
+    t3_eigen_check,
+    t3_spacing_check,
     tail_start,
 )
 
 from micz_su11 import cli, fd_oracle, numeric_verify, operator_algebra
 from micz_su11.analytic_states import DomainError, TowerSampler, product_rule, radial_state
-from micz_su11.fd_oracle import _FdMatrix, _bisect_eigenvalue, _sturm_count, oracle_grid
-from micz_su11.numeric_verify import (
-    ConvergenceFailure,
+from micz_su11.fd_oracle import (
     GridTooCoarse,
-    GridUnderflow,
     RadialGrid,
+    _FdMatrix,
+    _bisect_eigenvalue,
+    _sturm_count,
+    eig_oracle,
+    oracle_grid,
+    oracle_reports,
+    spectrum_cross_check,
+)
+from micz_su11.numeric_verify import (
+    GridUnderflow,
     _Level,
     _dot,
     _norm,
     _row_dots,
     angular_residual_check,
-    casimir_check,
-    eig_oracle,
-    ladder_check,
-    oracle_reports,
-    radial_equation_check,
-    spectrum_cross_check,
-    t3_eigen_check,
-    t3_spacing_check,
     verify_states_suite,
 )
 from micz_su11.operator_algebra import build_Ln, generator_table
 from micz_su11.special_functions import KummerParams, KummerSweep, _kummer_deriv_scale
 from micz_su11.quantum_numbers import (
+    ConvergenceFailure,
     HalfInt,
     InvalidLevel,
     InvalidQuantumNumbers,

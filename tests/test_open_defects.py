@@ -17,11 +17,12 @@ from micz_su11.quantum_numbers import HalfInt, MonopoleParams, make_sector
 
 
 def run_strict(capsys, argv):
-    """(exit code, stdout) of `main(argv)`, with every warning an error."""
+    """(exit code, stdout, stderr) of `main(argv)`, with every warning an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv)
-    return code, capsys.readouterr().out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def open_item(*items):
@@ -43,12 +44,12 @@ def open_item(*items):
     ["--bigJ", "7.3", "--nmax", "10"],
 ], ids=["hydrogen-nmax6", "hydrogen-nmax12", "hydrogen-nmax20", "hydrogen-nmax30", "bigJ1.5", "bigJ7.3"])
 def test_default_oracle_passes(capsys, argv):
-    code, _ = run_strict(capsys, ["oracle", *argv])
+    code, _, _ = run_strict(capsys, ["oracle", *argv])
     assert code == 0
 
 
 def _assert_suite_passes(capsys, argv):
-    code, out = run_strict(capsys, ["verify-states", *argv, "--nmax", "5"])
+    code, out, _ = run_strict(capsys, ["verify-states", *argv, "--nmax", "5"])
     assert code == 0
     assert out.splitlines()[-1] == "30/30 checks PASS"
 
@@ -76,11 +77,26 @@ def test_highest_J_suite_passes(capsys, j):
 @open_item(2)
 def test_n_250_table_is_finite(capsys):
     # today: exit 2, F(-249, 2; 2x) overflows on the window
-    code, out = run_strict(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "250"])
+    code, out, _ = run_strict(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "250"])
     assert code == 0
     rows = out.splitlines()[1:]
     assert len(rows) == 512
     assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+# item 2: on a wide window chi underflows to 0 on the nodes, which is refused
+# with the line that asks for another --rmax (today (2x)^(J+1) overflows
+# before e^(-x) is applied, in chi and in the derivatives, so both exit 2
+# with a "not finite" line instead)
+@open_item(2)
+@pytest.mark.parametrize("argv", [
+    ["verify-states", "--s", "0", "--m", "1", "--j", "1", "--nmax", "2", "--rmax", "1e160"],
+    ["eigenfunction", "--s", "0", "--m", "1", "--j", "1", "--n", "2", "--rmax", "1e160", "--npoints", "16"],
+], ids=["verify-states", "eigenfunction"])
+def test_wide_window_refused_naming_rmax(capsys, argv):
+    code, _, err = run_strict(capsys, argv)
+    assert code == 2
+    assert err.count("\n") == 1 and "--rmax" in err
 
 
 # item 3: the angular check passes at 1e-9 (today 1.37e-9, 2.56e-9 and 1.37e-8)

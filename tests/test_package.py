@@ -7,6 +7,8 @@ module runs the Sturm bisection in plain floats.  The start-up tests run a
 fresh interpreter each, because this process has long imported numpy.
 """
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -15,16 +17,18 @@ from pathlib import Path
 import pytest
 
 import micz_su11
-from micz_su11 import numeric_verify, quantum_numbers
+from micz_su11 import fd_oracle, quantum_numbers
 
 SRC = Path(micz_su11.__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # every name `micz_su11` exported when its __init__ imported all five modules, less
 # IrrepLabels, irrep_labels, iter_valid_j, radial_R, chi_d1, chi_d2, default_angular_mesh and
 # GridFunction (removed) and kummer_deriv, build_T3, build_Tpm, build_Tpm_n, apply_operator, substitute,
-# NumericOperator, kummer_terminating, chi and chi_dn (moved to tests/oracles.py)
+# NumericOperator, kummer_terminating, chi, chi_dn, ladder_check, casimir_check, radial_equation_check,
+# t3_eigen_check and t3_spacing_check (moved to tests/oracles.py)
 EXPORTED = """
     HalfInt InvalidLevel InvalidQuantumNumbers LevelLabels MonopoleParams SectorLabels energy
     levels m_plus make_sector
@@ -34,8 +38,7 @@ EXPORTED = """
     monomial_action replace_K solve_schrodinger_ansatz
     AngularState DomainError RadialState angular_Z angular_residual angular_state radial_state
     ConvergenceFailure GridTooCoarse GridUnderflow RadialGrid VerificationReport
-    eig_oracle ladder_check casimir_check radial_equation_check angular_residual_check oracle_reports
-    spectrum_cross_check t3_eigen_check t3_spacing_check verify_states_suite
+    eig_oracle angular_residual_check oracle_reports spectrum_cross_check verify_states_suite
 """.split()
 SUBMODULES = ["quantum_numbers", "special_functions", "operator_algebra", "analytic_states", "fd_oracle",
               "numeric_verify"]
@@ -84,10 +87,26 @@ class TestNamespace:
             micz_su11.no_such_name  # noqa: B018
         assert not hasattr(micz_su11, "GridTooCoarser")
 
+    def test_every_exported_function_has_a_caller_outside_the_tests(self):
+        # names that only the tests use live in tests/oracles.py: each exported function is named
+        # by an ast.Name or ast.Attribute in another src/ module or in bench/ (a string does not count)
+        paths = [*(SRC / "micz_su11").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+        named = set()
+        for path in paths:
+            if path.name != "__init__.py" or path.parent.name != "micz_su11":
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(node, ast.Name):
+                        named.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        named.add(node.attr)
+        functions = [name for name in micz_su11.__all__ if inspect.isfunction(getattr(micz_su11, name))]
+        assert functions
+        assert [name for name in functions if name not in named] == []
+
     @pytest.mark.parametrize("name, base", [("ConvergenceFailure", RuntimeError), ("GridUnderflow", ValueError)])
     def test_moved_exceptions_keep_their_identity(self, name, base):
         cls = getattr(quantum_numbers, name)
-        assert getattr(numeric_verify, name) is cls
+        assert getattr(fd_oracle, name) is cls  # fd_oracle raises both
         assert getattr(micz_su11, name) is cls
         assert issubclass(cls, base)
 
