@@ -58,7 +58,7 @@ def _json_render(obj) -> str:
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"refusing to serialize non-finite value {obj}")
-        return format(obj, ".17g")
+        return "0" if obj == 0.0 else format(obj, ".17g")  # -0.0 too, so no document prints -0
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_render(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -156,15 +156,14 @@ def cmd_eigenfunction(args) -> int:
     else:
         if not math.isfinite(args.phi):
             raise ValueError(f"--phi must be finite, got {args.phi}")
-        phi = 0.0 if args.phi == 0.0 else args.phi  # -0.0 is +0.0, so no document echoes -0
         state = angular_state(sector)
         thetas = math.pi * np.arange(1, args.npoints + 1) / (args.npoints + 1.0)
-        z = angular_Z(state, thetas, phi)
+        z = angular_Z(state, thetas, args.phi)
         _peak(z)  # a table that is 0 on every node is refused, as `verify-states` refuses such a profile
         header = ["theta", "re_z", "im_z"]
         rows = list(zip(thetas, z.real, z.imag))
         config = {"command": "eigenfunction", "kind": "angular", **sector_inputs(sector),
-                  "phi": phi, "npoints": args.npoints}
+                  "phi": args.phi, "npoints": args.npoints}
     _write_document(args, config, header, [[float(v) for v in row] for row in rows])
     return EXIT_OK
 
@@ -251,11 +250,13 @@ def cmd_oracle(args) -> int:
     if args.tol is not None:
         _check_positive("--tol", args.tol)
     if args.bigJ is not None:
+        if given := [flag for flag, v in (("--s", args.s), ("--m", args.m), ("--j", args.j)) if v is not None]:
+            raise InvalidQuantumNumbers(f"--bigJ sets J directly and cannot be combined with {', '.join(given)}")
         if not (math.isfinite(args.bigJ) and args.bigJ >= 0):
             raise InvalidQuantumNumbers(f"--bigJ must be non-negative and finite, got {args.bigJ}")
         if args.nmax > sys.float_info.max:  # as `energy` bounds a sector's n - j: K must be a float
             raise InvalidLevel(f"--nmax is too large: it must not exceed {sys.float_info.max:g}")
-        J = 0.0 if args.bigJ == 0.0 else args.bigJ  # -0.0 is +0.0, so no document echoes -0
+        J = args.bigJ
         k_top = J + 1.0 + (args.nmax - 1)
         config = {"command": "oracle", "bigJ": J}
     else:
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="finite-difference eigenvalues vs the analytic spectrum")
     _add_sector_args(sp, required=False)
     sp.add_argument("--bigJ", type=float, default=None,
-                    help="angular label J directly (bypasses the sector flags)")
+                    help="angular label J directly, in place of the sector flags --s --m --j")
     sp.add_argument("--nmax", type=int, default=3, help="number of eigenvalues")
     sp.add_argument("--rmax", type=float, default=None, help="grid extent (default 12 K_max^2)")
     sp.add_argument("--npoints", type=int, default=None, help="grid points (default 6000)")

@@ -5,12 +5,12 @@ grid and report types used here are defined there.
 
 The grid checks reuse work at two scopes:
 
-- per process, `operator_algebra.generator_table()` composes the su(1,1)
-  generators and their products once, and `_image_plan()` reads their
-  float coefficients (`_float_terms()`) once into F: for each of the 6
-  monomials J^a K^b in them (1, K, J, J^2, J^3, J^4), a 9 x 15 matrix over
-  the 9 operators and the 15 distinct products x^p chi^(q) behind their 69
-  terms.  Both are built once and never change;
+- per process, `operator_algebra.generator_table()` holds the su(1,1)
+  generators and their products, each composed once, and `_image_plan()`
+  reads their float coefficients (`_float_terms()`) once into F: for each
+  of the 6 monomials J^a K^b in them (1, K, J, J^2, J^3, J^4), a 9 x 15
+  matrix over the 9 operators and the 15 distinct products x^p chi^(q)
+  behind their 69 terms.  Both are built once and never change;
 - per suite, one `analytic_states.TowerSampler` on `grid.nodes` serves
   every level the suite builds: 2x, e^(-x), w = (2x)^(J+1) e^(-x), the
   powers x^e it has handed out (e = -2 ... 2),

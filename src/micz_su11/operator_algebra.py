@@ -30,8 +30,11 @@ gives T3 = (1/2) x^-1 (Ln + J(J+1)) + K, with T3 chi = K chi.  The +1 branch
 of `solve_schrodinger_ansatz(Ln)` writes Ln + K(K+1) = (T-^n - 1) T+^n with
 the first-order factors T+^n = -xD + x - K and T-^n = xD + x - K, and
 replacing the scalar K by T3 (`replace_K`) turns them into the ladder
-generators T_pm = -+xD + x - T3.  This derivation runs once per process,
-and `generator_table()`, `casimir()` and both identity suites read it.
+generators T_pm = -+xD + x - T3.  This derivation runs once per process
+into one read-only mapping, `_generators()`, that holds T3, T_pm, Ln, the
+five products T3 T+, T3 T-, T3 T3, T+ T- and T- T+, each composed once
+there, and T_pm^n; `generator_table()`, `casimir()` and both identity
+suites read their operators and products from it.
 """
 
 from __future__ import annotations
@@ -418,21 +421,35 @@ def build_Ln() -> NormalOrderedOperator:
     )
 
 
+def _derivation(t3: NormalOrderedOperator, tpn: NormalOrderedOperator,
+                tmn: NormalOrderedOperator) -> Mapping[str, NormalOrderedOperator]:
+    """Read-only mapping of every named operator of the factorization, each product composed once.
+
+    Keys "T3", "T+", "T-", "Ln", the normal-ordered products "T3 T+",
+    "T3 T-", "T3 T3", "T+ T-", "T- T+", then "T+^n" and "T-^n"; T_pm is
+    `replace_K`(T_pm^n, T3).
+    """
+    ops = {"T3": t3, "T+": replace_K(tpn, t3), "T-": replace_K(tmn, t3), "Ln": build_Ln()}
+    for name in ("T3 T+", "T3 T-", "T3 T3", "T+ T-", "T- T+"):
+        left, right = name.split()
+        ops[name] = compose(ops[left], ops[right])
+    return MappingProxyType({**ops, "T+^n": tpn, "T-^n": tmn})
+
+
 @cache
-def _generators() -> tuple[NormalOrderedOperator, ...]:
-    """(T3, T+, T-, T+^n, T-^n), derived from `build_Ln()` once per process (see `generator_table`)."""
+def _generators() -> Mapping[str, NormalOrderedOperator]:
+    """The `_derivation` of T3, T+^n and T-^n from `build_Ln()`, run once per process (see `generator_table`)."""
     ln = build_Ln()
     one = NormalOrderedOperator.identity()
     plus, _ = solve_schrodinger_ansatz(ln)  # the branch +1, then -1
     half_inv_x = NormalOrderedOperator.x_power(-1, Fraction(1, 2))
     t3 = compose(half_inv_x, ln + one * _poly_jj1()) + one * ParamPoly.K()
-    tpn, tmn = plus.right_factor(), plus.left_factor() + one
-    return t3, replace_K(tpn, t3), replace_K(tmn, t3), tpn, tmn
+    return _derivation(t3, plus.right_factor(), plus.left_factor() + one)
 
 
 @cache
 def generator_table() -> Mapping[str, NormalOrderedOperator]:
-    """The level-independent generators and products, derived and composed once per process.
+    """The level-independent generators and products: `_generators()` less the first-order factors.
 
     Read-only mapping with keys "T3", "T+", "T-", "Ln" and the normal-ordered
     products "T3 T+", "T3 T-", "T3 T3", "T+ T-", "T- T+".  The generators
@@ -442,20 +459,7 @@ def generator_table() -> Mapping[str, NormalOrderedOperator]:
     T_pm = `replace_K`(T_pm^n, T3).  Built on first call, so importing the
     module composes nothing.
     """
-    t3, tp, tm, _, _ = _generators()
-    return MappingProxyType(
-        {
-            "T3": t3,
-            "T+": tp,
-            "T-": tm,
-            "Ln": build_Ln(),
-            "T3 T+": compose(t3, tp),
-            "T3 T-": compose(t3, tm),
-            "T3 T3": compose(t3, t3),
-            "T+ T-": compose(tp, tm),
-            "T- T+": compose(tm, tp),
-        }
-    )
+    return MappingProxyType({name: op for name, op in _generators().items() if not name.endswith("^n")})
 
 
 def casimir() -> NormalOrderedOperator:
@@ -464,8 +468,8 @@ def casimir() -> NormalOrderedOperator:
     The mirror form -T-T+ + T3^2 + T3 is the row "casimir mirror - casimir"
     of `extra_identity_checks`.
     """
-    t3, tp, tm, _, _ = _generators()
-    return -compose(tp, tm) + compose(t3, t3) - t3
+    ops = _generators()
+    return -ops["T+ T-"] + ops["T3 T3"] - ops["T3"]
 
 
 def replace_K(op: NormalOrderedOperator, replacement: NormalOrderedOperator) -> NormalOrderedOperator:
@@ -475,18 +479,17 @@ def replace_K(op: NormalOrderedOperator, replacement: NormalOrderedOperator) -> 
     reproduces the definitional identity T_pm = -+xD + x - T3 from the
     first-order factors.
     """
-    out = NormalOrderedOperator.zero()
-    for (xp, dq), poly in op.items():
+    free: dict[tuple[int, int], ParamPoly] = {}
+    linear: dict[tuple[int, int], ParamPoly] = {}
+    for key, poly in op.items():
         split = poly.kpow_split()
         if any(kp > 1 for kp in split):
             raise ValueError("operator coefficients must be at most linear in K")
-        c0 = split.get(0)
-        c1 = split.get(1)
-        if c0 is not None:
-            out = out + NormalOrderedOperator({(xp, dq): c0})
-        if c1 is not None:
-            out = out + compose(NormalOrderedOperator({(xp, dq): c1}), replacement)
-    return out
+        if 0 in split:
+            free[key] = split[0]
+        if 1 in split:
+            linear[key] = split[1]
+    return NormalOrderedOperator._adopt(free) + compose(NormalOrderedOperator._adopt(linear), replacement)
 
 
 # ---------------------------------------------------------------------------
@@ -580,18 +583,18 @@ def solve_schrodinger_ansatz(target: NormalOrderedOperator) -> list[Factorizatio
 
 def identity_suite() -> list[tuple[str, NormalOrderedOperator]]:
     """The six defining identities of the derived generators as (name, difference) pairs; all must be zero."""
-    t3, tp, tm, tpn, tmn = _generators()
-    ln = build_Ln()
+    ops = _generators()
+    t3, tp, tm, tpn, tmn = ops["T3"], ops["T+"], ops["T-"], ops["T+^n"], ops["T-^n"]
     one = NormalOrderedOperator.identity()
     K = ParamPoly.K()
     kk1 = K * (K + 1)
     kk1m = K * (K - 1)
     return [
-        ("[T+,T-] + 2 T3", commutator(tp, tm) + 2 * t3),
+        ("[T+,T-] + 2 T3", ops["T+ T-"] - ops["T- T+"] + 2 * t3),
         ("[T+,T3] + T+", commutator(tp, t3) + tp),
         ("[T-,T3] - T-", commutator(tm, t3) - tm),
-        ("(T-^n - 1) T+^n - Ln - K(K+1)", compose(tmn - one, tpn) - ln - kk1 * one),
-        ("(T+^n + 1) T-^n - Ln - K(K-1)", compose(tpn + one, tmn) - ln - kk1m * one),
+        ("(T-^n - 1) T+^n - Ln - K(K+1)", compose(tmn - one, tpn) - ops["Ln"] - kk1 * one),
+        ("(T+^n + 1) T-^n - Ln - K(K-1)", compose(tpn + one, tmn) - ops["Ln"] - kk1m * one),
         ("T^2 - J(J+1)", casimir() - _poly_jj1() * one),
     ]
 
@@ -602,10 +605,11 @@ def extra_identity_checks() -> list[tuple[str, NormalOrderedOperator]]:
     T_pm is built as `replace_K`(T_pm^n, T3), so the two T_pm rows hold by
     construction; they stay as named rows of the `verify-algebra` document.
     """
-    t3, tp, tm, tpn, tmn = _generators()
-    mirror = -compose(tm, tp) + compose(t3, t3) + t3
+    ops = _generators()
+    t3 = ops["T3"]
+    mirror = -ops["T- T+"] + ops["T3 T3"] + t3
     return [
         ("casimir mirror - casimir", mirror - casimir()),
-        ("T+ - (T+^n with K -> T3)", tp - replace_K(tpn, t3)),
-        ("T- - (T-^n with K -> T3)", tm - replace_K(tmn, t3)),
+        ("T+ - (T+^n with K -> T3)", ops["T+"] - replace_K(ops["T+^n"], t3)),
+        ("T- - (T-^n with K -> T3)", ops["T-"] - replace_K(ops["T-^n"], t3)),
     ]

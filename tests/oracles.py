@@ -24,7 +24,7 @@ from micz_su11.fd_oracle import STURM_TAIL_MARGIN, _report, _sturm_count
 from micz_su11.numeric_verify import (
     _dot, _Level, _norm, _radial_equation_start, angular_residual_check, states_grid,
 )
-from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly, replace_K
+from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly
 from micz_su11.quantum_numbers import GridUnderflow, make_sector, sector_inputs
 from micz_su11.special_functions import KummerParams, KummerSweep, _kummer_deriv_scale
 
@@ -123,15 +123,15 @@ def build_Tpm(sign: int) -> NormalOrderedOperator:
 def corrupted_generators():
     """A stand-in for `operator_algebra._generators` whose T3 is the derived T3 - x.
 
-    That flips the sign of T3's x/2 term; T+- are rebuilt from it by
-    `replace_K`, and T+-^n stay as derived.  Monkeypatch it over
-    `_generators` to drive `identity_suite`, `extra_identity_checks` and
-    `verify-algebra` down their failure path.
+    That flips the sign of T3's x/2 term; `operator_algebra._derivation`
+    rebuilds T+- and the five products from it, and T+-^n stay as derived.
+    Monkeypatch it over `_generators` to drive `identity_suite`,
+    `extra_identity_checks` and `verify-algebra` down their failure path.
     """
-    t3, _, _, tpn, tmn = operator_algebra._generators()
-    bad = t3 - NormalOrderedOperator.x_power(1)
-    generators = (bad, replace_K(tpn, bad), replace_K(tmn, bad), tpn, tmn)
-    return lambda: generators
+    ops = operator_algebra._generators()
+    bad = ops["T3"] - NormalOrderedOperator.x_power(1)
+    derivation = operator_algebra._derivation(bad, ops["T+^n"], ops["T-^n"])
+    return lambda: derivation
 
 
 # ---------------------------------------------------------------------------

@@ -712,6 +712,34 @@ def test_signed_zero_input_is_echoed_as_zero(capsys, tmp_path, case):
         assert doc.count(echo) == doc.count(echo.split(":")[0])
 
 
+def test_json_render_writes_negative_zero_as_0():
+    assert cli._json_render(-0.0) == "0"
+    assert cli._json_render({"chi": [0.0, -0.0, -1e-300]}) == '{"chi": [0, 0, -1e-300]}'
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_underflowed_chi_tail_prints_no_negative_zero(capsys, fmt):
+    # past x ~ 745 the exponential factor of chi underflows to +0 while F < 0, so chi is -0.0 there
+    code, out, err = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "2",
+                                  "--rmax", "1000", "--npoints", "8", "--format", fmt])
+    assert code == 0 and err == ""
+    assert not NEGATIVE_ZERO.search(out)
+    if fmt == "csv":
+        assert out.splitlines()[6:] == ["750,0,0,0", "875,0,0,0", "1000,0,0,0"]
+    else:
+        assert json.loads(out)["rows"][-1] == {"x": 1000, "chi": 0, "chi_d1": 0, "chi_d2": 0}
+
+
+@pytest.mark.parametrize("flags", [["--s", "0"], ["--m", "1"], ["--j", "0"], ["--s", "0", "--m", "0", "--j", "0"]],
+                         ids=["s", "m", "j", "all"])
+def test_bigJ_with_a_sector_flag_exit_2(capsys, flags):
+    code, out, err = run(capsys, ["oracle", "--bigJ", "2", *flags, "--nmax", "2", "--rmax", "60"])
+    assert code == 2
+    assert out == ""
+    named = ", ".join(flags[::2])
+    assert err == f"error: --bigJ sets J directly and cannot be combined with {named}\n"
+
+
 UNWRITABLE_OUT_COMMANDS = {
     "spectrum": ["spectrum", "--s", "0", "--m", "0", "--j", "0", "--nmax", "2"],
     "eigenfunction": ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "1", "--npoints", "8"],

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from micz_su11 import operator_algebra
+from micz_su11 import cli, operator_algebra
 from micz_su11.operator_algebra import (
     NoFactorization,
     NormalOrderedOperator,
@@ -353,6 +354,38 @@ class TestAlgebraIdentities:
         op = NormalOrderedOperator({(0, 0): K * K})
         with pytest.raises(ValueError):
             replace_K(op, gen("T3"))
+
+
+class TestComposeCount:
+    """The products are composed once, in the derivation, and the suites read them."""
+
+    @staticmethod
+    def count_compose(monkeypatch) -> list:
+        calls = []
+        real = operator_algebra.compose
+
+        def counted(lhs, rhs):
+            calls.append(None)
+            return real(lhs, rhs)
+
+        monkeypatch.setattr(operator_algebra, "compose", counted)
+        return calls
+
+    def test_an_identity_pass_composes_at_most_8_times(self, monkeypatch):
+        operator_algebra._generators()
+        calls = self.count_compose(monkeypatch)
+        identity_suite()
+        extra_identity_checks()
+        # [T+-,T3] twice each, the two factorization rows, T+- from T+-^n again
+        assert len(calls) <= 8
+
+    def test_fresh_verify_algebra_composes_at_most_18_times(self, monkeypatch, capsys):
+        monkeypatch.setattr(operator_algebra, "_generators", cache(operator_algebra._generators.__wrapped__))
+        calls = self.count_compose(monkeypatch)
+        assert cli.main(["verify-algebra", "--deg-check-max", "20"]) == 0
+        capsys.readouterr()
+        # 10 in the derivation (ansatz 2, T3 1, T+- 2, products 5) and 8 in the identity pass
+        assert len(calls) <= 18
 
 
 class TestSubstitute:
