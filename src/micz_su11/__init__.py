@@ -12,7 +12,7 @@ module, and the object is then cached in this module's globals, so
 `micz_su11.X is micz_su11.<module>.X` and later lookups cost nothing.  The
 submodules themselves (`micz_su11.numeric_verify`, ...) are attributes too.
 Only `special_functions`, `analytic_states` and `numeric_verify` import numpy;
-`fd_oracle` imports it only when a grid's `nodes` array is first read.
+`fd_oracle` is standard-library code.
 """
 
 import importlib

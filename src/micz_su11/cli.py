@@ -93,6 +93,11 @@ def _check_positive(flag: str, value: float) -> None:
         raise ValueError(f"{flag} must be positive and finite, got {value}")
 
 
+def _params(args) -> MonopoleParams:
+    """The monopole parameters of the sector flags; an absent --c1 or --c2 reads 0."""
+    return MonopoleParams(args.s, 0.0 if args.c1 is None else args.c1, 0.0 if args.c2 is None else args.c2)
+
+
 def _check_window(rmax: float, xmax: float, points: str) -> None:
     """ValueError naming --rmax when the largest sample point xmax (x = `points`) or 2 xmax is not finite.
 
@@ -109,7 +114,7 @@ def _check_window(rmax: float, xmax: float, points: str) -> None:
 def cmd_spectrum(args) -> int:
     if args.nmax < 1:
         raise InvalidLevel(f"--nmax must be at least 1, got {args.nmax}")
-    sector = make_sector(MonopoleParams(args.s, args.c1, args.c2), args.m, args.j)
+    sector = make_sector(_params(args), args.m, args.j)
     header = ["s", "m", "j", "n", "delta1", "delta2", "J", "K", "E"]
     rows = [
         [str(args.s), str(args.m), str(args.j), str(level.n), sector.delta1, sector.delta2, sector.bigJ,
@@ -126,9 +131,13 @@ def cmd_eigenfunction(args) -> int:
 
     from .analytic_states import TowerSampler, _peak, angular_Z, angular_state, radial_state, radial_window
 
+    # the flags of the other kind, which this table would ignore
+    other = (("--phi", args.phi),) if args.kind == "radial" else (("--n", args.n), ("--rmax", args.rmax))
+    if given := [flag for flag, v in other if v is not None]:
+        raise ValueError(f"--kind {args.kind} cannot be combined with {', '.join(given)}")
     if args.npoints < 1:
         raise ValueError(f"--npoints must be positive, got {args.npoints}")
-    sector = make_sector(MonopoleParams(args.s, args.c1, args.c2), args.m, args.j)
+    sector = make_sector(_params(args), args.m, args.j)
     if args.kind == "radial":
         if args.n is None:
             raise InvalidLevel("radial eigenfunction requires --n")
@@ -154,16 +163,17 @@ def cmd_eigenfunction(args) -> int:
         config = {"command": "eigenfunction", "kind": "radial", **sector_inputs(sector),
                   "n": str(args.n), "rmax": xmax, "npoints": args.npoints}
     else:
-        if not math.isfinite(args.phi):
-            raise ValueError(f"--phi must be finite, got {args.phi}")
+        phi = 0.0 if args.phi is None else args.phi
+        if not math.isfinite(phi):
+            raise ValueError(f"--phi must be finite, got {phi}")
         state = angular_state(sector)
         thetas = math.pi * np.arange(1, args.npoints + 1) / (args.npoints + 1.0)
-        z = angular_Z(state, thetas, args.phi)
+        z = angular_Z(state, thetas, phi)
         _peak(z)  # a table that is 0 on every node is refused, as `verify-states` refuses such a profile
         header = ["theta", "re_z", "im_z"]
         rows = list(zip(thetas, z.real, z.imag))
         config = {"command": "eigenfunction", "kind": "angular", **sector_inputs(sector),
-                  "phi": args.phi, "npoints": args.npoints}
+                  "phi": phi, "npoints": args.npoints}
     _write_document(args, config, header, [[float(v) for v in row] for row in rows])
     return EXIT_OK
 
@@ -214,7 +224,7 @@ def cmd_verify_algebra(args) -> int:
 def cmd_verify_states(args) -> int:
     from .numeric_verify import states_grid, verify_states_suite
 
-    params = MonopoleParams(args.s, args.c1, args.c2)
+    params = _params(args)
     sector = make_sector(params, args.m, args.j)
     if args.nmax < 1:
         raise InvalidLevel(f"--nmax must be at least 1, got {args.nmax}")
@@ -223,7 +233,7 @@ def cmd_verify_states(args) -> int:
     grid = None
     if args.rmax is not None or args.npoints is not None:
         grid = states_grid(sector, args.nmax, args.rmax, args.npoints)
-        _check_window(grid.rmax, grid.nodes[-1], "rmax i/(npoints+1)")
+        _check_window(grid.rmax, grid.h * grid.npoints, "rmax i/(npoints+1)")
     reports = verify_states_suite(params, args.m, args.j, nlevels=args.nmax, grid=grid, tol=args.tol)
     for r in reports:
         label = r.inputs.get("n", "-")
@@ -250,7 +260,8 @@ def cmd_oracle(args) -> int:
     if args.tol is not None:
         _check_positive("--tol", args.tol)
     if args.bigJ is not None:
-        if given := [flag for flag, v in (("--s", args.s), ("--m", args.m), ("--j", args.j)) if v is not None]:
+        sector_flags = (("--s", args.s), ("--c1", args.c1), ("--c2", args.c2), ("--m", args.m), ("--j", args.j))
+        if given := [flag for flag, v in sector_flags if v is not None]:
             raise InvalidQuantumNumbers(f"--bigJ sets J directly and cannot be combined with {', '.join(given)}")
         if not (math.isfinite(args.bigJ) and args.bigJ >= 0):
             raise InvalidQuantumNumbers(f"--bigJ must be non-negative and finite, got {args.bigJ}")
@@ -262,7 +273,7 @@ def cmd_oracle(args) -> int:
     else:
         if args.s is None or args.m is None or args.j is None:
             raise InvalidQuantumNumbers("oracle needs either --bigJ or the sector flags --s --m --j")
-        params = MonopoleParams(args.s, args.c1, args.c2)
+        params = _params(args)
         sector = make_sector(params, args.m, args.j)
         k_top = energy(sector, sector.j + args.nmax).K
         config = {"command": "oracle", **sector_inputs(sector)}
@@ -298,8 +309,8 @@ def _half_int(text: str) -> HalfInt:
 def _add_sector_args(sp, required: bool = True) -> None:
     sp.add_argument("--s", type=_half_int, required=required,
                     help="monopole charge, e.g. 1/2 or 0.5")
-    sp.add_argument("--c1", type=float, default=0.0, help="axial coupling c1 >= 0")
-    sp.add_argument("--c2", type=float, default=0.0, help="axial coupling c2 >= 0")
+    sp.add_argument("--c1", type=float, default=None, help="axial coupling c1 >= 0 (default 0)")
+    sp.add_argument("--c2", type=float, default=None, help="axial coupling c2 >= 0 (default 0)")
     sp.add_argument("--m", type=_half_int, required=required,
                     help="z-projection quantum number")
     sp.add_argument("--j", type=_half_int, required=required,
@@ -342,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rmax", type=float, default=None,
                     help="radial window in the scaled variable (default 10 + 4K)")
     sp.add_argument("--npoints", type=int, default=512, help="number of sample points")
-    sp.add_argument("--phi", type=float, default=0.0, help="azimuth for the angular table")
+    sp.add_argument("--phi", type=float, default=None, help="azimuth for the angular table (default 0)")
     _add_output_args(sp, "csv")
     sp.set_defaults(func=cmd_eigenfunction)
 

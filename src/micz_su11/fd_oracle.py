@@ -59,8 +59,8 @@ whole diagonal cheap and exact:
   from it `_locate` finds the tail start node for node.
 
 The module imports only the standard library and `quantum_numbers`, so the
-`oracle` subcommand starts without numpy.  `RadialGrid.nodes`, the one numpy
-array here, is built on first access for the grid checks of `numeric_verify`.
+`oracle` subcommand starts without numpy.  `RadialGrid` holds no node array:
+the grid checks of `numeric_verify` build the nodes they sample on.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ import operator
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 from .quantum_numbers import ConvergenceFailure, GridUnderflow, HalfInt, MonopoleParams, make_sector, sector_inputs
 from .quantum_numbers import levels as sector_levels
@@ -138,15 +137,6 @@ class RadialGrid:
     @property
     def h(self) -> float:
         return self.rmax / (self.npoints + 1)
-
-    @cached_property
-    def nodes(self):
-        """The nodes as a read-only numpy array; numpy is imported on first access."""
-        import numpy as np
-
-        nodes = self.h * np.arange(1, self.npoints + 1, dtype=float)
-        nodes.flags.writeable = False
-        return nodes
 
 
 def oracle_grid(k_top: float, rmax: float | None, npoints: int | None) -> RadialGrid:

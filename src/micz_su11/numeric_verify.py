@@ -1,7 +1,9 @@
 """Grid-based verification: the su(1,1) state checks on samples at the grid nodes.
 
 The FD eigensolver oracle lives in `fd_oracle`, which needs no numpy; the
-grid and report types used here are defined there.
+grid and report types used here are defined there.  A `RadialGrid` holds no
+node array: `_nodes` builds the read-only array r_i = i h here, once per
+suite, and every grid function of this module is sampled on it.
 
 The grid checks reuse work at two scopes:
 
@@ -11,9 +13,10 @@ The grid checks reuse work at two scopes:
   of the 6 monomials J^a K^b in them (1, K, J, J^2, J^3, J^4), a 9 x 15
   matrix over the 9 operators and the 15 distinct products x^p chi^(q)
   behind their 69 terms.  Both are built once and never change;
-- per suite, one `analytic_states.TowerSampler` on `grid.nodes` serves
-  every level the suite builds: 2x, e^(-x), w = (2x)^(J+1) e^(-x), the
-  powers x^e it has handed out (e = -2 ... 2),
+- per suite, the nodes (`_nodes`), the first node of the radial-equation
+  window (`_radial_equation_start`) and one `analytic_states.TowerSampler`
+  on those nodes, which serves every level the suite builds: 2x, e^(-x),
+  w = (2x)^(J+1) e^(-x), the powers x^e it has handed out (e = -2 ... 2),
   the last two rows of the resumable Kummer sweep of each shift l <= 4,
   F_l = F(-(k-l), b+l; 2x), and the 15 x 15 product-rule matrix M(alpha):
   at most 18 arrays.  A walk up the tower runs each sweep once.  A
@@ -46,7 +49,7 @@ arrays kept until the next suite replaces them.  Freed at once, the heap
 they held is trimmed and the next suite faults it back in (the `states`
 benchmark ran 4% fewer items a second without the slot).
 
-A grid function is a plain float array of its samples on `grid.nodes`.
+A grid function is a plain float array of its samples on the nodes.
 Inner products h <a, b> are sums in one fixed order (`_dot`), not BLAS ddot,
 which splits long sums over threads: a report does not depend on the BLAS
 thread count.  Each check reduces its residual rows at once (`_row_dots`),
@@ -119,6 +122,13 @@ def _norm(grid: RadialGrid, v: np.ndarray) -> float:
     return _root(grid, _dot(v, v), v)
 
 
+def _nodes(grid: RadialGrid) -> np.ndarray:
+    """The grid's nodes r_i = i h, i = 1 ... npoints, as a read-only array."""
+    nodes = grid.h * np.arange(1, grid.npoints + 1, dtype=float)
+    nodes.flags.writeable = False
+    return nodes
+
+
 # ---------------------------------------------------------------------------
 # Verification pipelines
 # ---------------------------------------------------------------------------
@@ -160,9 +170,9 @@ def _coefficients(J: float, K: float) -> np.ndarray:
 class _Level:
     """Level n of a tower on one grid: its state, read-only chi on the nodes and its images.
 
-    The level samples from `sampler`, its tower's `TowerSampler` on
-    `grid.nodes`, which it keeps.  `chi` and each image are read-only arrays
-    on `grid.nodes`; `norm2` is h <chi, chi>, `inputs` the labels each
+    The level samples from `sampler`, its tower's `TowerSampler` on the
+    grid's nodes, which it keeps.  `chi` and each image are read-only arrays
+    on those nodes; `norm2` is h <chi, chi>, `inputs` the labels each
     report copies.  ValueError if chi is not finite.
 
     Raises GridUnderflow when the squared norm of chi on the grid is zero or
@@ -288,16 +298,18 @@ def _casimir(level: _Level, tol: float | None) -> VerificationReport:
     return _report("casimir_action", dict(level.inputs), max(res_direct, res_mirror), tol, t0, details)
 
 
-def _radial_equation_start(grid: RadialGrid) -> int:
-    """The first node at or past RADIAL_EQUATION_START, or 0 when the grid ends before it."""
-    start = int(np.searchsorted(grid.nodes, RADIAL_EQUATION_START))
-    return 0 if start == grid.npoints else start
+def _radial_equation_start(nodes: np.ndarray) -> int:
+    """The first of the ascending nodes at or past RADIAL_EQUATION_START, or 0 when they end before it."""
+    start = int(np.searchsorted(nodes, RADIAL_EQUATION_START))
+    return 0 if start == nodes.size else start
 
 
-def _radial_equation(level: _Level, tol: float | None) -> VerificationReport:
-    """Max-norm residual of (-x^2 D^2 - 2Kx + x^2) chi = -J(J+1) chi from x = RADIAL_EQUATION_START to rmax."""
+def _radial_equation(level: _Level, start: int, tol: float | None) -> VerificationReport:
+    """Max-norm residual of (-x^2 D^2 - 2Kx + x^2) chi = -J(J+1) chi from node `start` to rmax.
+
+    `start` is `_radial_equation_start` of the level's nodes, found once per suite.
+    """
     t0 = time.perf_counter()
-    start = _radial_equation_start(level.grid)
     chi = level.chi[start:]
     resid = level.images["Ln"][start:] + level.state.sector.sep_const * chi
     residual = float(np.abs(resid).max() / np.abs(chi).max())
@@ -338,10 +350,12 @@ def verify_states_suite(params: MonopoleParams, m: HalfInt, j: HalfInt, nlevels:
     # an overflow in the samples is refused where chi or an image is built, by one ValueError and no warning
     with np.errstate(over="ignore", invalid="ignore"):
         reports = [angular_residual_check(sector, tol=tol)]
-        sampler = TowerSampler(sector, grid.nodes)
+        nodes = _nodes(grid)
+        start = _radial_equation_start(nodes)
+        sampler = TowerSampler(sector, nodes)
         below, level = None, _Level(sampler, sector.j + 1, grid)
         for i in range(nlevels):
-            reports += [_radial_equation(level, tol), _t3_eigen(level, tol), _casimir(level, tol)]
+            reports += [_radial_equation(level, start, tol), _t3_eigen(level, tol), _casimir(level, tol)]
             above = _Level(sampler, level.state.level.n + 1, grid)
             reports.append(_ladder(level, above, +1, tol))
             # at i == 0 the lowering check is the bottom annihilation

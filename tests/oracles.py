@@ -22,7 +22,7 @@ from micz_su11.analytic_states import (
 )
 from micz_su11.fd_oracle import STURM_TAIL_MARGIN, _report, _sturm_count
 from micz_su11.numeric_verify import (
-    _dot, _Level, _norm, _radial_equation_start, angular_residual_check, states_grid,
+    _dot, _Level, _nodes, _norm, _radial_equation_start, angular_residual_check, states_grid,
 )
 from micz_su11.operator_algebra import NormalOrderedOperator, ParamPoly
 from micz_su11.quantum_numbers import GridUnderflow, make_sector, sector_inputs
@@ -145,7 +145,7 @@ def fd_matrix(J: float, grid) -> tuple[list[float], float]:
     The array expression `eig_oracle` evaluated before it built the diagonal
     in plain floats; an entry that overflows is inf or nan, without a warning.
     """
-    r = grid.nodes
+    r = _nodes(grid)
     h = grid.h
     off = -1.0 / (2.0 * h * h)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -373,18 +373,18 @@ def substitute(op: NormalOrderedOperator, jval: float, kval: float) -> NumericOp
 
 
 def apply_operator(numop, grid, f: np.ndarray, derivatives) -> np.ndarray:
-    """Sum of c x^xp f^(dq) over the terms of `numop`, in their order, on `grid.nodes`.
+    """Sum of c x^xp f^(dq) over the terms of `numop`, in their order, on the nodes x of `grid`.
 
-    `f` holds the samples of f on `grid.nodes`, and `derivatives(order)`
+    `f` holds the samples of f on x (`_nodes`), and `derivatives(order)`
     those of its order-th derivative; it is called once for each order >= 1
     that the operator needs.
     """
-    samples = {0: f}
+    samples, x = {0: f}, _nodes(grid)
     out = np.zeros_like(f)
     for xp, dq, c in numop.terms:
         if dq not in samples:
             samples[dq] = np.asarray(derivatives(dq), dtype=float)
-        out += c * (samples[dq] if xp == 0 else samples[dq] * grid.nodes ** float(xp))
+        out += c * (samples[dq] if xp == 0 else samples[dq] * x ** float(xp))
     return out
 
 
@@ -467,7 +467,7 @@ def fd_derivative(vals: np.ndarray, h: float, m: int) -> np.ndarray:
 
 
 def fd_derivatives(grid, f):
-    """Derivative callback for `apply_operator` from the samples of f on `grid.nodes` alone."""
+    """Derivative callback for `apply_operator` from the samples of f on the grid's nodes alone."""
 
     def derivs(order):
         if order > 4:
@@ -673,7 +673,7 @@ def casimir_reference(level, tol):
 
 def radial_equation_reference(level, tol):
     t0 = time.perf_counter()
-    start = _radial_equation_start(level.grid)
+    start = _radial_equation_start(_nodes(level.grid))
     chi = level.chi[start:]
     resid = level.images["Ln"][start:] + level.state.sector.sep_const * chi
     residual = float(np.max(np.abs(resid)) / np.max(np.abs(chi)))
@@ -685,7 +685,7 @@ def states_suite_reference(params, m, j, nlevels: int, tol=None):
     sector = make_sector(params, m, j)
     grid = states_grid(sector, nlevels, None, None)
     reports = [angular_residual_check(sector, tol=tol)]
-    sampler = TowerSampler(sector, grid.nodes)
+    sampler = TowerSampler(sector, _nodes(grid))
     below, level = None, _Level(sampler, sector.j + 1, grid)
     for i in range(nlevels):
         reports += [radial_equation_reference(level, tol), t3_eigen_reference(level, tol),
@@ -710,7 +710,7 @@ def states_suite_reference(params, m, j, nlevels: int, tol=None):
 
 def _alone(sector, n, grid):
     """Level n on `grid` from a `TowerSampler` of its own."""
-    return numeric_verify._Level(numeric_verify.TowerSampler(sector, grid.nodes), n, grid)
+    return numeric_verify._Level(numeric_verify.TowerSampler(sector, _nodes(grid)), n, grid)
 
 
 def ladder_check(sector, n, sign: int, grid, tol=None):
@@ -740,5 +740,6 @@ def casimir_check(sector, n, grid, tol=None):
 
 
 def radial_equation_check(sector, n, grid, tol=None):
-    """`numeric_verify._radial_equation` of level n."""
-    return numeric_verify._radial_equation(_alone(sector, n, grid), tol)
+    """`numeric_verify._radial_equation` of level n, from the start node of its sampler's nodes."""
+    level = _alone(sector, n, grid)
+    return numeric_verify._radial_equation(level, numeric_verify._radial_equation_start(level.sampler.x), tol)

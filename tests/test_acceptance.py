@@ -19,6 +19,7 @@ from micz_su11.analytic_states import (
     radial_state,
 )
 from micz_su11.fd_oracle import RadialGrid, eig_oracle
+from micz_su11.numeric_verify import _nodes
 from micz_su11.operator_algebra import (
     NormalOrderedOperator,
     ParamPoly,
@@ -169,13 +170,13 @@ def test_criterion_5_ladder_action():
     # makes T+ chi = 4 x (x-1) e^-x
     grid = GRIDS["hydrogen"]
     state = radial_state(HYDROGEN, H("1"))
+    x = _nodes(grid)
     y = apply_operator(
         substitute(generator_table()["T+"], 0.0, 1.0),
         grid,
-        chi(state, grid.nodes),
-        derivatives=lambda order: chi_dn(state, grid.nodes, order),
+        chi(state, x),
+        derivatives=lambda order: chi_dn(state, x, order),
     )
-    x = grid.nodes
     image = x * (x - 1.0) * np.exp(-x)
     pointwise = float(np.max(np.abs(y - 4.0 * image)))
     scale = max(1.0, float(np.max(np.abs(4.0 * image))))

@@ -193,6 +193,22 @@ class TestEigenfunction:
         assert out == ""
         assert err.count("\n") == 1 and "--phi must be finite" in err
 
+    @pytest.mark.parametrize(
+        "argv, kind, flag",
+        [
+            (["--kind", "angular", "--n", "5"], "angular", "--n"),
+            (["--kind", "angular", "--rmax", "5"], "angular", "--rmax"),
+            (["--n", "2", "--phi", "1.0"], "radial", "--phi"),
+        ],
+        ids=["n", "rmax", "phi"],
+    )
+    def test_flag_of_the_other_kind_exit_2(self, capsys, argv, kind, flag):
+        # the table would not depend on the flag, so it is refused rather than ignored
+        code, out, err = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "1", *argv, "--npoints", "4"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --kind {kind} cannot be combined with {flag}\n"
+
     def test_radial_requires_n(self, capsys):
         code, _, err = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0"])
         assert code == 2
@@ -730,8 +746,9 @@ def test_underflowed_chi_tail_prints_no_negative_zero(capsys, fmt):
         assert json.loads(out)["rows"][-1] == {"x": 1000, "chi": 0, "chi_d1": 0, "chi_d2": 0}
 
 
-@pytest.mark.parametrize("flags", [["--s", "0"], ["--m", "1"], ["--j", "0"], ["--s", "0", "--m", "0", "--j", "0"]],
-                         ids=["s", "m", "j", "all"])
+@pytest.mark.parametrize("flags", [["--s", "0"], ["--m", "1"], ["--j", "0"], ["--s", "0", "--m", "0", "--j", "0"],
+                                   ["--c1", "5"], ["--c2", "0"], ["--s", "0", "--c1", "0", "--c2", "1"]],
+                         ids=["s", "m", "j", "all", "c1", "c2", "s-c1-c2"])
 def test_bigJ_with_a_sector_flag_exit_2(capsys, flags):
     code, out, err = run(capsys, ["oracle", "--bigJ", "2", *flags, "--nmax", "2", "--rmax", "60"])
     assert code == 2

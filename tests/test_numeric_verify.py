@@ -61,6 +61,7 @@ from micz_su11.numeric_verify import (
     GridUnderflow,
     _Level,
     _dot,
+    _nodes,
     _norm,
     _row_dots,
     angular_residual_check,
@@ -98,10 +99,10 @@ def xgrid():
 
 def sampled(sector, n, grid):
     state = radial_state(sector, n)
-    f = chi(state, grid.nodes)
+    f = chi(state, _nodes(grid))
 
     def derivs(order):
-        return chi_dn(state, grid.nodes, order)
+        return chi_dn(state, _nodes(grid), order)
 
     return state, f, derivs
 
@@ -127,20 +128,21 @@ class PerCallLevel(_Level):
     """An uncached level: it samples from a `PerCallSampler` of its own, whose own `images` runs on its pieces."""
 
     def __init__(self, sampler, n, grid):
-        super().__init__(PerCallSampler(sampler.sector, grid.nodes), n, grid)
+        super().__init__(PerCallSampler(sampler.sector, _nodes(grid)), n, grid)
 
 
 def level_of(sector, n, grid):
     """Level n of the tower of `sector` on `grid`, from a sampler of its own, as a check called alone builds it."""
-    return _Level(TowerSampler(sector, grid.nodes), n, grid)
+    return _Level(TowerSampler(sector, _nodes(grid)), n, grid)
 
 
 class TestGridTypes:
     def test_nodes_exclude_endpoints(self):
         g = RadialGrid(10.0, 19)
         assert g.h == 0.5
-        assert g.nodes[0] == 0.5 and g.nodes[-1] == 9.5
-        assert len(g.nodes) == 19
+        x = _nodes(g)
+        assert x[0] == 0.5 and x[-1] == 9.5
+        assert len(x) == 19
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -220,7 +222,7 @@ class TestFdWeights:
 
     def test_smooth_function_accuracy(self):
         g = RadialGrid(6.0, 600)
-        x = g.nodes
+        x = _nodes(g)
         d2 = fd_derivative(np.sin(x), g.h, 2)
         interior = slice(3, -3)
         assert np.max(np.abs(d2[interior] + np.sin(x)[interior])) <= 1e-8
@@ -252,7 +254,7 @@ class TestApplyOperator:
             numop = substitute(op, shifted.bigJ, 2.5)
             exact = apply_operator(numop, xgrid, f, derivatives=derivs)
             fd = apply_operator(numop, xgrid, f, derivatives=fd_derivatives(xgrid, f))
-            x = xgrid.nodes
+            x = _nodes(xgrid)
             mask = (x >= 5 * xgrid.h) & (np.arange(len(x)) >= 2) & (np.arange(len(x)) < len(x) - 2)
             assert np.max(np.abs((exact - fd)[mask])) <= 1e-5
 
@@ -323,7 +325,7 @@ class TestEigOracle:
     def test_against_dense_eigensolver(self):
         # independent route: same matrix through numpy's dense symmetric solver
         grid = RadialGrid(40.0, 300)
-        r = grid.nodes
+        r = _nodes(grid)
         h = grid.h
         diag = 1.0 / h**2 - 1.0 / r + 1.5 * 2.5 / (2.0 * r * r)
         mat = np.diag(diag) + np.diag(np.full(299, -1.0 / (2 * h * h)), 1) + np.diag(
@@ -951,7 +953,7 @@ class TestLadder:
         # T+ chi_{1,0} = 4 x (x-1) e^{-x} with the stored normalization
         state, f, derivs = sampled(hydrogen, H("1"), xgrid)
         y = apply_operator(substitute(generator_table()["T+"], 0.0, 1.0), xgrid, f, derivatives=derivs)
-        x = xgrid.nodes
+        x = _nodes(xgrid)
         image = 4.0 * x * (x - 1.0) * np.exp(-x)
         assert np.max(np.abs(y - image)) <= 1e-10 * max(1.0, np.max(np.abs(image)))
         rep = ladder_check(hydrogen, H("1"), +1, xgrid)
@@ -1035,7 +1037,7 @@ class TestLadder:
             grid = RadialGrid(rmax, npoints)
             state, f, _ = sampled(hydrogen, H("1"), grid)
             tstate = radial_state(hydrogen, H("2"))
-            t = chi(tstate, grid.nodes)
+            t = chi(tstate, _nodes(grid))
             derivs = fd_derivatives(grid, f)
             y = apply_operator(substitute(generator_table()["T+"], 0.0, 1.0), grid, f, derivatives=derivs)
             sim = abs(grid.h * _dot(y, t)) / (_norm(grid, y) * _norm(grid, t))
@@ -1087,7 +1089,7 @@ class TestT3AndCasimir:
         n = H("20")
         level = level_of(hydrogen, n, grid)
         assert radial_equation_check(hydrogen, n, grid).passed
-        x = grid.nodes
+        x = _nodes(grid)
         fmax = np.max(np.abs(level.chi))
         for where, fails in ((50.0, True), (0.005, False)):
             bumped = level.images["Ln"].copy()
@@ -1095,12 +1097,26 @@ class TestT3AndCasimir:
             inject_image(monkeypatch, n, "Ln", lambda ln: bumped)
             assert radial_equation_check(hydrogen, n, grid).passed is not fails, where
 
+    def test_suite_finds_the_radial_equation_start_once(self, monkeypatch):
+        calls = []
+        find = numeric_verify._radial_equation_start
+
+        def counted(*args):
+            calls.append(args)
+            return find(*args)
+
+        monkeypatch.setattr(numeric_verify, "_radial_equation_start", counted)
+        params = MonopoleParams(H("0"), 0.0, 0.0)
+        reports = verify_states_suite(params, H("0"), H("0"), nlevels=10, grid=RadialGrid(60.0, 1500))
+        assert sum(r.check_name == "radial_equation" for r in reports) == 10
+        assert len(calls) == 1
+
     def test_radial_equation_start_node(self):
-        x = RadialGrid(1.0, 999).nodes  # h = 0.001
-        start = numeric_verify._radial_equation_start(RadialGrid(1.0, 999))
+        x = _nodes(RadialGrid(1.0, 999))  # h = 0.001
+        start = numeric_verify._radial_equation_start(x)
         assert x[start] >= 0.01 > x[start - 1]
         # a grid that ends before x = 0.01 is read whole
-        assert numeric_verify._radial_equation_start(RadialGrid(0.005, 100)) == 0
+        assert numeric_verify._radial_equation_start(_nodes(RadialGrid(0.005, 100))) == 0
 
 
 class TestSpectrumCrossCheck:
@@ -1553,7 +1569,7 @@ class TestSampleCache:
         t3 = level.images["T3"]
         # the level keeps chi and its nine images, no derivative samples
         assert not hasattr(level, "derivative") and not hasattr(level, "_derivatives")
-        for arr in (level.chi, t3, xgrid.nodes):
+        for arr in (level.chi, t3, _nodes(xgrid)):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
@@ -1589,7 +1605,7 @@ class TestSampleCache:
         """
         J, K = level.state.sector.bigJ, level.state.level.K
         p = level.state.kummer
-        x = level.grid.nodes
+        x = _nodes(level.grid)
         sampler = TowerSampler(level.state.sector, x)
         samples = [f, *(derivs(order) for order in range(1, 5))]
         terms = op._float_terms()

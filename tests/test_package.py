@@ -149,6 +149,17 @@ class TestStartWithoutNumpy:
         assert proc.stdout == ""
         assert proc.stderr == "error: coupling c1 must be finite, got nan\nnumpy loaded: False\n"
 
+    def test_fd_oracle_is_standard_library_code(self):
+        # no import of numpy anywhere in the module, a lazy one inside a function included
+        tree = ast.parse(Path(fd_oracle.__file__).read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+        assert not any(name == "numpy" or name.startswith("numpy.") for name in imported)
+        proc = fresh_python("-c", "import sys\nfrom micz_su11.fd_oracle import RadialGrid, eig_oracle\n"
+                                  "print(len(eig_oracle(0.0, RadialGrid(60.0, 600), 3)), 'numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "3 False\n"
+
     @pytest.mark.parametrize(
         "golden, code, argv",
         [
