@@ -8,9 +8,11 @@ suite, and every grid function of this module is sampled on it.
 The grid checks reuse work at two scopes:
 
 - per process, `operator_algebra.generator_table()` holds the su(1,1)
-  generators and their products, each composed once, and `_image_plan()`
-  reads their float coefficients (`_float_terms()`) once into F: for each
-  of the 6 monomials J^a K^b in them (1, K, J, J^2, J^3, J^4), a 9 x 15
+  generators and their products, each composed once, in exact rationals,
+  and `_image_plan()` reads their coefficients through the public `items()`
+  of each operator and polynomial once into F, calling `float` on each:
+  this is the one place exact coefficients become floats.  For each of the
+  6 monomials J^a K^b in them (1, K, J, J^2, J^3, J^4), F holds a 9 x 15
   matrix over the 9 operators and the 15 distinct products x^p chi^(q)
   behind their 69 terms.  Both are built once and never change;
 - per suite, the nodes (`_nodes`), the first node of the radial-equation
@@ -141,20 +143,21 @@ def _image_plan() -> tuple[tuple[str, ...], tuple[tuple[int, int], ...], tuple[t
     of the products x^p chi^(q) behind their terms, ordered by (-q, p) as
     `canonical_terms` orders terms; `monomials` the distinct (a, b) of the
     J^a K^b in their coefficients.  F[m] is the (operators, products) matrix
-    of the float coefficients of monomial m, read from each operator's
-    `_float_terms()`, flattened to one row per monomial for `_coefficients`.
+    of the coefficients of monomial m, each exact `Fraction` from the
+    `items()` of an operator's `ParamPoly` turned into a float here, the one
+    place the grid checks leave exact arithmetic; flattened to one row per
+    monomial for `_coefficients`.
     """
     table = generator_table()
-    terms = [op._float_terms() for op in table.values()]
-    products = sorted({(xp, dq) for op_terms in terms for xp, dq, _ in op_terms}, key=lambda key: (-key[1], key[0]))
-    monomials = sorted({(jp, kp) for op_terms in terms for _, _, coeffs in op_terms for _, jp, kp in coeffs})
+    products = sorted({key for op in table.values() for key, _ in op.items()}, key=lambda key: (-key[1], key[0]))
+    monomials = sorted({m for op in table.values() for _, poly in op.items() for m, _ in poly.items()})
     column = {key: i for i, key in enumerate(products)}
     row = {key: i for i, key in enumerate(monomials)}
     F = np.zeros((len(monomials), len(table), len(products)))
-    for i, op_terms in enumerate(terms):
-        for xp, dq, coeffs in op_terms:
-            for c, jp, kp in coeffs:
-                F[row[jp, kp], i, column[xp, dq]] = c
+    for i, op in enumerate(table.values()):
+        for key, poly in op.items():
+            for m, c in poly.items():
+                F[row[m], i, column[key]] = float(c)
     F = F.reshape(len(monomials), -1)
     F.flags.writeable = False
     return tuple(table), tuple(products), tuple(monomials), F

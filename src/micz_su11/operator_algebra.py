@@ -4,7 +4,8 @@ Operators are kept in normal-ordered canonical form: sums of
 coeff(J, K) * x^p * D^q with every D moved to the right through the rewrite
 D x^k = x^k D + k x^(k-1) (valid for any integer k, negative included).
 Coefficients are polynomials in the two indeterminates J and K over exact
-rationals; floats only appear in `NormalOrderedOperator._float_terms`.
+rationals; the kernel neither makes nor takes a float (the grid checks'
+`numeric_verify._image_plan` turns the coefficients it reads into floats).
 
 Canonical form, which `==`, `hash` and `is_zero` rely on: a `ParamPoly`
 stores one `int` denominator `_den` >= 1 and maps (jpow, kpow) to nonzero
@@ -13,15 +14,17 @@ gcd(_den, *numerators) == 1, which makes the form unique for its rational
 coefficients; `items()` builds each coefficient as a `Fraction` on demand.
 A `NormalOrderedOperator` maps (xpow, dorder >= 0) to a nonzero `ParamPoly`,
 every power an `int` and every J or K power >= 0.  The public constructors
-check and convert outside input into that form (each power through
-`operator.index`, so a float or `Fraction` power raises `TypeError`, and a
-negative J or K power raises `ValueError`); the arithmetic, `compose` and
-`monomial_action` work on the numerators directly, with one common
-denominator per result polynomial and one gcd reduction of it, and hand each
-result to the private `_adopt`, which checks nothing.  `compose` puts each
-product over the lcm of the left operand's denominators times the right's;
-`monomial_action` puts each power's image over the lcm of the denominators
-that reach it.
+check outside input and bring it into that form: each power goes through
+`operator.index`, so a float or `Fraction` power raises `TypeError`; a
+coefficient must be an `int` (a `bool` included) or a `Fraction`, the
+scalars the arithmetic takes, so a float, `str` or `Decimal` one raises
+`TypeError` too; and a negative J or K power raises `ValueError`.  The
+arithmetic, `compose` and `monomial_action` work on the numerators
+directly, with one common denominator per result polynomial and one gcd
+reduction of it, and hand each result to the private `_adopt`, which checks
+nothing.  `compose` puts each product over the lcm of the left operand's
+denominators times the right's; `monomial_action` puts each power's image
+over the lcm of the denominators that reach it.
 
 The su(1,1) generators are derived, not typed in, by the Schroedinger
 factorization of the radial operator Ln = -x^2 D^2 - 2K x + x^2, whose
@@ -88,8 +91,8 @@ class ParamPoly:
             jp, kp = operator.index(jp), operator.index(kp)
             if jp < 0 or kp < 0:
                 raise ValueError(f"J and K powers must be non-negative, got J^{jp} K^{kp}")
-            if type(c) is not int and type(c) is not Fraction:
-                c = Fraction(c)
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient must be an int or a Fraction, got {type(c).__name__} {c!r}")
             if c:
                 coeffs[(jp, kp)] = c
         # over the lcm of reduced denominators the numerators already have no common factor with it
@@ -292,16 +295,6 @@ class NormalOrderedOperator:
     def canonical_terms(self) -> list[tuple[tuple[int, int], ParamPoly]]:
         """Terms ordered derivative-major, then by ascending x power."""
         return sorted(self._terms.items(), key=lambda kv: (-kv[0][1], kv[0][0]))
-
-    def _float_terms(self) -> tuple[tuple[int, int, tuple[tuple[float, int, int], ...]], ...]:
-        """(xpow, dorder, ((float(c), jpow, kpow), ...)) in canonical order, built on each call.
-
-        The one place exact coefficients become floats: the grid checks'
-        `numeric_verify._image_plan` reads it once per process, and so does
-        the per-term reference `substitute` in `tests/oracles.py`.
-        """
-        return tuple((xp, dq, tuple((float(c), jp, kp) for (jp, kp), c in poly.items()))
-                     for (xp, dq), poly in self.canonical_terms())
 
     def __add__(self, other):
         if not isinstance(other, NormalOrderedOperator):

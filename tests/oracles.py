@@ -362,10 +362,16 @@ class NumericOperator:
     kval: float
 
 
+def float_terms(op: NormalOrderedOperator) -> tuple[tuple[int, int, tuple[tuple[float, int, int], ...]], ...]:
+    """(xpow, dorder, ((float(c), jpow, kpow), ...)) in canonical order, built on each call."""
+    return tuple((xp, dq, tuple((float(c), jp, kp) for (jp, kp), c in poly.items()))
+                 for (xp, dq), poly in op.canonical_terms())
+
+
 def substitute(op: NormalOrderedOperator, jval: float, kval: float) -> NumericOperator:
     """Each coefficient as sum(float(c) J^jpow K^kpow) in stored term order; zero terms are dropped."""
     terms = []
-    for xp, dq, coeffs in op._float_terms():
+    for xp, dq, coeffs in float_terms(op):
         c = float(sum(fc * jval**jp * kval**kp for fc, jp, kp in coeffs))
         if c != 0.0:
             terms.append((xp, dq, c))

@@ -29,6 +29,7 @@ from oracles import (
     fd_matrix,
     fd_matrix_checked,
     fd_weights,
+    float_terms,
     gershgorin,
     kummer_terminating,
     ladder_check,
@@ -310,6 +311,14 @@ class TestEigOracle:
         # a bracket that straddles 0 never narrows to 1e-14 of its ends: 256 halvings leave 1e231
         with pytest.raises(ConvergenceFailure, match="bisection stalled for eigenvalue 0"):
             fd_oracle._bisect_cell(lambda lam, k: lam > 1e-300, 0, -1e308, 1e308)
+
+    def test_bisection_of_a_cell_one_ulp_wide_decides_nothing(self):
+        # the midpoint of two adjacent floats rounds to one of them, so the walk ends before any decision
+        def exceeds(lam, k):
+            raise AssertionError(f"decided {lam!r}")
+
+        lo, hi = 1.0, math.nextafter(1.0, 2.0)
+        assert fd_oracle._bisect_cell(exceeds, 0, lo, hi) == (lo, hi, lo)
 
     def test_input_validation(self):
         grid = RadialGrid(20.0, 100)
@@ -1608,7 +1617,7 @@ class TestSampleCache:
         x = _nodes(level.grid)
         sampler = TowerSampler(level.state.sector, x)
         samples = [f, *(derivs(order) for order in range(1, 5))]
-        terms = op._float_terms()
+        terms = float_terms(op)
         pieces = np.zeros_like(x)
         expanded = np.zeros_like(x)
         nexpanded = 0
@@ -1671,7 +1680,7 @@ class TestSampleCache:
         for i, (name, op) in enumerate(operator_algebra.generator_table().items()):
             terms = {(xp, dq): c for xp, dq, c in substitute(op, J, K).terms}
             scale = {(xp, dq): sum(abs(c * J**jp * K**kp) for c, jp, kp in coeffs)
-                     for xp, dq, coeffs in op._float_terms()}
+                     for xp, dq, coeffs in float_terms(op)}
             for col, key in enumerate(products):
                 assert abs(C[i, col] - terms.get(key, 0.0)) <= 16 * 2.0**-53 * scale.get(key, 0.0), (name, key)
 

@@ -1,5 +1,8 @@
+import ast
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from micz_su11.operator_algebra import (
     replace_K,
     solve_schrodinger_ansatz,
 )
-from oracles import build_T3, build_Tpm, build_Tpm_n, corrupted_generators, substitute
+from oracles import build_T3, build_Tpm, build_Tpm_n, corrupted_generators, float_terms, substitute
 
 J = ParamPoly.J()
 K = ParamPoly.K()
@@ -31,7 +34,7 @@ X = NormalOrderedOperator.x_power(1)
 D = NormalOrderedOperator({(0, 1): 1})
 XD = NormalOrderedOperator({(1, 1): 1})
 GENERATORS = ("T3", "T+", "T-", "Ln", "T3 T+", "T3 T-", "T3 T3", "T+ T-", "T- T+")
-# `_float_terms()` of each `generator_table()` entry: the order `substitute` sums in,
+# `float_terms` of each `generator_table()` entry: the order `substitute` sums in,
 # so a kernel change that reorders any coefficient's terms fails here first
 FLOAT_TERMS = {
     'T3': (
@@ -266,7 +269,7 @@ class TestBuilders:
         assert layout(gen(name)) == layout(reference_table()[name])
 
     def test_float_terms_are_pinned(self):
-        assert {name: gen(name)._float_terms() for name in GENERATORS} == FLOAT_TERMS
+        assert {name: float_terms(gen(name)) for name in GENERATORS} == FLOAT_TERMS
         assert list(FLOAT_TERMS) == list(GENERATORS)
 
     @pytest.mark.parametrize("jval, kval", [(0.0, 1.0), (0.5, 3.5), (1.2071067811865475, 4.2071067811865475),
@@ -464,7 +467,34 @@ class TestSchrodingerAnsatz:
 
 
 class TestCanonicalInput:
-    """Every stored power is an int, so the kernel's integer arithmetic stays exact."""
+    """Every stored power is an int and every coefficient an int or a Fraction, so the kernel stays exact."""
+
+    def test_kernel_source_holds_no_float(self):
+        # no `float` name (a call or an annotation) and no float literal anywhere in the module
+        tree = ast.parse(Path(operator_algebra.__file__).read_text(encoding="utf-8"))
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and node.id == "float"
+                 or isinstance(node, ast.Constant) and isinstance(node.value, float)]
+        assert found == []
+
+    @pytest.mark.parametrize("c", [0.1, "1/3", Decimal("0.1")], ids=["float", "str", "Decimal"])
+    @pytest.mark.parametrize("build", [lambda c: ParamPoly({(0, 0): c}), ParamPoly.const,
+                                       lambda c: NormalOrderedOperator({(1, 0): c}),
+                                       lambda c: NormalOrderedOperator.x_power(1, c)],
+                             ids=["ParamPoly", "const", "operator", "x_power"])
+    def test_coefficients_other_than_int_or_fraction_raise(self, build, c):
+        # only the scalars `ParamPoly._coerce` and `*` take, so no float enters the kernel as its binary rational
+        with pytest.raises(TypeError, match=f"coefficient must be an int or a Fraction, got {type(c).__name__}"):
+            build(c)
+
+    @pytest.mark.parametrize("c, den, num", [(True, 1, 1), (Fraction(1, 3), 3, 1), (Fraction(-4, 6), 3, -2)],
+                             ids=["bool", "third", "unreduced"])
+    def test_bool_and_fraction_coefficients_build_as_before(self, c, den, num):
+        poly = ParamPoly({(1, 0): c})
+        assert (poly._den, poly._terms) == (den, {(1, 0): num})
+        assert [type(n) for n in poly._terms.values()] == [int]
+        assert ParamPoly.const(c) == c
+        assert NormalOrderedOperator.x_power(1, c) == NormalOrderedOperator({(1, 0): ParamPoly.const(c)}) == X * c
 
     @pytest.mark.parametrize("key", [(1.5, 0), (0, 0.5), (Fraction(1), 0), (0, 1.0)])
     def test_parampoly_rejects_non_integer_powers(self, key):

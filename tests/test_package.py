@@ -4,7 +4,9 @@
 `spectrum` and `verify-algebra` subcommands, whose results are exact or
 closed-form, must not load numpy; nor must `oracle`, whose `fd_oracle`
 module runs the Sturm bisection in plain floats.  The start-up tests run a
-fresh interpreter each, because this process has long imported numpy.
+fresh interpreter each, because this process has long imported numpy.  So
+does the check that the repo's pytest settings let a run go on past a
+failing hypothesis test.
 """
 
 import ast
@@ -49,6 +51,21 @@ CLI_PROBE = (
     "atexit.register(lambda: print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr))\n"
     "runpy.run_module('micz_su11.cli', run_name='__main__', alter_sys=True)\n"
 )
+
+
+# a failing @given test, then a passing one: a run must report both
+GIVEN_PAIR = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
 
 
 def fresh_python(*args: str) -> subprocess.CompletedProcess:
@@ -189,3 +206,15 @@ class TestStartWithoutNumpy:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: {message}\nnumpy loaded: False\n"
+
+
+class TestPytestSettings:
+    def test_a_failing_given_test_does_not_end_the_run(self, tmp_path):
+        # where mypy_extensions is installed, the hypothesis plugin's report of a failure reads
+        # its deprecated TypedDict; were that warning an error, pytest would stop (exit 3) there
+        (tmp_path / "test_pair.py").write_text(GIVEN_PAIR, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_pair.py"],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "1 failed, 1 passed" in proc.stdout
