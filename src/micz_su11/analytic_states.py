@@ -168,7 +168,7 @@ class TowerSampler:
         p = state.kummer
         dpoly = [2.0**l * (_kummer_deriv_scale(p, l) * self.row(p, l))
                  for l in range(min(top, p.k) + 1)]
-        pref = 2.0**self.alpha
+        pref = 2.0**self.alpha if self.alpha < 1024.0 else math.inf  # ** raises OverflowError from 2^1024 on
         tmp = np.empty_like(self.x)
         out = []
         for order in range(1, top + 1):

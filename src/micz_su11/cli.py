@@ -168,7 +168,10 @@ def cmd_eigenfunction(args) -> int:
             raise ValueError(f"--phi must be finite, got {phi}")
         state = angular_state(sector)
         thetas = math.pi * np.arange(1, args.npoints + 1) / (args.npoints + 1.0)
-        z = angular_Z(state, thetas, phi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = angular_Z(state, thetas, phi)
+        if not np.all(np.isfinite(z)):
+            raise ValueError("angular profile is not finite on the mesh")
         _peak(z)  # a table that is 0 on every node is refused, as `verify-states` refuses such a profile
         header = ["theta", "re_z", "im_z"]
         rows = list(zip(thetas, z.real, z.imag))

@@ -17,7 +17,9 @@ Most midpoints need no sweep.  In IEEE arithmetic the computed count is
 nondecreasing in lam (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995), so
 once sweeps certify count(a) <= k < count(b), a midpoint <= a answers "no"
 and one >= b "yes", as its own sweep would.  `eig_oracle` keeps that bracket
-per eigenvalue from every sweep of the call and sweeps only inside it.
+per eigenvalue from every sweep of the call and sweeps only inside it: its
+`sweep` is the one place that tests a point against the bracket and narrows
+it.
 
 Each eigenvalue gets one `_locate` guess theta.  Its secant starts next to
 `_predict`'s extrapolation of the call's lower eigenvalues, so no coarse
@@ -25,12 +27,13 @@ sweep runs; for the first eigenvalue, and after a prediction fails to
 certify (box states), once sweeps narrow a bound state's bracket.  The
 secant's backward pivots start LOCATE_EFOLDS e-folds into the forbidden
 tail, on the decaying solution's own pivot, and it stops once its error,
-superlinear in the last two steps, is below the floor.  The first
-two sweeps run at the ends of the final cell that the walk reaches when
-theta decides each midpoint: when they certify it, every midpoint of the
-walk is decided without a sweep.  Otherwise sweeps at theta -+ delta, widened
-while a count disagrees, try to certify a bracket about as narrow as the
-stopping rule.  The guess only chooses where sweeps run, and the walk keeps
+superlinear in the last two steps, is below the floor.  One loop then
+sweeps at the two ends of each window in turn until a window is certified:
+first the final cell that the walk reaches when theta decides each
+midpoint, which once certified leaves every midpoint of the walk decided
+without a sweep; then theta -+ delta 8^r for r = 0 .. LOCATE_ROUNDS, a
+bracket at first about as narrow as the stopping rule, widened while a
+count disagrees.  The guess only chooses where sweeps run, and the walk keeps
 the steps, midpoints and stopping rule of the full-sweep bisection, so a
 wrong or non-finite guess costs sweeps and never changes an eigenvalue:
 every eigenvalue is bit-for-bit the full-sweep bisection's.
@@ -485,10 +488,11 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
     that sweeps only inside certified brackets (see the module docstring).
     The one `_locate` of each eigenvalue starts from `_predict` +- LOCATE_PREDICT
     relative while predictions certify, else from the bracket once it is
-    narrow.  Its guess theta is tried first at the two ends of the walk's
-    final cell when theta decides every midpoint (`_bisect_cell`), then with
-    delta = max(2 |step|, 2 LOCATE_FLOOR max(1, |theta|)), widened while a
-    count disagrees.
+    narrow.  Its guess theta is certified in one loop over windows, sweeping
+    at both ends of each until one is certified: first the walk's final
+    cell when theta decides every midpoint (`_bisect_cell`), then theta -+
+    delta 8^r for r = 0 .. LOCATE_ROUNDS, with delta = max(2 |step|,
+    2 LOCATE_FLOOR max(1, |theta|)).
 
     J must be finite and non-negative, count an integer in [0, npoints] and
     the matrix must not overflow; otherwise ValueError.  A spacing h whose square underflows to zero
@@ -519,11 +523,13 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
         b, located = math.inf, False
 
         def sweep(lam: float) -> None:
+            """Narrow the bracket (a, b) by a sweep at lam; lam outside it is already decided."""
             nonlocal a, b
-            if _sturm_count(matrix, lam, k) > k:
-                b = lam
-            else:
-                a = lam
+            if a < lam < b:
+                if _sturm_count(matrix, lam, k) > k:
+                    b = lam
+                else:
+                    a = lam
 
         def locate(x0: float, x1: float) -> bool:
             """The one `_locate` of eigenvalue k, from x0 and x1; whether sweeps certify its guess."""
@@ -532,22 +538,16 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
             theta, step = _locate(matrix, x0, x1)
             if not math.isfinite(theta):
                 return False
-            # the final cell of the walk that theta decides: certified, it
-            # leaves the walk no sweep to do
-            cell = _bisect_cell(lambda lam, _k: lam > theta, k, lo, hi)[:2]
-            for guess in cell:
-                if a < guess < b:
-                    sweep(guess)
-            if a >= cell[0] and b <= cell[1]:
-                return True
+            # first the final cell of the walk that theta decides (certified, it
+            # leaves the walk no sweep to do), then theta -+ delta 8^r
             delta = max(2.0 * step, 2.0 * LOCATE_FLOOR * max(1.0, abs(theta)))
-            for _ in range(LOCATE_ROUNDS + 1):
-                for guess in (theta - delta, theta + delta):
-                    if a < guess < b:
-                        sweep(guess)
-                if a >= theta - delta and b <= theta + delta:
+            windows = [_bisect_cell(lambda lam, _k: lam > theta, k, lo, hi)[:2]]
+            windows += [(theta - delta * 8.0 ** r, theta + delta * 8.0 ** r) for r in range(LOCATE_ROUNDS + 1)]
+            for left, right in windows:
+                sweep(left)
+                sweep(right)
+                if a >= left and b <= right:
                     return True
-                delta *= 8.0
             return False
 
         # a predicted level that fails to certify ends prediction for the call:
@@ -559,8 +559,7 @@ def eig_oracle(J: float, grid: RadialGrid, count: int) -> list[float]:
         def exceeds(lam: float, _k: int) -> bool:
             if not located and b < 0.0 and b - a < LOCATE_WIDTH * -b:
                 locate(a, b)
-            if a < lam < b:
-                sweep(lam)
+            sweep(lam)
             return lam >= b
 
         out.append(_bisect_eigenvalue(exceeds, k, lo, hi))

@@ -24,8 +24,9 @@ class InvalidLevel(ValueError):
 
 
 # The two numeric failures the CLI reports; they live here, next to the other
-# error classes, so that catching them needs no numpy.  `numeric_verify`
-# raises and re-exports them.
+# error classes, so that catching them needs no numpy.  `fd_oracle` raises
+# both (and re-exports them); `numeric_verify` and the CLI raise only
+# GridUnderflow.
 
 class ConvergenceFailure(RuntimeError):
     """Sturm bisection could not isolate an eigenvalue."""

@@ -246,6 +246,30 @@ class TestEigenfunction:
         assert err.count("\n") == 1
         assert err.startswith(f"error: --rmax {float(argv[1]):g} is too large: the sample points")
 
+    @pytest.mark.parametrize(
+        "argv, xmax",
+        [(["--j", "1100", "--n", "1101"], "4414"), (["--c2", "1e7", "--j", "0", "--n", "1"], "12663.1")],
+        ids=["j-1100", "c2-1e7"],
+    )
+    def test_alpha_past_1023_exit_2_without_warnings(self, capsys, argv, xmax):
+        # 2^alpha overflows from alpha = J + 1 = 1024 on (J is about 3162 at c2 = 1e7), where float **
+        # raises OverflowError: the table must reach its refusal of non-finite columns, not a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", *argv, "--npoints", "4"])
+        n = argv[-1]
+        assert (code, out) == (2, "")
+        assert err == f"error: at n={n} chi or its derivatives are not finite on the window 0 < x <= {xmax}\n"
+
+    def test_non_finite_angular_table_exit_2_without_warnings(self, capsys):
+        # at c2 = 1e200 the Jacobi factor overflows where the power of sin underflows, so Z is nan
+        # on every node; `verify-states` refuses the sector with one line too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["eigenfunction", "--kind", "angular", "--s", "0", "--c2", "1e200",
+                                          "--m", "0", "--j", "2", "--npoints", "8"])
+        assert (code, out, err) == (2, "", "error: angular profile is not finite on the mesh\n")
+
     def test_finite_window_bytes_unchanged(self, capsys):
         # the sample points are still xmax * i / npoints, rounded as before
         code, out, _ = run(capsys, ["eigenfunction", "--s", "0", "--m", "0", "--j", "0", "--n", "2",

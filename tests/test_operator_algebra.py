@@ -534,6 +534,14 @@ class TestCanonicalInput:
         with pytest.raises(ValueError, match="got J\\^-1 K\\^0"):
             build(ParamPoly({(-1, 0): 1}))
 
+    def test_operator_rejects_negative_derivative_orders(self):
+        with pytest.raises(ValueError, match="derivative order must be non-negative"):
+            NormalOrderedOperator({(0, -1): 1})
+
+    def test_constant_value_of_a_non_constant_raises(self):
+        with pytest.raises(ValueError, match="J is not a constant"):
+            ParamPoly.J().constant_value()
+
     def test_integer_like_powers_are_stored_as_ints(self):
         op = NormalOrderedOperator({(np.int64(-1), np.int64(2)): ParamPoly({(np.int64(1), True): 3})})
         assert [(type(xp), type(dq)) for xp, dq in op._terms] == [(int, int)]

@@ -148,6 +148,15 @@ class TestStartWithoutNumpy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
+    def test_submodule_loads_on_first_access(self):
+        # the package's __getattr__ imports a submodule that nothing has imported yet
+        proc = fresh_python("-c", "import sys, micz_su11\n"
+                                  "before = 'micz_su11.fd_oracle' in sys.modules or 'fd_oracle' in vars(micz_su11)\n"
+                                  "print(before, micz_su11.fd_oracle is sys.modules['micz_su11.fd_oracle'], "
+                                  "'numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False True False\n"
+
     def test_spectrum(self):
         proc = fresh_python("-c", CLI_PROBE, "spectrum", "--s", "0", "--m", "0", "--j", "0", "--nmax", "3")
         assert proc.returncode == 0
